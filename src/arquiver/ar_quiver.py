@@ -26,7 +26,7 @@ from .errors import (
     KnitInconsistentError,
     PositionOutOfRangeError,
 )
-from .hammock import HammockResult, composition_multiplicity, knit_hammock
+from .hammock import HammockResult, knit_classified
 from .quiver import ValuedQuiver, arrow_counts
 from .repetitive import ZArrow, ZVertex, plain_arrow, star_arrow
 
@@ -81,7 +81,8 @@ class Counts(NamedTuple):
 def build(q: ValuedQuiver) -> ARQuiver:
     """Knit every hammock and assemble the finite translation quiver."""
     dynkin = classify_quiver(q)
-    results = [knit_hammock(q, k) for k in q.vertices()]
+    order = table_order(dynkin)
+    results = [knit_classified(q, k, order) for k in q.vertices()]
 
     m = [-1] * q.n
     rho = [0] * q.n
@@ -110,10 +111,10 @@ def build(q: ValuedQuiver) -> ARQuiver:
                     arrows.append(za)
     arrows.sort(key=lambda z: (z.src, z.dst))
 
-    dims = {
-        v: tuple(composition_multiplicity(res, v) for res in results)
-        for v in vertices
-    }
+    # Terminators sit one level past their orbit, so no vertex is one and a
+    # position missing from a table has multiplicity zero.
+    tables = [res.table for res in results]
+    dims = {v: tuple([table.get(v, 0) for table in tables]) for v in vertices}
     for i in q.vertices():
         if dims[ZVertex(0, i)][i - 1] != 1:
             raise KnitInconsistentError(f"projective {i} misses its own simple top")
@@ -177,51 +178,48 @@ def closed_form_rho_m(q: ValuedQuiver) -> tuple[tuple[int, ...], tuple[int, ...]
 
 # -- path statistics -------------------------------------------------------------
 
-def _adjacency_out(arq: ARQuiver) -> dict[ZVertex, list[ZArrow]]:
-    out: dict[ZVertex, list[ZArrow]] = {v: [] for v in arq.vertices}
+def _adjacency_out(arq: ARQuiver) -> dict[ZVertex, list[ZVertex]]:
+    out: dict[ZVertex, list[ZVertex]] = {v: [] for v in arq.vertices}
     for za in arq.arrows:
-        out[za.src].append(za)
+        out[za.src].append(za.dst)
     return out
 
 
 def topological_order(arq: ARQuiver) -> list[ZVertex]:
     """Vertices ordered so every arrow goes forward."""
+    return _topological_order(arq, _adjacency_out(arq))
+
+
+def _topological_order(
+    arq: ARQuiver, out: dict[ZVertex, list[ZVertex]]
+) -> list[ZVertex]:
     indeg = {v: 0 for v in arq.vertices}
     for za in arq.arrows:
         indeg[za.dst] += 1
-    out = _adjacency_out(arq)
     queue = deque(sorted(v for v in arq.vertices if indeg[v] == 0))
     order = []
     while queue:
         v = queue.popleft()
         order.append(v)
-        for za in out[v]:
-            indeg[za.dst] -= 1
-            if indeg[za.dst] == 0:
-                queue.append(za.dst)
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
     if len(order) != len(arq.vertices):
         raise CrossCheckFailedError("translation quiver contains an oriented cycle")
     return order
 
 
-def distance(arq: ARQuiver, a: ZVertex, b: ZVertex) -> int | None:
-    """Common length of all paths ``a .. b``; ``None`` when unreachable.
-
-    Shortest and longest path lengths are computed separately and must
-    agree: parallel paths of different lengths would corrupt every
-    distance-based statistic, so disagreement raises.
-    """
-    for v in (a, b):
-        if v not in arq.dims:
-            raise PositionOutOfRangeError(f"{v} is not a vertex")
+def _distance(
+    order: list[ZVertex], out: dict[ZVertex, list[ZVertex]], a: ZVertex, b: ZVertex
+) -> int | None:
+    """:func:`distance` on a precomputed topological order and adjacency."""
     shortest: dict[ZVertex, int] = {a: 0}
     longest: dict[ZVertex, int] = {a: 0}
-    out = _adjacency_out(arq)
-    for v in topological_order(arq):
+    for v in order:
         if v not in shortest:
             continue
-        for za in out[v]:
-            w = za.dst
+        for w in out[v]:
             if w not in shortest:
                 shortest[w] = shortest[v] + 1
                 longest[w] = longest[v] + 1
@@ -237,6 +235,20 @@ def distance(arq: ARQuiver, a: ZVertex, b: ZVertex) -> int | None:
     return shortest[b]
 
 
+def distance(arq: ARQuiver, a: ZVertex, b: ZVertex) -> int | None:
+    """Common length of all paths ``a .. b``; ``None`` when unreachable.
+
+    Shortest and longest path lengths are computed separately and must
+    agree: parallel paths of different lengths would corrupt every
+    distance-based statistic, so disagreement raises.
+    """
+    for v in (a, b):
+        if v not in arq.dims:
+            raise PositionOutOfRangeError(f"{v} is not a vertex")
+    out = _adjacency_out(arq)
+    return _distance(_topological_order(arq, out), out, a, b)
+
+
 def counts_and_nilpotency(arq: ARQuiver, order: int) -> Counts:
     """Indecomposable count and radical nilpotency, doubly computed.
 
@@ -249,9 +261,11 @@ def counts_and_nilpotency(arq: ARQuiver, order: int) -> Counts:
         raise CrossCheckFailedError(
             f"{total} vertices but n*|C| = {arq.n * order}"
         )
+    out = _adjacency_out(arq)
+    topo = _topological_order(arq, out)
     dists = []
     for i in arq.quiver.vertices():
-        d = distance(arq, arq.projective(i), arq.injective(i))
+        d = _distance(topo, out, arq.projective(i), arq.injective(i))
         if d is None:
             raise CrossCheckFailedError(f"no path from projective {i} to injective {i}")
         dists.append(d)

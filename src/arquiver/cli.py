@@ -22,7 +22,7 @@ from .errors import (
 )
 from .hammock import hammock_vertices
 from .quiver import ValuedQuiver
-from .report import build_report, parse_quiver, report_to_json, to_dot
+from .report import build_report, parse_quiver, to_dot, write_report
 
 _INPUT_ERRORS = (
     ParseError,
@@ -58,11 +58,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     arq = ar_quiver.build(_load(args.file))
     cd = coxeter.coxeter_matrix(arq)
     report = build_report(arq, cd.order, include_hammocks=args.hammocks)
-    text = report_to_json(report)
     if args.json:
-        Path(args.json).write_text(text, encoding="utf-8")
+        with open(args.json, "w", encoding="utf-8") as out:
+            write_report(report, out)
     else:
-        sys.stdout.write(text)
+        write_report(report, sys.stdout)
     if args.dot:
         Path(args.dot).write_text(to_dot(arq), encoding="utf-8")
     return 0

@@ -11,14 +11,17 @@ possible.
 
 The order of the transformation depends only on the underlying diagram,
 never on the orientation; ``table_order`` holds the per-family values
-and `order_identity_check` ties the computed order to both the table and
-the orbit-length identity ``m(i) + m(rho(i)) + 2``.
+(the Coxeter number h).  The solve certifies that the matrix has exactly
+that order, ``C^h = I`` and ``C^(h/p) != I`` for each prime ``p``
+dividing ``h``, by repeated squaring, and `order_identity_check` ties the
+order to the orbit-length identity ``m(i) + m(rho(i)) + 2``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import OrderBoundExceededError, SingularCartanError
@@ -30,17 +33,15 @@ if TYPE_CHECKING:
 
 Matrix = tuple[tuple[int, ...], ...]
 
-ORDER_BOUND = 60  # twice the largest tabled order
-
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    columns = tuple(zip(*b))
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
+        tuple(sum(map(mul, row, col)) for col in columns) for row in a
     )
 
 
@@ -53,10 +54,28 @@ def mat_neg(a: Matrix) -> Matrix:
 
 
 def mat_pow(a: Matrix, t: int) -> Matrix:
+    """``a`` to the power ``t >= 0``, by repeated squaring."""
     result = identity_matrix(len(a))
-    for _ in range(t):
-        result = mat_mul(result, a)
+    while t:
+        if t & 1:
+            result = mat_mul(result, a)
+        t >>= 1
+        if t:
+            a = mat_mul(a, a)
     return result
+
+
+def _prime_factors(h: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= h:
+        if h % p == 0:
+            primes.append(p)
+            while h % p == 0:
+                h //= p
+        p += 1
+    if h > 1:
+        primes.append(h)
+    return primes
 
 
 @dataclass(frozen=True)
@@ -94,7 +113,7 @@ def _unit_lower_inverse(l: Matrix) -> Matrix:
 
 
 def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
-    """Solve for the transformation exactly and find its matrix order."""
+    """Solve for the transformation exactly and certify its tabled order."""
     n = arq.n
     cartan = tuple(
         tuple(arq.dims[arq.projective(j + 1)][i] for j in range(n)) for i in range(n)
@@ -115,24 +134,25 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
                 "Cartan matrix is not unitriangular in topological order"
             )
     permuted_inv = _unit_lower_inverse(permuted)
+    position = [0] * n
+    for p, x in enumerate(sigma):
+        position[x - 1] = p
     cartan_inv = tuple(
-        tuple(permuted_inv[sigma.index(i + 1)][sigma.index(j + 1)] for j in range(n))
+        tuple(permuted_inv[position[i]][position[j]] for j in range(n))
         for i in range(n)
     )
     matrix = mat_mul(mat_neg(inj), cartan_inv)
     if mat_mul(matrix, cartan) != mat_neg(inj):
         raise SingularCartanError("integral solve failed to reproduce -Inj")
 
+    order = table_order(arq.dynkin)
     ident = identity_matrix(n)
-    power = matrix
-    order = None
-    for t in range(1, ORDER_BOUND + 1):
-        if power == ident:
-            order = t
-            break
-        power = mat_mul(power, matrix)
-    if order is None:
-        raise OrderBoundExceededError(f"no identity power within {ORDER_BOUND}")
+    where = f"for {arq.dynkin.name} (h = {order})"
+    if mat_pow(matrix, order) != ident:
+        raise OrderBoundExceededError(f"coxeter: C^{order} != I {where}")
+    for p in _prime_factors(order):
+        if mat_pow(matrix, order // p) == ident:
+            raise OrderBoundExceededError(f"coxeter: C^{order // p} = I {where}")
     return CoxeterData(cartan, inj, matrix, order)
 
 

@@ -55,11 +55,11 @@ class PositionOutOfRangeError(ArquiverError, ValueError):
 
 
 class WindowTooLargeError(ArquiverError):
-    """A requested level window exceeds the safety bound."""
+    """A requested level window exceeds the additive-knitting cap."""
 
 
 class BoundExceededError(ArquiverError):
-    """Knitting ran past the safety window without terminating.
+    """Knitting ran past the level bound of its Dynkin type without terminating.
 
     On valid Dynkin input this cannot happen; it signals an input whose
     additive function never turns negative.
@@ -96,4 +96,4 @@ class SingularCartanError(InternalCheckError):
 
 
 class OrderBoundExceededError(InternalCheckError):
-    """Matrix power iteration did not reach the identity within the bound."""
+    """The Coxeter matrix does not have the order tabled for its type."""

@@ -27,21 +27,15 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .coxeter import table_order
 from .dynkin import classify_quiver
 from .errors import (
     BoundExceededError,
     KnitInconsistentError,
     PositionOutOfRangeError,
 )
-from .quiver import ValuedQuiver, reduced_walk
-from .repetitive import (
-    ZVertex,
-    in_arrows,
-    is_successor,
-    safety_bound,
-    sectional_path_from_walk,
-    source_section,
-)
+from .quiver import ValuedQuiver
+from .repetitive import ZVertex, is_successor, source_section
 
 
 @dataclass(frozen=True)
@@ -72,6 +66,46 @@ class HammockResult:
         return ZVertex(self.orbit_index, self.orbit)
 
 
+def _sweep(qop: ValuedQuiver, k: int) -> dict[int, tuple[int, int, int]]:
+    """Sectional paths from ``(0, k)``, one per orbit, in one tree traversal.
+
+    Maps each base vertex ``j`` to ``(level, length, value)``: the level at
+    which the path meets orbit ``j``, its length (that of the reduced walk
+    ``k .. j``) and the product of the second valuation components of its
+    arrows.  A forward step is a plain arrow ``(a, b)``; a backward step is
+    a star arrow ``(b, a)`` one level up.
+    """
+    found = {k: (0, 0, 1)}
+    stack = [k]
+    while stack:
+        u = stack.pop()
+        level, length, value = found[u]
+        for a in qop.out_arrows(u):
+            if a.dst not in found:
+                found[a.dst] = (level, length + 1, value * a.val[1])
+                stack.append(a.dst)
+        for a in qop.in_arrows(u):
+            if a.src not in found:
+                found[a.src] = (level + 1, length + 1, value * a.val[0])
+                stack.append(a.src)
+    return found
+
+
+def _mesh_inputs(qop: ValuedQuiver) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """Per base vertex ``x``: ``(level offset, source base, weight)`` of the
+    arrows of the plane ending at ``(s, x)``, for any level ``s``.
+
+    Plain arrows come from in-arrows at the same level, star arrows from
+    out-arrows one level down; the weight is the arrow's second valuation
+    component.
+    """
+    return {
+        x: tuple((0, a.src, a.val[1]) for a in qop.in_arrows(x))
+        + tuple((-1, a.dst, a.val[0]) for a in qop.out_arrows(x))
+        for x in qop.vertices()
+    }
+
+
 def seed_section(qop: ValuedQuiver, k: int) -> dict[ZVertex, int]:
     """Seed values on the source section of ``(0, k)``.
 
@@ -79,13 +113,9 @@ def seed_section(qop: ValuedQuiver, k: int) -> dict[ZVertex, int]:
     product of the second valuation components of its arrows.
     """
     section = source_section(qop, ZVertex(0, k))
-    values: dict[ZVertex, int] = {}
-    for j in qop.vertices():
-        path = sectional_path_from_walk(qop, reduced_walk(qop, k, j), 0)
-        value = 1
-        for za in path.arrows:
-            value *= za.val[1]
-        values[path.end] = value
+    values = {
+        ZVertex(level, j): value for j, (level, _, value) in _sweep(qop, k).items()
+    }
     assert set(values) == set(section.vertices)
     return values
 
@@ -104,36 +134,38 @@ def _knit_from_seed(
     and :class:`BoundExceededError` when no negative shows up within the
     level bound.
     """
+    meshes = _mesh_inputs(qop)
+    paths = _sweep(qop, k)
     table = dict(seeds)
-    # Heap keyed by (path length from (0, k), level, base).
-    heap: list[tuple[int, int, int]] = []
-    for v in seeds:
-        walk_len = len(reduced_walk(qop, k, v.base))
-        heapq.heappush(heap, (walk_len + 2, v.level + 1, v.base))
+    # Heap keyed by (path length from (0, k), level, base).  Table lookups
+    # use plain tuples, which hash and compare like the ZVertex keys.
+    heap = [(paths[v.base][1] + 2, v.level + 1, v.base) for v in seeds]
+    heapq.heapify(heap)
     while heap:
-        length, level, base = heapq.heappop(heap)
+        length, level, base = heap[0]
         if level > bound:
             raise BoundExceededError(
                 f"no negative hammock value within {bound} levels; "
                 "input is not of finite type"
             )
-        v = ZVertex(level, base)
         total = 0
-        for za in in_arrows(qop, v):
-            total += za.val[1] * table[za.src]
-        value = total - table[v.translate()]
+        for offset, src, weight in meshes[base]:
+            total += weight * table[(level + offset, src)]
+        before = table[(level - 1, base)]
+        value = total - before
+        v = ZVertex(level, base)
         table[v] = value
         if value < 0:
             if value != -1:
                 raise KnitInconsistentError(
                     f"first negative value at {v} is {value}, not -1"
                 )
-            if table[v.translate()] <= 0:
+            if before <= 0:
                 raise KnitInconsistentError(
                     f"value directly before the terminator {v} is not positive"
                 )
             return table, v
-        heapq.heappush(heap, (length + 2, level + 1, base))
+        heapq.heapreplace(heap, (length + 2, level + 1, base))
     raise BoundExceededError("empty knitting frontier")  # pragma: no cover
 
 
@@ -141,11 +173,20 @@ def knit_hammock(q: ValuedQuiver, k: int) -> HammockResult:
     """Knit the hammock of vertex ``k`` of a Dynkin ext-quiver ``q``."""
     if not 1 <= k <= q.n:
         raise PositionOutOfRangeError(f"vertex {k} is not in 1..{q.n}")
-    classify_quiver(q)
+    return knit_classified(q, k, table_order(classify_quiver(q)))
+
+
+def knit_classified(q: ValuedQuiver, k: int, order: int) -> HammockResult:
+    """Knit the hammock of ``k`` once ``q`` is known to be Dynkin.
+
+    ``order`` is the Coxeter number of its type.  Every projective-to-
+    injective distance is ``order - 2``, so the terminator lies at path
+    length ``order`` from ``(0, k)``; no vertex knitted before it is
+    farther, and none reaches level ``order``.  Knitting stops with an
+    error past level ``order + 1``.
+    """
     qop = q.opposite()
-    table, terminator = _knit_from_seed(
-        qop, k, seed_section(qop, k), safety_bound(q.n)
-    )
+    table, terminator = _knit_from_seed(qop, k, seed_section(qop, k), order + 1)
     return HammockResult(q, k, table, terminator)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -144,9 +144,7 @@ class ValuedQuiver:
 
     def opposite(self) -> "ValuedQuiver":
         """Reverse every arrow and swap its valuation pair."""
-        return ValuedQuiver(
-            self.n, tuple(Arrow(a.dst, a.src, swap(a.val)) for a in self.arrows)
-        )
+        return self._opposite
 
     def underlying_graph(self) -> "ValuedGraph":
         return ValuedGraph(
@@ -154,20 +152,74 @@ class ValuedQuiver:
         )
 
     def out_arrows(self, x: int) -> tuple[Arrow, ...]:
-        return _adjacency(self)[0][x]
+        return self._adjacency[0][x]
 
     def in_arrows(self, x: int) -> tuple[Arrow, ...]:
-        return _adjacency(self)[1][x]
+        return self._adjacency[1][x]
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
     def is_tree(self) -> bool:
         try:
-            _walk_table(self)
+            self._forward_steps
         except NotATreeError:
             return False
         return True
+
+    # -- per-instance tables, built on first use ----------------------------
+    # A racing second build computes the same value, so sharing an instance
+    # across threads stays safe.
+
+    @cached_property
+    def _opposite(self) -> "ValuedQuiver":
+        return ValuedQuiver(
+            self.n, tuple(Arrow(a.dst, a.src, swap(a.val)) for a in self.arrows)
+        )
+
+    @cached_property
+    def _adjacency(
+        self,
+    ) -> tuple[dict[int, tuple[Arrow, ...]], dict[int, tuple[Arrow, ...]]]:
+        out: dict[int, list[Arrow]] = {x: [] for x in self.vertices()}
+        inn: dict[int, list[Arrow]] = {x: [] for x in self.vertices()}
+        for a in self.arrows:
+            out[a.src].append(a)
+            inn[a.dst].append(a)
+        return (
+            {x: tuple(v) for x, v in out.items()},
+            {x: tuple(v) for x, v in inn.items()},
+        )
+
+    @cached_property
+    def _forward_steps(self) -> list[list[int]]:
+        """``[x][y]``: forward steps of the reduced walk ``x .. y`` of a tree.
+
+        Row and column 0 are padding.  The backward steps of ``x .. y``
+        are the forward steps of ``y .. x``.
+        """
+        n = self.n
+        if len(self.arrows) != n - 1:
+            raise NotATreeError(f"{len(self.arrows)} arrows on {n} vertices")
+        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        for a in self.arrows:
+            neighbours[a.src].append((a.dst, 1))
+            neighbours[a.dst].append((a.src, 0))
+        table = [[0] * (n + 1)]
+        for x in range(1, n + 1):
+            row = [-1] * (n + 1)
+            row[x] = 0
+            stack = [x]
+            while stack:
+                u = stack.pop()
+                for v, forward in neighbours[u]:
+                    if row[v] < 0:
+                        row[v] = row[u] + forward
+                        stack.append(v)
+            if -1 in row[1:]:
+                raise NotATreeError("underlying graph is disconnected")
+            table.append(row)
+        return table
 
 
 @dataclass(frozen=True)
@@ -202,13 +254,13 @@ class ValuedGraph:
 
     def valuation(self, x: int, y: int) -> int:
         """The component ``v_xy``, or 0 when there is no edge."""
-        return _valuation_table(self).get((x, y), 0)
+        return self._valuations.get((x, y), 0)
 
     def has_edge(self, x: int, y: int) -> bool:
-        return (x, y) in _valuation_table(self)
+        return (x, y) in self._valuations
 
     def neighbors(self, x: int) -> tuple[int, ...]:
-        return _graph_adjacency(self)[x]
+        return self._neighbors[x]
 
     def degree(self, x: int) -> int:
         return len(self.neighbors(x))
@@ -238,6 +290,22 @@ class ValuedGraph:
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == self.n - 1
 
+    @cached_property
+    def _valuations(self) -> dict[tuple[int, int], int]:
+        table: dict[tuple[int, int], int] = {}
+        for e in self.edges:
+            table[(e.x, e.y)] = e.val[0]
+            table[(e.y, e.x)] = e.val[1]
+        return table
+
+    @cached_property
+    def _neighbors(self) -> dict[int, tuple[int, ...]]:
+        adj: dict[int, list[int]] = {x: [] for x in self.vertices()}
+        for e in self.edges:
+            adj[e.x].append(e.y)
+            adj[e.y].append(e.x)
+        return {x: tuple(sorted(v)) for x, v in adj.items()}
+
 
 def validate(n: int, arrows: Iterable[Sequence]) -> ValuedQuiver:
     """Build a :class:`ValuedQuiver` from raw ``(src, dst[, (a, b)])`` data."""
@@ -254,83 +322,33 @@ def validate(n: int, arrows: Iterable[Sequence]) -> ValuedQuiver:
     return ValuedQuiver(n, tuple(normalised))
 
 
-# -- cached per-quiver tables --------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _adjacency(
-    q: ValuedQuiver,
-) -> tuple[dict[int, tuple[Arrow, ...]], dict[int, tuple[Arrow, ...]]]:
-    out: dict[int, list[Arrow]] = {x: [] for x in q.vertices()}
-    inn: dict[int, list[Arrow]] = {x: [] for x in q.vertices()}
-    for a in q.arrows:
-        out[a.src].append(a)
-        inn[a.dst].append(a)
-    return (
-        {x: tuple(v) for x, v in out.items()},
-        {x: tuple(v) for x, v in inn.items()},
-    )
-
-
-@lru_cache(maxsize=None)
-def _valuation_table(g: ValuedGraph) -> dict[tuple[int, int], int]:
-    table: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        table[(e.x, e.y)] = e.val[0]
-        table[(e.y, e.x)] = e.val[1]
-    return table
-
-
-@lru_cache(maxsize=None)
-def _graph_adjacency(g: ValuedGraph) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, list[int]] = {x: [] for x in g.vertices()}
-    for e in g.edges:
-        adj[e.x].append(e.y)
-        adj[e.y].append(e.x)
-    return {x: tuple(sorted(v)) for x, v in adj.items()}
-
-
-@lru_cache(maxsize=None)
-def _walk_table(q: ValuedQuiver) -> dict[tuple[int, int], Walk]:
-    """All-pairs reduced walks of a tree quiver, via BFS from every vertex."""
-    if len(q.arrows) != q.n - 1:
-        raise NotATreeError(f"{len(q.arrows)} arrows on {q.n} vertices")
-    steps: dict[int, list[Step]] = {x: [] for x in q.vertices()}
-    for a in q.arrows:
-        steps[a.src].append(Step(a, True))
-        steps[a.dst].append(Step(a, False))
-    table: dict[tuple[int, int], Walk] = {}
-    for x in q.vertices():
-        parent: dict[int, Step] = {}
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            for step in steps[u]:
-                v = step.end
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = step
-                    queue.append(v)
-        if len(seen) != q.n:
-            raise NotATreeError("underlying graph is disconnected")
-        for y in q.vertices():
-            backwards = []
-            at = y
-            while at != x:
-                backwards.append(parent[at])
-                at = parent[at].start
-            table[(x, y)] = Walk(x, tuple(reversed(backwards)))
-    return table
-
-
 def reduced_walk(q: ValuedQuiver, x: int, y: int) -> Walk:
     """The unique reduced walk between two vertices of a tree quiver."""
     _check_vertex(x, q.n)
     _check_vertex(y, q.n)
-    return _walk_table(q)[(x, y)]
+    q._forward_steps  # raises NotATreeError unless the underlying graph is a tree
+    parent: dict[int, Step] = {}
+    stack = [x]
+    while stack:
+        u = stack.pop()
+        steps = [Step(a, True) for a in q.out_arrows(u)]
+        steps += [Step(a, False) for a in q.in_arrows(u)]
+        for step in steps:
+            v = step.end
+            if v != x and v not in parent:
+                parent[v] = step
+                stack.append(v)
+    backwards = []
+    at = y
+    while at != x:
+        backwards.append(parent[at])
+        at = parent[at].start
+    return Walk(x, tuple(reversed(backwards)))
 
 
 def arrow_counts(q: ValuedQuiver, x: int, y: int) -> tuple[int, int]:
     """Forward and backward step counts of the reduced walk ``x .. y``."""
-    w = reduced_walk(q, x, y)
-    return (w.forward_count, w.inverse_count)
+    _check_vertex(x, q.n)
+    _check_vertex(y, q.n)
+    forward = q._forward_steps
+    return (forward[x][y], forward[y][x])

@@ -26,15 +26,11 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import WalkNotReducedError, WindowTooLargeError
-from .quiver import Arrow, Step, ValuedQuiver, Valuation, Walk, reduced_walk, swap
+from .quiver import Arrow, Step, ValuedQuiver, Valuation, Walk, arrow_counts, swap
 
-# Hard cap on explorable level windows: generous multiple of the largest
-# Coxeter order, so valid inputs never hit it.
-MAX_COXETER_ORDER = 30
-
-
-def safety_bound(n: int) -> int:
-    return 4 * n * MAX_COXETER_ORDER
+# Widest level window `knit_additive` explores; the fixed-point sweep costs
+# time linear in the window, and no caller needs more than a few periods.
+MAX_ADDITIVE_WINDOW = 1000
 
 
 class ZVertex(NamedTuple):
@@ -163,8 +159,7 @@ def source_section(base: ValuedQuiver, v: ZVertex) -> Section:
     ``v.base`` to ``j``.
     """
     levels = {
-        j: v.level + reduced_walk(base, v.base, j).inverse_count
-        for j in base.vertices()
+        j: v.level + arrow_counts(base, v.base, j)[1] for j in base.vertices()
     }
     vertices = tuple(sorted(ZVertex(levels[j], j) for j in base.vertices()))
     return Section(vertices, _section_arrows(base, levels))
@@ -173,8 +168,7 @@ def source_section(base: ValuedQuiver, v: ZVertex) -> Section:
 def sink_section(base: ValuedQuiver, v: ZVertex) -> Section:
     """The section generated by the sectional predecessors of ``v``."""
     levels = {
-        j: v.level - reduced_walk(base, j, v.base).inverse_count
-        for j in base.vertices()
+        j: v.level - arrow_counts(base, j, v.base)[1] for j in base.vertices()
     }
     vertices = tuple(sorted(ZVertex(levels[j], j) for j in base.vertices()))
     return Section(vertices, _section_arrows(base, levels))
@@ -182,7 +176,7 @@ def sink_section(base: ValuedQuiver, v: ZVertex) -> Section:
 
 def level_offset(base: ValuedQuiver, x: int, y: int) -> int:
     """Minimal level gap ``s - r`` admitting a path ``(r, x) .. (s, y)``."""
-    return reduced_walk(base, x, y).inverse_count
+    return arrow_counts(base, x, y)[1]
 
 
 def is_successor(base: ValuedQuiver, u: ZVertex, w: ZVertex) -> bool:
@@ -191,11 +185,11 @@ def is_successor(base: ValuedQuiver, u: ZVertex, w: ZVertex) -> bool:
 
 def path_length(base: ValuedQuiver, u: ZVertex, w: ZVertex) -> int | None:
     """Common length of all paths ``u .. w``, or ``None`` if there is none."""
-    walk = reduced_walk(base, u.base, w.base)
-    slack = (w.level - u.level) - walk.inverse_count
+    forward, backward = arrow_counts(base, u.base, w.base)
+    slack = (w.level - u.level) - backward
     if slack < 0:
         return None
-    return len(walk) + 2 * slack
+    return forward + backward + 2 * slack
 
 
 # -- additive functions ---------------------------------------------------------
@@ -215,8 +209,8 @@ def knit_additive(
     reproducible.
     """
     lo, hi = window
-    if hi - lo > safety_bound(base.n):
-        raise WindowTooLargeError(f"window {window} exceeds {safety_bound(base.n)} levels")
+    if hi - lo > MAX_ADDITIVE_WINDOW:
+        raise WindowTooLargeError(f"window {window} exceeds {MAX_ADDITIVE_WINDOW} levels")
     known: dict[ZVertex, int] = {
         v: val for v, val in values.items() if lo <= v.level <= hi
     }

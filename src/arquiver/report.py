@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TextIO
 
 from .ar_quiver import ARQuiver, counts_and_nilpotency
 from .derived import cluster_count, derived_nilpotency
@@ -148,7 +149,7 @@ def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> R
     )
 
 
-def report_to_json(report: Report) -> str:
+def _payload(report: Report) -> dict:
     payload = {
         "dynkin": {
             "family": report.family,
@@ -184,7 +185,20 @@ def report_to_json(report: Report) -> str:
             }
             for h in report.hammocks
         }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return payload
+
+
+def report_to_json(report: Report) -> str:
+    return json.dumps(_payload(report), sort_keys=True, indent=2) + "\n"
+
+
+def write_report(report: Report, out: TextIO) -> None:
+    """Stream the text of :func:`report_to_json` to ``out``.
+
+    Chunks go out as they are encoded, so the whole text is never held.
+    """
+    json.dump(_payload(report), out, sort_keys=True, indent=2)
+    out.write("\n")
 
 
 def report_from_json(text: str) -> Report:

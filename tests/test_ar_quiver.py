@@ -232,3 +232,61 @@ def test_arrows_match_plane_restriction():
         if za.src in members and za.dst in members
     }
     assert set(arq.arrows) == expected
+
+
+def test_build_classifies_once(monkeypatch):
+    from arquiver import dynkin
+
+    calls = []
+    original = dynkin.classify_dynkin
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(dynkin, "classify_dynkin", counting)
+    build(e6_example())
+    assert len(calls) == 1
+
+
+def test_opposite_and_walk_tables_live_on_the_instance():
+    q = e6_example()
+    assert q.opposite() is q.opposite()
+    assert q.opposite() == validate(6, [(2, 1), (3, 2), (4, 3), (5, 3), (5, 6)])
+    # Equal quivers built separately agree without sharing any table.
+    other = e6_example()
+    assert other.opposite() is not q.opposite()
+    assert [res.table for res in build(other).hammocks] == [
+        res.table for res in build(q).hammocks
+    ]
+
+
+def test_threads_sharing_one_quiver_build_equal_results():
+    import sys
+    import threading
+
+    from arquiver import coxeter_matrix
+    from arquiver.report import build_report, report_to_json
+
+    q = random_orientation(canonical_diagram("D", 9), random.Random(31))
+    expected = report_to_json(build_report(build(q), 16, include_hammocks=True))
+    fresh = validate(q.n, q.arrows)  # no table built yet
+    results: list[str] = []
+
+    def work() -> None:
+        arq = build(fresh)
+        order = coxeter_matrix(arq).order
+        results.append(report_to_json(build_report(arq, order, include_hammocks=True)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(threads)

@@ -215,3 +215,33 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "a3.q", "n 3\narrow 1 2\narrow 2 3\n")
     assert main(["build", path]) == 1
     assert "internal error" in capsys.readouterr().err
+
+
+FAMILY_TEXTS = {
+    "A4": "n 4\narrow 2 1\narrow 2 3\narrow 4 3\n",
+    "B3": "n 3\narrow 1 2 1 2\narrow 3 2\n",
+    "C3": "n 3\narrow 2 1 1 2\narrow 2 3\n",
+    "D5": "n 5\narrow 1 3\narrow 3 2\narrow 4 3\narrow 4 5\n",
+    "E6": E6_TEXT,
+    "F4": "n 4\narrow 1 2\narrow 2 3 1 2\narrow 4 3\n",
+    "G2": "n 2\narrow 2 1 3 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TEXTS))
+@pytest.mark.parametrize("hammocks", [False, True])
+def test_cli_build_streams_the_report_bytes(tmp_path, capsys, name, hammocks):
+    text = FAMILY_TEXTS[name]
+    arq = build(parse_quiver(text))
+    assert arq.dynkin.name == name
+    expected = report_to_json(
+        build_report(arq, coxeter_matrix(arq).order, include_hammocks=hammocks)
+    )
+    path = _write(tmp_path, f"{name}.q", text)
+    flag = ["--hammocks"] if hammocks else []
+    out = tmp_path / "report.json"
+    assert main(["build", path, "--json", str(out)] + flag) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+    capsys.readouterr()
+    assert main(["build", path] + flag) == 0
+    assert capsys.readouterr().out == expected

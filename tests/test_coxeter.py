@@ -147,3 +147,25 @@ def test_derived_dim_check_random_samples():
                 (DerivedVertex(r, i, rng.randrange(-2, 3)), rng.randrange(-6, 7))
             )
         assert derived_dim_check(arq, cd, samples)
+
+
+def test_mat_pow_matches_repeated_products():
+    from arquiver.coxeter import mat_pow
+
+    matrix = coxeter_matrix(build(e6_example())).matrix
+    power = identity_matrix(len(matrix))
+    for t in range(14):
+        assert mat_pow(matrix, t) == power
+        power = mat_mul(power, matrix)
+
+
+def test_order_certification_names_stage_type_and_power():
+    from arquiver import OrderBoundExceededError
+
+    a3 = build(a3_linear())  # order 4
+    # h = 6 for B3: C^6 = C^2 is not the identity.
+    with pytest.raises(OrderBoundExceededError, match=r"coxeter: C\^6 != I for B3 \(h = 6\)"):
+        coxeter_matrix(replace(a3, dynkin=DynkinClass("B", 3, (1, 2, 3))))
+    # h = 8 for A7: C^8 = I, but already C^4 = I, so 8 is not the order.
+    with pytest.raises(OrderBoundExceededError, match=r"coxeter: C\^4 = I for A7 \(h = 8\)"):
+        coxeter_matrix(replace(a3, dynkin=DynkinClass("A", 7, tuple(range(1, 8)))))

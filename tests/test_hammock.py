@@ -156,3 +156,22 @@ def test_knit_detects_inconsistent_seed():
 def test_vertex_out_of_range():
     with pytest.raises(PositionOutOfRangeError):
         knit_hammock(a3_linear(), 4)
+
+
+def test_knit_bound_comes_from_the_coxeter_number():
+    from arquiver.hammock import knit_classified
+
+    # A3 has h = 4; hammock 1 terminates at level 3 = h - 1.
+    assert knit_classified(a3_linear(), 1, 4).terminator == ZVertex(3, 3)
+    # Claiming h = 1 bounds knitting at level 2, below the terminator.
+    with pytest.raises(BoundExceededError, match="within 2 levels"):
+        knit_classified(a3_linear(), 1, 1)
+
+
+def test_knit_hammock_matches_build():
+    from arquiver import build
+
+    q = g2_quiver()
+    for res in build(q).hammocks:
+        alone = knit_hammock(q, res.k)
+        assert alone.table == res.table and alone.terminator == res.terminator
