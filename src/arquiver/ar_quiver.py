@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .coxeter import table_order
@@ -71,6 +72,37 @@ class ARQuiver:
 
     def has_vertex(self, v: ZVertex) -> bool:
         return 1 <= v.base <= self.n and 0 <= v.level <= self.m_of(v.base)
+
+    # -- path tables, built on first use from ``vertices`` and ``arrows`` ----
+    # A racing second build computes the same value, so sharing an instance
+    # across threads stays safe.
+
+    @cached_property
+    def successors(self) -> dict[ZVertex, tuple[ZVertex, ...]]:
+        """Heads of the arrows leaving each vertex, in arrow order."""
+        out: dict[ZVertex, list[ZVertex]] = {v: [] for v in self.vertices}
+        for za in self.arrows:
+            out[za.src].append(za.dst)
+        return {v: tuple(heads) for v, heads in out.items()}
+
+    @cached_property
+    def topological_order(self) -> tuple[ZVertex, ...]:
+        """Vertices ordered so every arrow goes forward."""
+        indeg = {v: 0 for v in self.vertices}
+        for za in self.arrows:
+            indeg[za.dst] += 1
+        queue = deque(sorted(v for v in self.vertices if indeg[v] == 0))
+        order = []
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in self.successors[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    queue.append(w)
+        if len(order) != len(self.vertices):
+            raise CrossCheckFailedError("translation quiver contains an oriented cycle")
+        return tuple(order)
 
 
 class Counts(NamedTuple):
@@ -178,45 +210,20 @@ def closed_form_rho_m(q: ValuedQuiver) -> tuple[tuple[int, ...], tuple[int, ...]
 
 # -- path statistics -------------------------------------------------------------
 
-def _adjacency_out(arq: ARQuiver) -> dict[ZVertex, list[ZVertex]]:
-    out: dict[ZVertex, list[ZVertex]] = {v: [] for v in arq.vertices}
-    for za in arq.arrows:
-        out[za.src].append(za.dst)
-    return out
+def distance(arq: ARQuiver, a: ZVertex, b: ZVertex) -> int | None:
+    """Common length of all paths ``a .. b``; ``None`` when unreachable.
 
-
-def topological_order(arq: ARQuiver) -> list[ZVertex]:
-    """Vertices ordered so every arrow goes forward."""
-    return _topological_order(arq, _adjacency_out(arq))
-
-
-def _topological_order(
-    arq: ARQuiver, out: dict[ZVertex, list[ZVertex]]
-) -> list[ZVertex]:
-    indeg = {v: 0 for v in arq.vertices}
-    for za in arq.arrows:
-        indeg[za.dst] += 1
-    queue = deque(sorted(v for v in arq.vertices if indeg[v] == 0))
-    order = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != len(arq.vertices):
-        raise CrossCheckFailedError("translation quiver contains an oriented cycle")
-    return order
-
-
-def _distance(
-    order: list[ZVertex], out: dict[ZVertex, list[ZVertex]], a: ZVertex, b: ZVertex
-) -> int | None:
-    """:func:`distance` on a precomputed topological order and adjacency."""
+    Shortest and longest path lengths are computed separately and must
+    agree: parallel paths of different lengths would corrupt every
+    distance-based statistic, so disagreement raises.
+    """
+    for v in (a, b):
+        if v not in arq.dims:
+            raise PositionOutOfRangeError(f"{v} is not a vertex")
     shortest: dict[ZVertex, int] = {a: 0}
     longest: dict[ZVertex, int] = {a: 0}
-    for v in order:
+    out = arq.successors
+    for v in arq.topological_order:
         if v not in shortest:
             continue
         for w in out[v]:
@@ -235,20 +242,6 @@ def _distance(
     return shortest[b]
 
 
-def distance(arq: ARQuiver, a: ZVertex, b: ZVertex) -> int | None:
-    """Common length of all paths ``a .. b``; ``None`` when unreachable.
-
-    Shortest and longest path lengths are computed separately and must
-    agree: parallel paths of different lengths would corrupt every
-    distance-based statistic, so disagreement raises.
-    """
-    for v in (a, b):
-        if v not in arq.dims:
-            raise PositionOutOfRangeError(f"{v} is not a vertex")
-    out = _adjacency_out(arq)
-    return _distance(_topological_order(arq, out), out, a, b)
-
-
 def counts_and_nilpotency(arq: ARQuiver, order: int) -> Counts:
     """Indecomposable count and radical nilpotency, doubly computed.
 
@@ -261,11 +254,10 @@ def counts_and_nilpotency(arq: ARQuiver, order: int) -> Counts:
         raise CrossCheckFailedError(
             f"{total} vertices but n*|C| = {arq.n * order}"
         )
-    out = _adjacency_out(arq)
-    topo = _topological_order(arq, out)
     dists = []
     for i in arq.quiver.vertices():
-        d = _distance(topo, out, arq.projective(i), arq.injective(i))
+        inj = arq.injective(i)
+        d = distance(arq, arq.projective(i), inj) if inj in arq.dims else None
         if d is None:
             raise CrossCheckFailedError(f"no path from projective {i} to injective {i}")
         dists.append(d)

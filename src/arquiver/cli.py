@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     PositionOutOfRangeError,
 )
-from .hammock import hammock_vertices
+from .hammock import hammock_vertices, knit_hammock
 from .quiver import ValuedQuiver
 from .report import build_report, parse_quiver, to_dot, write_report
 
@@ -35,7 +35,14 @@ _INPUT_ERRORS = (
 
 
 def _load(path: str) -> ValuedQuiver:
-    return parse_quiver(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number lines as parse_quiver does, counting the bad byte's own line.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from exc
+    return parse_quiver(text)
 
 
 def _fmt_vertex(v) -> str:
@@ -69,10 +76,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_hammock(args: argparse.Namespace) -> int:
-    arq = ar_quiver.build(_load(args.file))
-    if not 1 <= args.k <= arq.n:
-        raise PositionOutOfRangeError(f"vertex {args.k} is not in 1..{arq.n}")
-    res = arq.hammocks[args.k - 1]
+    res = knit_hammock(_load(args.file), args.k)
     print(f"k = {args.k}")
     for v in sorted(res.table):
         print(f"h{_fmt_vertex(v)} = {res.table[v]}")

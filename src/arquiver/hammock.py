@@ -35,7 +35,7 @@ from .errors import (
     PositionOutOfRangeError,
 )
 from .quiver import ValuedQuiver
-from .repetitive import ZVertex, is_successor, source_section
+from .repetitive import ZVertex, is_successor, mesh_inputs, source_section
 
 
 @dataclass(frozen=True)
@@ -91,21 +91,6 @@ def _sweep(qop: ValuedQuiver, k: int) -> dict[int, tuple[int, int, int]]:
     return found
 
 
-def _mesh_inputs(qop: ValuedQuiver) -> dict[int, tuple[tuple[int, int, int], ...]]:
-    """Per base vertex ``x``: ``(level offset, source base, weight)`` of the
-    arrows of the plane ending at ``(s, x)``, for any level ``s``.
-
-    Plain arrows come from in-arrows at the same level, star arrows from
-    out-arrows one level down; the weight is the arrow's second valuation
-    component.
-    """
-    return {
-        x: tuple((0, a.src, a.val[1]) for a in qop.in_arrows(x))
-        + tuple((-1, a.dst, a.val[0]) for a in qop.out_arrows(x))
-        for x in qop.vertices()
-    }
-
-
 def seed_section(qop: ValuedQuiver, k: int) -> dict[ZVertex, int]:
     """Seed values on the source section of ``(0, k)``.
 
@@ -134,7 +119,7 @@ def _knit_from_seed(
     and :class:`BoundExceededError` when no negative shows up within the
     level bound.
     """
-    meshes = _mesh_inputs(qop)
+    meshes = mesh_inputs(qop)
     paths = _sweep(qop, k)
     table = dict(seeds)
     # Heap keyed by (path length from (0, k), level, base).  Table lookups

@@ -18,12 +18,11 @@ from .ar_quiver import (
     counts_and_nilpotency,
     distance,
     orbit_index_relation_holds,
-    topological_order,
 )
 from .derived import cluster_count, derived_nilpotency
 from .errors import CrossCheckFailedError
 from .quiver import ValuedQuiver
-from .repetitive import ZVertex, in_arrows
+from .repetitive import ZVertex, mesh_inputs
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def recursive_injective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
 def verify_mesh(arq: ARQuiver) -> OracleReport:
     """Check every mesh relation and both boundary recursions."""
     report = OracleReport()
-    qop = arq.quiver.opposite()
+    meshes = mesh_inputs(arq.quiver.opposite())
 
     ok, detail = True, ""
     for v in arq.vertices:
@@ -119,11 +118,12 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
             a + b for a, b in zip(arq.dims[v], arq.dims[v.translate()])
         )
         rhs = (0,) * arq.n
-        for za in in_arrows(qop, v):
-            if za.src not in arq.dims:
-                ok, detail = False, f"in-arrow source {za.src} of {v} out of range"
+        for offset, src, weight in meshes[v.base]:
+            u = ZVertex(v.level + offset, src)
+            if u not in arq.dims:
+                ok, detail = False, f"in-arrow source {u} of {v} out of range"
                 break
-            rhs = _add(rhs, arq.dims[za.src], za.val[1])
+            rhs = _add(rhs, arq.dims[u], weight)
         if not ok or lhs != rhs:
             ok, detail = False, detail or f"mesh relation fails at {v}"
             break
@@ -143,10 +143,8 @@ def _path_statistics(
     arq: ARQuiver,
 ) -> tuple[dict[tuple[ZVertex, ZVertex], int], dict, dict]:
     """Path counts and shortest/longest lengths for all ordered pairs."""
-    order = topological_order(arq)
-    out: dict[ZVertex, list[ZVertex]] = {v: [] for v in arq.vertices}
-    for za in arq.arrows:
-        out[za.src].append(za.dst)
+    order = arq.topological_order
+    out = arq.successors
     counts: dict[tuple[ZVertex, ZVertex], int] = {}
     shortest: dict[tuple[ZVertex, ZVertex], int] = {}
     longest: dict[tuple[ZVertex, ZVertex], int] = {}
@@ -167,9 +165,7 @@ def _path_statistics(
 
 def _sectional_paths(arq: ARQuiver) -> list[tuple[ZVertex, ZVertex]]:
     """Endpoints of all non-trivial sectional paths, by depth-first search."""
-    out: dict[ZVertex, list[ZVertex]] = {v: [] for v in arq.vertices}
-    for za in arq.arrows:
-        out[za.src].append(za.dst)
+    out = arq.successors
     found = []
     for start in arq.vertices:
         stack = [[start, w] for w in out[start]]

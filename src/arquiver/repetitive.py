@@ -23,7 +23,7 @@ reduced walk ``x .. y``, and every such path has length
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import WalkNotReducedError, WindowTooLargeError
 from .quiver import Arrow, Step, ValuedQuiver, Valuation, Walk, arrow_counts, swap
@@ -79,6 +79,25 @@ class ZPath:
 
     def __len__(self) -> int:
         return len(self.arrows)
+
+
+def mesh_inputs(base: ValuedQuiver) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """Per base vertex ``x``: ``(level offset, source base, weight)`` of the
+    arrows of the plane ending at ``(s, x)``, for any level ``s``.
+
+    Star arrows come from out-arrows one level down, plain arrows from
+    in-arrows at the same level; the weight is the arrow's second valuation
+    component.  Sorted, so the sources come in the order of :func:`in_arrows`.
+    """
+    return {
+        x: tuple(
+            sorted(
+                [(-1, a.dst, a.val[0]) for a in base.out_arrows(x)]
+                + [(0, a.src, a.val[1]) for a in base.in_arrows(x)]
+            )
+        )
+        for x in base.vertices()
+    }
 
 
 def in_arrows(base: ValuedQuiver, v: ZVertex) -> list[ZArrow]:
@@ -214,13 +233,15 @@ def knit_additive(
     known: dict[ZVertex, int] = {
         v: val for v, val in values.items() if lo <= v.level <= hi
     }
+    meshes = mesh_inputs(base)
 
     def mesh_sum(v: ZVertex) -> int | None:
         total = 0
-        for za in in_arrows(base, v):
-            if za.src not in known:
+        for offset, src, weight in meshes[v.base]:
+            u = (v.level + offset, src)
+            if u not in known:
                 return None
-            total += za.val[1] * known[za.src]
+            total += weight * known[u]
         return total
 
     progress = True
@@ -247,30 +268,3 @@ def knit_additive(
                         known[v] = total - known[nxt]
                         progress = True
     return known
-
-
-# -- bounded windows for exhaustive checks ---------------------------------------
-
-def window_arrows(base: ValuedQuiver, lo: int, hi: int) -> list[ZArrow]:
-    arrows: list[ZArrow] = []
-    for s in range(lo, hi + 1):
-        for a in base.arrows:
-            arrows.append(plain_arrow(s, a))
-            if s + 1 <= hi:
-                arrows.append(star_arrow(s, a))
-    return arrows
-
-
-def window_paths(
-    base: ValuedQuiver, start: ZVertex, lo: int, hi: int, max_length: int
-) -> Iterator[ZPath]:
-    """All paths from ``start`` staying in the level window, by DFS."""
-    stack: list[ZPath] = [ZPath(start)]
-    while stack:
-        p = stack.pop()
-        yield p
-        if len(p) >= max_length:
-            continue
-        for za in out_arrows(base, p.end):
-            if lo <= za.dst.level <= hi:
-                stack.append(ZPath(p.start, p.arrows + (za,)))

@@ -34,9 +34,14 @@ def parse_quiver(text: str) -> ValuedQuiver:
     def integers(line_no: int, tokens: list[str]) -> list[int]:
         values = []
         for t in tokens:
-            if not (t.isdigit() or (t.startswith("-") and t[1:].isdigit())):
+            digits = t[1:] if t.startswith("-") else t
+            # ASCII only: str.isdigit also accepts '²', which int() rejects.
+            if not (digits.isascii() and digits.isdigit()):
                 raise ParseError(line_no, f"expected an integer, got {t!r}")
-            values.append(int(t))
+            try:
+                values.append(int(t))
+            except ValueError as exc:  # longer than sys.get_int_max_str_digits()
+                raise ParseError(line_no, f"integer of {len(digits)} digits is too long") from exc
         return values
 
     for line_no, raw in enumerate(text.splitlines(), start=1):

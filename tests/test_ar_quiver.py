@@ -22,8 +22,8 @@ from arquiver import (
     validate,
 )
 from arquiver.dynkin import all_orientations, canonical_diagram, random_orientation
-from arquiver.repetitive import window_paths
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
+from plane import window_arrows, window_paths
 
 G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
@@ -224,8 +224,6 @@ def test_arrows_match_plane_restriction():
     arq = build(e6_example())
     members = set(arq.vertices)
     qop = e6_example().opposite()
-    from arquiver.repetitive import window_arrows
-
     expected = {
         za
         for za in window_arrows(qop, 0, max(arq.m) + 1)
@@ -290,3 +288,20 @@ def test_threads_sharing_one_quiver_build_equal_results():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(threads)
+
+
+def test_path_tables_are_built_once_per_instance():
+    from arquiver.quiver import Arrow
+    from arquiver.repetitive import ZArrow
+
+    arq = build(a3_linear())
+    assert arq.successors is arq.successors
+    assert arq.topological_order is arq.topological_order
+    assert arq.successors[ZVertex(0, 2)] == (ZVertex(0, 1), ZVertex(1, 3))
+    assert distance(arq, ZVertex(0, 1), ZVertex(2, 3)) == 2
+    # A copy with a back arrow gets its own tables, and they see the cycle.
+    back = ZArrow(ZVertex(2, 3), ZVertex(0, 1), Arrow(3, 1), False)
+    cyclic = replace(arq, arrows=arq.arrows + (back,))
+    with pytest.raises(CrossCheckFailedError, match="oriented cycle"):
+        distance(cyclic, ZVertex(0, 1), ZVertex(2, 3))
+    assert distance(arq, ZVertex(0, 1), ZVertex(2, 3)) == 2

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import Arrow, ParseError, build, coxeter_matrix, parse_quiver
 from arquiver.cli import main
@@ -48,12 +50,33 @@ def test_parse_bad_valuation_names_line():
         ("n 2\narrow 1 1\n", 2),
         ("n 2\narrow 1 5\n", 2),
         ("n x\n", 1),
+        ("n \u00b2\n", 1),
+        ("n 2\narrow 1 \u0662\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         parse_quiver(text)
     assert exc.value.line == line
+
+
+def test_parse_rejects_non_ascii_digits_by_name():
+    with pytest.raises(ParseError, match="expected an integer, got '\u00b2'"):
+        parse_quiver("n \u00b2\n")
+
+
+def test_parse_rejects_integers_longer_than_int_accepts():
+    with pytest.raises(ParseError, match="line 2: integer of 5000 digits is too long"):
+        parse_quiver("n 2\narrow 1 " + "2" * 5000 + "\n")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_parse_arbitrary_text_raises_only_parse_errors(text):
+    try:
+        parse_quiver(text)
+    except ParseError:
+        pass
 
 
 def test_parse_missing_n():
@@ -245,3 +268,46 @@ def test_cli_build_streams_the_report_bytes(tmp_path, capsys, name, hammocks):
     capsys.readouterr()
     assert main(["build", path] + flag) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", [["classify"], ["build"], ["hammock", "-k", "1"]])
+def test_cli_invalid_utf8_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.q"
+    path.write_bytes(b"n 2\narrow 1 2\n\xff\n")
+    assert main([command[0], str(path)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: invalid UTF-8 byte 0xff\n"
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TEXTS))
+def test_cli_hammock_knits_only_the_requested_hammock(tmp_path, capsys, monkeypatch, name):
+    from arquiver import cli, hammock_vertices
+
+    text = FAMILY_TEXTS[name]
+    arq = build(parse_quiver(text))
+    path = _write(tmp_path, f"{name}.q", text)
+
+    def no_build(q):
+        raise AssertionError("hammock -k built the whole quiver")
+
+    def fmt(v):
+        return f"({v.level},{v.base})"
+
+    monkeypatch.setattr(cli.ar_quiver, "build", no_build)
+    for res in arq.hammocks:
+        lines = [f"k = {res.k}"]
+        lines += [f"h{fmt(v)} = {res.table[v]}" for v in sorted(res.table)]
+        lines += [
+            f"terminator: {fmt(res.terminator)}",
+            f"m({res.orbit}) = {res.orbit_index}",
+            f"rho({res.orbit}) = {res.k}",
+            "hammock vertices: " + " ".join(fmt(v) for v in sorted(hammock_vertices(res))),
+        ]
+        assert main(["hammock", path, "-k", str(res.k)]) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_cli_hammock_range_error_precedes_classification(tmp_path, capsys):
+    path = _write(tmp_path, "bad.q", "n 2\narrow 1 2 2 2\n")
+    assert main(["hammock", path, "-k", "7"]) == 2
+    assert capsys.readouterr().err == "error: vertex 7 is not in 1..2\n"

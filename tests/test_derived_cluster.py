@@ -18,8 +18,8 @@ from arquiver import (
     validate,
 )
 from arquiver.derived import in_fundamental_domain, orbit_shift, plane_position
-from arquiver.repetitive import window_paths
 from conftest import a1_quiver, a3_linear, e6_example, g2_quiver
+from plane import window_paths
 
 
 def _with_order(q):

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from arquiver import (
+    ArquiverError,
     ZVertex,
     build,
     coxeter_matrix,
@@ -114,3 +117,40 @@ def test_recursions_match_hammock_dims_on_b_and_c_types():
         for i in q.vertices():
             assert arq.dims[arq.projective(i)] == proj[i]
             assert arq.dims[arq.injective(i)] == inj[i]
+
+
+def _other_component_meshes(base):
+    """Mesh inputs weighted by the wrong valuation component."""
+    return {
+        x: tuple(
+            sorted(
+                [(-1, a.dst, a.val[1]) for a in base.out_arrows(x)]
+                + [(0, a.src, a.val[0]) for a in base.in_arrows(x)]
+            )
+        )
+        for x in base.vertices()
+    }
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        g2_quiver(),
+        validate(3, [(1, 2, (1, 2)), (3, 2)]),
+        validate(3, [(2, 1, (1, 2)), (2, 3)]),
+        f4_example(),
+    ],
+    ids=["G2", "B3", "C3", "F4"],
+)
+def test_shared_mesh_table_with_wrong_convention_is_caught(monkeypatch, q):
+    # The knitter and verify_mesh share one table, so a wrong convention in
+    # it must be caught by the build's own checks or the boundary recursions.
+    from arquiver import hammock, oracle
+
+    monkeypatch.setattr(hammock, "mesh_inputs", _other_component_meshes)
+    monkeypatch.setattr(oracle, "mesh_inputs", _other_component_meshes)
+    try:
+        arq = build(q)
+    except ArquiverError:
+        return
+    assert not run_all(arq, coxeter_matrix(arq).order).ok

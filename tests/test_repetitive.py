@@ -26,12 +26,13 @@ from arquiver.dynkin import canonical_diagram, random_orientation
 from arquiver.quiver import Step, Walk
 from arquiver.repetitive import (
     is_successor,
+    mesh_inputs,
     path_length,
     plain_arrow,
     star_arrow,
-    window_paths,
 )
-from conftest import a3_linear, e6_example, g2_quiver
+from conftest import a3_linear, all_diagrams, e6_example, g2_quiver
+from plane import window_paths
 
 
 def test_in_arrows_g2_star():
@@ -48,6 +49,19 @@ def test_in_arrows_a3_plain():
     assert len(arrows) == 1
     assert arrows[0].src == ZVertex(1, 2) and not arrows[0].star
     assert arrows[0].val == (1, 1)
+
+
+@pytest.mark.parametrize("family,rank", all_diagrams())
+def test_mesh_inputs_read_the_plane_in_arrows(family, rank):
+    rng = random.Random(f"{family}{rank}")
+    qop = random_orientation(canonical_diagram(family, rank), rng).opposite()
+    meshes = mesh_inputs(qop)
+    for s in (0, 3):
+        for x in qop.vertices():
+            assert meshes[x] == tuple(
+                (za.src.level - s, za.src.base, za.val[1])
+                for za in in_arrows(qop, ZVertex(s, x))
+            )
 
 
 def test_in_arrows_isolated_vertex():
