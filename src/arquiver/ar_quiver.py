@@ -32,6 +32,14 @@ from .quiver import ValuedQuiver, arrow_counts
 from .repetitive import ZArrow, ZVertex, plain_arrow, star_arrow
 
 
+class PathTable(NamedTuple):
+    """The quiver by integer topological position, for path DPs."""
+
+    order: tuple[ZVertex, ...]
+    index: dict[ZVertex, int]
+    successors: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class ARQuiver:
     quiver: ValuedQuiver
@@ -103,6 +111,16 @@ class ARQuiver:
         if len(order) != len(self.vertices):
             raise CrossCheckFailedError("translation quiver contains an oriented cycle")
         return tuple(order)
+
+    @cached_property
+    def path_table(self) -> PathTable:
+        """Topological positions, with successor positions in arrow order."""
+        order = self.topological_order
+        index = {v: k for k, v in enumerate(order)}
+        out = self.successors
+        return PathTable(
+            order, index, tuple(tuple(index[w] for w in out[v]) for v in order)
+        )
 
 
 class Counts(NamedTuple):
@@ -220,26 +238,37 @@ def distance(arq: ARQuiver, a: ZVertex, b: ZVertex) -> int | None:
     for v in (a, b):
         if v not in arq.dims:
             raise PositionOutOfRangeError(f"{v} is not a vertex")
-    shortest: dict[ZVertex, int] = {a: 0}
-    longest: dict[ZVertex, int] = {a: 0}
-    out = arq.successors
-    for v in arq.topological_order:
-        if v not in shortest:
-            continue
-        for w in out[v]:
-            if w not in shortest:
-                shortest[w] = shortest[v] + 1
-                longest[w] = longest[v] + 1
-            else:
-                shortest[w] = min(shortest[w], shortest[v] + 1)
-                longest[w] = max(longest[w], longest[v] + 1)
-    if b not in shortest:
+    table = arq.path_table
+    start, stop = table.index[a], table.index[b]
+    if stop < start:
         return None
-    if shortest[b] != longest[b]:
+    # Lengths by topological position; -1 marks a vertex not reached yet.
+    # Arrows only go forward, so nothing past ``b`` can reach it.
+    shortest = [-1] * (stop + 1)
+    longest = [-1] * (stop + 1)
+    shortest[start] = longest[start] = 0
+    successors = table.successors
+    for v in range(start, stop):
+        if shortest[v] < 0:
+            continue
+        lo, hi = shortest[v] + 1, longest[v] + 1
+        for w in successors[v]:
+            if w > stop:
+                continue
+            if shortest[w] < 0:
+                shortest[w], longest[w] = lo, hi
+            else:
+                if lo < shortest[w]:
+                    shortest[w] = lo
+                if hi > longest[w]:
+                    longest[w] = hi
+    if shortest[stop] < 0:
+        return None
+    if shortest[stop] != longest[stop]:
         raise CrossCheckFailedError(
-            f"parallel paths {a} .. {b} of lengths {shortest[b]} and {longest[b]}"
+            f"parallel paths {a} .. {b} of lengths {shortest[stop]} and {longest[stop]}"
         )
-    return shortest[b]
+    return shortest[stop]
 
 
 def counts_and_nilpotency(arq: ARQuiver, order: int) -> Counts:

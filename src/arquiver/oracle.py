@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .ar_quiver import (
     ARQuiver,
+    closed_form_rho_m,
     counts_and_nilpotency,
-    distance,
     orbit_index_relation_holds,
 )
 from .derived import cluster_count, derived_nilpotency
@@ -139,77 +139,128 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
     return report
 
 
-def _path_statistics(
-    arq: ARQuiver,
-) -> tuple[dict[tuple[ZVertex, ZVertex], int], dict, dict]:
-    """Path counts and shortest/longest lengths for all ordered pairs."""
-    order = arq.topological_order
-    out = arq.successors
-    counts: dict[tuple[ZVertex, ZVertex], int] = {}
-    shortest: dict[tuple[ZVertex, ZVertex], int] = {}
-    longest: dict[tuple[ZVertex, ZVertex], int] = {}
-    for src in order:
-        counts[(src, src)] = 1
-        shortest[(src, src)] = longest[(src, src)] = 0
-        for v in order:
-            if (src, v) not in counts:
+def _audit(
+    arq: ARQuiver, ends: list[tuple[ZVertex, ZVertex]]
+) -> tuple[OracleReport, list[tuple[int, int] | None]]:
+    """Parallel-path and sectional-uniqueness audit, one source at a time.
+
+    Each source gets one DP over the topological positions, whose path
+    counts and shortest/longest lengths are dropped once the source's
+    sectional paths have been checked against them, so memory stays
+    linear in the quiver.  Besides the report, returns the shortest and
+    longest length from ``a`` to ``b`` for each pair of ``ends``, or
+    ``None`` where no path joins them.
+    """
+    table = arq.path_table
+    order, successors = table.order, table.successors
+    size = len(order)
+    wanted: dict[int, list[tuple[int, int]]] = {}
+    for k, (a, b) in enumerate(ends):
+        if a in table.index and b in table.index:
+            wanted.setdefault(table.index[a], []).append((k, table.index[b]))
+    lengths: list[tuple[int, int] | None] = [None] * len(ends)
+    # A sectional path never continues through the inverse translate of the
+    # vertex before its last one: that would be a hook and leave the section.
+    hook = [table.index.get(v.translate(-1), -1) for v in order]
+    start_rank = {v: k for k, v in enumerate(arq.vertices)}
+
+    # Witnesses: the first bad pair with sources in topological order, and
+    # the first bad sectional path with starts in ``arq.vertices`` order.
+    parallel: tuple[ZVertex, ZVertex] | None = None
+    sectional: tuple[int, ZVertex, ZVertex] | None = None
+    for src in range(size):
+        count = [0] * size
+        shortest = [-1] * size
+        longest = [-1] * size
+        count[src], shortest[src], longest[src] = 1, 0, 0
+        for v in range(src, size):
+            c = count[v]
+            if not c:
                 continue
-            for w in out[v]:
-                counts[(src, w)] = counts.get((src, w), 0) + counts[(src, v)]
-                step = shortest[(src, v)] + 1
-                shortest[(src, w)] = min(shortest.get((src, w), step), step)
-                step = longest[(src, v)] + 1
-                longest[(src, w)] = max(longest.get((src, w), step), step)
-    return counts, shortest, longest
+            lo, hi = shortest[v] + 1, longest[v] + 1
+            for w in successors[v]:
+                if count[w]:
+                    count[w] += c
+                    if lo < shortest[w]:
+                        shortest[w] = lo
+                    if hi > longest[w]:
+                        longest[w] = hi
+                else:
+                    count[w], shortest[w], longest[w] = c, lo, hi
 
+        for k, dst in wanted.get(src, ()):
+            if count[dst]:
+                lengths[k] = (shortest[dst], longest[dst])
+        if parallel is None and shortest != longest:
+            bad = _first_discovered(successors, shortest, longest, src)
+            parallel = (order[src], order[bad])
 
-def _sectional_paths(arq: ARQuiver) -> list[tuple[ZVertex, ZVertex]]:
-    """Endpoints of all non-trivial sectional paths, by depth-first search."""
-    out = arq.successors
-    found = []
-    for start in arq.vertices:
-        stack = [[start, w] for w in out[start]]
+        # The hook rule needs only the last two vertices of a path, so the
+        # stack holds (before, last) pairs, popped in the order a search
+        # over whole paths would pop them.
+        rank = start_rank[order[src]]
+        if sectional is not None and sectional[0] < rank:
+            continue  # an earlier start already has a witness
+        stack = [(src, w) for w in successors[src]]
         while stack:
-            path = stack.pop()
-            found.append((path[0], path[-1]))
-            before, last = path[-2], path[-1]
-            for w in out[last]:
-                # A hook through the translate of the previous vertex
-                # would leave the section.
-                if w == before.translate(-1):
-                    continue
-                stack.append(path + [w])
-    return found
+            before, last = stack.pop()
+            if count[last] != 1:
+                sectional = (rank, order[src], order[last])
+                break
+            skip = hook[before]
+            stack.extend((last, w) for w in successors[last] if w != skip)
+
+    report = OracleReport()
+    report.add(
+        "parallel-path-lengths",
+        parallel is None,
+        ""
+        if parallel is None
+        else f"lengths differ between {parallel[0]} and {parallel[1]}",
+    )
+    report.add(
+        "sectional-uniqueness",
+        sectional is None,
+        ""
+        if sectional is None
+        else f"extra parallel path between {sectional[1]} and {sectional[2]}",
+    )
+    return report, lengths
+
+
+def _first_discovered(
+    successors: tuple[tuple[int, ...], ...],
+    shortest: list[int],
+    longest: list[int],
+    src: int,
+) -> int:
+    """The first target reached from ``src`` whose path lengths differ."""
+    seen = {src}
+    for v in range(src, len(shortest)):
+        if shortest[v] >= 0:
+            for w in successors[v]:
+                if w not in seen:
+                    seen.add(w)
+                    if shortest[w] != longest[w]:
+                        return w
+    raise AssertionError("no target with unequal path lengths")
 
 
 def audit_paths(arq: ARQuiver) -> OracleReport:
     """Exhaustive parallel-path and sectional-uniqueness audit.
 
     All parallel paths must share one length, and the endpoints of a
-    sectional path must be joined by no other path.
+    sectional path must be joined by no other path.  Every reachable
+    pair is audited, in memory linear in the quiver.
     """
-    report = OracleReport()
-    counts, shortest, longest = _path_statistics(arq)
-
-    bad = next((p for p in counts if shortest[p] != longest[p]), None)
-    report.add(
-        "parallel-path-lengths",
-        bad is None,
-        "" if bad is None else f"lengths differ between {bad[0]} and {bad[1]}",
-    )
-
-    bad = next((p for p in _sectional_paths(arq) if counts.get(p, 0) != 1), None)
-    report.add(
-        "sectional-uniqueness",
-        bad is None,
-        "" if bad is None else f"extra parallel path between {bad[0]} and {bad[1]}",
-    )
-    return report
+    return _audit(arq, [])[0]
 
 
 def run_all(arq: ARQuiver, order: int) -> OracleReport:
     """Full oracle suite plus the global counting identities."""
-    report = verify_mesh(arq).merge(audit_paths(arq))
+    ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
+    audit, lengths = _audit(arq, ends)
+    report = verify_mesh(arq).merge(audit)
 
     def guarded(name: str, fn) -> None:
         try:
@@ -224,10 +275,8 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     guarded("cluster-count", lambda: cluster_count(arq, order))
     report.add("orbit-index-relation", orbit_index_relation_holds(arq))
 
-    ok = all(
-        distance(arq, arq.projective(i), arq.injective(i)) == order - 2
-        for i in arq.quiver.vertices()
-    )
+    # Read from the audit's own DP, independently of the builder's distance.
+    ok = all(span == (order - 2, order - 2) for span in lengths)
     report.add("projective-injective-distance", ok)
 
     dims = list(arq.dims.values())
@@ -235,5 +284,8 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     report.add(
         "positive-dimension-vectors",
         all(all(x >= 0 for x in d) and any(d) for d in dims),
+    )
+    report.add(
+        "closed-form-orbits", (arq.m, arq.rho) == closed_form_rho_m(arq.quiver)
     )
     return report

@@ -23,7 +23,7 @@ from arquiver import (
 )
 from arquiver.dynkin import all_orientations, canonical_diagram, random_orientation
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
-from plane import window_arrows, window_paths
+from plane import path_statistics, window_arrows, window_paths
 
 G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
@@ -305,3 +305,23 @@ def test_path_tables_are_built_once_per_instance():
     with pytest.raises(CrossCheckFailedError, match="oriented cycle"):
         distance(cyclic, ZVertex(0, 1), ZVertex(2, 3))
     assert distance(arq, ZVertex(0, 1), ZVertex(2, 3)) == 2
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        a3_linear(),
+        validate(4, [(1, 2), (3, 2), (3, 4)]),
+        validate(5, [(1, 3), (3, 2), (4, 3), (4, 5)]),
+        validate(3, [(1, 2, (1, 2)), (3, 2)]),
+        g2_quiver(),
+        e6_example(),
+    ],
+    ids=["A3", "A4", "D5", "B3", "G2", "E6"],
+)
+def test_distance_matches_all_pairs_reference(q):
+    arq = build(q)
+    _, shortest, _ = path_statistics(arq)
+    for a in arq.vertices:
+        for b in arq.vertices:
+            assert distance(arq, a, b) == shortest.get((a, b)), (a, b)
