@@ -78,9 +78,6 @@ class ARQuiver:
     def is_injective(self, v: ZVertex) -> bool:
         return v.level == self.m_of(v.base)
 
-    def has_vertex(self, v: ZVertex) -> bool:
-        return 1 <= v.base <= self.n and 0 <= v.level <= self.m_of(v.base)
-
     # -- path tables, built on first use from ``vertices`` and ``arrows`` ----
     # A racing second build computes the same value, so sharing an instance
     # across threads stays safe.

@@ -2,12 +2,12 @@
 
 The transformation is pinned down by sending each projective dimension
 vector to minus the matching injective one.  Solving ``C * Cartan =
--Inj`` is done exactly over the integers: permuting rows and columns
-into a topological order of the ext-quiver makes the Cartan matrix unit
-lower triangular (projectives only contain simples reachable along
-arrows), so its inverse comes from forward substitution and stays
-integral.  All arithmetic uses Python integers, so no overflow is
-possible.
+-Inj`` is done exactly over the integers: the inverse Cartan matrix of a
+hereditary algebra is ``E - A``, read off the ext-quiver (its Euler
+form; ``A`` holds the first valuation component of each arrow ``i -> j``
+in row ``j``, column ``i``), and it is certified on the knitted
+projectives before ``C = -Inj * (E - A)`` is formed.  All arithmetic
+uses Python integers, so no overflow is possible.
 
 The order of the transformation depends only on the underlying diagram,
 never on the orientation; ``table_order`` holds the per-family values
@@ -19,7 +19,6 @@ order to the orbit-length identity ``m(i) + m(rho(i)) + 2``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING, Iterable
@@ -86,32 +85,6 @@ class CoxeterData:
     order: int
 
 
-def _topological_vertex_order(arq: "ARQuiver") -> list[int]:
-    """Ext-quiver vertices with every arrow pointing forward."""
-    q = arq.quiver
-    indeg = {x: len(q.in_arrows(x)) for x in q.vertices()}
-    queue = deque(sorted(x for x in q.vertices() if indeg[x] == 0))
-    order = []
-    while queue:
-        x = queue.popleft()
-        order.append(x)
-        for a in q.out_arrows(x):
-            indeg[a.dst] -= 1
-            if indeg[a.dst] == 0:
-                queue.append(a.dst)
-    return order
-
-
-def _unit_lower_inverse(l: Matrix) -> Matrix:
-    """Exact inverse of a unit lower triangular integer matrix."""
-    n = len(l)
-    inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    for j in range(n):
-        for i in range(j + 1, n):
-            inv[i][j] = -sum(l[i][k] * inv[k][j] for k in range(j, i))
-    return tuple(tuple(row) for row in inv)
-
-
 def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
     """Solve for the transformation exactly and certify its tabled order."""
     n = arq.n
@@ -122,31 +95,23 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
         tuple(arq.dims[arq.injective(j + 1)][i] for j in range(n)) for i in range(n)
     )
 
-    sigma = _topological_vertex_order(arq)
-    if len(sigma) != n:
-        raise SingularCartanError("ext-quiver has an oriented cycle")
-    permuted = tuple(
-        tuple(cartan[sigma[i] - 1][sigma[j] - 1] for j in range(n)) for i in range(n)
-    )
-    for i in range(n):
-        if permuted[i][i] != 1 or any(permuted[i][j] for j in range(i + 1, n)):
-            raise SingularCartanError(
-                "Cartan matrix is not unitriangular in topological order"
-            )
-    permuted_inv = _unit_lower_inverse(permuted)
-    position = [0] * n
-    for p, x in enumerate(sigma):
-        position[x - 1] = p
+    # Euler form E - A: the first valuation component of arrow i -> j at (j, i).
+    below = {(a.dst - 1, a.src - 1): a.val[0] for a in arq.quiver.arrows}
     cartan_inv = tuple(
-        tuple(permuted_inv[position[i]][position[j]] for j in range(n))
-        for i in range(n)
+        tuple(int(i == j) - below.get((i, j), 0) for j in range(n)) for i in range(n)
     )
+    ident = identity_matrix(n)
+    for j, column in enumerate(zip(*mat_mul(cartan_inv, cartan))):
+        if column != ident[j]:
+            raise SingularCartanError(
+                f"projective {j + 1} disagrees with the ext-quiver: "
+                "E - A does not invert the Cartan matrix"
+            )
     matrix = mat_mul(mat_neg(inj), cartan_inv)
     if mat_mul(matrix, cartan) != mat_neg(inj):
         raise SingularCartanError("integral solve failed to reproduce -Inj")
 
     order = table_order(arq.dynkin)
-    ident = identity_matrix(n)
     where = f"for {arq.dynkin.name} (h = {order})"
     if mat_pow(matrix, order) != ident:
         raise OrderBoundExceededError(f"coxeter: C^{order} != I {where}")

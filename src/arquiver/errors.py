@@ -92,7 +92,7 @@ class CrossCheckFailedError(InternalCheckError):
 
 
 class SingularCartanError(InternalCheckError):
-    """The Cartan matrix is not unitriangular under a topological order."""
+    """The ext-quiver's Euler form E - A does not invert the Cartan matrix."""
 
 
 class OrderBoundExceededError(InternalCheckError):

@@ -35,7 +35,7 @@ from .errors import (
     PositionOutOfRangeError,
 )
 from .quiver import ValuedQuiver
-from .repetitive import ZVertex, is_successor, mesh_inputs, source_section
+from .repetitive import ZVertex, is_successor, level_offset, mesh_inputs
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,12 @@ def seed_section(qop: ValuedQuiver, k: int) -> dict[ZVertex, int]:
     1 at ``(0, k)``; along each sectional path of the section the running
     product of the second valuation components of its arrows.
     """
-    section = source_section(qop, ZVertex(0, k))
-    values = {
-        ZVertex(level, j): value for j, (level, _, value) in _sweep(qop, k).items()
+    sweep = _sweep(qop, k)
+    # The sweep meets each orbit at the level of the source section.
+    assert {j: level for j, (level, _, _) in sweep.items()} == {
+        j: level_offset(qop, k, j) for j in qop.vertices()
     }
-    assert set(values) == set(section.vertices)
-    return values
+    return {ZVertex(level, j): value for j, (level, _, value) in sweep.items()}
 
 
 def _knit_from_seed(

@@ -85,10 +85,6 @@ class Walk:
     def forward_count(self) -> int:
         return sum(1 for s in self.steps if s.forward)
 
-    @property
-    def inverse_count(self) -> int:
-        return sum(1 for s in self.steps if not s.forward)
-
     def is_reduced(self) -> bool:
         return all(
             b != a.inverse() for a, b in zip(self.steps, self.steps[1:])
@@ -256,9 +252,6 @@ class ValuedGraph:
         """The component ``v_xy``, or 0 when there is no edge."""
         return self._valuations.get((x, y), 0)
 
-    def has_edge(self, x: int, y: int) -> bool:
-        return (x, y) in self._valuations
-
     def neighbors(self, x: int) -> tuple[int, ...]:
         return self._neighbors[x]
 
@@ -270,9 +263,6 @@ class ValuedGraph:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def is_simply_laced(self) -> bool:
-        return all(e.val == TRIVIAL for e in self.edges)
 
     def is_connected(self) -> bool:
         if self.n == 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import TextIO
 
 from .ar_quiver import ARQuiver, counts_and_nilpotency
@@ -255,10 +256,7 @@ def to_dot(arq: ARQuiver) -> str:
     both get a double box.  Output is byte-stable for identical input.
     """
     lines = ["digraph ar_quiver {", "  rankdir=LR;", '  node [fontsize=11];']
-    for level in range(0, max(arq.m) + 1):
-        column = sorted(v for v in arq.vertices if v.level == level)
-        if not column:
-            continue
+    for _, column in groupby(sorted(arq.vertices), key=lambda v: v.level):
         lines.append("  { rank=same;")
         for v in column:
             proj, inj = arq.is_projective(v), arq.is_injective(v)

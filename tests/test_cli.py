@@ -311,3 +311,106 @@ def test_cli_hammock_range_error_precedes_classification(tmp_path, capsys):
     path = _write(tmp_path, "bad.q", "n 2\narrow 1 2 2 2\n")
     assert main(["hammock", path, "-k", "7"]) == 2
     assert capsys.readouterr().err == "error: vertex 7 is not in 1..2\n"
+
+
+D16_TEXT = "n 16\n" + "".join(
+    f"arrow {a} {b}\n"
+    for a, b in [
+        (1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6), (7, 8), (9, 8),
+        (9, 10), (11, 10), (11, 12), (13, 12), (13, 14), (15, 14), (16, 14),
+    ]
+)
+GOLDEN_TEXTS = {**FAMILY_TEXTS, "D16": D16_TEXT}
+
+
+def _output_digests(tmp_path, capsys, name):
+    """sha256 of every output file and stdout that the CLI writes for one input."""
+    import hashlib
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    path = _write(tmp_path, f"{name}.q", GOLDEN_TEXTS[name])
+    json_out, dot_out = tmp_path / "report.json", tmp_path / "drawing.dot"
+    assert main(["build", path, "--json", str(json_out), "--dot", str(dot_out), "--hammocks"]) == 0
+    assert capsys.readouterr().out == ""
+    digests = {"json": sha(json_out.read_bytes()), "dot": sha(dot_out.read_bytes())}
+    for command in (["coxeter"], ["cluster"], ["check"], ["hammock", "-k", "1"]):
+        assert main([command[0], path] + command[1:]) == 0
+        digests[command[0]] = sha(capsys.readouterr().out.encode("utf-8"))
+    return digests
+
+
+# Digests of the reports written by the implementation at the time these
+# inputs were pinned; any change to a report's bytes must update them.
+GOLDEN_SHA256 = {
+    "A4": {
+        "json": "359ae9df8a2d781387836dba5b4e3924ff8f4ee50b78534b5800cde6d7f7bb51",
+        "dot": "894cb91fb38f556e6af59c2cd04f550985801401b29dcf27948d97c46f9c8c76",
+        "coxeter": "08bc970891605e0181a16e92cca193ab7690326d6383ce6e23d76c371d38fe25",
+        "cluster": "9480dd212428b216a18f0d58ef3ee876556e801610a8175a3c63e2bbb3e04229",
+        "check": "7c8792ded4dfa87fb3924db9fd3c18dfdfcb5d55dd4b7eb16f932fa1289a9393",
+        "hammock": "4f4f3dd0dbb8269397ba839f816ce0e5c11cd2bc5d7bfe859510b950917d5180",
+    },
+    "B3": {
+        "json": "efc689d9685fac479adb21db1b8bba1df2f597316a6f01cba86caceb6284c23f",
+        "dot": "64a476adbf6eaceddac6308c5a20cf4e21cd66a11513753a79ccea6c55e50c30",
+        "coxeter": "da32dae2b6fe0639f5926762121ac369b335e774efb7c7d9dda47875daee9522",
+        "cluster": "77ab436a28e871d7c3c41fc027d6db9877a428d602406308598593cb41a9b7d3",
+        "check": "7c8792ded4dfa87fb3924db9fd3c18dfdfcb5d55dd4b7eb16f932fa1289a9393",
+        "hammock": "e5900805d5831d4c64fd5d07e443f74bad39ac0324142c075cfcdfffb28b8a95",
+    },
+    "C3": {
+        "json": "95fa18b8276bb793db5cc2bdca0061c65993a03b8687c9d885d6995225ca652f",
+        "dot": "c93f61280c30f0731d651b6fcec0dae0d77af5a7df5c4f9954b78511c6979df6",
+        "coxeter": "1ae95a7c4fb03e82b00832bef06b83ad10489353f2d2a7bda2be134c5302427e",
+        "cluster": "77ab436a28e871d7c3c41fc027d6db9877a428d602406308598593cb41a9b7d3",
+        "check": "7c8792ded4dfa87fb3924db9fd3c18dfdfcb5d55dd4b7eb16f932fa1289a9393",
+        "hammock": "4dae1360dc3ff01fa6a3d3a1486570a929311aae12c8e85d01d6ddb0ee2d9003",
+    },
+    "D16": {
+        "json": "c452fa842841db1839fc83c2ee76938fbb4173adad4e61f23e573a61ef327d32",
+        "dot": "d19dec64b86424098a7d51dbe5710a94deeb586f1a98f5b9fd756ad3575ff6fe",
+        "coxeter": "bdfaafb2b83e7e7160615241f3d2075c3c2565d5e31f144d37aad788e92839fa",
+        "cluster": "80dd9fe8d06624b24592a7d47b533b23d68e9249115b500086df39677ef8e045",
+        "check": "7c8792ded4dfa87fb3924db9fd3c18dfdfcb5d55dd4b7eb16f932fa1289a9393",
+        "hammock": "a8aca33717b3de5c2844d07802988b0766a7240f92ef910b7112bf6287fe3524",
+    },
+    "D5": {
+        "json": "320d0aa706493e81a2c8da5f3695b333d2b409b72115a6d3581c90db428e3805",
+        "dot": "0dbb108580baebb86819108e91a73a20974294af866ab02edccd3eab00cd013f",
+        "coxeter": "527a1d3d7ae0445c4d355efae5ee840b53fc174016108dae83bfa366aa872080",
+        "cluster": "d63dd41b64ed7b7ce76f5bf98525f30a802a62685ff18c7f1843a1cd9fb5281c",
+        "check": "7c8792ded4dfa87fb3924db9fd3c18dfdfcb5d55dd4b7eb16f932fa1289a9393",
+        "hammock": "d2c7a03411ae5cf248e3c883c299aad2222cc830efe9778f4832284d89a2573f",
+    },
+    "E6": {
+        "json": "2dda75763d1600a21c53b986ceae67f449d1915a702139be98a6a900e7b40008",
+        "dot": "f43fa71c3ccaa9799fb7d1af3bccaf31c50041c44b30292f60d59f447f2f2629",
+        "coxeter": "d5011bd15948b5a7a96f69801cab83a9c047b3dee1c7058e7bc1216904c20afd",
+        "cluster": "5bfe493da60a1bd7826758111d23839f4ab54dab05bd3d9dd10fa1cdbcf1054c",
+        "check": "7c8792ded4dfa87fb3924db9fd3c18dfdfcb5d55dd4b7eb16f932fa1289a9393",
+        "hammock": "5b4cda92fe2a19782be160882da1c1a806006f30dd945248b6d3153a6ecc030e",
+    },
+    "F4": {
+        "json": "358b69e35a15ed02dfccb9c0545b6ca1501521dc9cbef21c38edc58dabfd2932",
+        "dot": "2eac5c87f8c08a847c517cfa6a140101876b6218cfa0da509adab88d27a1b09a",
+        "coxeter": "1d2dac33f37d41e3e722fc37b6faa0d4633de99bc5c56f7d5c471eb9ae684ee1",
+        "cluster": "1a197e04b3ca51f3581616a7668d38d93c1c94b57f5fe4aaf040fbd3fe60f931",
+        "check": "7c8792ded4dfa87fb3924db9fd3c18dfdfcb5d55dd4b7eb16f932fa1289a9393",
+        "hammock": "bfae13f1b1155f328cad091e084eae40fb39d703389c713640c51caeb1a96d46",
+    },
+    "G2": {
+        "json": "fd10a690e1eb59b4019eb232dfdc7900081fccd51fa5efddae3cd3d12015bd1a",
+        "dot": "d67b672521ae3d1e3743d21b33eaa97677d4656331d88451658ea99dda545dc3",
+        "coxeter": "ca4f6c3638e2767c3b082588717f441fb0b842015229b599feddfbd09cbc1e54",
+        "cluster": "ea4b78d91ea8f7da971ff26fbc61792f9cf0e2e7bd0d77727f862e187ff366df",
+        "check": "7c8792ded4dfa87fb3924db9fd3c18dfdfcb5d55dd4b7eb16f932fa1289a9393",
+        "hammock": "21d3e57159fd6dbf2963ca782a579fae18f5470a771f1954696e20fc1e2a2123",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXTS))
+def test_cli_output_bytes_are_pinned(tmp_path, capsys, name):
+    assert _output_digests(tmp_path, capsys, name) == GOLDEN_SHA256[name]

@@ -40,9 +40,15 @@ def test_g2_order():
 
 
 def test_defining_identity_is_exact():
-    for q in (a3_linear(), g2_quiver(), e6_example()):
+    from arquiver.dynkin import all_orientations
+    from conftest import all_diagrams
+
+    quivers = [a3_linear(), g2_quiver(), e6_example()]
+    for family, rank in all_diagrams(6):
+        quivers += all_orientations(canonical_diagram(family, rank))
+    for q in quivers:
         cd = coxeter_matrix(build(q))
-        assert mat_mul(cd.matrix, cd.cartan) == mat_neg(cd.inj)
+        assert mat_mul(cd.matrix, cd.cartan) == mat_neg(cd.inj), q.arrows
 
 
 def test_cartan_determinant_is_unimodular():
@@ -118,6 +124,17 @@ def test_corrupted_dims_fail_unitriangularity():
     dims = dict(arq.dims)
     dims[arq.projective(1)] = (0, 1, 1)  # kills the unit diagonal
     with pytest.raises(SingularCartanError):
+        coxeter_matrix(replace(arq, dims=dims))
+
+
+def test_projectives_that_disagree_with_the_ext_quiver_are_named():
+    # Projective 1 of the E6 fixture has dimension vector (1, 1, 1, 1, 1, 0).
+    # Adding the sixth simple keeps the Cartan matrix unimodular, so only the
+    # Euler form E - A read off the arrows tells it apart from a real one.
+    arq = build(e6_example())
+    dims = dict(arq.dims)
+    dims[arq.projective(1)] = (1, 1, 1, 1, 1, 1)
+    with pytest.raises(SingularCartanError, match=r"projective 1\b"):
         coxeter_matrix(replace(arq, dims=dims))
 
 
