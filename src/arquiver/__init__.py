@@ -102,7 +102,7 @@ from .repetitive import (
     sink_section,
     source_section,
 )
-from .report import Report, build_report, parse_quiver, report_from_json, report_to_json, to_dot
+from .report import build_report, parse_quiver, report_to_json, to_dot
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -107,9 +107,8 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
                 f"projective {j + 1} disagrees with the ext-quiver: "
                 "E - A does not invert the Cartan matrix"
             )
+    # (E - A) * Cartan = I, so C * Cartan = -Inj holds by construction.
     matrix = mat_mul(mat_neg(inj), cartan_inv)
-    if mat_mul(matrix, cartan) != mat_neg(inj):
-        raise SingularCartanError("integral solve failed to reproduce -Inj")
 
     order = table_order(arq.dynkin)
     where = f"for {arq.dynkin.name} (h = {order})"

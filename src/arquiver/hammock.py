@@ -34,7 +34,7 @@ from .errors import (
     KnitInconsistentError,
     PositionOutOfRangeError,
 )
-from .quiver import ValuedQuiver
+from .quiver import ValuedQuiver, arrow_counts
 from .repetitive import ZVertex, is_successor, level_offset, mesh_inputs
 
 
@@ -66,27 +66,26 @@ class HammockResult:
         return ZVertex(self.orbit_index, self.orbit)
 
 
-def _sweep(qop: ValuedQuiver, k: int) -> dict[int, tuple[int, int, int]]:
+def _sweep(qop: ValuedQuiver, k: int) -> dict[int, tuple[int, int]]:
     """Sectional paths from ``(0, k)``, one per orbit, in one tree traversal.
 
-    Maps each base vertex ``j`` to ``(level, length, value)``: the level at
-    which the path meets orbit ``j``, its length (that of the reduced walk
-    ``k .. j``) and the product of the second valuation components of its
-    arrows.  A forward step is a plain arrow ``(a, b)``; a backward step is
-    a star arrow ``(b, a)`` one level up.
+    Maps each base vertex ``j`` to ``(level, value)``: the level at which
+    the path meets orbit ``j`` and the product of the second valuation
+    components of its arrows.  A forward step is a plain arrow ``(a, b)``;
+    a backward step is a star arrow ``(b, a)`` one level up.
     """
-    found = {k: (0, 0, 1)}
+    found = {k: (0, 1)}
     stack = [k]
     while stack:
         u = stack.pop()
-        level, length, value = found[u]
+        level, value = found[u]
         for a in qop.out_arrows(u):
             if a.dst not in found:
-                found[a.dst] = (level, length + 1, value * a.val[1])
+                found[a.dst] = (level, value * a.val[1])
                 stack.append(a.dst)
         for a in qop.in_arrows(u):
             if a.src not in found:
-                found[a.src] = (level + 1, length + 1, value * a.val[0])
+                found[a.src] = (level + 1, value * a.val[0])
                 stack.append(a.src)
     return found
 
@@ -99,10 +98,10 @@ def seed_section(qop: ValuedQuiver, k: int) -> dict[ZVertex, int]:
     """
     sweep = _sweep(qop, k)
     # The sweep meets each orbit at the level of the source section.
-    assert {j: level for j, (level, _, _) in sweep.items()} == {
+    assert {j: level for j, (level, _) in sweep.items()} == {
         j: level_offset(qop, k, j) for j in qop.vertices()
     }
-    return {ZVertex(level, j): value for j, (level, _, value) in sweep.items()}
+    return {ZVertex(level, j): value for j, (level, value) in sweep.items()}
 
 
 def _knit_from_seed(
@@ -120,11 +119,13 @@ def _knit_from_seed(
     level bound.
     """
     meshes = mesh_inputs(qop)
-    paths = _sweep(qop, k)
     table = dict(seeds)
-    # Heap keyed by (path length from (0, k), level, base).  Table lookups
-    # use plain tuples, which hash and compare like the ZVertex keys.
-    heap = [(paths[v.base][1] + 2, v.level + 1, v.base) for v in seeds]
+    # Heap keyed by (path length from (0, k), level, base); a seed's path
+    # length is that of the reduced walk k .. base.  Table lookups use
+    # plain tuples, which hash and compare like the ZVertex keys.
+    heap = [
+        (sum(arrow_counts(qop, k, v.base)) + 2, v.level + 1, v.base) for v in seeds
+    ]
     heapq.heapify(heap)
     while heap:
         length, level, base = heap[0]

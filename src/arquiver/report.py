@@ -7,14 +7,15 @@ Input format, one directive per line::
     arrow 2 3 1 2  # valuation (1, 2)
 
 ``#`` starts a comment, blank lines are skipped, tokens are separated by
-spaces or tabs.  Reports serialise deterministically: sorted object
-keys, vertices ordered by (base, level), integers only.
+spaces or tabs.  The report is the JSON document itself: ``build_report``
+returns it as a plain ``dict`` and ``report_to_json``/``write_report``
+encode it deterministically: sorted object keys, vertices ordered by
+(base, level), integers only.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import groupby
 from typing import TextIO
 
@@ -92,155 +93,63 @@ def parse_quiver(text: str) -> ValuedQuiver:
 
 # -- report ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HammockSummary:
-    k: int
-    table: tuple[tuple[int, int, int], ...]  # (level, base, value)
-    terminator: tuple[int, int]
-    vertices: tuple[tuple[int, int], ...]
+def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> dict:
+    """The JSON document of a build: the quiver, its counts and nilpotencies.
 
-
-@dataclass(frozen=True)
-class Report:
-    family: str
-    rank: int
-    relabel: tuple[int, ...]
-    coxeter_order: int
-    rho: tuple[int, ...]
-    m: tuple[int, ...]
-    indecomposables: int
-    cluster_objects: int
-    nilpotency_module: int
-    nilpotency_derived: int
-    nilpotency_cluster: int
-    vertices: tuple[tuple[int, int, tuple[int, ...]], ...]  # (r, i, dim)
-    arrows: tuple[tuple[tuple[int, int], tuple[int, int], Valuation], ...]
-    hammocks: tuple[HammockSummary, ...] | None = None
-
-
-def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> Report:
+    Values are the build's own tuples; JSON writes tuples and ``ZVertex``
+    named tuples as arrays.  With ``include_hammocks``, each hammock's
+    ``table`` rows are ``(level, base, value)``.
+    """
     counts = counts_and_nilpotency(arq, order)
-    hammocks = None
-    if include_hammocks:
-        hammocks = tuple(
-            HammockSummary(
-                res.k,
-                tuple(sorted((v.level, v.base, value) for v, value in res.table.items())),
-                (res.terminator.level, res.terminator.base),
-                tuple(sorted((v.level, v.base) for v in hammock_vertices(res))),
-            )
-            for res in arq.hammocks
-        )
-    return Report(
-        family=arq.dynkin.family,
-        rank=arq.dynkin.rank,
-        relabel=arq.dynkin.relabel,
-        coxeter_order=order,
-        rho=arq.rho,
-        m=arq.m,
-        indecomposables=counts.indecomposables,
-        cluster_objects=cluster_count(arq, order),
-        nilpotency_module=counts.nilpotency,
-        nilpotency_derived=derived_nilpotency(arq, order),
-        nilpotency_cluster=order - 1,
-        vertices=tuple(
-            (v.level, v.base, arq.dims[v])
-            for v in sorted(arq.vertices, key=lambda v: (v.base, v.level))
-        ),
-        arrows=tuple(
-            ((za.src.level, za.src.base), (za.dst.level, za.dst.base), za.val)
-            for za in arq.arrows
-        ),
-        hammocks=hammocks,
-    )
-
-
-def _payload(report: Report) -> dict:
-    payload = {
+    report = {
         "dynkin": {
-            "family": report.family,
-            "rank": report.rank,
-            "relabel": list(report.relabel),
+            "family": arq.dynkin.family,
+            "rank": arq.dynkin.rank,
+            "relabel": arq.dynkin.relabel,
         },
-        "coxeter_order": report.coxeter_order,
-        "rho": list(report.rho),
-        "m": list(report.m),
+        "coxeter_order": order,
+        "rho": arq.rho,
+        "m": arq.m,
         "counts": {
-            "indecomposables": report.indecomposables,
-            "cluster": report.cluster_objects,
+            "indecomposables": counts.indecomposables,
+            "cluster": cluster_count(arq, order),
         },
         "nilpotency": {
-            "module": report.nilpotency_module,
-            "derived": report.nilpotency_derived,
-            "cluster": report.nilpotency_cluster,
+            "module": counts.nilpotency,
+            "derived": derived_nilpotency(arq, order),
+            "cluster": order - 1,
         },
         "vertices": [
-            {"r": r, "i": i, "dim": list(dim)} for r, i, dim in report.vertices
+            {"r": v.level, "i": v.base, "dim": arq.dims[v]}
+            for v in sorted(arq.vertices, key=lambda v: (v.base, v.level))
         ],
         "arrows": [
-            {"src": list(src), "dst": list(dst), "val": list(val)}
-            for src, dst, val in report.arrows
+            {"src": za.src, "dst": za.dst, "val": za.val} for za in arq.arrows
         ],
     }
-    if report.hammocks is not None:
-        payload["hammocks"] = {
-            str(h.k): {
-                "table": [list(row) for row in h.table],
-                "terminator": list(h.terminator),
-                "vertices": [list(v) for v in h.vertices],
+    if include_hammocks:
+        report["hammocks"] = {
+            str(res.k): {
+                "table": sorted((*v, value) for v, value in res.table.items()),
+                "terminator": res.terminator,
+                "vertices": sorted(hammock_vertices(res)),
             }
-            for h in report.hammocks
+            for res in arq.hammocks
         }
-    return payload
+    return report
 
 
-def report_to_json(report: Report) -> str:
-    return json.dumps(_payload(report), sort_keys=True, indent=2) + "\n"
+def report_to_json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(report: Report, out: TextIO) -> None:
+def write_report(report: dict, out: TextIO) -> None:
     """Stream the text of :func:`report_to_json` to ``out``.
 
     Chunks go out as they are encoded, so the whole text is never held.
     """
-    json.dump(_payload(report), out, sort_keys=True, indent=2)
+    json.dump(report, out, sort_keys=True, indent=2)
     out.write("\n")
-
-
-def report_from_json(text: str) -> Report:
-    payload = json.loads(text)
-    hammocks = None
-    if "hammocks" in payload:
-        hammocks = tuple(
-            HammockSummary(
-                int(k),
-                tuple(tuple(row) for row in h["table"]),
-                tuple(h["terminator"]),
-                tuple(tuple(v) for v in h["vertices"]),
-            )
-            for k, h in sorted(payload["hammocks"].items(), key=lambda kv: int(kv[0]))
-        )
-    return Report(
-        family=payload["dynkin"]["family"],
-        rank=payload["dynkin"]["rank"],
-        relabel=tuple(payload["dynkin"]["relabel"]),
-        coxeter_order=payload["coxeter_order"],
-        rho=tuple(payload["rho"]),
-        m=tuple(payload["m"]),
-        indecomposables=payload["counts"]["indecomposables"],
-        cluster_objects=payload["counts"]["cluster"],
-        nilpotency_module=payload["nilpotency"]["module"],
-        nilpotency_derived=payload["nilpotency"]["derived"],
-        nilpotency_cluster=payload["nilpotency"]["cluster"],
-        vertices=tuple(
-            (v["r"], v["i"], tuple(v["dim"])) for v in payload["vertices"]
-        ),
-        arrows=tuple(
-            (tuple(a["src"]), tuple(a["dst"]), tuple(a["val"]))
-            for a in payload["arrows"]
-        ),
-        hammocks=hammocks,
-    )
 
 
 # -- DOT ------------------------------------------------------------------------

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import Arrow, ParseError, build, coxeter_matrix, parse_quiver
+from arquiver import (
+    Arrow,
+    ParseError,
+    build,
+    cluster_count,
+    coxeter_matrix,
+    counts_and_nilpotency,
+    derived_nilpotency,
+    parse_quiver,
+)
 from arquiver.cli import main
-from arquiver.report import build_report, report_from_json, report_to_json, to_dot
+from arquiver.report import build_report, report_to_json, to_dot
 from conftest import a3_linear, e6_example
 
 E6_TEXT = "n 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5\narrow 6 5\n"
@@ -87,9 +96,38 @@ def test_parse_missing_n():
 def test_report_round_trip():
     arq = build(e6_example())
     order = coxeter_matrix(arq).order
+    counts = counts_and_nilpotency(arq, order)
     for include in (False, True):
-        report = build_report(arq, order, include_hammocks=include)
-        assert report_from_json(report_to_json(report)) == report
+        payload = json.loads(report_to_json(build_report(arq, order, include)))
+        assert payload["dynkin"] == {
+            "family": "E",
+            "rank": 6,
+            "relabel": list(arq.dynkin.relabel),
+        }
+        assert payload["coxeter_order"] == order == 12
+        assert payload["m"] == list(arq.m)
+        assert payload["rho"] == list(arq.rho)
+        assert payload["counts"] == {
+            "indecomposables": len(arq.vertices),
+            "cluster": cluster_count(arq, order),
+        }
+        assert payload["nilpotency"] == {
+            "module": counts.nilpotency,
+            "derived": derived_nilpotency(arq, order),
+            "cluster": order - 1,
+        }
+        assert len(payload["vertices"]) == len(arq.vertices) == 36
+        for entry in payload["vertices"]:
+            assert entry["dim"] == list(arq.dims[(entry["r"], entry["i"])])
+        assert len(payload["arrows"]) == len(arq.arrows)
+        assert ("hammocks" in payload) == include
+        if include:
+            assert sorted(payload["hammocks"], key=int) == [
+                str(k) for k in arq.quiver.vertices()
+            ]
+            for res in arq.hammocks:
+                hammock = payload["hammocks"][str(res.k)]
+                assert hammock["terminator"] == list(res.terminator)
 
 
 def test_report_json_is_deterministic_and_integer_only():
@@ -164,8 +202,7 @@ def test_cli_build_writes_json_and_dot(tmp_path, capsys):
     json_out = str(tmp_path / "report.json")
     dot_out = str(tmp_path / "drawing.dot")
     assert main(["build", path, "--json", json_out, "--dot", dot_out]) == 0
-    report = report_from_json((tmp_path / "report.json").read_text())
-    assert report.coxeter_order == 4
+    assert json.loads((tmp_path / "report.json").read_text())["coxeter_order"] == 4
     first = (tmp_path / "drawing.dot").read_bytes()
     assert main(["build", path, "--dot", dot_out]) == 0
     capsys.readouterr()

@@ -18,7 +18,7 @@ from arquiver import (
 )
 from arquiver.hammock import _knit_from_seed
 from arquiver.repetitive import in_arrows
-from conftest import a1_quiver, a3_linear, g2_quiver
+from conftest import a1_quiver, a3_linear, e6_example, g2_quiver
 
 
 def test_seed_section_a3():
@@ -175,3 +175,24 @@ def test_knit_hammock_matches_build():
     for res in build(q).hammocks:
         alone = knit_hammock(q, res.k)
         assert alone.table == res.table and alone.terminator == res.terminator
+
+
+@pytest.mark.parametrize(
+    "q",
+    [validate(5, [(1, 2), (2, 3), (3, 4), (4, 5)]), e6_example()],
+    ids=["A5", "E6"],
+)
+def test_build_sweeps_once_per_knit(monkeypatch, q):
+    from arquiver import build
+    from arquiver import hammock
+
+    calls = []
+    sweep = hammock._sweep
+
+    def counting(qop, k):
+        calls.append(k)
+        return sweep(qop, k)
+
+    monkeypatch.setattr(hammock, "_sweep", counting)
+    build(q)
+    assert sorted(calls) == list(q.vertices())
