@@ -21,7 +21,6 @@ from .ar_quiver import (
 from .coxeter import (
     CoxeterData,
     coxeter_matrix,
-    derived_dim_check,
     order_identity_check,
     table_order,
 )

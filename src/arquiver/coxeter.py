@@ -1,80 +1,44 @@
 """Coxeter transformation on the Grothendieck group, and its order.
 
-The transformation is pinned down by sending each projective dimension
-vector to minus the matching injective one.  Solving ``C * Cartan =
--Inj`` is done exactly over the integers: the inverse Cartan matrix of a
-hereditary algebra is ``E - A``, read off the ext-quiver (its Euler
-form; ``A`` holds the first valuation component of each arrow ``i -> j``
-in row ``j``, column ``i``), and it is certified on the knitted
-projectives before ``C = -Inj * (E - A)`` is formed.  All arithmetic
-uses Python integers, so no overflow is possible.
+The transformation ``C`` sends each projective dimension vector to minus
+the matching injective one.  Both inverse matrices are read off the
+ext-quiver: the inverse Cartan matrix of a hereditary algebra is
+``E - A`` (its Euler form; ``A`` holds the first valuation component of
+each arrow ``i -> j`` in row ``j``, column ``i``), and the inverse of the
+injective matrix is ``E - B`` (``B`` holds the second component in row
+``i``, column ``j``).  Both are certified on the knitted modules, one
+sparse product per vector, before ``C = -Inj * (E - A)`` is formed column
+by column.  All arithmetic uses Python integers, so no overflow is
+possible.
 
-The order of the transformation depends only on the underlying diagram,
-never on the orientation; ``table_order`` holds the per-family values
-(the Coxeter number h).  The solve certifies that the matrix has exactly
-that order, ``C^h = I`` and ``C^(h/p) != I`` for each prime ``p``
-dividing ``h``, by repeated squaring, and `order_identity_check` ties the
-order to the orbit-length identity ``m(i) + m(rho(i)) + 2``.
+The order is read off the knitted translation orbits, not off matrix
+powers.  On a non-projective ``v``, ``C * dim v = dim tau v``, checked
+at every vertex as ``(E - A) * dim v = -(E - B) * dim tau v``; on a
+projective, ``C * P_i = -I_i``.  So ``C`` walks ``P_i`` down the orbit
+of ``j = rho(i)`` with the sign flipped, on to ``I_j`` and down the orbit
+of ``i`` back to ``P_i``: the orbit of ``P_i`` is the ``m(i) + m(j) + 2``
+signed vectors ``dim (r, i)`` and ``-dim (r, j)``, and when they are
+pairwise distinct no smaller power fixes ``P_i``.  The projectives form a basis, so the
+order of ``C`` is the least common multiple of the orbit lengths.  It
+depends only on the underlying diagram, never on the orientation, and
+must equal the per-family value of ``table_order`` (the Coxeter number
+h); `order_identity_check` ties it to the orbit-length identity again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
-from typing import TYPE_CHECKING, Iterable
+from math import lcm
+from typing import TYPE_CHECKING
 
-from .errors import OrderBoundExceededError, SingularCartanError
 from .dynkin import DynkinClass
+from .errors import CrossCheckFailedError, OrderBoundExceededError, SingularCartanError
+from .repetitive import ZVertex
 
 if TYPE_CHECKING:
     from .ar_quiver import ARQuiver
-    from .derived import DerivedVertex
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    columns = tuple(zip(*b))
-    return tuple(
-        tuple(sum(map(mul, row, col)) for col in columns) for row in a
-    )
-
-
-def mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_pow(a: Matrix, t: int) -> Matrix:
-    """``a`` to the power ``t >= 0``, by repeated squaring."""
-    result = identity_matrix(len(a))
-    while t:
-        if t & 1:
-            result = mat_mul(result, a)
-        t >>= 1
-        if t:
-            a = mat_mul(a, a)
-    return result
-
-
-def _prime_factors(h: int) -> list[int]:
-    primes, p = [], 2
-    while p * p <= h:
-        if h % p == 0:
-            primes.append(p)
-            while h % p == 0:
-                h //= p
-        p += 1
-    if h > 1:
-        primes.append(h)
-    return primes
 
 
 @dataclass(frozen=True)
@@ -85,39 +49,64 @@ class CoxeterData:
     order: int
 
 
-def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
-    """Solve for the transformation exactly and certify its tabled order."""
-    n = arq.n
-    cartan = tuple(
-        tuple(arq.dims[arq.projective(j + 1)][i] for j in range(n)) for i in range(n)
-    )
-    inj = tuple(
-        tuple(arq.dims[arq.injective(j + 1)][i] for j in range(n)) for i in range(n)
-    )
+def _minus(terms: list[tuple[int, int, int]], x: tuple[int, ...]) -> list[int]:
+    """``x - M x`` for the sparse ``M`` given as ``(row, column, entry)`` terms."""
+    y = list(x)
+    for r, s, w in terms:
+        y[r] -= w * x[s]
+    return y
 
-    # Euler form E - A: the first valuation component of arrow i -> j at (j, i).
-    below = {(a.dst - 1, a.src - 1): a.val[0] for a in arq.quiver.arrows}
-    cartan_inv = tuple(
-        tuple(int(i == j) - below.get((i, j), 0) for j in range(n)) for i in range(n)
-    )
-    ident = identity_matrix(n)
-    for j, column in enumerate(zip(*mat_mul(cartan_inv, cartan))):
-        if column != ident[j]:
+
+def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
+    """Form the transformation exactly and certify its tabled order."""
+    n, dims = arq.n, arq.dims
+    proj = [dims[arq.projective(j)] for j in range(1, n + 1)]
+    inj = [dims[arq.injective(j)] for j in range(1, n + 1)]
+    lower = [(a.dst - 1, a.src - 1, a.val[0]) for a in arq.quiver.arrows]  # A
+    upper = [(a.src - 1, a.dst - 1, a.val[1]) for a in arq.quiver.arrows]  # B
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+
+    for j in range(n):
+        if _minus(lower, proj[j]) != units[j]:
             raise SingularCartanError(
                 f"projective {j + 1} disagrees with the ext-quiver: "
                 "E - A does not invert the Cartan matrix"
             )
-    # (E - A) * Cartan = I, so C * Cartan = -Inj holds by construction.
-    matrix = mat_mul(mat_neg(inj), cartan_inv)
+        if _minus(upper, inj[j]) != units[j]:
+            raise SingularCartanError(
+                f"injective {j + 1} disagrees with the ext-quiver: "
+                "E - B does not invert the injective matrix"
+            )
+    # Column j of C is -I_j plus val[0] * I_d for each arrow j -> d.
+    columns = [[-x for x in column] for column in inj]
+    for d, j, w in lower:
+        columns[j] = [c + w * x for c, x in zip(columns[j], inj[d])]
 
-    order = table_order(arq.dynkin)
-    where = f"for {arq.dynkin.name} (h = {order})"
-    if mat_pow(matrix, order) != ident:
-        raise OrderBoundExceededError(f"coxeter: C^{order} != I {where}")
-    for p in _prime_factors(order):
-        if mat_pow(matrix, order // p) == ident:
-            raise OrderBoundExceededError(f"coxeter: C^{order // p} = I {where}")
-    return CoxeterData(cartan, inj, matrix, order)
+    lengths = []
+    for i in arq.quiver.vertices():
+        orbit = [dims[ZVertex(r, i)] for r in range(arq.m_of(i) + 1)]
+        for r in range(1, len(orbit)):
+            if _minus(lower, orbit[r]) != [-x for x in _minus(upper, orbit[r - 1])]:
+                v = ZVertex(r, i)
+                raise CrossCheckFailedError(f"coxeter: C * dim {v} != dim {v.translate()}")
+        j = arq.injective(i).base
+        orbit += [tuple(-x for x in dims[ZVertex(r, j)]) for r in range(arq.m_of(j) + 1)]
+        if arq.injective(j).base != i or len(set(orbit)) != len(orbit):
+            raise CrossCheckFailedError(
+                f"coxeter: orbit of projective {i} does not close "
+                f"after {len(orbit)} distinct vectors"
+            )
+        lengths.append(len(orbit))
+
+    order, h = lcm(*lengths), table_order(arq.dynkin)
+    where = f"for {arq.dynkin.name} (h = {h})"
+    if h % order:
+        raise OrderBoundExceededError(f"coxeter: C^{h} != I {where}")
+    if order < h:
+        # C^(h/p) = I exactly when p divides h / order; name the least such p.
+        p = next(p for p in range(2, h + 1) if h // order % p == 0)
+        raise OrderBoundExceededError(f"coxeter: C^{h // p} = I {where}")
+    return CoxeterData(tuple(zip(*proj)), tuple(zip(*inj)), tuple(zip(*columns)), order)
 
 
 def table_order(dynkin: DynkinClass) -> int:
@@ -144,37 +133,3 @@ def order_identity_check(arq: "ARQuiver", cd: CoxeterData) -> bool:
         arq.m_of(i) + arq.m_of(arq.rho_of(i)) + 2 == cd.order
         for i in arq.quiver.vertices()
     )
-
-
-def signed_dim(arq: "ARQuiver", v: "DerivedVertex") -> tuple[int, ...]:
-    """Dimension vector of a shifted stalk: the sign alternates with the shift."""
-    base = arq.dims[v.position]
-    sign = -1 if v.shift % 2 else 1
-    return tuple(sign * x for x in base)
-
-
-def derived_dim_check(
-    arq: "ARQuiver",
-    cd: CoxeterData,
-    samples: Iterable[tuple["DerivedVertex", int]],
-) -> bool:
-    """Translate-then-measure equals measure-then-transform, on samples.
-
-    For each ``(vertex, t)``: apply the derived translation ``t`` times
-    (backwards for negative ``t``) and compare the signed dimension
-    vector with the ``t``-th matrix power applied to the original one.
-    """
-    from .derived import tau_d, tau_d_inverse
-
-    inverse = mat_pow(cd.matrix, cd.order - 1)
-    for v, t in samples:
-        w = v
-        for _ in range(abs(t)):
-            w = tau_d(arq, w) if t > 0 else tau_d_inverse(arq, w)
-        step = cd.matrix if t > 0 else inverse
-        vec = signed_dim(arq, v)
-        for _ in range(abs(t)):
-            vec = mat_vec(step, vec)
-        if vec != signed_dim(arq, w):
-            return False
-    return True

@@ -92,8 +92,10 @@ class CrossCheckFailedError(InternalCheckError):
 
 
 class SingularCartanError(InternalCheckError):
-    """The ext-quiver's Euler form E - A does not invert the Cartan matrix."""
+    """E - A or E - B, read off the ext-quiver, fails to invert the Cartan
+    or the injective matrix of the knitted modules."""
 
 
 class OrderBoundExceededError(InternalCheckError):
-    """The Coxeter matrix does not have the order tabled for its type."""
+    """The Coxeter order read off the knitted translation orbits, the least
+    common multiple of their lengths, is not the order tabled for the type."""

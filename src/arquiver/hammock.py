@@ -35,7 +35,7 @@ from .errors import (
     PositionOutOfRangeError,
 )
 from .quiver import ValuedQuiver, arrow_counts
-from .repetitive import ZVertex, is_successor, level_offset, mesh_inputs
+from .repetitive import ZVertex, level_offset, mesh_inputs
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,10 @@ def hammock_vertices(res: HammockResult) -> frozenset[ZVertex]:
     """
     qop = res.quiver.opposite()
     top = res.injective_position
+    # A path v .. top exists exactly when the level gap covers the offset.
+    reach = {j: top.level - level_offset(qop, j, top.base) for j in qop.vertices()}
     return frozenset(
-        v for v, value in res.table.items() if value > 0 and is_successor(qop, v, top)
+        v for v, value in res.table.items() if value > 0 and v.level <= reach[v.base]
     )
 
 

@@ -198,10 +198,6 @@ def level_offset(base: ValuedQuiver, x: int, y: int) -> int:
     return arrow_counts(base, x, y)[1]
 
 
-def is_successor(base: ValuedQuiver, u: ZVertex, w: ZVertex) -> bool:
-    return w.level - u.level >= level_offset(base, u.base, w.base)
-
-
 def path_length(base: ValuedQuiver, u: ZVertex, w: ZVertex) -> int | None:
     """Common length of all paths ``u .. w``, or ``None`` if there is none."""
     forward, backward = arrow_counts(base, u.base, w.base)

@@ -5,7 +5,20 @@ from __future__ import annotations
 from typing import Iterator
 
 from arquiver.quiver import ValuedQuiver
-from arquiver.repetitive import ZArrow, ZPath, ZVertex, out_arrows, plain_arrow, star_arrow
+from arquiver.repetitive import (
+    ZArrow,
+    ZPath,
+    ZVertex,
+    level_offset,
+    out_arrows,
+    plain_arrow,
+    star_arrow,
+)
+
+
+def is_successor(base: ValuedQuiver, u: ZVertex, w: ZVertex) -> bool:
+    """Whether some path ``u .. w`` exists: the level gap covers the offset."""
+    return w.level - u.level >= level_offset(base, u.base, w.base)
 
 
 def window_arrows(base: ValuedQuiver, lo: int, hi: int) -> list[ZArrow]:

@@ -4,21 +4,79 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import (
+    CrossCheckFailedError,
     DerivedVertex,
     SingularCartanError,
+    ZVertex,
     build,
     coxeter_matrix,
-    derived_dim_check,
     order_identity_check,
     table_order,
 )
-from arquiver.coxeter import identity_matrix, mat_mul, mat_neg, mat_vec
-from arquiver.dynkin import DynkinClass, canonical_diagram, random_orientation
-from conftest import a1_quiver, a3_linear, e6_example, g2_quiver
+from arquiver.derived import tau_d, tau_d_inverse
+from arquiver.dynkin import (
+    DynkinClass,
+    canonical_diagram,
+    orient,
+    random_orientation,
+    relabel_quiver,
+)
+from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, g2_quiver
+
+# -- dense reference arithmetic, for checking the sparse certificate ------------
+
+
+def identity_matrix(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
+
+
+def mat_vec(a, v):
+    return tuple(sum(map(mul, row, v)) for row in a)
+
+
+def mat_neg(a):
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def signed_dim(arq, v):
+    """Dimension vector of a shifted stalk: the sign alternates with the shift."""
+    sign = -1 if v.shift % 2 else 1
+    return tuple(sign * x for x in arq.dims[v.position])
+
+
+def derived_dim_check(arq, cd, samples):
+    """Translate-then-measure equals measure-then-transform, on samples.
+
+    For each ``(vertex, t)``: apply the derived translation ``t`` times
+    (backwards for negative ``t``) and compare the signed dimension
+    vector with the ``t``-th matrix power applied to the original one.
+    """
+    inverse = identity_matrix(arq.n)
+    for _ in range(cd.order - 1):
+        inverse = mat_mul(inverse, cd.matrix)
+    for v, t in samples:
+        w = v
+        for _ in range(abs(t)):
+            w = tau_d(arq, w) if t > 0 else tau_d_inverse(arq, w)
+        step = cd.matrix if t > 0 else inverse
+        vec = signed_dim(arq, v)
+        for _ in range(abs(t)):
+            vec = mat_vec(step, vec)
+        if vec != signed_dim(arq, w):
+            return False
+    return True
 
 
 def test_a3_matrix_action():
@@ -166,16 +224,6 @@ def test_derived_dim_check_random_samples():
         assert derived_dim_check(arq, cd, samples)
 
 
-def test_mat_pow_matches_repeated_products():
-    from arquiver.coxeter import mat_pow
-
-    matrix = coxeter_matrix(build(e6_example())).matrix
-    power = identity_matrix(len(matrix))
-    for t in range(14):
-        assert mat_pow(matrix, t) == power
-        power = mat_mul(power, matrix)
-
-
 def test_order_certification_names_stage_type_and_power():
     from arquiver import OrderBoundExceededError
 
@@ -186,3 +234,79 @@ def test_order_certification_names_stage_type_and_power():
     # h = 8 for A7: C^8 = I, but already C^4 = I, so 8 is not the order.
     with pytest.raises(OrderBoundExceededError, match=r"coxeter: C\^4 = I for A7 \(h = 8\)"):
         coxeter_matrix(replace(a3, dynkin=DynkinClass("A", 7, tuple(range(1, 8)))))
+
+
+@pytest.mark.parametrize(
+    "dynkin, message",
+    [
+        # h / order = 6: C^12 = I names the least prime 2, not 3 (C^8 = I).
+        (DynkinClass("B", 12, tuple(range(1, 13))), r"C\^12 = I for B12 \(h = 24\)"),
+        # h / order = 3: C^6 != I, so the first power that is I is C^4.
+        (DynkinClass("E", 6, tuple(range(1, 7))), r"C\^4 = I for E6 \(h = 12\)"),
+    ],
+)
+def test_order_certification_names_the_least_prime_of_the_excess(dynkin, message):
+    from arquiver import OrderBoundExceededError
+
+    a3 = build(a3_linear())  # order 4
+    with pytest.raises(OrderBoundExceededError, match=rf"coxeter: {message}"):
+        coxeter_matrix(replace(a3, dynkin=dynkin))
+
+
+def test_truncated_orbit_misplaces_an_injective():
+    # Dropping the top of orbit 1 moves the injective hull of simple rho(1)
+    # onto a module that E - B does not send to its unit vector.
+    arq = build(e6_example())
+    m = (arq.m_of(1) - 1,) + arq.m[1:]
+    vertices = tuple(v for v in arq.vertices if v.level <= m[v.base - 1])
+    truncated = replace(arq, m=m, vertices=vertices)
+    with pytest.raises(SingularCartanError, match=rf"injective {arq.rho_of(1)} disagrees"):
+        coxeter_matrix(truncated)
+
+
+def test_corrupted_interior_dimension_vector_is_named():
+    # Unitriangularity and the order both survive this corruption; only
+    # tau-equivariance at the vertex itself tells it apart.
+    arq = build(e6_example())
+    dims = dict(arq.dims)
+    v = ZVertex(1, 1)
+    dims[v] = tuple(x + 1 for x in dims[v])
+    message = (
+        r"coxeter: C \* dim ZVertex\(level=1, base=1\) "
+        r"!= dim ZVertex\(level=0, base=1\)"
+    )
+    with pytest.raises(CrossCheckFailedError, match=message):
+        coxeter_matrix(replace(arq, dims=dims))
+
+
+def test_orbit_with_a_repeated_vector_is_rejected():
+    # A1 stretched to three translates that alternate in sign: every step is
+    # tau-equivariant, yet the signed orbit 1, -1, 1, -1, 1, -1 returns early.
+    arq = build(a1_quiver())
+    dims = {ZVertex(r, 1): ((-1) ** r,) for r in range(3)}
+    stretched = replace(arq, m=(2,), vertices=tuple(dims), dims=dims)
+    with pytest.raises(CrossCheckFailedError, match=r"orbit of projective 1"):
+        coxeter_matrix(stretched)
+
+
+@st.composite
+def _relabelled_orientations(draw):
+    family, rank = draw(st.sampled_from(all_diagrams(24)))
+    g = canonical_diagram(family, rank)
+    q = orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1)))
+    return relabel_quiver(q, tuple(draw(st.permutations(range(1, rank + 1)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabelled_orientations())
+def test_certified_order_is_the_table_order_and_the_dense_period(q):
+    arq = build(q)
+    cd = coxeter_matrix(arq)
+    assert cd.order == table_order(arq.dynkin)
+    if q.n <= 12:
+        powers = [cd.matrix]
+        while len(powers) < cd.order:
+            powers.append(mat_mul(powers[-1], cd.matrix))
+        identity = identity_matrix(q.n)
+        assert [t for t, power in enumerate(powers, 1) if power == identity] == [cd.order]
+        assert mat_mul(cd.matrix, cd.cartan) == mat_neg(cd.inj)

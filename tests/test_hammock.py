@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from arquiver import (
@@ -16,9 +18,11 @@ from arquiver import (
     seed_section,
     validate,
 )
+from arquiver.dynkin import canonical_diagram, random_orientation
 from arquiver.hammock import _knit_from_seed
 from arquiver.repetitive import in_arrows
-from conftest import a1_quiver, a3_linear, e6_example, g2_quiver
+from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
+from plane import is_successor
 
 
 def test_seed_section_a3():
@@ -196,3 +200,35 @@ def test_build_sweeps_once_per_knit(monkeypatch, q):
     monkeypatch.setattr(hammock, "_sweep", counting)
     build(q)
     assert sorted(calls) == list(q.vertices())
+
+
+@pytest.mark.parametrize("q", [e6_example(), f4_example(), g2_quiver()], ids=["E6", "F4", "G2"])
+def test_hammock_vertices_reads_one_level_offset_per_base(monkeypatch, q):
+    from arquiver import repetitive
+
+    calls = []
+    arrow_counts = repetitive.arrow_counts
+
+    def counting(base, x, y):
+        calls.append((x, y))
+        return arrow_counts(base, x, y)
+
+    for k in q.vertices():
+        res = knit_hammock(q, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(repetitive, "arrow_counts", counting)
+            calls.clear()
+            hammock_vertices(res)
+        assert len(calls) <= q.n, (k, len(calls))
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_hammock_vertices_are_the_positive_predecessors_of_the_injective(family, rank):
+    q = random_orientation(canonical_diagram(family, rank), random.Random(f"{family}{rank}"))
+    qop = q.opposite()
+    for k in q.vertices():
+        res = knit_hammock(q, k)
+        top = res.injective_position
+        assert hammock_vertices(res) == {
+            v for v, value in res.table.items() if value > 0 and is_successor(qop, v, top)
+        }

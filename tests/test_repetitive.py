@@ -25,14 +25,13 @@ from arquiver import (
 from arquiver.dynkin import canonical_diagram, random_orientation
 from arquiver.quiver import Step, Walk
 from arquiver.repetitive import (
-    is_successor,
     mesh_inputs,
     path_length,
     plain_arrow,
     star_arrow,
 )
 from conftest import a3_linear, all_diagrams, e6_example, g2_quiver
-from plane import window_paths
+from plane import is_successor, window_paths
 
 
 def test_in_arrows_g2_star():
