@@ -63,7 +63,6 @@ from .errors import (
 )
 from .hammock import (
     HammockResult,
-    composition_multiplicity,
     hammock_vertices,
     knit_hammock,
     seed_section,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 from .coxeter import table_order
@@ -71,12 +72,6 @@ class ARQuiver:
         """Position of the injective hull of the ``l``-th simple."""
         i = self.rho_inverse(l)
         return ZVertex(self.m_of(i), i)
-
-    def is_projective(self, v: ZVertex) -> bool:
-        return v.level == 0
-
-    def is_injective(self, v: ZVertex) -> bool:
-        return v.level == self.m_of(v.base)
 
     # -- path tables, built on first use from ``vertices`` and ``arrows`` ----
     # A racing second build computes the same value, so sharing an instance
@@ -160,8 +155,8 @@ def build(q: ValuedQuiver) -> ARQuiver:
 
     # Terminators sit one level past their orbit, so no vertex is one and a
     # position missing from a table has multiplicity zero.
-    tables = [res.table for res in results]
-    dims = {v: tuple([table.get(v, 0) for table in tables]) for v in vertices}
+    columns = [list(map(res.table.get, vertices, repeat(0))) for res in results]
+    dims = dict(zip(vertices, zip(*columns)))
     for i in q.vertices():
         if dims[ZVertex(0, i)][i - 1] != 1:
             raise KnitInconsistentError(f"projective {i} misses its own simple top")

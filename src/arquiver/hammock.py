@@ -15,16 +15,22 @@ negative value, which simultaneously locates the injective, the length
 of the orbit, and the pairing of ``k`` with ``i``.
 
 Knitting order: vertices are processed by increasing path length from
-``(0, k)``.  Orbit ``i`` is met first at level ``r_i`` (the seed
-section), and the vertex ``(r_i + p, i)`` has all paths from ``(0, k)``
-of length ``len(walk k..i) + 2p``; every in-arrow source precedes its
-target in this order, so all mesh inputs are available when needed.
+``(0, k)``, ties by level, then base.  Orbit ``j`` is met first at level
+``r_j`` (the seed section), and every path from ``(0, k)`` to a vertex
+``(level, j)`` past it has length ``c_j + 2 * level``, where
+``c_j = fwd(k..j) - bwd(k..j)`` counts the forward and backward steps of
+the walk ``k .. j`` (``r_j`` is its backward count).  So each base
+fills a list indexed by level, one entry every other length, and at each
+length the bases of its parity take their turn in ``(-c_j, j)`` order;
+no heap is needed.  Every in-arrow source precedes its target in this
+order, so all mesh inputs are available when needed.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from operator import itemgetter
 from typing import Mapping
 
 from .coxeter import table_order
@@ -119,40 +125,63 @@ def _knit_from_seed(
     level bound.
     """
     meshes = mesh_inputs(qop)
-    table = dict(seeds)
-    # Heap keyed by (path length from (0, k), level, base); a seed's path
-    # length is that of the reduced walk k .. base.  Table lookups use
-    # plain tuples, which hash and compare like the ZVertex keys.
-    heap = [
-        (sum(arrow_counts(qop, k, v.base)) + 2, v.level + 1, v.base) for v in seeds
-    ]
-    heapq.heapify(heap)
-    while heap:
-        length, level, base = heap[0]
-        if level > bound:
-            raise BoundExceededError(
-                f"no negative hammock value within {bound} levels; "
-                "input is not of finite type"
-            )
-        total = 0
-        for offset, src, weight in meshes[base]:
-            total += weight * table[(level + offset, src)]
-        before = table[(level - 1, base)]
-        value = total - before
-        v = ZVertex(level, base)
-        table[v] = value
-        if value < 0:
-            if value != -1:
-                raise KnitInconsistentError(
-                    f"first negative value at {v} is {value}, not -1"
+    # Per base, the values by level; levels below the seed hold None, so a
+    # mesh input read before it was knitted fails instead of reading 0.
+    grid = {v.base: [None] * v.level + [value] for v, value in seeds.items()}
+    entries = []
+    for v in seeds:
+        forward, backward = arrow_counts(qop, k, v.base)
+        # Past the seed, (level, base) lies at path length c + 2 * level.
+        c = forward + backward - 2 * v.level
+        rows = tuple(
+            (offset, grid.get(src), weight) for offset, src, weight in meshes[v.base]
+        )
+        entries.append((-c, v.base, forward + backward + 2, grid[v.base], rows))
+    if not entries:
+        raise BoundExceededError("empty knitting frontier")
+    entries.sort(key=itemgetter(0, 1))
+    # At each length the bases of its parity knit in (-c, base) order.
+    schedule = ([e for e in entries if not e[0] & 1], [e for e in entries if e[0] & 1])
+    knitted: list[tuple[int, int]] = []
+    values: list[int] = []
+    # Each base climbs a level every other length, so the bound ends the loop.
+    for length in count(min(start for _, _, start, _, _ in entries)):
+        for minus_c, base, start, column, rows in schedule[length & 1]:
+            if length < start:
+                continue
+            level = (length + minus_c) >> 1
+            if level > bound:
+                raise BoundExceededError(
+                    f"no negative hammock value within {bound} levels; "
+                    "input is not of finite type"
                 )
-            if before <= 0:
+            total = 0
+            try:
+                for offset, source, weight in rows:
+                    total += weight * source[level + offset]
+            except (IndexError, TypeError):
                 raise KnitInconsistentError(
-                    f"value directly before the terminator {v} is not positive"
-                )
-            return table, v
-        heapq.heapreplace(heap, (length + 2, level + 1, base))
-    raise BoundExceededError("empty knitting frontier")  # pragma: no cover
+                    f"mesh input of {ZVertex(level, base)} read before it was knitted"
+                ) from None
+            before = column[level - 1]
+            value = total - before
+            column.append(value)
+            knitted.append((level, base))
+            values.append(value)
+            if value < 0:
+                v = ZVertex(level, base)
+                if value != -1:
+                    raise KnitInconsistentError(
+                        f"first negative value at {v} is {value}, not -1"
+                    )
+                if before <= 0:
+                    raise KnitInconsistentError(
+                        f"value directly before the terminator {v} is not positive"
+                    )
+                # tuple.__new__ makes the ZVertex keys without a Python-level call.
+                table = dict(seeds)
+                table.update(zip(map(tuple.__new__, repeat(ZVertex), knitted), values))
+                return table, v
 
 
 def knit_hammock(q: ValuedQuiver, k: int) -> HammockResult:
@@ -190,14 +219,3 @@ def hammock_vertices(res: HammockResult) -> frozenset[ZVertex]:
         v for v, value in res.table.items() if value > 0 and v.level <= reach[v.base]
     )
 
-
-def composition_multiplicity(res: HammockResult, pos: ZVertex) -> int:
-    """Multiplicity of the ``k``-th simple in the module at ``pos``.
-
-    ``pos`` must be a position of the finite translation quiver (supplied
-    by the builder); positions outside the knitted table carry the
-    ``k``-th simple zero times.
-    """
-    if not 1 <= pos.base <= res.quiver.n or pos.level < 0 or pos == res.terminator:
-        raise PositionOutOfRangeError(f"{pos} is not a module position")
-    return res.table.get(pos, 0)

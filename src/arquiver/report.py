@@ -11,20 +11,26 @@ spaces or tabs.  The report is the JSON document itself: ``build_report``
 returns it as a plain ``dict`` and ``report_to_json``/``write_report``
 encode it deterministically: sorted object keys, vertices ordered by
 (base, level), integers only.
+
+The encoder is this module's own: its text is exactly what the standard
+library's ``json`` writes with ``sort_keys=True, indent=2``, followed by
+a newline.  It accepts ``dict`` with ``str`` keys, ``list``, ``tuple``
+(named tuples too), ``int`` and ``str``; strings are escaped to ASCII as
+``json`` does.  Any other value or key type, ``bool``, ``float`` and
+``None`` included, raises ``TypeError``.
 """
 
 from __future__ import annotations
 
-import json
-from itertools import groupby
-from typing import TextIO
+from itertools import groupby, repeat
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterator, TextIO
 
 from .ar_quiver import ARQuiver, counts_and_nilpotency
 from .derived import cluster_count, derived_nilpotency
 from .errors import InvalidQuiverError, ParseError
 from .hammock import hammock_vertices
 from .quiver import Arrow, ValuedQuiver, Valuation
-from .repetitive import ZVertex
 
 
 def parse_quiver(text: str) -> ValuedQuiver:
@@ -140,23 +146,79 @@ def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> d
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return "".join(_document(report))
 
 
 def write_report(report: dict, out: TextIO) -> None:
     """Stream the text of :func:`report_to_json` to ``out``.
 
-    Chunks go out as they are encoded, so the whole text is never held.
+    One string goes out per member of each top-level array or object, so
+    the whole text is never held.
     """
-    json.dump(report, out, sort_keys=True, indent=2)
-    out.write("\n")
+    out.writelines(_document(report))
+
+
+def _document(report: dict) -> Iterator[str]:
+    yield from _stream(report, "", "", 2)
+    yield "\n"
+
+
+def _stream(value: object, pad: str, lead: str, depth: int) -> Iterator[str]:
+    """``lead`` and the text of ``value``, one string per member of each
+    container fewer than ``depth`` levels down; deeper values come whole."""
+    if depth == 0 or not isinstance(value, (dict, list, tuple)) or not value:
+        yield lead + _encode(value, pad)
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        prefixes = [f"{_quote(key)}: " for key, _ in items]
+        members = [member for _, member in items]
+        separator, closing = f"{lead}{{\n{inner}", f"\n{pad}}}"
+    else:
+        prefixes, members = repeat(""), value
+        separator, closing = f"{lead}[\n{inner}", f"\n{pad}]"
+    for prefix, member in zip(prefixes, members):
+        if depth == 1:
+            yield separator + prefix + _encode(member, inner)
+        else:
+            yield from _stream(member, inner, separator + prefix, depth - 1)
+        separator = f",\n{inner}"
+    yield closing
+
+
+def _encode(value: object, pad: str) -> str:
+    """The text of ``value``, its nested lines indented past ``pad``."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        separator = ",\n" + inner
+        if set(map(type, value)) == {int}:
+            return f"[\n{inner}{separator.join(map(int.__repr__, value))}\n{pad}]"
+        members = [_encode(member, inner) for member in value]
+        return f"[\n{inner}{separator.join(members)}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        separator = ",\n" + inner
+        members = [
+            f"{_quote(key)}: {_encode(member, inner)}"
+            for key, member in sorted(value.items())
+        ]
+        return f"{{\n{inner}{separator.join(members)}\n{pad}}}"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int) and kind is not bool:
+        return int.__repr__(value)
+    raise TypeError(f"{kind.__name__} value {value!r} is not JSON report data")
 
 
 # -- DOT ------------------------------------------------------------------------
-
-def _node_id(v: ZVertex) -> str:
-    return f'"{v.level},{v.base}"'
-
 
 def to_dot(arq: ARQuiver) -> str:
     """Layered DOT drawing: columns by level, rows by base vertex.
@@ -164,26 +226,21 @@ def to_dot(arq: ARQuiver) -> str:
     Projectives are boxed, injectives double-circled, vertices that are
     both get a double box.  Output is byte-stable for identical input.
     """
+    # Indexed by (projective, injective).
+    shapes = (("ellipse", "doublecircle"), ("box", "Msquare"))
+    node_id = {v: f'"{v.level},{v.base}"' for v in arq.vertices}
     lines = ["digraph ar_quiver {", "  rankdir=LR;", '  node [fontsize=11];']
     for _, column in groupby(sorted(arq.vertices), key=lambda v: v.level):
         lines.append("  { rank=same;")
         for v in column:
-            proj, inj = arq.is_projective(v), arq.is_injective(v)
-            if proj and inj:
-                shape = "Msquare"
-            elif proj:
-                shape = "box"
-            elif inj:
-                shape = "doublecircle"
-            else:
-                shape = "ellipse"
-            label = f"({v.level},{v.base})"
-            lines.append(f'    {_node_id(v)} [label="{label}", shape={shape}];')
+            level, base = v
+            shape = shapes[level == 0][level == arq.m[base - 1]]
+            lines.append(f'    {node_id[v]} [label="({level},{base})", shape={shape}];')
         lines.append("  }")
     for za in arq.arrows:
         attr = ""
         if za.val != (1, 1):
             attr = f' [label="({za.val[0]},{za.val[1]})"]'
-        lines.append(f"  {_node_id(za.src)} -> {_node_id(za.dst)}{attr};")
+        lines.append(f"  {node_id[za.src]} -> {node_id[za.dst]}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

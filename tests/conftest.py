@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from arquiver import ValuedQuiver, canonical_diagram, validate
+from arquiver.dynkin import orient, relabel_quiver
 
 
 def a3_linear() -> ValuedQuiver:
@@ -42,6 +44,15 @@ def all_diagrams(max_rank: int = 8):
     if max_rank >= 2:
         out.append(("G", 2))
     return out
+
+
+@st.composite
+def relabelled_orientations(draw, max_rank: int = 24):
+    """A random orientation and relabelling of a diagram up to ``max_rank``."""
+    family, rank = draw(st.sampled_from(all_diagrams(max_rank)))
+    g = canonical_diagram(family, rank)
+    q = orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1)))
+    return relabel_quiver(q, tuple(draw(st.permutations(range(1, rank + 1)))))
 
 
 @pytest.fixture

@@ -1,15 +1,24 @@
-"""Bounded windows of the translation plane, for exhaustive checks in tests."""
+"""Test-only references: bounded windows of the translation plane, the
+all-pairs path audit, heap-ordered knitting and composition multiplicities."""
 
 from __future__ import annotations
 
-from typing import Iterator
+import heapq
+from typing import Iterator, Mapping
 
-from arquiver.quiver import ValuedQuiver
+from arquiver.errors import (
+    BoundExceededError,
+    KnitInconsistentError,
+    PositionOutOfRangeError,
+)
+from arquiver.hammock import HammockResult
+from arquiver.quiver import ValuedQuiver, arrow_counts
 from arquiver.repetitive import (
     ZArrow,
     ZPath,
     ZVertex,
     level_offset,
+    mesh_inputs,
     out_arrows,
     plain_arrow,
     star_arrow,
@@ -106,3 +115,57 @@ def reference_audit_lines(arq) -> list[str]:
         else f"sectional-uniqueness: FAIL (extra parallel path between {bad[0]} and {bad[1]})"
     )
     return lines
+
+
+# -- heap-ordered knitting, the reference for ``hammock._knit_from_seed`` ---------
+
+
+def reference_knit(
+    qop: ValuedQuiver, k: int, seeds: Mapping[ZVertex, int], bound: int
+) -> tuple[dict[ZVertex, int], ZVertex]:
+    """Knit from the seeds in (path length, level, base) order off a heap."""
+    meshes = mesh_inputs(qop)
+    table = dict(seeds)
+    # A seed's path length is that of the reduced walk k .. base.  Table
+    # lookups use plain tuples, which hash and compare like the ZVertex keys.
+    heap = [
+        (sum(arrow_counts(qop, k, v.base)) + 2, v.level + 1, v.base) for v in seeds
+    ]
+    heapq.heapify(heap)
+    while heap:
+        length, level, base = heap[0]
+        if level > bound:
+            raise BoundExceededError(
+                f"no negative hammock value within {bound} levels; "
+                "input is not of finite type"
+            )
+        total = 0
+        for offset, src, weight in meshes[base]:
+            total += weight * table[(level + offset, src)]
+        before = table[(level - 1, base)]
+        value = total - before
+        v = ZVertex(level, base)
+        table[v] = value
+        if value < 0:
+            if value != -1:
+                raise KnitInconsistentError(
+                    f"first negative value at {v} is {value}, not -1"
+                )
+            if before <= 0:
+                raise KnitInconsistentError(
+                    f"value directly before the terminator {v} is not positive"
+                )
+            return table, v
+        heapq.heapreplace(heap, (length + 2, level + 1, base))
+    raise BoundExceededError("empty knitting frontier")
+
+
+def composition_multiplicity(res: HammockResult, pos: ZVertex) -> int:
+    """Multiplicity of the ``k``-th simple in the module at ``pos``.
+
+    ``pos`` must be a position of the finite translation quiver; positions
+    outside the knitted table carry the ``k``-th simple zero times.
+    """
+    if not 1 <= pos.base <= res.quiver.n or pos.level < 0 or pos == res.terminator:
+        raise PositionOutOfRangeError(f"{pos} is not a module position")
+    return res.table.get(pos, 0)

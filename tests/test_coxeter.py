@@ -8,7 +8,6 @@ from operator import mul
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arquiver import (
     CrossCheckFailedError,
@@ -24,11 +23,16 @@ from arquiver.derived import tau_d, tau_d_inverse
 from arquiver.dynkin import (
     DynkinClass,
     canonical_diagram,
-    orient,
     random_orientation,
-    relabel_quiver,
 )
-from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, g2_quiver
+from conftest import (
+    a1_quiver,
+    a3_linear,
+    all_diagrams,
+    e6_example,
+    g2_quiver,
+    relabelled_orientations,
+)
 
 # -- dense reference arithmetic, for checking the sparse certificate ------------
 
@@ -289,16 +293,8 @@ def test_orbit_with_a_repeated_vector_is_rejected():
         coxeter_matrix(stretched)
 
 
-@st.composite
-def _relabelled_orientations(draw):
-    family, rank = draw(st.sampled_from(all_diagrams(24)))
-    g = canonical_diagram(family, rank)
-    q = orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1)))
-    return relabel_quiver(q, tuple(draw(st.permutations(range(1, rank + 1)))))
-
-
 @settings(max_examples=60, deadline=None)
-@given(_relabelled_orientations())
+@given(relabelled_orientations())
 def test_certified_order_is_the_table_order_and_the_dense_period(q):
     arq = build(q)
     cd = coxeter_matrix(arq)

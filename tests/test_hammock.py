@@ -3,26 +3,42 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
 
 from arquiver import (
+    ArquiverError,
     BoundExceededError,
     KnitInconsistentError,
     NotDynkinError,
     PositionOutOfRangeError,
     ZVertex,
-    composition_multiplicity,
     hammock_vertices,
     knit_hammock,
     seed_section,
     validate,
 )
-from arquiver.dynkin import canonical_diagram, random_orientation
+from arquiver.coxeter import table_order
+from arquiver.dynkin import (
+    all_orientations,
+    canonical_diagram,
+    classify_quiver,
+    random_orientation,
+)
 from arquiver.hammock import _knit_from_seed
-from arquiver.repetitive import in_arrows
-from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
-from plane import is_successor
+from arquiver.repetitive import in_arrows, mesh_inputs
+from conftest import (
+    a1_quiver,
+    a3_linear,
+    all_diagrams,
+    e6_example,
+    f4_example,
+    g2_quiver,
+    relabelled_orientations,
+)
+from plane import composition_multiplicity, is_successor, reference_knit
 
 
 def test_seed_section_a3():
@@ -232,3 +248,71 @@ def test_hammock_vertices_are_the_positive_predecessors_of_the_injective(family,
         assert hammock_vertices(res) == {
             v for v, value in res.table.items() if value > 0 and is_successor(qop, v, top)
         }
+
+
+def _knits(q):
+    """Seeds and bound of every hammock of ``q``, as ``knit_classified`` passes them."""
+    qop = q.opposite()
+    bound = table_order(classify_quiver(q)) + 1
+    return [(qop, k, seed_section(qop, k), bound) for k in q.vertices()]
+
+
+def _assert_knit_matches_reference(q):
+    for qop, k, seeds, bound in _knits(q):
+        table, terminator = _knit_from_seed(qop, k, seeds, bound)
+        ref_table, ref_terminator = reference_knit(qop, k, seeds, bound)
+        assert list(table.items()) == list(ref_table.items()), k
+        assert terminator == ref_terminator, k
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_grid_knit_matches_heap_knit_on_every_orientation(family, rank):
+    for q in all_orientations(canonical_diagram(family, rank)):
+        _assert_knit_matches_reference(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_orientations())
+def test_grid_knit_matches_heap_knit_on_relabelled_orientations(q):
+    _assert_knit_matches_reference(q)
+
+
+def _shifted_meshes(shift):
+    """``mesh_inputs`` with each input at level offset ``o`` read at ``o + shift[o]``."""
+
+    def meshes(base):
+        return {
+            x: tuple((offset + shift[offset], src, w) for offset, src, w in rows)
+            for x, rows in mesh_inputs(base).items()
+        }
+
+    return meshes
+
+
+# Star inputs read a level too high (not knitted yet); plain inputs a level
+# too low (below the seed for some bases).
+@pytest.mark.parametrize(
+    "shift", [{-1: 1, 0: 0}, {-1: 0, 0: -1}], ids=["ahead", "behind"]
+)
+@pytest.mark.parametrize("family, rank", all_diagrams(5))
+def test_mesh_input_read_before_it_was_knitted_fails(monkeypatch, family, rank, shift):
+    import plane
+    from arquiver import hammock
+
+    monkeypatch.setattr(hammock, "mesh_inputs", _shifted_meshes(shift))
+    monkeypatch.setattr(plane, "mesh_inputs", _shifted_meshes(shift))
+    for q in all_orientations(canonical_diagram(family, rank)):
+        for qop, k, seeds, bound in _knits(q):
+            try:
+                expected = reference_knit(qop, k, seeds, bound)
+            except LookupError:
+                with pytest.raises(KnitInconsistentError, match="before it was knitted"):
+                    _knit_from_seed(qop, k, seeds, bound)
+                continue
+            except ArquiverError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    _knit_from_seed(qop, k, seeds, bound)
+                continue
+            table, terminator = _knit_from_seed(qop, k, seeds, bound)
+            assert list(table.items()) == list(expected[0].items())
+            assert terminator == expected[1]
