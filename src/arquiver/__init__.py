@@ -14,7 +14,6 @@ from .ar_quiver import (
     build,
     closed_form_rho_m,
     counts_and_nilpotency,
-    dim_vector,
     distance,
     orbit_index_relation_holds,
 )
@@ -58,8 +57,6 @@ from .errors import (
     PositionOutOfRangeError,
     SingularCartanError,
     TwoCycleError,
-    WalkNotReducedError,
-    WindowTooLargeError,
 )
 from .hammock import (
     HammockResult,
@@ -86,20 +83,7 @@ from .quiver import (
     reduced_walk,
     validate,
 )
-from .repetitive import (
-    Section,
-    ZArrow,
-    ZPath,
-    ZVertex,
-    covering_map,
-    in_arrows,
-    is_sectional,
-    knit_additive,
-    out_arrows,
-    sectional_path_from_walk,
-    sink_section,
-    source_section,
-)
+from .repetitive import ZArrow, ZVertex
 from .report import build_report, parse_quiver, report_to_json, to_dot
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -166,12 +166,6 @@ def build(q: ValuedQuiver) -> ARQuiver:
     )
 
 
-def dim_vector(arq: ARQuiver, pos: ZVertex) -> tuple[int, ...]:
-    if pos not in arq.dims:
-        raise PositionOutOfRangeError(f"{pos} is not a vertex")
-    return arq.dims[pos]
-
-
 # -- closed forms ---------------------------------------------------------------
 
 def _closed_form_canonical(qc: ValuedQuiver, dynkin: DynkinClass) -> tuple[list[int], list[int]]:

@@ -46,16 +46,8 @@ class NotDynkinError(ArquiverError):
     """The underlying valued graph is not a Dynkin diagram."""
 
 
-class WalkNotReducedError(ArquiverError):
-    pass
-
-
 class PositionOutOfRangeError(ArquiverError, ValueError):
     pass
-
-
-class WindowTooLargeError(ArquiverError):
-    """A requested level window exceeds the additive-knitting cap."""
 
 
 class BoundExceededError(ArquiverError):

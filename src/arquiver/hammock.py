@@ -104,9 +104,13 @@ def seed_section(qop: ValuedQuiver, k: int) -> dict[ZVertex, int]:
     """
     sweep = _sweep(qop, k)
     # The sweep meets each orbit at the level of the source section.
-    assert {j: level for j, (level, _) in sweep.items()} == {
-        j: level_offset(qop, k, j) for j in qop.vertices()
-    }
+    for j in qop.vertices():
+        offset = level_offset(qop, k, j)
+        level = sweep[j][0] if j in sweep else None
+        if level != offset:
+            raise KnitInconsistentError(
+                f"sweep from {k} meets base {j} at level {level}, not at its level offset {offset}"
+            )
     return {ZVertex(level, j): value for j, (level, value) in sweep.items()}
 
 

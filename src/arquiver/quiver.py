@@ -81,10 +81,6 @@ class Walk:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def forward_count(self) -> int:
-        return sum(1 for s in self.steps if s.forward)
-
     def is_reduced(self) -> bool:
         return all(
             b != a.inverse() for a, b in zip(self.steps, self.steps[1:])
@@ -278,7 +274,8 @@ class ValuedGraph:
         return len(seen) == self.n
 
     def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == self.n - 1
+        # The edge count first: it is free, while connectivity costs O(n).
+        return len(self.edges) == self.n - 1 and self.is_connected()
 
     @cached_property
     def _valuations(self) -> dict[tuple[int, int], int]:

@@ -1,9 +1,11 @@
-"""Test-only references: bounded windows of the translation plane, the
-all-pairs path audit, heap-ordered knitting and composition multiplicities."""
+"""Test-only references: paths of the translation plane and their covering
+map, bounded windows of the plane, the all-pairs path audit, heap-ordered
+knitting and composition multiplicities."""
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from arquiver.errors import (
@@ -12,17 +14,67 @@ from arquiver.errors import (
     PositionOutOfRangeError,
 )
 from arquiver.hammock import HammockResult
-from arquiver.quiver import ValuedQuiver, arrow_counts
+from arquiver.quiver import Step, ValuedQuiver, Walk, arrow_counts
 from arquiver.repetitive import (
     ZArrow,
-    ZPath,
     ZVertex,
     level_offset,
     mesh_inputs,
-    out_arrows,
     plain_arrow,
     star_arrow,
 )
+
+
+# -- paths and the covering map, the model behind ``repetitive.path_length`` --
+
+
+@dataclass(frozen=True)
+class ZPath:
+    start: ZVertex
+    arrows: tuple[ZArrow, ...] = ()
+
+    def __post_init__(self) -> None:
+        at = self.start
+        for a in self.arrows:
+            if a.src != at:
+                raise ValueError(f"path arrows do not compose at {at}")
+            at = a.dst
+
+    @property
+    def end(self) -> ZVertex:
+        return self.arrows[-1].dst if self.arrows else self.start
+
+    def __len__(self) -> int:
+        return len(self.arrows)
+
+
+def in_arrows(base: ValuedQuiver, v: ZVertex) -> list[ZArrow]:
+    """All arrows of the plane ending at ``v``, deterministically ordered."""
+    arrows = [plain_arrow(v.level, a) for a in base.in_arrows(v.base)]
+    arrows += [star_arrow(v.level - 1, a) for a in base.out_arrows(v.base)]
+    arrows.sort(key=lambda z: z.src)
+    return arrows
+
+
+def out_arrows(base: ValuedQuiver, v: ZVertex) -> list[ZArrow]:
+    arrows = [plain_arrow(v.level, a) for a in base.out_arrows(v.base)]
+    arrows += [star_arrow(v.level, a) for a in base.in_arrows(v.base)]
+    arrows.sort(key=lambda z: z.dst)
+    return arrows
+
+
+def covering_map(p: ZPath) -> Walk:
+    """Fold a path of the plane onto a walk of the base quiver."""
+    return Walk(
+        p.start.base, tuple(Step(a.arrow, not a.star) for a in p.arrows)
+    )
+
+
+def is_sectional(p: ZPath) -> bool:
+    return covering_map(p).is_reduced()
+
+
+# -- bounded windows of the plane ------------------------------------------------
 
 
 def is_successor(base: ValuedQuiver, u: ZVertex, w: ZVertex) -> bool:

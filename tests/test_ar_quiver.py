@@ -6,6 +6,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import (
     Counts,
@@ -16,13 +18,25 @@ from arquiver import (
     closed_form_rho_m,
     counts_and_nilpotency,
     coxeter_matrix,
-    dim_vector,
     distance,
     orbit_index_relation_holds,
     validate,
 )
-from arquiver.dynkin import all_orientations, canonical_diagram, random_orientation
-from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
+from arquiver.dynkin import (
+    all_orientations,
+    canonical_diagram,
+    random_orientation,
+    relabel_quiver,
+)
+from conftest import (
+    a1_quiver,
+    a3_linear,
+    all_diagrams,
+    e6_example,
+    f4_example,
+    g2_quiver,
+    relabelled_orientations,
+)
 from plane import path_statistics, window_arrows, window_paths
 
 G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
@@ -80,14 +94,30 @@ def test_closed_form_matches_knit_exhaustively_small(family, rank):
         assert (arq.m, arq.rho) == closed_form_rho_m(q)
 
 
+@settings(max_examples=40, deadline=None)
+@given(relabelled_orientations(), st.data())
+def test_build_is_equivariant_under_relabelling(q, data):
+    pi = tuple(data.draw(st.permutations(range(1, q.n + 1))))
+    arq, moved = build(q), build(relabel_quiver(q, pi))
+    assert (moved.dynkin.family, moved.dynkin.rank) == (arq.dynkin.family, arq.dynkin.rank)
+    for i in q.vertices():
+        assert moved.m_of(pi[i - 1]) == arq.m_of(i)
+        assert moved.rho_of(pi[i - 1]) == pi[arq.rho_of(i) - 1]
+    assert len(moved.dims) == len(arq.dims)
+    for v, dims in arq.dims.items():
+        transported = [0] * q.n
+        for j, d in zip(pi, dims):
+            transported[j - 1] = d
+        assert moved.dims[ZVertex(v.level, pi[v.base - 1])] == tuple(transported)
+
+
 def test_dim_vector_examples():
     a3 = build(a3_linear())
-    assert dim_vector(a3, ZVertex(1, 2)) == (1, 1, 0)
-    assert dim_vector(a3, ZVertex(0, 3)) == (0, 0, 1)
+    assert a3.dims[ZVertex(1, 2)] == (1, 1, 0)
+    assert a3.dims[ZVertex(0, 3)] == (0, 0, 1)
     g2 = build(g2_quiver())
-    assert dim_vector(g2, ZVertex(1, 1)) == (2, 1)
-    with pytest.raises(PositionOutOfRangeError):
-        dim_vector(a3, ZVertex(3, 3))
+    assert g2.dims[ZVertex(1, 1)] == (2, 1)
+    assert ZVertex(3, 3) not in a3.dims
 
 
 def test_distance_examples():
@@ -95,6 +125,8 @@ def test_distance_examples():
     assert distance(arq, ZVertex(0, 3), ZVertex(0, 1)) == 2
     assert distance(arq, ZVertex(1, 2), ZVertex(1, 2)) == 0
     assert distance(arq, ZVertex(0, 1), ZVertex(0, 3)) is None
+    with pytest.raises(PositionOutOfRangeError):
+        distance(arq, ZVertex(3, 3), ZVertex(0, 1))
 
 
 def test_counts_examples():

@@ -245,6 +245,12 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "build"])
+def test_cli_edgeless_large_input_is_not_dynkin(tmp_path, capsys, command):
+    path = _write(tmp_path, "wide.q", "n 200000\n")
+    assert main([command, path]) == 2
+
+
 def test_cli_missing_file(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "nope.q")]) == 2
 

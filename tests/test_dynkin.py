@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -124,3 +125,14 @@ def test_relabel_preserves_weight():
     canon = canonical_diagram(dyn.family, dyn.rank)
     for x in h.vertices():
         assert h.weight(x) == canon.weight(dyn.to_canonical(x))
+
+
+def test_graph_with_too_few_edges_is_rejected_without_a_neighbour_table():
+    # The edge count alone rules out a tree, so nothing is allocated per vertex.
+    tracemalloc.start()
+    try:
+        assert classify_dynkin(ValuedGraph(200_000)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -28,7 +28,7 @@ from arquiver.dynkin import (
     random_orientation,
 )
 from arquiver.hammock import _knit_from_seed
-from arquiver.repetitive import in_arrows, mesh_inputs
+from arquiver.repetitive import mesh_inputs
 from conftest import (
     a1_quiver,
     a3_linear,
@@ -38,7 +38,7 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import composition_multiplicity, is_successor, reference_knit
+from plane import composition_multiplicity, in_arrows, is_successor, reference_knit
 
 
 def test_seed_section_a3():
@@ -53,6 +53,40 @@ def test_seed_section_g2_picks_up_second_component():
 
 def test_seed_section_a1():
     assert seed_section(a1_quiver(), 1) == {ZVertex(0, 1): 1}
+
+
+def _sweep_one_level_late(monkeypatch):
+    from arquiver import hammock
+
+    sweep = hammock._sweep
+
+    def late(qop, k):
+        found = sweep(qop, k)
+        level, value = found[3]
+        found[3] = (level + 1, value)
+        return found
+
+    monkeypatch.setattr(hammock, "_sweep", late)
+
+
+def test_sweep_off_the_level_offset_is_inconsistent(monkeypatch):
+    _sweep_one_level_late(monkeypatch)
+    with pytest.raises(
+        KnitInconsistentError,
+        match=re.escape("sweep from 1 meets base 3 at level 3, not at its level offset 2"),
+    ):
+        knit_hammock(a3_linear(), 1)
+
+
+def test_cli_hammock_reports_an_inconsistent_sweep(monkeypatch, tmp_path, capsys):
+    from arquiver.cli import main
+
+    _sweep_one_level_late(monkeypatch)
+    path = tmp_path / "a3.q"
+    path.write_text("n 3\narrow 1 2\narrow 2 3\n", encoding="utf-8")
+    assert main(["hammock", str(path), "-k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: sweep from 1 meets base 3")
 
 
 def test_knit_a3():

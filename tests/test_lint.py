@@ -1,0 +1,32 @@
+"""Checks on the repository's own text: the library source and the README."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import arquiver
+
+SOURCES = sorted(Path(arquiver.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_raises_instead_of_asserting(path):
+    # `python -O` strips asserts, and an AssertionError escapes the CLI's
+    # exit-code mapping; runtime checks raise ArquiverError subclasses.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert on line(s) {lines}"
+
+
+def test_readme_library_example_runs():
+    namespace: dict = {}
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        exec(compile(block, str(README), "exec"), namespace)
+    assert (namespace["arq"].m, namespace["arq"].rho) == ((2, 2), (1, 2))
+    assert namespace["cd"].order == 6
+    assert namespace["report"]["counts"] == {"indecomposables": 6, "cluster": 8}

@@ -1,4 +1,4 @@
-"""Translation plane: covering map, sections, additive knitting."""
+"""Translation plane: mesh table, covering map, sections, closed forms."""
 
 from __future__ import annotations
 
@@ -7,23 +7,9 @@ from collections import defaultdict
 
 import pytest
 
-from arquiver import (
-    WalkNotReducedError,
-    WindowTooLargeError,
-    ZPath,
-    ZVertex,
-    covering_map,
-    in_arrows,
-    is_sectional,
-    knit_additive,
-    reduced_walk,
-    sectional_path_from_walk,
-    sink_section,
-    source_section,
-    validate,
-)
+from arquiver import ZVertex, reduced_walk, seed_section, validate
 from arquiver.dynkin import canonical_diagram, random_orientation
-from arquiver.quiver import Step, Walk
+from arquiver.quiver import Step
 from arquiver.repetitive import (
     mesh_inputs,
     path_length,
@@ -31,7 +17,15 @@ from arquiver.repetitive import (
     star_arrow,
 )
 from conftest import a3_linear, all_diagrams, e6_example, g2_quiver
-from plane import is_successor, window_paths
+from plane import (
+    ZPath,
+    covering_map,
+    in_arrows,
+    is_sectional,
+    is_successor,
+    out_arrows,
+    window_paths,
+)
 
 
 def test_in_arrows_g2_star():
@@ -102,83 +96,22 @@ def test_sectional_examples():
     assert not is_sectional(hook)
 
 
-def test_sectional_path_from_walk_a3():
-    qop = a3_linear().opposite()
-    path = sectional_path_from_walk(qop, reduced_walk(qop, 1, 3), 0)
-    assert [path.start] + [a.dst for a in path.arrows] == [
-        ZVertex(0, 1),
-        ZVertex(1, 2),
-        ZVertex(2, 3),
-    ]
-
-
-def test_sectional_path_from_trivial_walk():
-    qop = a3_linear().opposite()
-    path = sectional_path_from_walk(qop, Walk(2), 5)
-    assert path.start == path.end == ZVertex(5, 2)
-
-
-def test_sectional_path_valuations_g2():
-    qop = g2_quiver().opposite()
-    path = sectional_path_from_walk(qop, reduced_walk(qop, 1, 2), 0)
-    assert path.end == ZVertex(1, 2)
-    assert path.arrows[0].val == (1, 3)
-
-
-def test_sectional_path_rejects_unreduced_walk():
-    qop = a3_linear().opposite()
-    step = Step(qop.arrows[0], True)
-    walk = Walk(qop.arrows[0].src, (step, step.inverse()))
-    with pytest.raises(WalkNotReducedError):
-        sectional_path_from_walk(qop, walk, 0)
-
-
-def test_source_section_a3():
-    qop = a3_linear().opposite()
-    section = source_section(qop, ZVertex(0, 1))
-    assert set(section.vertices) == {ZVertex(0, 1), ZVertex(1, 2), ZVertex(2, 3)}
-    assert len(section.arrows) == 2
-
-
-def test_source_section_a1():
-    section = source_section(validate(1, []), ZVertex(0, 1))
-    assert section.vertices == (ZVertex(0, 1),)
-
-
 def test_source_section_e6_levels_are_walk_arrow_counts():
     q = e6_example()
-    qop = q.opposite()
-    section = source_section(qop, ZVertex(0, 1))
+    levels = {v.base: v.level for v in seed_section(q.opposite(), 1)}
     for j in q.vertices():
-        assert section.level_of(j) == reduced_walk(q, 1, j).forward_count
-
-
-def test_sink_section_is_dual():
-    qop = a3_linear().opposite()
-    # Sectional predecessors of (0,1) all sit at level 0 here.
-    section = sink_section(qop, ZVertex(0, 1))
-    assert set(section.vertices) == {ZVertex(0, 1), ZVertex(0, 2), ZVertex(0, 3)}
-    # The diagonal section is simultaneously a source and a sink section.
-    assert set(sink_section(qop, ZVertex(2, 3)).vertices) == set(
-        source_section(qop, ZVertex(0, 1)).vertices
-    )
-
-
-def _section_hits_each_orbit_once(section):
-    bases = [v.base for v in section.vertices]
-    return len(bases) == len(set(bases))
+        assert levels[j] == sum(step.forward for step in reduced_walk(q, 1, j).steps)
 
 
 def test_source_section_meets_every_orbit_once_and_is_convex():
     rng = random.Random(3)
     for family, rank in [("A", 4), ("D", 4), ("B", 3), ("G", 2)]:
         qop = random_orientation(canonical_diagram(family, rank), rng).opposite()
-        section = source_section(qop, ZVertex(0, 1))
-        assert _section_hits_each_orbit_once(section)
-        members = set(section.vertices)
+        members = set(seed_section(qop, 1))
+        assert sorted(v.base for v in members) == list(qop.vertices())
         # One connecting arrow per base edge, inside the section.
-        assert len(section.arrows) == len(qop.arrows)
-        assert all(a.src in members and a.dst in members for a in section.arrows)
+        inner = [za for v in members for za in out_arrows(qop, v) if za.dst in members]
+        assert len(inner) == len(qop.arrows)
         # Convexity: a path between section vertices stays inside.
         for start in members:
             for path in window_paths(qop, start, -1, 5, 8):
@@ -227,61 +160,3 @@ def test_path_length_agrees_with_reachability():
             for base in qop.vertices():
                 w = ZVertex(level, base)
                 assert (path_length(qop, u, w) is not None) == is_successor(qop, u, w)
-
-
-def test_knit_additive_a3_example():
-    qop = a3_linear().opposite()
-    values = {ZVertex(0, 1): 1, ZVertex(1, 2): 1, ZVertex(2, 3): 1}
-    table = knit_additive(qop, values, (0, 4))
-    assert table[ZVertex(1, 1)] == 0
-    assert table[ZVertex(2, 2)] == 0
-    assert table[ZVertex(2, 1)] == 0
-    assert table[ZVertex(3, 3)] == -1
-
-
-def test_knit_additive_zero_section_is_zero():
-    qop = a3_linear().opposite()
-    values = {ZVertex(0, 1): 0, ZVertex(1, 2): 0, ZVertex(2, 3): 0}
-    table = knit_additive(qop, values, (0, 4))
-    assert set(table.values()) == {0}
-
-
-def test_knit_additive_g2_example():
-    qop = g2_quiver().opposite()
-    values = {ZVertex(0, 1): 1, ZVertex(1, 2): 3}
-    table = knit_additive(qop, values, (0, 4))
-    assert table[ZVertex(1, 1)] == 2
-    assert table[ZVertex(2, 2)] == 3
-    assert table[ZVertex(2, 1)] == 1
-    assert table[ZVertex(3, 2)] == 0
-    assert table[ZVertex(3, 1)] == -1
-
-
-def test_knit_additive_extends_backwards():
-    qop = a3_linear().opposite()
-    values = {ZVertex(0, 1): 1, ZVertex(1, 2): 1, ZVertex(2, 3): 1}
-    table = knit_additive(qop, values, (-2, 3))
-    assert table[ZVertex(0, 2)] == 0
-    assert table[ZVertex(-1, 1)] == -1
-
-
-def test_knit_additive_is_linear():
-    rng = random.Random(5)
-    qop = g2_quiver().opposite()
-    section = [ZVertex(0, 1), ZVertex(1, 2)]
-    window = (0, 5)
-    for _ in range(10):
-        u = {v: rng.randrange(-4, 5) for v in section}
-        w = {v: rng.randrange(-4, 5) for v in section}
-        a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
-        mixed = {v: a * u[v] + b * w[v] for v in section}
-        tu = knit_additive(qop, u, window)
-        tw = knit_additive(qop, w, window)
-        tm = knit_additive(qop, mixed, window)
-        assert tm == {v: a * tu[v] + b * tw[v] for v in tm}
-
-
-def test_knit_additive_window_cap():
-    qop = a3_linear().opposite()
-    with pytest.raises(WindowTooLargeError):
-        knit_additive(qop, {}, (0, 10**6))
