@@ -40,7 +40,7 @@ from .errors import (
     KnitInconsistentError,
     PositionOutOfRangeError,
 )
-from .quiver import ValuedQuiver, arrow_counts
+from .quiver import ValuedQuiver
 from .repetitive import ZVertex, level_offset, mesh_inputs
 
 
@@ -103,9 +103,11 @@ def seed_section(qop: ValuedQuiver, k: int) -> dict[ZVertex, int]:
     product of the second valuation components of its arrows.
     """
     sweep = _sweep(qop, k)
-    # The sweep meets each orbit at the level of the source section.
+    # The sweep meets each orbit at the level of the source section: the
+    # backward steps of the walk k .. j, which are the forward steps of j .. k.
+    steps = qop._forward_steps
     for j in qop.vertices():
-        offset = level_offset(qop, k, j)
+        offset = steps[j][k]
         level = sweep[j][0] if j in sweep else None
         if level != offset:
             raise KnitInconsistentError(
@@ -133,8 +135,10 @@ def _knit_from_seed(
     # mesh input read before it was knitted fails instead of reading 0.
     grid = {v.base: [None] * v.level + [value] for v, value in seeds.items()}
     entries = []
+    steps = qop._forward_steps
+    forward_from_k = steps[k]
     for v in seeds:
-        forward, backward = arrow_counts(qop, k, v.base)
+        forward, backward = forward_from_k[v.base], steps[v.base][k]
         # Past the seed, (level, base) lies at path length c + 2 * level.
         c = forward + backward - 2 * v.level
         rows = tuple(

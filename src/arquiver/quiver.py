@@ -184,6 +184,19 @@ class ValuedQuiver:
         )
 
     @cached_property
+    def _mesh_table(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """The table behind :func:`arquiver.repetitive.mesh_inputs`."""
+        return {
+            x: tuple(
+                sorted(
+                    [(-1, a.dst, a.val[0]) for a in self.out_arrows(x)]
+                    + [(0, a.src, a.val[1]) for a in self.in_arrows(x)]
+                )
+            )
+            for x in self.vertices()
+        }
+
+    @cached_property
     def _forward_steps(self) -> list[list[int]]:
         """``[x][y]``: forward steps of the reduced walk ``x .. y`` of a tree.
 

@@ -65,16 +65,9 @@ def mesh_inputs(base: ValuedQuiver) -> dict[int, tuple[tuple[int, int, int], ...
     Star arrows come from out-arrows one level down, plain arrows from
     in-arrows at the same level; the weight is the arrow's second valuation
     component.  Sorted, so the sources come in ``(level, base)`` order.
+    Built once per quiver instance and shared: callers only read it.
     """
-    return {
-        x: tuple(
-            sorted(
-                [(-1, a.dst, a.val[0]) for a in base.out_arrows(x)]
-                + [(0, a.src, a.val[1]) for a in base.in_arrows(x)]
-            )
-        )
-        for x in base.vertices()
-    }
+    return base._mesh_table
 
 
 def level_offset(base: ValuedQuiver, x: int, y: int) -> int:

@@ -2,7 +2,7 @@
 
 The Coxeter number grows with the rank in A-D (n + 1, 2n, 2n - 2), so
 every bound must come from the type.  Only the build and the Coxeter
-solve run here; the quadratic path audit would dominate the suite.
+solve run here; the oracle suite at large rank runs in test_oracle.py.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import (
     ArquiverError,
@@ -16,11 +18,12 @@ from arquiver import (
     distance,
     recursive_injective_dims,
     recursive_projective_dims,
+    table_order,
     validate,
     verify_mesh,
 )
-from arquiver.dynkin import canonical_diagram, random_orientation
-from arquiver.oracle import _audit, audit_paths, run_all
+from arquiver.dynkin import canonical_diagram, orient, random_orientation
+from arquiver.oracle import _audit, _certify, _path_audit, audit_paths, run_all
 from arquiver.quiver import Arrow
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
@@ -271,3 +274,191 @@ def test_audit_paths_passes_on_a40():
     arq = build(validate(40, [(i, i + 1) if i % 3 else (i + 1, i) for i in range(1, 40)]))
     assert len(arq.vertices) == 820
     assert audit_paths(arq).ok
+
+
+# -- the linear-time certificate in front of the exhaustive audit -----------------
+
+
+def _edited(arq, add=(), drop=()):
+    """A copy of ``arq`` without the ``drop`` arrows and with the ``add`` ones."""
+    dropped = set(drop)
+    kept = tuple(za for za in arq.arrows if (za.src, za.dst) not in dropped)
+    return _with_extra_arrows(replace(arq, arrows=kept), *add)
+
+
+def _failed_conditions(arq):
+    """The certificate's conditions (a)-(d) that fail, checked on vertices.
+
+    (b) is stated in terms of the potential of (a), so it is checked only
+    when (a) holds.
+    """
+    edges = {frozenset((a.src, a.dst)) for a in arq.quiver.arrows}
+    failed = set()
+    if any(frozenset((za.src.base, za.dst.base)) not in edges for za in arq.arrows):
+        failed.add("c")
+    if any(len({w.base for w in heads}) != len(heads) for heads in arq.successors.values()):
+        failed.add("d")
+    neighbours = {v: [] for v in arq.vertices}
+    for za in arq.arrows:
+        neighbours[za.src].append((za.dst, 1))
+        neighbours[za.dst].append((za.src, -1))
+    phi, component = {}, {}
+    for root in arq.vertices:
+        if root in phi:
+            continue
+        phi[root], component[root] = 0, root
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, step in neighbours[v]:
+                if w not in phi:
+                    phi[w], component[w] = phi[v] + step, root
+                    stack.append(w)
+                elif phi[w] != phi[v] + step:
+                    failed.add("a")
+    if "a" not in failed:
+        shifts = {(component[v], v.base, phi[v] - 2 * v.level) for v in arq.vertices}
+        if len(shifts) != len({(c, b) for c, b, _ in shifts}):
+            failed.add("b")
+    return failed
+
+
+def _assert_only_condition_rejects(arq, condition, lines):
+    assert _failed_conditions(arq) == {condition}
+    assert _certify(arq) is None
+    assert [c.line() for c in audit_paths(arq).checks] == lines
+    assert reference_audit_lines(arq) == lines
+
+
+def test_certificate_condition_a_rejects_a_reversed_arrow():
+    # Reversing (1, 3) -> (1, 2) keeps bases adjacent and successor bases
+    # distinct, but beside (0, 2) -> (1, 3) it opens the path
+    # (0, 2) -> (1, 1) -> (1, 2) -> (1, 3), two arrows longer.
+    arq = _edited(
+        build(validate(3, [(2, 1), (2, 3)])),
+        add=[(ZVertex(1, 2), ZVertex(1, 3))],
+        drop=[(ZVertex(1, 3), ZVertex(1, 2))],
+    )
+    _assert_only_condition_rejects(arq, "a", [
+        "parallel-path-lengths: FAIL (lengths differ between "
+        "ZVertex(level=0, base=1) and ZVertex(level=1, base=3))",
+        "sectional-uniqueness: FAIL (extra parallel path between "
+        "ZVertex(level=0, base=1) and ZVertex(level=1, base=3))",
+    ])
+
+
+def test_certificate_condition_b_rejects_a_base_at_two_shifts():
+    # Three arrows moved: every arrow still raises the potential by one and
+    # joins adjacent bases, but base 2 now sits at two values of
+    # phi - 2 * level.  So (0, 2) -> (1, 3) -> (2, 2) folds onto the
+    # backtrack 2 -> 3 -> 2 yet climbs two levels, escapes the hook rule,
+    # and has (0, 2) -> (0, 1) -> (2, 2) beside it.
+    arq = _edited(
+        build(validate(4, [(1, 2), (3, 2), (3, 4)])),
+        add=[(ZVertex(0, 1), ZVertex(2, 2)), (ZVertex(0, 2), ZVertex(1, 3))],
+        drop=[
+            (ZVertex(0, 1), ZVertex(1, 2)),
+            (ZVertex(0, 2), ZVertex(0, 3)),
+            (ZVertex(0, 3), ZVertex(1, 4)),
+        ],
+    )
+    _assert_only_condition_rejects(arq, "b", [
+        "parallel-path-lengths: PASS",
+        "sectional-uniqueness: FAIL (extra parallel path between "
+        "ZVertex(level=0, base=2) and ZVertex(level=2, base=2))",
+    ])
+
+
+def test_certificate_condition_c_rejects_an_arrow_between_distant_bases():
+    # (0, 1) -> (2, 4) raises the potential by one, but bases 1 and 4 are
+    # three edges apart: a sectional path now has a second path beside it.
+    arq = _edited(
+        build(validate(4, [(1, 2), (2, 3), (3, 4)])), add=[(ZVertex(0, 1), ZVertex(2, 4))]
+    )
+    _assert_only_condition_rejects(arq, "c", [
+        "parallel-path-lengths: PASS",
+        "sectional-uniqueness: FAIL (extra parallel path between "
+        "ZVertex(level=0, base=1) and ZVertex(level=2, base=3))",
+    ])
+
+
+def test_certificate_condition_d_rejects_a_doubled_arrow():
+    arq = _edited(
+        build(validate(4, [(1, 2), (3, 2), (3, 4)])), add=[(ZVertex(1, 3), ZVertex(2, 4))]
+    )
+    _assert_only_condition_rejects(arq, "d", [
+        "parallel-path-lengths: PASS",
+        "sectional-uniqueness: FAIL (extra parallel path between "
+        "ZVertex(level=0, base=1) and ZVertex(level=2, base=4))",
+    ])
+
+
+def test_certificate_rejects_the_a3_shortcut():
+    # Bases 1 and 3 are not adjacent, and the shortcut skips a level.
+    arq = _with_extra_arrows(build(a3_linear()), (ZVertex(0, 1), ZVertex(2, 3)))
+    assert _failed_conditions(arq) == {"a", "c"}
+    assert _certify(arq) is None
+
+
+@st.composite
+def _corrupted_quivers(draw):
+    """A random orientation up to rank 8 with one forward, doubled or deleted arrow."""
+    family, rank = draw(st.sampled_from(all_diagrams(8)[1:]))  # A1 has no arrow
+    g = canonical_diagram(family, rank)
+    arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
+    kind = draw(st.sampled_from(["forward", "doubled", "deleted"]))
+    if kind == "forward":
+        order = arq.topological_order
+        i = draw(st.integers(0, len(order) - 2))
+        j = draw(st.integers(i + 1, len(order) - 1))
+        return _with_extra_arrows(arq, (order[i], order[j]))
+    k = draw(st.integers(0, len(arq.arrows) - 1))
+    if kind == "doubled":
+        return replace(arq, arrows=arq.arrows + arq.arrows[k : k + 1])
+    return replace(arq, arrows=arq.arrows[:k] + arq.arrows[k + 1 :])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_corrupted_quivers())
+def test_certificate_is_sound_on_corrupted_quivers(arq):
+    expected = reference_audit_lines(arq)
+    if _certify(arq) is not None:
+        assert all(line.endswith(": PASS") for line in expected)
+    assert [c.line() for c in audit_paths(arq).checks] == expected
+
+
+def _assert_certified_without_fallback(arq):
+    order = table_order(arq.dynkin)
+    assert all(c.passed for c in run_all(arq, order).checks)
+    assert audit_paths(arq).ok
+    ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
+    assert _path_audit(arq, ends)[1] == [(distance(arq, a, b),) * 2 for a, b in ends]
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    from arquiver import oracle
+
+    def fallback(*args):
+        raise AssertionError("the certificate fell back to the exhaustive audit")
+
+    monkeypatch.setattr(oracle, "_audit", fallback)
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_certificate_holds_on_every_small_diagram(no_fallback, family, rank):
+    rng = random.Random(f"{family}{rank}")
+    _assert_certified_without_fallback(build(random_orientation(canonical_diagram(family, rank), rng)))
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_certificate_holds_on_random_orientations_to_rank_40(no_fallback, family):
+    rng = random.Random(family)
+    lowest = {"A": 1, "B": 2, "C": 3, "D": 4}[family]
+    for rank in range(lowest, 41):
+        arq = build(random_orientation(canonical_diagram(family, rank), rng))
+        _assert_certified_without_fallback(arq)
+
+
+def test_certificate_holds_on_linear_a100(no_fallback):
+    _assert_certified_without_fallback(build(validate(100, [(i, i + 1) for i in range(1, 100)])))
