@@ -7,9 +7,10 @@ permutation ``rho``.  Both ``m`` and ``rho`` are read off the hammock
 knits; the closed forms below recompute them from walk statistics alone
 and serve as an independent route.
 
-Dimension vectors are filled from the hammock tables (entry ``k`` of the
-vector at ``(r, i)`` is the ``k``-th hammock value there), not by
-knitting meshes from the projectives; the mesh recursion lives in the
+Dimension vectors are read straight off the knitted hammock grids
+(entry ``k`` of the vector at ``(r, i)`` is the ``k``-th hammock value
+there, level ``r`` of base ``i`` in grid ``k``), not by knitting meshes
+from the projectives; the mesh recursion lives in the
 oracle module as a cross-check.
 """
 
@@ -18,7 +19,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .coxeter import table_order
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .hammock import HammockResult, knit_classified
 from .quiver import ValuedQuiver, arrow_counts
-from .repetitive import ZArrow, ZVertex, plain_arrow, star_arrow
+from .repetitive import ZArrow, ZVertex
 
 
 class PathTable(NamedTuple):
@@ -141,21 +143,29 @@ def build(q: ValuedQuiver) -> ARQuiver:
         if rho[rho[i - 1] - 1] != i:
             raise KnitInconsistentError("orbit pairing is not an involution")
 
-    vertices = tuple(
-        ZVertex(r, i) for i in q.vertices() for r in range(m[i - 1] + 1)
-    )
-    in_range = set(vertices)
+    # Orbit i holds the positions (r, i) for r = 0..m(i).
+    orbits = [[ZVertex(r, i) for r in range(m[i - 1] + 1)] for i in q.vertices()]
+    vertices = tuple(chain.from_iterable(orbits))
+    # Each base arrow x -> y gives plain arrows (s, x) -> (s, y) and star
+    # arrows (s, y) -> (s + 1, x), for every level s with both ends in range.
     arrows: list[ZArrow] = []
     for a in q.opposite().arrows:
-        for level in range(0, max(m) + 1):
-            for za in (plain_arrow(level, a), star_arrow(level, a)):
-                if za.src in in_range and za.dst in in_range:
-                    arrows.append(za)
-    arrows.sort(key=lambda z: (z.src, z.dst))
+        x, y = orbits[a.src - 1], orbits[a.dst - 1]
+        arrows += [ZArrow(x[s], y[s], a, False) for s in range(min(len(x), len(y)))]
+        arrows += [ZArrow(y[s], x[s + 1], a, True) for s in range(min(len(y), len(x) - 1))]
+    arrows.sort(key=itemgetter(0, 1))
 
-    # Terminators sit one level past their orbit, so no vertex is one and a
-    # position missing from a table has multiplicity zero.
-    columns = [list(map(res.table.get, vertices, repeat(0))) for res in results]
+    # Column k of the dimension vectors is hammock k, read off its grid by
+    # orbit.  Terminators sit one level past their orbit, so no vertex is
+    # one; levels below the seed section (None) or past the knit are zero.
+    columns = []
+    for res in results:
+        column: list[int] = []
+        for i, levels in zip(q.vertices(), m):
+            values = res.grid[i][: levels + 1]
+            column += [0 if value is None else value for value in values]
+            column += repeat(0, levels + 1 - len(values))
+        columns.append(column)
     dims = dict(zip(vertices, zip(*columns)))
     for i in q.vertices():
         if dims[ZVertex(0, i)][i - 1] != 1:

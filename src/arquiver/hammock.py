@@ -29,7 +29,8 @@ order, so all mesh inputs are available when needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from functools import cached_property
+from itertools import count
 from operator import itemgetter
 from typing import Mapping
 
@@ -48,14 +49,25 @@ from .repetitive import ZVertex, level_offset, mesh_inputs
 class HammockResult:
     """Knitted hammock values for one simple composition factor.
 
-    ``table`` holds every value computed before (and including) the
-    terminator; ``terminator`` is the unique vertex with value ``-1``.
+    ``grid`` maps each base vertex to its values by level, as knitted:
+    ``None`` below the seed section, then every value computed before (and
+    including) the terminator; ``terminator`` is the unique vertex with
+    value ``-1``.  ``table`` holds the same values keyed by position.
     """
 
     quiver: ValuedQuiver
     k: int
-    table: dict[ZVertex, int] = field(compare=False)
+    grid: dict[int, list[int | None]] = field(compare=False)
     terminator: ZVertex
+
+    @cached_property
+    def table(self) -> dict[ZVertex, int]:
+        return {
+            ZVertex(level, base): value
+            for base, column in self.grid.items()
+            for level, value in enumerate(column)
+            if value is not None
+        }
 
     @property
     def orbit(self) -> int:
@@ -121,10 +133,10 @@ def _knit_from_seed(
     k: int,
     seeds: Mapping[ZVertex, int],
     bound: int,
-) -> tuple[dict[ZVertex, int], ZVertex]:
+) -> tuple[dict[int, list[int | None]], ZVertex]:
     """Knit forward from seeded section values until the first negative.
 
-    Returns the table and the terminator.  Raises
+    Returns the grid of :class:`HammockResult` and the terminator.  Raises
     :class:`KnitInconsistentError` when the first negative is not exactly
     ``-1`` or the vertex directly before the terminator is not positive,
     and :class:`BoundExceededError` when no negative shows up within the
@@ -150,8 +162,6 @@ def _knit_from_seed(
     entries.sort(key=itemgetter(0, 1))
     # At each length the bases of its parity knit in (-c, base) order.
     schedule = ([e for e in entries if not e[0] & 1], [e for e in entries if e[0] & 1])
-    knitted: list[tuple[int, int]] = []
-    values: list[int] = []
     # Each base climbs a level every other length, so the bound ends the loop.
     for length in count(min(start for _, _, start, _, _ in entries)):
         for minus_c, base, start, column, rows in schedule[length & 1]:
@@ -174,8 +184,6 @@ def _knit_from_seed(
             before = column[level - 1]
             value = total - before
             column.append(value)
-            knitted.append((level, base))
-            values.append(value)
             if value < 0:
                 v = ZVertex(level, base)
                 if value != -1:
@@ -186,10 +194,7 @@ def _knit_from_seed(
                     raise KnitInconsistentError(
                         f"value directly before the terminator {v} is not positive"
                     )
-                # tuple.__new__ makes the ZVertex keys without a Python-level call.
-                table = dict(seeds)
-                table.update(zip(map(tuple.__new__, repeat(ZVertex), knitted), values))
-                return table, v
+                return grid, v
 
 
 def knit_hammock(q: ValuedQuiver, k: int) -> HammockResult:
@@ -209,8 +214,8 @@ def knit_classified(q: ValuedQuiver, k: int, order: int) -> HammockResult:
     error past level ``order + 1``.
     """
     qop = q.opposite()
-    table, terminator = _knit_from_seed(qop, k, seed_section(qop, k), order + 1)
-    return HammockResult(q, k, table, terminator)
+    grid, terminator = _knit_from_seed(qop, k, seed_section(qop, k), order + 1)
+    return HammockResult(q, k, grid, terminator)
 
 
 def hammock_vertices(res: HammockResult) -> frozenset[ZVertex]:

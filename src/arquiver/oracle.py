@@ -18,6 +18,8 @@ a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
+from operator import add, attrgetter, mul
 
 from .ar_quiver import (
     ARQuiver,
@@ -115,23 +117,38 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
     """Check every mesh relation and both boundary recursions."""
     report = OracleReport()
     meshes = mesh_inputs(arq.quiver.opposite())
+    dims = arq.dims
+    flat = chain.from_iterable
 
     ok, detail = True, ""
-    for v in arq.vertices:
-        if v.level == 0:
+    # One base at a time, each sum taken over the whole run of its
+    # non-projective vertices: the vectors are laid end to end, so every
+    # component of every vertex is summed by one ``map`` per mesh input.
+    for base, run in groupby(arq.vertices, key=attrgetter("base")):
+        run = [v for v in run if v.level]
+        if not run:
             continue
-        lhs = tuple(
-            a + b for a, b in zip(arq.dims[v], arq.dims[v.translate()])
-        )
-        rhs = (0,) * arq.n
-        for offset, src, weight in meshes[v.base]:
-            u = ZVertex(v.level + offset, src)
-            if u not in arq.dims:
-                ok, detail = False, f"in-arrow source {u} of {v} out of range"
-                break
-            rhs = _add(rhs, arq.dims[u], weight)
-        if not ok or lhs != rhs:
-            ok, detail = False, detail or f"mesh relation fails at {v}"
+        # The first vertex with a mesh input out of range, and that input.
+        stop, missing = len(run), None
+        sources = []
+        for offset, src, weight in meshes[base]:
+            column = [dims.get((v.level + offset, src)) for v in run]
+            if None in column[:stop]:
+                stop = column.index(None)
+                missing = ZVertex(run[stop].level + offset, src)
+            sources.append((column, weight))
+        here = flat(dims[v] for v in run[:stop])
+        below = flat(dims[v.translate()] for v in run[:stop])
+        lhs = list(map(add, here, below))
+        rhs = [0] * len(lhs)
+        for column, weight in sources:
+            rhs = list(map(add, rhs, map(mul, flat(column[:stop]), repeat(weight))))
+        if lhs != rhs:
+            bad = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b) // arq.n
+            ok, detail = False, f"mesh relation fails at {run[bad]}"
+            break
+        if missing is not None:
+            ok, detail = False, f"in-arrow source {missing} of {run[stop]} out of range"
             break
     report.add("mesh-additivity", ok, detail)
 

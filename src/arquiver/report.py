@@ -159,63 +159,109 @@ def write_report(report: dict, out: TextIO) -> None:
 
 
 def _document(report: dict) -> Iterator[str]:
-    yield from _stream(report, "", "", 2)
+    yield from _Encoder().stream(report, "", "", 2)
     yield "\n"
 
 
-def _stream(value: object, pad: str, lead: str, depth: int) -> Iterator[str]:
-    """``lead`` and the text of ``value``, one string per member of each
-    container fewer than ``depth`` levels down; deeper values come whole."""
-    if depth == 0 or not isinstance(value, (dict, list, tuple)) or not value:
-        yield lead + _encode(value, pad)
-        return
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        prefixes = [f"{_quote(key)}: " for key, _ in items]
-        members = [member for _, member in items]
-        separator, closing = f"{lead}{{\n{inner}", f"\n{pad}}}"
-    else:
-        prefixes, members = repeat(""), value
-        separator, closing = f"{lead}[\n{inner}", f"\n{pad}]"
-    for prefix, member in zip(prefixes, members):
-        if depth == 1:
-            yield separator + prefix + _encode(member, inner)
+_INT = frozenset((int,))
+
+
+class _Encoder:
+    """The text of one document.
+
+    Objects go through ``%`` templates, one per shape and indent.  A shape
+    is the sorted keys and, per member, whether it is an int, an array of
+    ``L`` ints, or anything else: ints and array members fill ``%d``
+    slots, anything else is encoded on its own and fills a ``%s`` slot.
+    The templates belong to the encoder, which serves one document.
+    """
+
+    def __init__(self) -> None:
+        self.templates: dict[tuple, str] = {}
+
+    def stream(self, value: object, pad: str, lead: str, depth: int) -> Iterator[str]:
+        """``lead`` and the text of ``value``, one string per member of each
+        container fewer than ``depth`` levels down; deeper values come whole."""
+        if depth == 0 or not isinstance(value, (dict, list, tuple)) or not value:
+            yield lead + self.encode(value, pad)
+            return
+        inner = pad + "  "
+        if isinstance(value, dict):
+            items = sorted(value.items())
+            prefixes = [f"{_quote(key)}: " for key, _ in items]
+            members = [member for _, member in items]
+            separator, closing = f"{lead}{{\n{inner}", f"\n{pad}}}"
         else:
-            yield from _stream(member, inner, separator + prefix, depth - 1)
-        separator = f",\n{inner}"
-    yield closing
+            prefixes, members = repeat(""), value
+            separator, closing = f"{lead}[\n{inner}", f"\n{pad}]"
+        for prefix, member in zip(prefixes, members):
+            if depth == 1:
+                yield separator + prefix + self.encode(member, inner)
+            else:
+                yield from self.stream(member, inner, separator + prefix, depth - 1)
+            separator = f",\n{inner}"
+        yield closing
+
+    def encode(self, value: object, pad: str) -> str:
+        """The text of ``value``, its nested lines indented past ``pad``."""
+        kind = type(value)
+        if kind is int:
+            return int.__repr__(value)
+        if isinstance(value, dict):
+            return self._object(value, pad) if value else "{}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = pad + "  "
+            separator = ",\n" + inner
+            if _INT.issuperset(map(type, value)):
+                return f"[\n{inner}{separator.join(map(int.__repr__, value))}\n{pad}]"
+            members = [self.encode(member, inner) for member in value]
+            return f"[\n{inner}{separator.join(members)}\n{pad}]"
+        if isinstance(value, str):
+            return _quote(value)
+        if isinstance(value, int) and kind is not bool:
+            return int.__repr__(value)
+        raise TypeError(f"{kind.__name__} value {value!r} is not JSON report data")
+
+    def _object(self, value: dict, pad: str) -> str:
+        # The shape: the indent, then each key with -1 for an int, L for an
+        # array of L ints and None for anything else.
+        shape: list = [pad]
+        slots: list = []
+        for key, member in sorted(value.items()):
+            if type(member) is int:
+                shape += key, -1
+                slots.append(member)
+            elif isinstance(member, (list, tuple)) and _INT.issuperset(map(type, member)):
+                shape += key, len(member)
+                slots += member
+            else:
+                shape += key, None
+                slots.append(self.encode(member, pad + "  "))
+        shape = tuple(shape)
+        template = self.templates.get(shape)
+        if template is None:
+            template = self.templates[shape] = _template(shape)
+        return template % tuple(slots)
 
 
-def _encode(value: object, pad: str) -> str:
-    """The text of ``value``, its nested lines indented past ``pad``."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        separator = ",\n" + inner
-        if set(map(type, value)) == {int}:
-            return f"[\n{inner}{separator.join(map(int.__repr__, value))}\n{pad}]"
-        members = [_encode(member, inner) for member in value]
-        return f"[\n{inner}{separator.join(members)}\n{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        separator = ",\n" + inner
-        members = [
-            f"{_quote(key)}: {_encode(member, inner)}"
-            for key, member in sorted(value.items())
-        ]
-        return f"{{\n{inner}{separator.join(members)}\n{pad}}}"
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, int) and kind is not bool:
-        return int.__repr__(value)
-    raise TypeError(f"{kind.__name__} value {value!r} is not JSON report data")
+def _template(shape: tuple) -> str:
+    """The ``%`` template of an object shape (see :class:`_Encoder`)."""
+    pad = shape[0]
+    inner = pad + "  "
+    members = []
+    for key, kind in zip(shape[1::2], shape[2::2]):
+        if kind is None:
+            text = "%s"
+        elif kind < 0:
+            text = "%d"
+        elif kind == 0:
+            text = "[]"
+        else:
+            text = f"[\n{inner}  " + f",\n{inner}  ".join(["%d"] * kind) + f"\n{inner}]"
+        members.append(f"{_quote(key).replace('%', '%%')}: {text}")
+    return f"{{\n{inner}" + f",\n{inner}".join(members) + f"\n{pad}}}"
 
 
 # -- DOT ------------------------------------------------------------------------

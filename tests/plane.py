@@ -1,6 +1,7 @@
 """Test-only references: paths of the translation plane and their covering
-map, bounded windows of the plane, the all-pairs path audit, heap-ordered
-knitting and composition multiplicities."""
+map, bounded windows of the plane, the arrow table of a built quiver, the
+all-pairs path audit, vertex-by-vertex mesh sums, heap-ordered knitting
+and composition multiplicities."""
 
 from __future__ import annotations
 
@@ -107,6 +108,23 @@ def window_paths(
                 stack.append(ZPath(p.start, p.arrows + (za,)))
 
 
+# -- the arrow table, the reference for ``ar_quiver.build`` ------------------------
+
+
+def reference_arrows(q: ValuedQuiver, m: tuple[int, ...]) -> tuple[ZArrow, ...]:
+    """Every plain and star arrow of levels ``0..max(m)`` of the plane of
+    ``q``'s opposite with both ends in range, sorted by ``(src, dst)``."""
+    in_range = {ZVertex(r, i) for i in q.vertices() for r in range(m[i - 1] + 1)}
+    arrows = [
+        za
+        for a in q.opposite().arrows
+        for level in range(max(m) + 1)
+        for za in (plain_arrow(level, a), star_arrow(level, a))
+        if za.src in in_range and za.dst in in_range
+    ]
+    return tuple(sorted(arrows, key=lambda za: (za.src, za.dst)))
+
+
 # -- all-pairs path audit, the reference for ``oracle.audit_paths`` ----------------
 
 
@@ -167,6 +185,27 @@ def reference_audit_lines(arq) -> list[str]:
         else f"sectional-uniqueness: FAIL (extra parallel path between {bad[0]} and {bad[1]})"
     )
     return lines
+
+
+# -- vertex-by-vertex mesh sums, the reference for ``oracle.verify_mesh`` ---------
+
+
+def reference_mesh_line(arq) -> str:
+    """The ``mesh-additivity`` line, one vertex and one input at a time."""
+    meshes = mesh_inputs(arq.quiver.opposite())
+    for v in arq.vertices:
+        if v.level == 0:
+            continue
+        lhs = [a + b for a, b in zip(arq.dims[v], arq.dims[v.translate()])]
+        rhs = [0] * arq.n
+        for offset, src, weight in meshes[v.base]:
+            u = ZVertex(v.level + offset, src)
+            if u not in arq.dims:
+                return f"mesh-additivity: FAIL (in-arrow source {u} of {v} out of range)"
+            rhs = [a + weight * b for a, b in zip(rhs, arq.dims[u])]
+        if lhs != rhs:
+            return f"mesh-additivity: FAIL (mesh relation fails at {v})"
+    return "mesh-additivity: PASS"
 
 
 # -- heap-ordered knitting, the reference for ``hammock._knit_from_seed`` ---------

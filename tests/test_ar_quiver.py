@@ -37,7 +37,7 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import path_statistics, window_arrows, window_paths
+from plane import path_statistics, reference_arrows, window_arrows, window_paths
 
 G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
@@ -262,6 +262,20 @@ def test_arrows_match_plane_restriction():
         if za.src in members and za.dst in members
     }
     assert set(arq.arrows) == expected
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_arrows_are_the_plane_arrows_in_range_on_every_orientation(family, rank):
+    for q in all_orientations(canonical_diagram(family, rank)):
+        arq = build(q)
+        assert arq.arrows == reference_arrows(q, arq.m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_orientations())
+def test_arrows_are_the_plane_arrows_in_range_on_relabelled_orientations(q):
+    arq = build(q)
+    assert arq.arrows == reference_arrows(q, arq.m)
 
 
 def test_build_classifies_once(monkeypatch):

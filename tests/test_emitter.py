@@ -121,3 +121,108 @@ def test_write_report_holds_less_than_a_megabyte_at_a60_with_hammocks():
         finally:
             tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+# -- object templates: objects below the streamed top levels are written
+# through one ``%`` template per shape, so these put rows at that depth.
+
+_ROW_KEYS = ["%", "%d", "%s", "é", "\x00", "100%", "a%%b"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"rows": [{key: 1 for key in _ROW_KEYS}, {key: (1, 2) for key in _ROW_KEYS}]},
+        [{key: [key, {key: key}] for key in _ROW_KEYS}],
+        {"a": {"b": {key: -3 for key in _ROW_KEYS}}},
+    ],
+    ids=["ints", "nested", "deep"],
+)
+def test_object_templates_escape_their_keys(value):
+    assert report_to_json(value) == _reference(value)
+    assert _written(value) == _reference(value)
+
+
+def test_one_list_of_rows_with_arrays_of_different_lengths():
+    rows = [{"a": tuple(range(length)), "b": length} for length in (3, 1, 0, 5, 1, 3)]
+    rows.append({"a": [7, 8], "b": [9]})
+    for value in ({"rows": rows}, rows):
+        assert report_to_json(value) == _reference(value)
+
+
+def test_rows_with_empty_arrays_and_large_integers():
+    big = 10**40
+    rows = [
+        {"dim": (), "r": big, "i": -big},
+        {"dim": (-big, big, 0), "r": -big, "i": big},
+        {"dim": [], "r": 0, "i": 0},
+    ]
+    assert report_to_json({"rows": rows}) == _reference({"rows": rows})
+
+
+def test_rows_that_mix_member_kinds_under_the_same_keys():
+    rows = [
+        {"i": 1, "a": (1, 2), "s": "%d%s", "d": {"x": (3,), "y": {"z": 1}}},
+        {"i": (1,), "a": "s", "s": 2, "d": 4},
+        {"i": {"%": 1}, "a": [1, "2"], "s": [], "d": ({"e": (5,)},)},
+        {"i": 1, "a": (1, 2), "s": "%d%s", "d": {"x": (3,), "y": {"z": 1}}},
+    ]
+    for value in ({"rows": rows}, rows, {"a": {"rows": rows}}):
+        assert report_to_json(value) == _reference(value)
+
+
+_MEMBERS = (
+    st.integers(min_value=-(10**40), max_value=10**40)
+    | st.lists(st.integers(), max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=3)
+    | st.text(max_size=3)
+    | st.dictionaries(st.sampled_from(["%", "x"]), st.integers(), max_size=2)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from(_ROW_KEYS[:4] + ["a"]), _MEMBERS), max_size=8))
+def test_rows_drawn_from_few_shapes_match_the_stdlib(rows):
+    for value in ({"rows": rows}, rows):
+        assert report_to_json(value) == _reference(value)
+        assert _written(value) == _reference(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": (1, True)},
+        {"a": 1, "b": False},
+        {"rows": [{"a": (1, True)}]},
+        {"rows": [{"a": 1, "b": False}]},
+        [{"a": 1}, {"a": 1, "b": False}],
+        [{"a": (1, 2)}, {"a": (1, True)}],
+    ],
+)
+def test_templates_still_reject_bools(value):
+    with pytest.raises(TypeError):
+        report_to_json(value)
+    with pytest.raises(TypeError):
+        _written(value)
+
+
+def test_each_document_gets_its_own_templates(monkeypatch):
+    from arquiver import report
+
+    encoders = []
+
+    class Recording(report._Encoder):
+        def __init__(self):
+            super().__init__()
+            encoders.append(self)
+
+    monkeypatch.setattr(report, "_Encoder", Recording)
+    first = {"rows": [{"a": 1, "b": (1, 2)}]}
+    second = {"rows": [{"a": 2, "c": "x"}]}
+    text = report_to_json(first)
+    kept = dict(encoders[0].templates)
+    assert report_to_json(second) == _reference(second)
+    assert len(encoders) == 2
+    assert encoders[0].templates == kept
+    assert not encoders[1].templates.keys() & kept.keys()
+    assert report_to_json(first) == text == _reference(first)

@@ -27,7 +27,7 @@ from arquiver.dynkin import (
     classify_quiver,
     random_orientation,
 )
-from arquiver.hammock import _knit_from_seed
+from arquiver.hammock import HammockResult, _knit_from_seed
 from arquiver.repetitive import mesh_inputs
 from conftest import (
     a1_quiver,
@@ -291,12 +291,20 @@ def _knits(q):
     return [(qop, k, seed_section(qop, k), bound) for k in q.vertices()]
 
 
+def _knit_table(qop, k, seeds, bound):
+    """The position-keyed table of ``_knit_from_seed``'s grid, and its terminator."""
+    grid, terminator = _knit_from_seed(qop, k, seeds, bound)
+    return HammockResult(qop.opposite(), k, grid, terminator).table, terminator
+
+
 def _assert_knit_matches_reference(q):
     for qop, k, seeds, bound in _knits(q):
-        table, terminator = _knit_from_seed(qop, k, seeds, bound)
+        table, terminator = _knit_table(qop, k, seeds, bound)
         ref_table, ref_terminator = reference_knit(qop, k, seeds, bound)
-        assert list(table.items()) == list(ref_table.items()), k
+        assert table == ref_table, k
         assert terminator == ref_terminator, k
+        # The benchmark's hammock.table_entries counts these entries.
+        assert len(knit_hammock(q, k).table) == len(ref_table), k
 
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
@@ -347,6 +355,6 @@ def test_mesh_input_read_before_it_was_knitted_fails(monkeypatch, family, rank, 
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     _knit_from_seed(qop, k, seeds, bound)
                 continue
-            table, terminator = _knit_from_seed(qop, k, seeds, bound)
-            assert list(table.items()) == list(expected[0].items())
+            table, terminator = _knit_table(qop, k, seeds, bound)
+            assert table == expected[0]
             assert terminator == expected[1]

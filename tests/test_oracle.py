@@ -27,7 +27,7 @@ from arquiver.oracle import _audit, _certify, _path_audit, audit_paths, run_all
 from arquiver.quiver import Arrow
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
-from plane import reference_audit_lines
+from plane import reference_audit_lines, reference_mesh_line
 
 
 def test_recursive_dims_g2():
@@ -60,6 +60,44 @@ def test_verify_mesh_catches_corruption():
     report = verify_mesh(corrupted)
     assert not report.ok
     assert report.first_failure().name == "mesh-additivity"
+
+
+def test_verify_mesh_names_the_corrupted_vertex():
+    arq = build(a3_linear())
+    dims = dict(arq.dims)
+    v = ZVertex(1, 2)
+    dims[v] = tuple(x + 1 for x in dims[v])
+    line = verify_mesh(replace(arq, dims=dims)).checks[0].line()
+    assert line == "mesh-additivity: FAIL (mesh relation fails at ZVertex(level=1, base=2))"
+
+
+def _mesh_corruptions(arq, rng):
+    """Copies of ``arq`` with dimension vectors bumped, or with one or two
+    orbits cut a level short (a top is a mesh input of neighbouring orbits)."""
+    yield arq
+    for _ in range(3):
+        dims = dict(arq.dims)
+        for _ in range(rng.randrange(1, 3)):
+            v = rng.choice(arq.vertices)
+            bumped = list(dims[v])
+            bumped[rng.randrange(arq.n)] += rng.choice((-1, 1, 2))
+            dims[v] = tuple(bumped)
+        yield replace(arq, dims=dims)
+    tops = [v for v in arq.vertices if v.level == arq.m_of(v.base) > 0]
+    for cut in (rng.sample(tops, k) for k in (1, 2) if k <= len(tops)):
+        m = tuple(mi - (ZVertex(mi, i) in cut) for i, mi in enumerate(arq.m, start=1))
+        dims = {u: d for u, d in arq.dims.items() if u not in cut}
+        yield replace(arq, m=m, vertices=tuple(u for u in arq.vertices if u not in cut), dims=dims)
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(7))
+def test_verify_mesh_names_the_first_failure_like_the_vertex_loop(family, rank):
+    rng = random.Random(f"mesh {family}{rank}")
+    for _ in range(4):
+        arq = build(random_orientation(canonical_diagram(family, rank), rng))
+        for corrupted in _mesh_corruptions(arq, rng):
+            line = verify_mesh(corrupted).checks[0].line()
+            assert line == reference_mesh_line(corrupted)
 
 
 def test_audit_paths_a3():
