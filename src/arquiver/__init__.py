@@ -14,7 +14,6 @@ from .ar_quiver import (
     build,
     closed_form_rho_m,
     counts_and_nilpotency,
-    distance,
     orbit_index_relation_holds,
 )
 from .coxeter import (

@@ -21,18 +21,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .coxeter import table_order
 from .dynkin import DynkinClass, classify_quiver, relabel_quiver
-from .errors import (
-    CrossCheckFailedError,
-    KnitInconsistentError,
-    PositionOutOfRangeError,
-)
+from .errors import CrossCheckFailedError, KnitInconsistentError
 from .hammock import HammockResult, knit_classified
 from .quiver import ValuedQuiver, arrow_counts
-from .repetitive import ZArrow, ZVertex
+from .repetitive import ZArrow, ZVertex, path_length
 
 
 class PathTable(NamedTuple):
@@ -75,45 +71,40 @@ class ARQuiver:
         i = self.rho_inverse(l)
         return ZVertex(self.m_of(i), i)
 
-    # -- path tables, built on first use from ``vertices`` and ``arrows`` ----
-    # A racing second build computes the same value, so sharing an instance
-    # across threads stays safe.
-
-    @cached_property
-    def successors(self) -> dict[ZVertex, tuple[ZVertex, ...]]:
-        """Heads of the arrows leaving each vertex, in arrow order."""
-        out: dict[ZVertex, list[ZVertex]] = {v: [] for v in self.vertices}
-        for za in self.arrows:
-            out[za.src].append(za.dst)
-        return {v: tuple(heads) for v, heads in out.items()}
-
-    @cached_property
-    def topological_order(self) -> tuple[ZVertex, ...]:
-        """Vertices ordered so every arrow goes forward."""
-        indeg = {v: 0 for v in self.vertices}
-        for za in self.arrows:
-            indeg[za.dst] += 1
-        queue = deque(sorted(v for v in self.vertices if indeg[v] == 0))
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in self.successors[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != len(self.vertices):
-            raise CrossCheckFailedError("translation quiver contains an oriented cycle")
-        return tuple(order)
-
     @cached_property
     def path_table(self) -> PathTable:
-        """Topological positions, with successor positions in arrow order."""
-        order = self.topological_order
-        index = {v: k for k, v in enumerate(order)}
-        out = self.successors
+        """Vertices in topological order, with successor positions in arrow order.
+
+        Kahn's order: the sources sorted, then each vertex once its last
+        in-arrow is taken, heads in arrow order.  Built on first use; a
+        racing second build computes the same value, so sharing stays safe.
+        """
+        vertices = self.vertices
+        at = {v: k for k, v in enumerate(vertices)}
+        heads: list[list[int]] = [[] for _ in vertices]
+        indeg = [0] * len(vertices)
+        for za in self.arrows:
+            w = at[za.dst]
+            heads[at[za.src]].append(w)
+            indeg[w] += 1
+        sources = (k for k, d in enumerate(indeg) if not d)
+        queue = deque(sorted(sources, key=vertices.__getitem__))
+        ranked = []
+        while queue:
+            k = queue.popleft()
+            ranked.append(k)
+            for w in heads[k]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    queue.append(w)
+        if len(ranked) != len(vertices):
+            raise CrossCheckFailedError("translation quiver contains an oriented cycle")
+        position = {k: t for t, k in enumerate(ranked)}
+        order = tuple(vertices[k] for k in ranked)
         return PathTable(
-            order, index, tuple(tuple(index[w] for w in out[v]) for v in order)
+            order,
+            dict(zip(order, range(len(order)))),
+            tuple(tuple(position[w] for w in heads[k]) for k in ranked),
         )
 
 
@@ -224,68 +215,49 @@ def closed_form_rho_m(q: ValuedQuiver) -> tuple[tuple[int, ...], tuple[int, ...]
 
 # -- path statistics -------------------------------------------------------------
 
-def distance(arq: ARQuiver, a: ZVertex, b: ZVertex) -> int | None:
-    """Common length of all paths ``a .. b``; ``None`` when unreachable.
-
-    Shortest and longest path lengths are computed separately and must
-    agree: parallel paths of different lengths would corrupt every
-    distance-based statistic, so disagreement raises.
-    """
-    for v in (a, b):
-        if v not in arq.dims:
-            raise PositionOutOfRangeError(f"{v} is not a vertex")
-    table = arq.path_table
-    start, stop = table.index[a], table.index[b]
-    if stop < start:
-        return None
-    # Lengths by topological position; -1 marks a vertex not reached yet.
-    # Arrows only go forward, so nothing past ``b`` can reach it.
-    shortest = [-1] * (stop + 1)
-    longest = [-1] * (stop + 1)
-    shortest[start] = longest[start] = 0
-    successors = table.successors
-    for v in range(start, stop):
-        if shortest[v] < 0:
-            continue
-        lo, hi = shortest[v] + 1, longest[v] + 1
-        for w in successors[v]:
-            if w > stop:
-                continue
-            if shortest[w] < 0:
-                shortest[w], longest[w] = lo, hi
-            else:
-                if lo < shortest[w]:
-                    shortest[w] = lo
-                if hi > longest[w]:
-                    longest[w] = hi
-    if shortest[stop] < 0:
-        return None
-    if shortest[stop] != longest[stop]:
-        raise CrossCheckFailedError(
-            f"parallel paths {a} .. {b} of lengths {shortest[stop]} and {longest[stop]}"
-        )
-    return shortest[stop]
-
-
 def counts_and_nilpotency(arq: ARQuiver, order: int) -> Counts:
     """Indecomposable count and radical nilpotency, doubly computed.
 
     The count is the total number of vertices and must equal
     ``n * order / 2``; the nilpotency is ``order - 1`` and must equal one
-    more than the longest projective-to-injective distance.
+    more than the longest projective-to-injective distance.  Each distance
+    is the closed form of :func:`~arquiver.repetitive.path_length` on the
+    plane of the opposite quiver: the quiver is a path-closed full
+    subquiver of that plane, so its paths are the plane's.
     """
+    qop = arq.quiver.opposite()
+
+    def span(i: int) -> tuple[int, int] | None:
+        inj = arq.injective(i)
+        d = path_length(qop, arq.projective(i), inj) if inj in arq.dims else None
+        return None if d is None else (d, d)
+
+    return _count_identity(arq, order, map(span, arq.quiver.vertices()))
+
+
+def _count_identity(
+    arq: ARQuiver, order: int, spans: Iterable[tuple[int, int] | None]
+) -> Counts:
+    """The checks of :func:`counts_and_nilpotency`, given for each ``i`` the
+    shortest and longest path length from projective ``i`` to injective
+    ``i``, or ``None`` where no path joins them.  Spans are read in order,
+    after the vertex count is checked."""
     total = sum(mi + 1 for mi in arq.m)
     if 2 * total != arq.n * order:
         raise CrossCheckFailedError(
             f"{total} vertices but n*|C| = {arq.n * order}"
         )
     dists = []
-    for i in arq.quiver.vertices():
-        inj = arq.injective(i)
-        d = distance(arq, arq.projective(i), inj) if inj in arq.dims else None
-        if d is None:
+    for i, span in zip(arq.quiver.vertices(), spans):
+        if span is None:
             raise CrossCheckFailedError(f"no path from projective {i} to injective {i}")
-        dists.append(d)
+        shortest, longest = span
+        if shortest != longest:
+            raise CrossCheckFailedError(
+                f"parallel paths {arq.projective(i)} .. {arq.injective(i)} "
+                f"of lengths {shortest} and {longest}"
+            )
+        dists.append(shortest)
     if max(dists) + 1 != order - 1:
         raise CrossCheckFailedError(
             f"longest projective-to-injective distance {max(dists)} != |C| - 2"

@@ -37,10 +37,6 @@ class DerivedVertex(NamedTuple):
     base: int
     shift: int
 
-    @property
-    def position(self) -> ZVertex:
-        return ZVertex(self.level, self.base)
-
 
 class ClusterRep(NamedTuple):
     rep: DerivedVertex

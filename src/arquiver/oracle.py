@@ -23,8 +23,8 @@ from operator import add, attrgetter, mul
 
 from .ar_quiver import (
     ARQuiver,
+    _count_identity,
     closed_form_rho_m,
-    counts_and_nilpotency,
     orbit_index_relation_holds,
 )
 from .derived import cluster_count, derived_nilpotency
@@ -58,9 +58,6 @@ class OracleReport:
 
     def first_failure(self) -> CheckResult | None:
         return next((c for c in self.checks if not c.passed), None)
-
-    def merge(self, other: "OracleReport") -> "OracleReport":
-        return OracleReport(self.checks + other.checks)
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -397,11 +394,14 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
 
     The path audit and the projective-to-injective lengths come from the
     certificate of :func:`_certify`; only when it fails does the
-    exhaustive audit run, to name a witness.
+    exhaustive audit run, to name a witness.  Both ``count-identity`` and
+    ``projective-injective-distance`` read those lengths, so each pair is
+    walked once.
     """
     ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
     audit, lengths = _path_audit(arq, ends)
-    report = verify_mesh(arq).merge(audit)
+    report = verify_mesh(arq)
+    report.checks += audit.checks
 
     def guarded(name: str, fn) -> None:
         try:
@@ -411,12 +411,13 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
         else:
             report.add(name, True)
 
-    guarded("count-identity", lambda: counts_and_nilpotency(arq, order))
+    guarded("count-identity", lambda: _count_identity(arq, order, lengths))
     guarded("derived-period", lambda: derived_nilpotency(arq, order))
     guarded("cluster-count", lambda: cluster_count(arq, order))
     report.add("orbit-index-relation", orbit_index_relation_holds(arq))
 
-    # Read from the path audit, independently of the builder's distance.
+    # Read from the path audit, independently of the closed form that
+    # ``counts_and_nilpotency`` reads.
     ok = all(span == (order - 2, order - 2) for span in lengths)
     report.add("projective-injective-distance", ok)
 

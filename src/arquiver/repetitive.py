@@ -50,14 +50,6 @@ class ZArrow(NamedTuple):
         return swap(self.arrow.val) if self.star else self.arrow.val
 
 
-def plain_arrow(level: int, arrow: Arrow) -> ZArrow:
-    return ZArrow(ZVertex(level, arrow.src), ZVertex(level, arrow.dst), arrow, False)
-
-
-def star_arrow(level: int, arrow: Arrow) -> ZArrow:
-    return ZArrow(ZVertex(level, arrow.dst), ZVertex(level + 1, arrow.src), arrow, True)
-
-
 def mesh_inputs(base: ValuedQuiver) -> dict[int, tuple[tuple[int, int, int], ...]]:
     """Per base vertex ``x``: ``(level offset, source base, weight)`` of the
     arrows of the plane ending at ``(s, x)``, for any level ``s``.

@@ -1,32 +1,36 @@
 """Test-only references: paths of the translation plane and their covering
-map, bounded windows of the plane, the arrow table of a built quiver, the
-all-pairs path audit, vertex-by-vertex mesh sums, heap-ordered knitting
-and composition multiplicities."""
+map, bounded windows of the plane, the arrow table of a built quiver, its
+successor lists and topological order, path lengths by dynamic
+programming, the all-pairs path audit, vertex-by-vertex mesh sums,
+heap-ordered knitting and composition multiplicities."""
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from arquiver.errors import (
     BoundExceededError,
+    CrossCheckFailedError,
     KnitInconsistentError,
     PositionOutOfRangeError,
 )
 from arquiver.hammock import HammockResult
-from arquiver.quiver import Step, ValuedQuiver, Walk, arrow_counts
-from arquiver.repetitive import (
-    ZArrow,
-    ZVertex,
-    level_offset,
-    mesh_inputs,
-    plain_arrow,
-    star_arrow,
-)
+from arquiver.quiver import Arrow, Step, ValuedQuiver, Walk, arrow_counts
+from arquiver.repetitive import ZArrow, ZVertex, level_offset, mesh_inputs
 
 
 # -- paths and the covering map, the model behind ``repetitive.path_length`` --
+
+
+def plain_arrow(level: int, arrow: Arrow) -> ZArrow:
+    return ZArrow(ZVertex(level, arrow.src), ZVertex(level, arrow.dst), arrow, False)
+
+
+def star_arrow(level: int, arrow: Arrow) -> ZArrow:
+    return ZArrow(ZVertex(level, arrow.dst), ZVertex(level + 1, arrow.src), arrow, True)
 
 
 @dataclass(frozen=True)
@@ -125,13 +129,84 @@ def reference_arrows(q: ValuedQuiver, m: tuple[int, ...]) -> tuple[ZArrow, ...]:
     return tuple(sorted(arrows, key=lambda za: (za.src, za.dst)))
 
 
+# -- successor lists, topological order and path lengths of a built quiver -------
+
+
+def successors(arq) -> dict[ZVertex, tuple[ZVertex, ...]]:
+    """Heads of the arrows leaving each vertex, in arrow order."""
+    out: dict[ZVertex, list[ZVertex]] = {v: [] for v in arq.vertices}
+    for za in arq.arrows:
+        out[za.src].append(za.dst)
+    return {v: tuple(heads) for v, heads in out.items()}
+
+
+def topological_order(arq) -> tuple[ZVertex, ...]:
+    """Kahn's order over ``ZVertex`` keys, the reference for
+    ``ARQuiver.path_table``: sorted sources first, heads in arrow order."""
+    out = successors(arq)
+    indeg = {v: 0 for v in arq.vertices}
+    for za in arq.arrows:
+        indeg[za.dst] += 1
+    queue = deque(sorted(v for v in arq.vertices if indeg[v] == 0))
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    if len(order) != len(arq.vertices):
+        raise CrossCheckFailedError("translation quiver contains an oriented cycle")
+    return tuple(order)
+
+
+def distance(arq, a: ZVertex, b: ZVertex) -> int | None:
+    """Common length of all paths ``a .. b``; ``None`` when unreachable.
+
+    Enumerates by one dynamic program over the topological positions up
+    to ``b``; shortest and longest path lengths are computed separately
+    and must agree, so parallel paths of different lengths raise.
+    """
+    for v in (a, b):
+        if v not in arq.dims:
+            raise PositionOutOfRangeError(f"{v} is not a vertex")
+    table = arq.path_table
+    start, stop = table.index[a], table.index[b]
+    if stop < start:
+        return None
+    # Lengths by topological position; -1 marks a vertex not reached yet.
+    # Arrows only go forward, so nothing past ``b`` can reach it.
+    shortest = [-1] * (stop + 1)
+    longest = [-1] * (stop + 1)
+    shortest[start] = longest[start] = 0
+    for v in range(start, stop):
+        if shortest[v] < 0:
+            continue
+        for w in table.successors[v]:
+            if w > stop:
+                continue
+            if shortest[w] < 0:
+                shortest[w], longest[w] = shortest[v] + 1, longest[v] + 1
+            else:
+                shortest[w] = min(shortest[w], shortest[v] + 1)
+                longest[w] = max(longest[w], longest[v] + 1)
+    if shortest[stop] < 0:
+        return None
+    if shortest[stop] != longest[stop]:
+        raise CrossCheckFailedError(
+            f"parallel paths {a} .. {b} of lengths {shortest[stop]} and {longest[stop]}"
+        )
+    return shortest[stop]
+
+
 # -- all-pairs path audit, the reference for ``oracle.audit_paths`` ----------------
 
 
 def path_statistics(arq) -> tuple[dict[tuple[ZVertex, ZVertex], int], dict, dict]:
     """Path counts and shortest/longest lengths for all ordered pairs."""
-    order = arq.topological_order
-    out = arq.successors
+    order = arq.path_table.order
+    out = successors(arq)
     counts: dict[tuple[ZVertex, ZVertex], int] = {}
     shortest: dict[tuple[ZVertex, ZVertex], int] = {}
     longest: dict[tuple[ZVertex, ZVertex], int] = {}
@@ -152,7 +227,7 @@ def path_statistics(arq) -> tuple[dict[tuple[ZVertex, ZVertex], int], dict, dict
 
 def sectional_paths(arq) -> list[tuple[ZVertex, ZVertex]]:
     """Endpoints of all non-trivial sectional paths, by depth-first search."""
-    out = arq.successors
+    out = successors(arq)
     found = []
     for start in arq.vertices:
         stack = [[start, w] for w in out[start]]

@@ -24,7 +24,6 @@ from arquiver import (
     counts_and_nilpotency,
     coxeter_matrix,
     derived_nilpotency,
-    distance,
     table_order,
     tau_d_inverse,
     validate,
@@ -32,6 +31,7 @@ from arquiver import (
 from arquiver.dynkin import all_orientations, canonical_diagram, random_orientation
 from arquiver.oracle import audit_paths, verify_mesh
 from conftest import all_diagrams, e6_example, f4_example
+from plane import distance
 
 FAMILY_LIST = all_diagrams(8)  # A1..A8, B2..B8, C3..C8, D4..D8, E6-8, F4, G2
 ORIENTATIONS_PER_DIAGRAM = 5

@@ -18,7 +18,6 @@ from arquiver import (
     closed_form_rho_m,
     counts_and_nilpotency,
     coxeter_matrix,
-    distance,
     orbit_index_relation_holds,
     validate,
 )
@@ -37,7 +36,15 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import path_statistics, reference_arrows, window_arrows, window_paths
+from plane import (
+    distance,
+    path_statistics,
+    reference_arrows,
+    successors,
+    topological_order,
+    window_arrows,
+    window_paths,
+)
 
 G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
@@ -341,15 +348,16 @@ def test_path_tables_are_built_once_per_instance():
     from arquiver.repetitive import ZArrow
 
     arq = build(a3_linear())
-    assert arq.successors is arq.successors
-    assert arq.topological_order is arq.topological_order
-    assert arq.successors[ZVertex(0, 2)] == (ZVertex(0, 1), ZVertex(1, 3))
-    assert distance(arq, ZVertex(0, 1), ZVertex(2, 3)) == 2
-    # A copy with a back arrow gets its own tables, and they see the cycle.
+    table = arq.path_table
+    assert arq.path_table is table
+    heads = table.successors[table.index[ZVertex(0, 2)]]
+    assert [table.order[w] for w in heads] == [ZVertex(0, 1), ZVertex(1, 3)]
+    # A copy with a back arrow gets its own table, and it sees the cycle.
     back = ZArrow(ZVertex(2, 3), ZVertex(0, 1), Arrow(3, 1), False)
     cyclic = replace(arq, arrows=arq.arrows + (back,))
     with pytest.raises(CrossCheckFailedError, match="oriented cycle"):
-        distance(cyclic, ZVertex(0, 1), ZVertex(2, 3))
+        cyclic.path_table
+    assert arq.path_table is table
     assert distance(arq, ZVertex(0, 1), ZVertex(2, 3)) == 2
 
 
@@ -371,3 +379,94 @@ def test_distance_matches_all_pairs_reference(q):
     for a in arq.vertices:
         for b in arq.vertices:
             assert distance(arq, a, b) == shortest.get((a, b)), (a, b)
+
+
+# -- one path length in the library, one path table for the oracle ---------------
+
+
+def test_build_report_and_cluster_statistics_build_no_path_table():
+    from arquiver import build_report, cluster_count, derived_nilpotency
+
+    for q in (a3_linear(), g2_quiver(), e6_example()):
+        arq = build(q)
+        order = coxeter_matrix(arq).order
+        build_report(arq, order, include_hammocks=True)
+        cluster_count(arq, order)
+        derived_nilpotency(arq, order)
+        assert "path_table" not in vars(arq)
+
+
+def _enumerated_counts(arq, order):
+    """``counts_and_nilpotency`` with each distance enumerated on the quiver:
+    its result, or the message it fails with."""
+    total = sum(mi + 1 for mi in arq.m)
+    if 2 * total != arq.n * order:
+        return f"{total} vertices but n*|C| = {arq.n * order}"
+    dists = []
+    for i in arq.quiver.vertices():
+        inj = arq.injective(i)
+        try:
+            d = distance(arq, arq.projective(i), inj) if inj in arq.dims else None
+        except CrossCheckFailedError as exc:
+            return str(exc)
+        if d is None:
+            return f"no path from projective {i} to injective {i}"
+        dists.append(d)
+    if max(dists) + 1 != order - 1:
+        return f"longest projective-to-injective distance {max(dists)} != |C| - 2"
+    return Counts(total, order - 1)
+
+
+def _closed_form_counts(arq, order):
+    try:
+        return counts_and_nilpotency(arq, order)
+    except CrossCheckFailedError as exc:
+        return str(exc)
+
+
+def test_counts_on_permuted_orbit_lengths_name_the_missing_path():
+    a3 = build(a3_linear())
+    with pytest.raises(CrossCheckFailedError, match="^no path from projective 3 to injective 3$"):
+        counts_and_nilpotency(replace(a3, m=(1, 0, 2)), 4)
+    a4 = build(validate(4, [(1, 2), (3, 2), (3, 4)]))
+    with pytest.raises(CrossCheckFailedError, match="^no path from projective 4 to injective 4$"):
+        counts_and_nilpotency(replace(a4, m=(2, 1, 1, 2)), 5)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        a3_linear(),
+        validate(4, [(1, 2), (3, 2), (3, 4)]),
+        random_orientation(canonical_diagram("D", 5), random.Random("counts D5")),
+        random_orientation(canonical_diagram("B", 4), random.Random("counts B4")),
+        random_orientation(canonical_diagram("F", 4), random.Random("counts F4")),
+    ],
+    ids=["A3", "A4", "D5", "B4", "F4"],
+)
+def test_counts_on_permuted_orbit_data_match_the_enumeration(q):
+    from itertools import permutations
+
+    arq = build(q)
+    order = coxeter_matrix(arq).order
+    outcomes = set()
+    for m in sorted(set(permutations(arq.m))):
+        for rho in (arq.rho, arq.rho[::-1]):
+            copy = replace(arq, m=m, rho=rho)
+            expected = _enumerated_counts(copy, order)
+            assert _closed_form_counts(copy, order) == expected, (m, rho)
+            outcomes.add(type(expected))
+    assert outcomes == {Counts, str}
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_path_table_matches_the_reference_kahn_order_on_every_orientation(family, rank):
+    for q in all_orientations(canonical_diagram(family, rank)):
+        arq = build(q)
+        table = arq.path_table
+        assert table.order == topological_order(arq)
+        assert table.index == {v: k for k, v in enumerate(table.order)}
+        heads = successors(arq)
+        assert [tuple(table.order[w] for w in out) for out in table.successors] == [
+            heads[v] for v in table.order
+        ]

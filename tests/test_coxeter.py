@@ -57,7 +57,7 @@ def mat_neg(a):
 def signed_dim(arq, v):
     """Dimension vector of a shifted stalk: the sign alternates with the shift."""
     sign = -1 if v.shift % 2 else 1
-    return tuple(sign * x for x in arq.dims[v.position])
+    return tuple(sign * x for x in arq.dims[(v.level, v.base)])
 
 
 def derived_dim_check(arq, cd, samples):

@@ -15,7 +15,6 @@ from arquiver import (
     ZVertex,
     build,
     coxeter_matrix,
-    distance,
     recursive_injective_dims,
     recursive_projective_dims,
     table_order,
@@ -27,7 +26,13 @@ from arquiver.oracle import _audit, _certify, _path_audit, audit_paths, run_all
 from arquiver.quiver import Arrow
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
-from plane import reference_audit_lines, reference_mesh_line
+from plane import (
+    distance,
+    reference_audit_lines,
+    reference_mesh_line,
+    successors,
+    topological_order,
+)
 
 
 def test_recursive_dims_g2():
@@ -234,7 +239,7 @@ def test_audit_paths_names_second_path_along_a_sectional_path():
 
 def _forward_arrow_corruptions(arq, rng, count):
     """Copies of ``arq`` with one random arrow that keeps it acyclic."""
-    order = arq.topological_order
+    order = arq.path_table.order
     for _ in range(count):
         i = rng.randrange(len(order) - 1)
         j = rng.randrange(i + 1, len(order))
@@ -267,12 +272,15 @@ def test_run_all_reports_corrupted_paths_without_raising():
     arq = build(a3_linear())
     order = coxeter_matrix(arq).order
     corrupted = _with_extra_arrows(arq, (ZVertex(0, 1), ZVertex(2, 3)))
-    failed = [c.name for c in run_all(corrupted, order).checks if not c.passed]
+    failed = [c.line() for c in run_all(corrupted, order).checks if not c.passed]
     assert failed == [
-        "parallel-path-lengths",
-        "sectional-uniqueness",
-        "count-identity",
-        "projective-injective-distance",
+        "parallel-path-lengths: FAIL (lengths differ between "
+        "ZVertex(level=0, base=3) and ZVertex(level=2, base=3))",
+        "sectional-uniqueness: FAIL (extra parallel path between "
+        "ZVertex(level=0, base=1) and ZVertex(level=2, base=3))",
+        "count-identity: FAIL (parallel paths "
+        "ZVertex(level=0, base=1) .. ZVertex(level=2, base=3) of lengths 1 and 2)",
+        "projective-injective-distance: FAIL",
     ]
 
 
@@ -334,7 +342,7 @@ def _failed_conditions(arq):
     failed = set()
     if any(frozenset((za.src.base, za.dst.base)) not in edges for za in arq.arrows):
         failed.add("c")
-    if any(len({w.base for w in heads}) != len(heads) for heads in arq.successors.values()):
+    if any(len({w.base for w in heads}) != len(heads) for heads in successors(arq).values()):
         failed.add("d")
     neighbours = {v: [] for v in arq.vertices}
     for za in arq.arrows:
@@ -446,7 +454,7 @@ def _corrupted_quivers(draw):
     arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
     kind = draw(st.sampled_from(["forward", "doubled", "deleted"]))
     if kind == "forward":
-        order = arq.topological_order
+        order = arq.path_table.order
         i = draw(st.integers(0, len(order) - 2))
         j = draw(st.integers(i + 1, len(order) - 1))
         return _with_extra_arrows(arq, (order[i], order[j]))
@@ -500,3 +508,9 @@ def test_certificate_holds_on_random_orientations_to_rank_40(no_fallback, family
 
 def test_certificate_holds_on_linear_a100(no_fallback):
     _assert_certified_without_fallback(build(validate(100, [(i, i + 1) for i in range(1, 100)])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corrupted_quivers())
+def test_path_table_order_matches_the_reference_kahn_order_on_corrupted_quivers(arq):
+    assert arq.path_table.order == topological_order(arq)

@@ -10,12 +10,7 @@ import pytest
 from arquiver import ZVertex, reduced_walk, seed_section, validate
 from arquiver.dynkin import canonical_diagram, random_orientation
 from arquiver.quiver import Step
-from arquiver.repetitive import (
-    mesh_inputs,
-    path_length,
-    plain_arrow,
-    star_arrow,
-)
+from arquiver.repetitive import mesh_inputs, path_length
 from conftest import a3_linear, all_diagrams, e6_example, g2_quiver
 from plane import (
     ZPath,
@@ -24,6 +19,8 @@ from plane import (
     is_sectional,
     is_successor,
     out_arrows,
+    plain_arrow,
+    star_arrow,
     window_paths,
 )
 
