@@ -23,12 +23,19 @@ order of ``C`` is the least common multiple of the orbit lengths.  It
 depends only on the underlying diagram, never on the orientation, and
 must equal the per-family value of ``table_order`` (the Coxeter number
 h); `order_identity_check` ties it to the orbit-length identity again.
+
+The orbit checks run on the ``n`` coordinate rows of all the vectors at
+once (:func:`_orbit_lengths`); only when they do not all pass are the
+orbits walked one by one (:func:`_walk_orbits`), to name the first
+failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, islice, repeat
 from math import lcm
+from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from .dynkin import DynkinClass
@@ -82,6 +89,76 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
     for d, j, w in lower:
         columns[j] = [c + w * x for c, x in zip(columns[j], inj[d])]
 
+    lengths = _orbit_lengths(arq, lower, upper)
+    if lengths is None:
+        lengths = _walk_orbits(arq, lower, upper)  # raises with the witness
+    order, h = lcm(*lengths), table_order(arq.dynkin)
+    where = f"for {arq.dynkin.name} (h = {h})"
+    if h % order:
+        raise OrderBoundExceededError(f"coxeter: C^{h} != I {where}")
+    if order < h:
+        # C^(h/p) = I exactly when p divides h / order; name the least such p.
+        p = next(p for p in range(2, h + 1) if h // order % p == 0)
+        raise OrderBoundExceededError(f"coxeter: C^{h // p} = I {where}")
+    return CoxeterData(tuple(zip(*proj)), tuple(zip(*inj)), tuple(zip(*columns)), order)
+
+
+def _orbit_lengths(
+    arq: "ARQuiver", lower: list[tuple[int, int, int]], upper: list[tuple[int, int, int]]
+) -> list[int] | None:
+    """The signed orbit lengths when every orbit passes :func:`_walk_orbits`,
+    read off the coordinate rows; ``None`` when any orbit may fail.
+
+    The vectors are laid end to end by orbit and transposed into ``n``
+    rows, so ``(E - A) * dim v + (E - B) * dim tau v`` is formed for every
+    vertex at once, one ``map`` per arrow term, and must vanish at every
+    position that does not start an orbit.  A signed orbit ``dim (r, i)``,
+    ``-dim (r, rho^-1(i))`` is distinct when all vectors are distinct,
+    non-zero and non-negative: no such vector is the negative of another.
+    """
+    n, m, rho, dims = arq.n, arq.m, arq.rho, arq.dims
+    if len(m) != n or min(m) < 0 or sorted(rho) != list(range(1, n + 1)):
+        return None
+    sizes = [k + 1 for k in m]
+    levels = chain.from_iterable(map(range, sizes))
+    bases = chain.from_iterable(map(repeat, range(1, n + 1), sizes))
+    try:
+        vectors = list(map(dims.__getitem__, zip(levels, bases)))
+    except KeyError:
+        return None
+    if set(map(type, vectors)) != {tuple} or set(map(len, vectors)) != {n}:
+        return None
+    if len(set(vectors)) != len(vectors) or not all(map(any, vectors)):
+        return None
+    rows = list(zip(*vectors))
+    if min(map(min, rows)) < 0:
+        return None
+    # Entry p - 1 of row c: row c of (E - A) * x_p plus of (E - B) * x_(p-1).
+    sums = [map(add, islice(row, 1, None), row) for row in rows]
+    for terms, skip in ((lower, 1), (upper, 0)):
+        for r, s, w in terms:
+            column = islice(rows[s], skip, None)
+            sums[r] = map(sub, sums[r], column if w == 1 else map(mul, column, repeat(w)))
+    checked = [1] * (len(vectors) - 1)
+    for p in accumulate(sizes[:-1]):  # orbit starts: projectives, not checked
+        checked[p - 1] = 0
+    if any(map(any, map(compress, sums, repeat(checked)))):
+        return None
+
+    partner = [0] * (n + 1)  # partner[i] = rho^-1(i)
+    for i, j in enumerate(rho, 1):
+        partner[j] = i
+    if any(partner[partner[i]] != i for i in range(1, n + 1)):
+        return None
+    return [sizes[i - 1] + sizes[partner[i] - 1] for i in range(1, n + 1)]
+
+
+def _walk_orbits(
+    arq: "ARQuiver", lower: list[tuple[int, int, int]], upper: list[tuple[int, int, int]]
+) -> list[int]:
+    """The signed orbit lengths, orbit by orbit: each orbit's ``C * dim``
+    steps, then its closure, raising at the first failure."""
+    dims = arq.dims
     lengths = []
     for i in arq.quiver.vertices():
         orbit = [dims[ZVertex(r, i)] for r in range(arq.m_of(i) + 1)]
@@ -97,16 +174,7 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
                 f"after {len(orbit)} distinct vectors"
             )
         lengths.append(len(orbit))
-
-    order, h = lcm(*lengths), table_order(arq.dynkin)
-    where = f"for {arq.dynkin.name} (h = {h})"
-    if h % order:
-        raise OrderBoundExceededError(f"coxeter: C^{h} != I {where}")
-    if order < h:
-        # C^(h/p) = I exactly when p divides h / order; name the least such p.
-        p = next(p for p in range(2, h + 1) if h // order % p == 0)
-        raise OrderBoundExceededError(f"coxeter: C^{h // p} = I {where}")
-    return CoxeterData(tuple(zip(*proj)), tuple(zip(*inj)), tuple(zip(*columns)), order)
+    return lengths
 
 
 def table_order(dynkin: DynkinClass) -> int:

@@ -87,8 +87,14 @@ def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
     Cross-checked against the longest chain with non-zero composite:
     every projective-to-injective distance at shift zero must equal
     ``order - 2``, and a full period of backward translation must land
-    two shifts up.
+    two shifts up.  From ``(0, i, 0)`` it climbs orbit ``i`` to
+    ``(0, rho(i), 1)`` in ``m(i) + 1`` steps and orbit ``rho(i)`` to
+    ``(0, rho(rho(i)), 2)`` in ``m(rho(i)) + 1`` more, so it lands home
+    exactly when ``rho(rho(i)) = i`` and those steps add up to ``order``.
+    Only otherwise is the period walked, to name where it lands.
     """
+    m, rho = arq.m, arq.rho
+    size = min(len(m), len(rho))  # entries past a short m or rho are left to the walk
     for i in arq.quiver.vertices():
         p = DerivedVertex(0, i, 0)
         inj = arq.injective(i)
@@ -98,6 +104,10 @@ def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
                 f"derived distance projective {i} .. injective {i} is {d}, "
                 f"expected {order - 2}"
             )
+        j = rho[i - 1] if i <= size else 0
+        if 0 < j <= size and rho[j - 1] == i and min(m[i - 1], m[j - 1]) >= 0:
+            if m[i - 1] + m[j - 1] + 2 == order:
+                continue
         w = p
         for _ in range(order):
             w = tau_d_inverse(arq, w)

@@ -77,13 +77,21 @@ def canonical_diagram(family: str, rank: int) -> ValuedGraph:
 def is_valued_graph_isomorphism(
     g: ValuedGraph, h: ValuedGraph, relabel: tuple[int, ...]
 ) -> bool:
-    """Whether ``v -> relabel[v-1]`` preserves all pairwise valuations."""
+    """Whether ``v -> relabel[v-1]`` preserves all pairwise valuations.
+
+    Checked in O(E): both graphs have as many edges, and every edge of
+    ``g`` lands on an edge of ``h`` with both valuation components equal.
+    That is enough.  A bijection of the vertices maps distinct pairs to
+    distinct pairs, so the edges of ``g`` land on as many distinct edges
+    of ``h``, which are then all of them.  A non-edge of ``g`` therefore
+    lands on a non-edge of ``h``, and both read valuation 0 there.
+    """
     if g.n != h.n or sorted(relabel) != list(g.vertices()):
         return False
-    return all(
-        g.valuation(x, y) == h.valuation(relabel[x - 1], relabel[y - 1])
-        for x in g.vertices()
-        for y in g.vertices()
+    return len(g.edges) == len(h.edges) and all(
+        h.valuation(relabel[e.x - 1], relabel[e.y - 1]) == e.val[0]
+        and h.valuation(relabel[e.y - 1], relabel[e.x - 1]) == e.val[1]
+        for e in g.edges
     )
 
 

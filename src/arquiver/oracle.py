@@ -149,14 +149,24 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
             break
     report.add("mesh-additivity", ok, detail)
 
-    proj = recursive_projective_dims(arq.quiver)
-    ok = all(arq.dims[arq.projective(i)] == proj[i] for i in arq.quiver.vertices())
-    report.add("projective-recursion", ok, "" if ok else "dimension vectors differ")
-
-    inj = recursive_injective_dims(arq.quiver)
-    ok = all(arq.dims[arq.injective(l)] == inj[l] for l in arq.quiver.vertices())
-    report.add("injective-recursion", ok, "" if ok else "dimension vectors differ")
+    for name, position, recursive in (
+        ("projective-recursion", arq.projective, recursive_projective_dims(arq.quiver)),
+        ("injective-recursion", arq.injective, recursive_injective_dims(arq.quiver)),
+    ):
+        try:
+            ok = all(dims[position(i)] == recursive[i] for i in arq.quiver.vertices())
+        except KeyError as exc:  # a projective or injective with no vector
+            report.add(name, False, _reason(exc))
+        else:
+            report.add(name, ok, "" if ok else "dimension vectors differ")
     return report
+
+
+def _reason(exc: Exception) -> str:
+    """The detail of a check that ``exc`` stopped."""
+    if isinstance(exc, CrossCheckFailedError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _audit(
@@ -399,7 +409,13 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     walked once.
     """
     ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
-    audit, lengths = _path_audit(arq, ends)
+    unread = ""  # why the path table could not be read, if it could not
+    try:
+        audit, lengths = _path_audit(arq, ends)
+    except (CrossCheckFailedError, KeyError) as exc:  # an oriented cycle or a loose arrow
+        unread, audit = _reason(exc), OracleReport()
+        audit.add("parallel-path-lengths", False, unread)
+        audit.add("sectional-uniqueness", False, unread)
     report = verify_mesh(arq)
     report.checks += audit.checks
 
@@ -411,21 +427,25 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
         else:
             report.add(name, True)
 
-    guarded("count-identity", lambda: _count_identity(arq, order, lengths))
+    if unread:
+        report.add("count-identity", False, unread)
+    else:
+        guarded("count-identity", lambda: _count_identity(arq, order, lengths))
     guarded("derived-period", lambda: derived_nilpotency(arq, order))
     guarded("cluster-count", lambda: cluster_count(arq, order))
     report.add("orbit-index-relation", orbit_index_relation_holds(arq))
 
     # Read from the path audit, independently of the closed form that
     # ``counts_and_nilpotency`` reads.
-    ok = all(span == (order - 2, order - 2) for span in lengths)
-    report.add("projective-injective-distance", ok)
+    ok = not unread and all(span == (order - 2, order - 2) for span in lengths)
+    report.add("projective-injective-distance", ok, unread)
 
     dims = list(arq.dims.values())
     report.add("distinct-dimension-vectors", len(set(dims)) == len(dims))
+    # Every vector non-zero, then no entry negative: a vector's minimum.
     report.add(
         "positive-dimension-vectors",
-        all(all(x >= 0 for x in d) and any(d) for d in dims),
+        all(map(any, dims)) and min(map(min, dims), default=0) >= 0,
     )
     report.add(
         "closed-form-orbits", (arq.m, arq.rho) == closed_form_rho_m(arq.quiver)

@@ -22,8 +22,9 @@ a newline.  It accepts ``dict`` with ``str`` keys, ``list``, ``tuple``
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Iterator, TextIO
 
 from .ar_quiver import ARQuiver, counts_and_nilpotency
@@ -127,7 +128,7 @@ def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> d
         },
         "vertices": [
             {"r": v.level, "i": v.base, "dim": arq.dims[v]}
-            for v in sorted(arq.vertices, key=lambda v: (v.base, v.level))
+            for v in sorted(arq.vertices, key=itemgetter(1, 0))
         ],
         "arrows": [
             {"src": za.src, "dst": za.dst, "val": za.val} for za in arq.arrows
@@ -152,8 +153,9 @@ def report_to_json(report: dict) -> str:
 def write_report(report: dict, out: TextIO) -> None:
     """Stream the text of :func:`report_to_json` to ``out``.
 
-    One string goes out per member of each top-level array or object, so
-    the whole text is never held.
+    One string goes out per member of each top-level array or object, or
+    per bounded chunk of members of an array written through one template,
+    so the whole text is never held.
     """
     out.writelines(_document(report))
 
@@ -164,6 +166,8 @@ def _document(report: dict) -> Iterator[str]:
 
 
 _INT = frozenset((int,))
+_DICT = frozenset((dict,))
+_CHUNK_SLOTS = 1 << 11  # ints per chunk of a templated array
 
 
 class _Encoder:
@@ -173,7 +177,11 @@ class _Encoder:
     is the sorted keys and, per member, whether it is an int, an array of
     ``L`` ints, or anything else: ints and array members fill ``%d``
     slots, anything else is encoded on its own and fills a ``%s`` slot.
-    The templates belong to the encoder, which serves one document.
+    A streamed array whose members all share one shape of ints and int
+    arrays is checked once as a whole and written through its template,
+    a bounded chunk of members per string; any other array goes member by
+    member.  The templates belong to the encoder, which serves one
+    document.
     """
 
     def __init__(self) -> None:
@@ -194,6 +202,13 @@ class _Encoder:
         else:
             prefixes, members = repeat(""), value
             separator, closing = f"{lead}[\n{inner}", f"\n{pad}]"
+            chunks = self._rows(value, inner) if depth == 1 else None
+            if chunks is not None:
+                for chunk in chunks:
+                    yield separator + chunk
+                    separator = f",\n{inner}"
+                yield closing
+                return
         for prefix, member in zip(prefixes, members):
             if depth == 1:
                 yield separator + prefix + self.encode(member, inner)
@@ -201,6 +216,39 @@ class _Encoder:
                 yield from self.stream(member, inner, separator + prefix, depth - 1)
             separator = f",\n{inner}"
         yield closing
+
+    def _rows(self, array: list | tuple, pad: str) -> Iterator[str] | None:
+        """The members of ``array`` through one template, in bounded chunks,
+        or ``None`` unless all are objects of one shape that holds only
+        ints and int arrays, at least one int in all."""
+        if not _DICT.issuperset(map(type, array)):
+            return None
+        keys = sorted(array[0])
+        if set(map(len, array)) != {len(keys)}:
+            return None
+        shape: list = [pad]
+        for key in keys:
+            try:
+                column = list(map(itemgetter(key), array))
+            except KeyError:
+                return None
+            kinds = set(map(type, column))
+            if kinds == _INT:
+                shape += key, -1
+            elif (
+                all(issubclass(kind, (list, tuple)) for kind in kinds)
+                and len(lengths := set(map(len, column))) == 1
+                and _INT.issuperset(map(type, chain.from_iterable(column)))
+            ):
+                shape += key, lengths.pop()
+            else:
+                return None
+        kinds = shape[2::2]
+        width = sum(1 if kind < 0 else kind for kind in kinds)
+        if not width:
+            return None
+        template = self._template_of(tuple(shape))
+        return _chunks(array, keys, kinds, template, pad, max(1, _CHUNK_SLOTS // width))
 
     def encode(self, value: object, pad: str) -> str:
         """The text of ``value``, its nested lines indented past ``pad``."""
@@ -239,11 +287,34 @@ class _Encoder:
             else:
                 shape += key, None
                 slots.append(self.encode(member, pad + "  "))
-        shape = tuple(shape)
+        return self._template_of(tuple(shape)) % tuple(slots)
+
+    def _template_of(self, shape: tuple) -> str:
         template = self.templates.get(shape)
         if template is None:
             template = self.templates[shape] = _template(shape)
-        return template % tuple(slots)
+        return template
+
+
+def _chunks(
+    array: list | tuple, keys: list[str], kinds: list[int], template: str, pad: str, size: int
+) -> Iterator[str]:
+    """The members of ``array``, ``size`` at a time, each through ``template``.
+
+    The slots are gathered column by column: a key's ints, or one column
+    per entry of its arrays.
+    """
+    separator = ",\n" + pad
+    for start in range(0, len(array), size):
+        chunk = array[start : start + size]
+        columns: list = []
+        for key, kind in zip(keys, kinds):
+            column = list(map(itemgetter(key), chunk))
+            if kind < 0:
+                columns.append(column)
+            else:
+                columns += zip(*column)
+        yield separator.join(map(template.__mod__, zip(*columns)))
 
 
 def _template(shape: tuple) -> str:

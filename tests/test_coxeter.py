@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from operator import mul
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import (
     CrossCheckFailedError,
@@ -22,7 +24,9 @@ from arquiver import (
 from arquiver.derived import tau_d, tau_d_inverse
 from arquiver.dynkin import (
     DynkinClass,
+    all_orientations,
     canonical_diagram,
+    orient,
     random_orientation,
 )
 from conftest import (
@@ -306,3 +310,163 @@ def test_certified_order_is_the_table_order_and_the_dense_period(q):
         identity = identity_matrix(q.n)
         assert [t for t, power in enumerate(powers, 1) if power == identity] == [cd.order]
         assert mat_mul(cd.matrix, cd.cartan) == mat_neg(cd.inj)
+
+
+# -- witnesses: which failure is named, and in what order ----------------------
+
+
+def test_non_involutive_pairing_leaves_the_orbit_of_projective_1_open():
+    # A3 with rho = (3, 1, 2): each orbit still ends at the injective the
+    # pairing asks for, and orbit 1 (a single vertex) needs no C * dim check,
+    # but the orbit of rho^-1(1) = 2 ends at I_1 and hands over to orbit 3.
+    arq = build(a3_linear())
+    dims = dict(arq.dims)
+    dims[ZVertex(1, 2)], dims[ZVertex(2, 3)] = dims[ZVertex(2, 3)], dims[ZVertex(1, 2)]
+    with pytest.raises(
+        CrossCheckFailedError,
+        match=r"^coxeter: orbit of projective 1 does not close after 3 distinct vectors$",
+    ):
+        coxeter_matrix(replace(arq, rho=(3, 1, 2), dims=dims))
+
+
+def test_an_orbit_that_does_not_close_is_named_before_a_later_orbit_fails():
+    # E6: orbit 1 runs a full period h = 12 past its injective, through
+    # -orbit(rho(1)) and back to P_1 and on to I_rho(1) again.  Every step is
+    # tau-equivariant, so only its closure fails, while orbit 2 carries a
+    # corrupted interior vector that fails C * dim.
+    arq = build(e6_example())
+    j = arq.rho_of(1)
+    own = [arq.dims[ZVertex(r, 1)] for r in range(arq.m_of(1) + 1)]
+    other = [tuple(-x for x in arq.dims[ZVertex(r, j)]) for r in range(arq.m_of(j) + 1)]
+    stretched = own + other + own
+    dims = {v: d for v, d in arq.dims.items() if v.base != 1}
+    dims.update((ZVertex(r, 1), d) for r, d in enumerate(stretched))
+    dims[ZVertex(1, 2)] = tuple(x + 1 for x in dims[ZVertex(1, 2)])
+    m = (len(stretched) - 1,) + arq.m[1:]
+    corrupted = replace(arq, m=m, vertices=tuple(sorted(dims, key=lambda v: v[::-1])), dims=dims)
+    size = len(stretched) + len(other)
+    with pytest.raises(
+        CrossCheckFailedError,
+        match=rf"^coxeter: orbit of projective 1 does not close after {size} distinct vectors$",
+    ):
+        coxeter_matrix(corrupted)
+    # Orbit 2 alone is named once orbit 1 is restored.
+    dims.update((v, arq.dims[v]) for v in arq.vertices if v.base == 1)
+    with pytest.raises(CrossCheckFailedError, match=r"dim ZVertex\(level=1, base=2\) "):
+        coxeter_matrix(replace(arq, dims=dims))
+
+
+def test_corrupted_vector_in_the_last_orbit_is_named_by_its_position():
+    arq = build(e6_example())
+    n = arq.n
+    v = ZVertex(arq.m_of(n) - 1, n)
+    dims = dict(arq.dims)
+    dims[v] = tuple(x + 1 for x in dims[v])
+    message = (
+        rf"^coxeter: C \* dim ZVertex\(level={v.level}, base={n}\) "
+        rf"!= dim ZVertex\(level={v.level - 1}, base={n}\)$"
+    )
+    with pytest.raises(CrossCheckFailedError, match=message):
+        coxeter_matrix(replace(arq, dims=dims))
+
+
+# -- the row certificate against the orbit walk ---------------------------------
+
+
+def _outcome(arq):
+    try:
+        return coxeter_matrix(arq)
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+
+
+def _walked_outcome(arq):
+    """What :func:`coxeter_matrix` gives when every orbit is walked."""
+    from arquiver import coxeter
+
+    with patch.object(coxeter, "_orbit_lengths", lambda *args: None):
+        return _outcome(arq)
+
+
+@st.composite
+def _corrupted_orbits(draw):
+    """A small build with one orbit datum changed."""
+    family, rank = draw(st.sampled_from(all_diagrams(6)))
+    g = canonical_diagram(family, rank)
+    arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
+    dims, m, rho = dict(arq.dims), list(arq.m), list(arq.rho)
+    v = draw(st.sampled_from(arq.vertices))
+    w = draw(st.sampled_from(arq.vertices))
+    kind = draw(st.sampled_from(["bump", "swap", "negate", "zero", "copy", "rho", "m", "period"]))
+    if kind == "bump":
+        k = draw(st.integers(0, arq.n - 1))
+        dims[v] = dims[v][:k] + (dims[v][k] + draw(st.sampled_from([-1, 1, 2])),) + dims[v][k + 1 :]
+    elif kind == "swap":
+        dims[v], dims[w] = dims[w], dims[v]
+    elif kind == "negate":
+        dims[v] = tuple(-x for x in dims[v])
+    elif kind == "zero":
+        dims[v] = (0,) * arq.n
+    elif kind == "copy":
+        dims[v] = dims[w]
+    elif kind == "rho":
+        rho = list(draw(st.permutations(rho)))
+    elif kind == "m":
+        m[v.base - 1] += draw(st.sampled_from([-1, 1]))
+    else:  # run orbit i a full period past its injective
+        i = v.base
+        j = arq.rho_of(i)
+        own = [dims[ZVertex(r, i)] for r in range(arq.m_of(i) + 1)]
+        other = [tuple(-x for x in dims[ZVertex(r, j)]) for r in range(arq.m_of(j) + 1)]
+        dims.update((ZVertex(r, i), d) for r, d in enumerate(own + other + own))
+        m[i - 1] += len(own + other)
+    vertices = tuple(sorted(dims, key=lambda u: u[::-1]))
+    return replace(arq, m=tuple(m), rho=tuple(rho), vertices=vertices, dims=dims)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupted_orbits())
+def test_row_certificate_names_what_the_orbit_walk_names(arq):
+    assert _outcome(arq) == _walked_outcome(arq)
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_row_certificate_needs_no_walk_on_every_orientation(family, rank):
+    from arquiver import coxeter
+
+    def walk(*args):
+        raise AssertionError("the row certificate fell back to the orbit walk")
+
+    with patch.object(coxeter, "_walk_orbits", walk):
+        for q in all_orientations(canonical_diagram(family, rank)):
+            arq = build(q)
+            assert coxeter_matrix(arq).order == table_order(arq.dynkin)
+
+
+@pytest.mark.parametrize(
+    "q, m, rho, vectors, lower",
+    [
+        # The signed orbit 1, -1, -1, 1 repeats.
+        (a1_quiver(), (1,), (1,), [(1,), (-1,)], []),
+        # The signed orbit 0, -0 repeats.
+        (a1_quiver(), (0,), (1,), [(0,)], []),
+        # With A = (2), C * dim = dim tau is dim v = dim tau v.
+        (a1_quiver(), (1,), (1,), [(1,), (1,)], [(0, 0, 2)]),
+        # rho^-1(1) = 3 but rho^-1(3) = 2: orbit 1 does not close.
+        (a3_linear(), (0, 0, 0), (2, 3, 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)], []),
+    ],
+    ids=["negative", "zero", "repeated", "non-involutive"],
+)
+def test_row_certificate_leaves_open_orbits_to_the_walk(q, m, rho, vectors, lower):
+    # Fed straight to the orbit checks, with sparse terms of their own: the
+    # unit checks on projectives and injectives would stop each case first.
+    # Every C * dim step holds, yet a signed orbit repeats or does not close.
+    from arquiver.coxeter import _orbit_lengths, _walk_orbits
+
+    sizes = [k + 1 for k in m]
+    positions = [ZVertex(r, i) for i, size in enumerate(sizes, 1) for r in range(size)]
+    dims = dict(zip(positions, vectors))
+    arq = replace(build(q), m=m, rho=rho, vertices=tuple(dims), dims=dims)
+    assert _orbit_lengths(arq, lower, []) is None
+    with pytest.raises(CrossCheckFailedError, match=r"orbit of projective 1 does not close"):
+        _walk_orbits(arq, lower, [])

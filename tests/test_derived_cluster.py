@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import (
+    CrossCheckFailedError,
     DerivedVertex,
     build,
     cluster_count,
@@ -18,6 +24,7 @@ from arquiver import (
     validate,
 )
 from arquiver.derived import in_fundamental_domain, orbit_shift, plane_position
+from arquiver.dynkin import all_orientations, canonical_diagram
 from conftest import a1_quiver, a3_linear, e6_example, g2_quiver
 from plane import window_paths
 
@@ -159,3 +166,78 @@ def test_fundamental_domain_size_formula():
         reps = {cluster_normalize(arq, order, v) for v in domain}
         assert all(p == 0 for _, p in reps)
         assert len(reps) == len(domain)
+
+
+@pytest.mark.parametrize(
+    "m, rho, order, landing",
+    [
+        # rho = (2, 3, 1): the injective paired with 1 is unchanged, so the
+        # distance check passes, but the period climbs orbit 1 into orbit 2
+        # and orbit 2 into orbit 3.
+        ((0, 1, 2), (2, 3, 1), 4, "level=1, base=3, shift=2"),
+        # m(1) = -1: the period leaves orbit 1 at once, one step early.
+        ((-1, 1, 2), (3, 1, 1), 3, "level=2, base=3, shift=1"),
+    ],
+)
+def test_a_period_that_misses_home_is_named_with_where_it_lands(m, rho, order, landing):
+    arq, _ = _with_order(a3_linear())
+    message = (
+        r"^a full period of backward translation sent "
+        rf"DerivedVertex\(level=0, base=1, shift=0\) to DerivedVertex\({landing}\)$"
+    )
+    with pytest.raises(CrossCheckFailedError, match=message):
+        derived_nilpotency(replace(arq, m=m, rho=rho), order)
+
+
+def _reference_derived_nilpotency(arq, order):
+    """The distance check, then a walk of one full period from each projective."""
+    for i in arq.quiver.vertices():
+        p = DerivedVertex(0, i, 0)
+        inj = arq.injective(i)
+        d = derived_distance(arq, order, p, DerivedVertex(inj.level, inj.base, 0))
+        if d != order - 2:
+            raise CrossCheckFailedError(
+                f"derived distance projective {i} .. injective {i} is {d}, "
+                f"expected {order - 2}"
+            )
+        w = p
+        for _ in range(order):
+            w = tau_d_inverse(arq, w)
+        if w != DerivedVertex(0, i, 2):
+            raise CrossCheckFailedError(
+                f"a full period of backward translation sent {p} to {w}"
+            )
+    return order - 1
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+
+
+_SMALL = [
+    q
+    for family, rank in (("A", 3), ("A", 4), ("D", 4), ("B", 3))
+    for q in all_orientations(canonical_diagram(family, rank))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_derived_nilpotency_matches_the_period_walk_on_corrupted_orbits(data):
+    q = data.draw(st.sampled_from(_SMALL))
+    arq, order = _with_order(q)
+    n = arq.n
+    rho, m = list(arq.rho), list(arq.m)
+    if data.draw(st.booleans()):  # swap two partners: rho stays a permutation
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
+        rho[a], rho[b] = rho[b], rho[a]
+    for _ in range(data.draw(st.integers(0, 2))):
+        edited = data.draw(st.sampled_from([rho, m]))
+        edited[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-1, n + 1))
+    order = data.draw(st.sampled_from([order, order, order + 2, order - 1, 0]))
+    arq = replace(arq, rho=tuple(rho), m=tuple(m))
+    expected = _outcome(_reference_derived_nilpotency, arq, order)
+    assert _outcome(derived_nilpotency, arq, order) == expected

@@ -6,6 +6,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import (
     Edge,
@@ -136,3 +138,61 @@ def test_graph_with_too_few_edges_is_rejected_without_a_neighbour_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _all_pairs_isomorphism(g: ValuedGraph, h: ValuedGraph, relabel) -> bool:
+    """Every ordered pair of vertices keeps its valuation component."""
+    if g.n != h.n or sorted(relabel) != list(g.vertices()):
+        return False
+    return all(
+        g.valuation(x, y) == h.valuation(relabel[x - 1], relabel[y - 1])
+        for x in g.vertices()
+        for y in g.vertices()
+    )
+
+
+_VALUATIONS = st.sampled_from([(1, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)])
+
+
+@st.composite
+def _valued_graphs(draw, n):
+    """Any valued graph on ``n`` vertices, cycles and isolated vertices included."""
+    pairs = [(x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return ValuedGraph(n, tuple(Edge(x, y, draw(_VALUATIONS)) for x, y in chosen))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_isomorphism_check_matches_the_all_pairs_reference(data):
+    n = data.draw(st.integers(1, 6))
+    g = data.draw(_valued_graphs(n))
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    kind = data.draw(st.sampled_from(["image", "edited image", "other graph"]))
+    if kind == "other graph":
+        h = data.draw(_valued_graphs(n))
+    else:
+        h = _relabelled(g, perm)
+        if kind == "edited image":
+            edges = list(h.edges)
+            if edges and data.draw(st.booleans()):
+                k = data.draw(st.integers(0, len(edges) - 1))
+                edges[k] = edges[k]._replace(val=data.draw(_VALUATIONS))
+            elif n > 1:  # move, add or drop one edge
+                x, y = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+                taken = {(e.x, e.y) for e in edges}
+                if (min(x, y), max(x, y)) in taken:
+                    edges = [e for e in edges if (e.x, e.y) != (min(x, y), max(x, y))]
+                else:
+                    edges.append(Edge(x, y))
+                    if edges[:-1] and data.draw(st.booleans()):
+                        del edges[data.draw(st.integers(0, len(edges) - 2))]
+            h = ValuedGraph(n, tuple(edges))
+    # The true relabelling, another permutation, or a map that is not one.
+    relabel = data.draw(
+        st.sampled_from([tuple(perm), tuple(perm)])
+        | st.permutations(range(1, n + 1)).map(tuple)
+        | st.lists(st.integers(0, n + 1), min_size=n - 1, max_size=n + 1).map(tuple)
+    )
+    expected = _all_pairs_isomorphism(g, h, relabel)
+    assert is_valued_graph_isomorphism(g, h, relabel) == expected

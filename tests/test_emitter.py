@@ -226,3 +226,100 @@ def test_each_document_gets_its_own_templates(monkeypatch):
     assert encoders[0].templates == kept
     assert not encoders[1].templates.keys() & kept.keys()
     assert report_to_json(first) == text == _reference(first)
+
+
+# -- one template per array: members of one shape are written together, in
+# bounded chunks; any other array goes member by member.
+
+
+@st.composite
+def _uniform_rows(draw):
+    """Rows of one shape (each key an int or an int array of one length),
+    sometimes with one member that breaks the shape."""
+    keys = draw(st.lists(st.sampled_from(_ROW_KEYS + ["a", "dim"]), min_size=1, max_size=4, unique=True))
+    kinds = {key: draw(st.integers(-1, 3)) for key in keys}
+    count = draw(st.integers(1, 12))
+    ints = st.integers(min_value=-(10**20), max_value=10**20)
+
+    def member(key):
+        if kinds[key] < 0:
+            return draw(ints)
+        array = draw(st.lists(ints, min_size=kinds[key], max_size=kinds[key]))
+        return draw(st.sampled_from([tuple, list]))(array)
+
+    rows = [{key: member(key) for key in keys} for _ in range(count)]
+    if draw(st.booleans()):
+        row = rows[draw(st.integers(0, count - 1))]
+        key = draw(st.sampled_from(keys))
+        change = draw(st.sampled_from(["drop", "add", "string", "array", "longer", "dict", "nested"]))
+        if change == "drop":
+            del row[key]
+        elif change == "add":
+            row["zz"] = 1
+        elif change == "string":
+            row[key] = "%d"
+        elif change == "array":
+            row[key] = (1,) if kinds[key] < 0 else 1
+        elif change == "longer":
+            row[key] = tuple(row[key]) + (5,) if kinds[key] >= 0 else [row[key]]
+        elif change == "dict":
+            rows[rows.index(row)] = dict(row.items()) if count > 1 else [row]
+        else:
+            row[key] = {"x": row[key]}
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_uniform_rows(), st.sampled_from([1, 2, 7, 1 << 11]))
+def test_arrays_of_one_shape_match_the_stdlib_in_any_chunking(rows, slots):
+    from unittest import mock
+
+    from arquiver import report
+
+    with mock.patch.object(report, "_CHUNK_SLOTS", slots):
+        for value in ({"rows": rows, "n": 1}, rows, {"a": rows}):
+            assert report_to_json(value) == _reference(value)
+            assert _written(value) == _reference(value)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"a": 1}, {"a": True}],
+        [{"a": (1, 2)}, {"a": (1, False)}],
+        [{"a": 1, "b": (2,)}, {"a": 1, "b": (None,)}],
+        [{"a": 1.0}, {"a": 1}],
+        [{1: 1}, {1: 2}],
+    ],
+)
+def test_arrays_of_one_shape_still_reject_values_outside_the_report_types(rows):
+    for value in ({"rows": rows}, rows):
+        with pytest.raises(TypeError):
+            report_to_json(value)
+        with pytest.raises(TypeError):
+            _written(value)
+
+
+def test_arrays_of_empty_rows_go_member_by_member():
+    for rows in ([{}, {}], [{"a": ()}, {"a": []}]):
+        assert report_to_json({"rows": rows}) == _reference({"rows": rows})
+
+
+class _Pieces:
+    def __init__(self):
+        self.sizes = []
+
+    def writelines(self, pieces):
+        self.sizes += map(len, pieces)
+
+
+def test_vertices_of_a60_are_written_in_bounded_chunks():
+    report = _reports(_linear("A", 60))[0]
+    sink = _Pieces()
+    write_report(report, sink)
+    text = report_to_json(report)
+    assert sum(sink.sizes) == len(text)
+    # 1,830 vertices of 62 ints each, at most 33 vertices (about 50 kB) a chunk.
+    assert len(report["vertices"]) == 1830
+    assert len(text) > 1_800_000
+    assert max(sink.sizes) < 64_000

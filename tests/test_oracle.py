@@ -447,9 +447,9 @@ def test_certificate_rejects_the_a3_shortcut():
 
 
 @st.composite
-def _corrupted_quivers(draw):
-    """A random orientation up to rank 8 with one forward, doubled or deleted arrow."""
-    family, rank = draw(st.sampled_from(all_diagrams(8)[1:]))  # A1 has no arrow
+def _corrupted_quivers(draw, max_rank=8):
+    """A random orientation up to ``max_rank`` with one forward, doubled or deleted arrow."""
+    family, rank = draw(st.sampled_from(all_diagrams(max_rank)[1:]))  # A1 has no arrow
     g = canonical_diagram(family, rank)
     arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
     kind = draw(st.sampled_from(["forward", "doubled", "deleted"]))
@@ -514,3 +514,112 @@ def test_certificate_holds_on_linear_a100(no_fallback):
 @given(_corrupted_quivers())
 def test_path_table_order_matches_the_reference_kahn_order_on_corrupted_quivers(arq):
     assert arq.path_table.order == topological_order(arq)
+
+
+# -- run_all on broken quivers: a FAIL line per check, never an exception --------
+
+_CHECK_NAMES = [
+    "mesh-additivity",
+    "projective-recursion",
+    "injective-recursion",
+    "parallel-path-lengths",
+    "sectional-uniqueness",
+    "count-identity",
+    "derived-period",
+    "cluster-count",
+    "orbit-index-relation",
+    "projective-injective-distance",
+    "distinct-dimension-vectors",
+    "positive-dimension-vectors",
+    "closed-form-orbits",
+]
+# The checks that read the path table.
+_PATH_CHECKS = {
+    "parallel-path-lengths",
+    "sectional-uniqueness",
+    "count-identity",
+    "projective-injective-distance",
+}
+
+
+@st.composite
+def _broken_quivers(draw, max_rank=5):
+    """A corrupted quiver of :func:`_corrupted_quivers`, or one whose path
+    table cannot be built, or whose orbit data point past its vertices."""
+    kind = draw(st.sampled_from(["arrows", "backward", "cut", "orbits"]))
+    if kind == "arrows":
+        return draw(_corrupted_quivers(max_rank))
+    family, rank = draw(st.sampled_from(all_diagrams(max_rank)[1:]))
+    g = canonical_diagram(family, rank)
+    arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
+    za = draw(st.sampled_from(arq.arrows))
+    if kind == "backward":  # closes an oriented cycle
+        return _with_extra_arrows(arq, (za.dst, za.src))
+    if kind == "cut":  # leaves an arrow into a vertex that is gone
+        return replace(arq, vertices=tuple(v for v in arq.vertices if v != za.dst))
+    m = draw(st.lists(st.integers(0, 2 * rank), min_size=rank, max_size=rank))
+    return replace(arq, m=tuple(m), rho=tuple(draw(st.permutations(arq.rho))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_broken_quivers())
+def test_run_all_reports_broken_quivers_line_by_line(arq):
+    checks = run_all(arq, table_order(arq.dynkin)).checks
+    assert [c.name for c in checks] == _CHECK_NAMES
+
+
+def _lines(arq):
+    return [c.line() for c in run_all(arq, table_order(arq.dynkin)).checks]
+
+
+def test_an_injective_with_no_vector_fails_its_recursion():
+    arq = build(validate(2, [(1, 2)]))  # m = (0, 1), rho = (2, 1)
+    lines = _lines(replace(arq, m=(1, 0), rho=(1, 2)))
+    assert lines[:3] == [
+        "mesh-additivity: PASS",
+        "projective-recursion: PASS",
+        "injective-recursion: FAIL (KeyError: ZVertex(level=1, base=1))",
+    ]
+    assert lines[5] == "count-identity: FAIL (no path from projective 1 to injective 1)"
+
+
+def test_an_oriented_cycle_fails_every_check_that_reads_paths():
+    arq = build(a3_linear())
+    za = arq.arrows[0]
+    reason = "translation quiver contains an oriented cycle"
+    assert _lines(_with_extra_arrows(arq, (za.dst, za.src))) == [
+        f"{name}: FAIL ({reason})" if name in _PATH_CHECKS else f"{name}: PASS"
+        for name in _CHECK_NAMES
+    ]
+
+
+def test_an_arrow_into_a_cut_vertex_fails_every_check_that_reads_paths():
+    arq = build(a3_linear())
+    gone = arq.arrows[0].dst
+    lines = _lines(replace(arq, vertices=tuple(v for v in arq.vertices if v != gone)))
+    reason = f"KeyError: {gone}"
+    for name, line in zip(_CHECK_NAMES, lines):
+        if name in _PATH_CHECKS:
+            assert line == f"{name}: FAIL ({reason})"
+    assert lines[7] == (
+        "cluster-count: FAIL (fundamental domain has 8 objects, expected n(|C|+2)/2)"
+    )
+
+
+@pytest.mark.parametrize(
+    "change, passed",
+    [
+        (lambda d: d, True),
+        (lambda d: (0,) * len(d), False),
+        (lambda d: (-1,) + d[1:], False),
+        (lambda d: (-1,) + (2,) * (len(d) - 1), False),
+    ],
+    ids=["unchanged", "zero", "negative", "negative-and-non-zero"],
+)
+def test_positive_dimension_vectors_are_non_zero_and_non_negative(change, passed):
+    arq = build(e6_example())
+    dims = dict(arq.dims)
+    v = arq.vertices[7]
+    dims[v] = change(dims[v])
+    checks = run_all(replace(arq, dims=dims), table_order(arq.dynkin)).checks
+    assert next(c for c in checks if c.name == "positive-dimension-vectors").passed is passed
