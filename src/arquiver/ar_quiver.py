@@ -19,13 +19,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import itemgetter, ne, sub
 from typing import Iterable, NamedTuple
 
 from .coxeter import table_order
 from .dynkin import DynkinClass, classify_quiver, relabel_quiver
-from .errors import CrossCheckFailedError, KnitInconsistentError
+from .errors import CrossCheckFailedError, KnitInconsistentError, PositionOutOfRangeError
 from .hammock import HammockResult, knit_classified
 from .quiver import ValuedQuiver, arrow_counts
 from .repetitive import ZArrow, ZVertex, path_length
@@ -61,7 +61,11 @@ class ARQuiver:
         return self.rho[i - 1]
 
     def rho_inverse(self, l: int) -> int:
-        return self.rho.index(l) + 1
+        """The orbit that ends at the injective of ``l``."""
+        try:
+            return self.rho.index(l) + 1
+        except ValueError:
+            raise PositionOutOfRangeError(f"no orbit ends at injective {l}") from None
 
     def projective(self, i: int) -> ZVertex:
         return ZVertex(0, i)
@@ -203,7 +207,13 @@ def closed_form_rho_m(q: ValuedQuiver) -> tuple[tuple[int, ...], tuple[int, ...]
     Applied in canonical labels through the classifier's relabelling and
     pulled back to the input labels.
     """
-    dynkin = classify_quiver(q)
+    return _closed_form_rho_m(q, classify_quiver(q))
+
+
+def _closed_form_rho_m(
+    q: ValuedQuiver, dynkin: DynkinClass
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:func:`closed_form_rho_m` given the classification of ``q``."""
     qc = relabel_quiver(q, dynkin.relabel)
     mc, rhoc = _closed_form_canonical(qc, dynkin)
     m = tuple(mc[dynkin.to_canonical(x) - 1] for x in q.vertices())
@@ -269,16 +279,20 @@ def orbit_index_relation_holds(arq: ARQuiver) -> bool:
     """Whether m(i) - m(j) equals the walk-statistic difference for all pairs.
 
     The difference of orbit indices must match the difference between the
-    forward-step counts of the walks ``rho(i) .. rho(j)`` and ``i .. j``.
+    forward-step counts of the walks ``rho(i) .. rho(j)`` and ``i .. j``,
+    read off rows ``rho(i)`` and ``i`` of the quiver's walk step table.
+    ``False`` when ``m`` or ``rho`` does not hold one entry per vertex, or
+    ``rho`` names a vertex outside ``1..n``.
     """
     q = arq.quiver
-    for i in q.vertices():
-        for j in q.vertices():
-            lhs = arq.m_of(i) - arq.m_of(j)
-            rhs = (
-                arrow_counts(q, arq.rho_of(i), arq.rho_of(j))[0]
-                - arrow_counts(q, i, j)[0]
-            )
-            if lhs != rhs:
-                return False
+    n, m, rho = q.n, arq.m, arq.rho
+    if len(m) != n or len(rho) != n or min(rho) < 1 or max(rho) > n:
+        return False
+    steps = q._forward_steps
+    for i, mi, ri in zip(q.vertices(), m, rho):
+        lhs = map(sub, repeat(mi), m)  # m(i) - m(j), for j = 1..n
+        across = map(steps[ri].__getitem__, rho)  # steps of rho(i) .. rho(j)
+        rhs = map(sub, across, islice(steps[i], 1, None))  # less those of i .. j
+        if any(map(ne, lhs, rhs)):
+            return False
     return True

@@ -103,31 +103,48 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
     return CoxeterData(tuple(zip(*proj)), tuple(zip(*inj)), tuple(zip(*columns)), order)
 
 
+def _orbit_major(
+    arq: "ARQuiver",
+) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, ...]]] | None:
+    """The orbit sizes, the ``(level, base)`` positions orbit by orbit
+    (orbit 1 first, in level order) and their vectors laid end to end;
+    ``None`` when ``m`` is malformed or a vector is missing or not an
+    ``n``-tuple.  Positions are plain tuples, so no ``ZVertex`` is built.
+    """
+    n, m, dims = arq.n, arq.m, arq.dims
+    if len(m) != n or min(m) < 0:
+        return None
+    sizes = [k + 1 for k in m]
+    levels = chain.from_iterable(map(range, sizes))
+    bases = chain.from_iterable(map(repeat, range(1, n + 1), sizes))
+    positions = list(zip(levels, bases))
+    try:
+        vectors = list(map(dims.__getitem__, positions))
+    except KeyError:
+        return None
+    if set(map(type, vectors)) != {tuple} or set(map(len, vectors)) != {n}:
+        return None
+    return sizes, positions, vectors
+
+
 def _orbit_lengths(
     arq: "ARQuiver", lower: list[tuple[int, int, int]], upper: list[tuple[int, int, int]]
 ) -> list[int] | None:
     """The signed orbit lengths when every orbit passes :func:`_walk_orbits`,
     read off the coordinate rows; ``None`` when any orbit may fail.
 
-    The vectors are laid end to end by orbit and transposed into ``n``
-    rows, so ``(E - A) * dim v + (E - B) * dim tau v`` is formed for every
-    vertex at once, one ``map`` per arrow term, and must vanish at every
-    position that does not start an orbit.  A signed orbit ``dim (r, i)``,
+    The vectors are laid end to end by :func:`_orbit_major` and transposed
+    into ``n`` rows, so ``(E - A) * dim v + (E - B) * dim tau v`` is formed
+    for every vertex at once, one ``map`` per arrow term, and must vanish at
+    every position that does not start an orbit.  A signed orbit ``dim (r, i)``,
     ``-dim (r, rho^-1(i))`` is distinct when all vectors are distinct,
     non-zero and non-negative: no such vector is the negative of another.
     """
-    n, m, rho, dims = arq.n, arq.m, arq.rho, arq.dims
-    if len(m) != n or min(m) < 0 or sorted(rho) != list(range(1, n + 1)):
+    n, rho = arq.n, arq.rho
+    laid = _orbit_major(arq)
+    if laid is None or sorted(rho) != list(range(1, n + 1)):
         return None
-    sizes = [k + 1 for k in m]
-    levels = chain.from_iterable(map(range, sizes))
-    bases = chain.from_iterable(map(repeat, range(1, n + 1), sizes))
-    try:
-        vectors = list(map(dims.__getitem__, zip(levels, bases)))
-    except KeyError:
-        return None
-    if set(map(type, vectors)) != {tuple} or set(map(len, vectors)) != {n}:
-        return None
+    sizes, _, vectors = laid
     if len(set(vectors)) != len(vectors) or not all(map(any, vectors)):
         return None
     rows = list(zip(*vectors))

@@ -18,17 +18,18 @@ a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, groupby, repeat
-from operator import add, attrgetter, mul
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub
 
 from .ar_quiver import (
     ARQuiver,
+    _closed_form_rho_m,
     _count_identity,
-    closed_form_rho_m,
     orbit_index_relation_holds,
 )
+from .coxeter import _orbit_major
 from .derived import cluster_count, derived_nilpotency
-from .errors import CrossCheckFailedError
+from .errors import ArquiverError, CrossCheckFailedError, PositionOutOfRangeError
 from .quiver import ValuedQuiver
 from .repetitive import ZVertex, mesh_inputs
 
@@ -61,11 +62,11 @@ class OracleReport:
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(int(j == i) for j in range(1, n + 1))
+    return (0,) * (i - 1) + (1,) + (0,) * (n - i)
 
 
 def _add(u: tuple[int, ...], v: tuple[int, ...], scale: int) -> tuple[int, ...]:
-    return tuple(a + scale * b for a, b in zip(u, v))
+    return tuple(map(add, u, v if scale == 1 else map(mul, v, repeat(scale))))
 
 
 def recursive_projective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
@@ -111,60 +112,99 @@ def recursive_injective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
 
 
 def verify_mesh(arq: ARQuiver) -> OracleReport:
-    """Check every mesh relation and both boundary recursions."""
+    """Check every mesh relation and both boundary recursions.
+
+    The mesh sums run over whole orbit runs (:func:`_mesh_runs`); only when
+    they do not all pass does :func:`_walk_meshes` go vertex by vertex, to
+    name the first failure.
+    """
     report = OracleReport()
     meshes = mesh_inputs(arq.quiver.opposite())
-    dims = arq.dims
-    flat = chain.from_iterable
-
-    ok, detail = True, ""
-    # One base at a time, each sum taken over the whole run of its
-    # non-projective vertices: the vectors are laid end to end, so every
-    # component of every vertex is summed by one ``map`` per mesh input.
-    for base, run in groupby(arq.vertices, key=attrgetter("base")):
-        run = [v for v in run if v.level]
-        if not run:
-            continue
-        # The first vertex with a mesh input out of range, and that input.
-        stop, missing = len(run), None
-        sources = []
-        for offset, src, weight in meshes[base]:
-            column = [dims.get((v.level + offset, src)) for v in run]
-            if None in column[:stop]:
-                stop = column.index(None)
-                missing = ZVertex(run[stop].level + offset, src)
-            sources.append((column, weight))
-        here = flat(dims[v] for v in run[:stop])
-        below = flat(dims[v.translate()] for v in run[:stop])
-        lhs = list(map(add, here, below))
-        rhs = [0] * len(lhs)
-        for column, weight in sources:
-            rhs = list(map(add, rhs, map(mul, flat(column[:stop]), repeat(weight))))
-        if lhs != rhs:
-            bad = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b) // arq.n
-            ok, detail = False, f"mesh relation fails at {run[bad]}"
-            break
-        if missing is not None:
-            ok, detail = False, f"in-arrow source {missing} of {run[stop]} out of range"
-            break
+    ok, detail = (True, "") if _mesh_runs(arq, meshes) else _walk_meshes(arq, meshes)
     report.add("mesh-additivity", ok, detail)
 
+    dims, vertices = arq.dims, arq.quiver.vertices()
     for name, position, recursive in (
         ("projective-recursion", arq.projective, recursive_projective_dims(arq.quiver)),
         ("injective-recursion", arq.injective, recursive_injective_dims(arq.quiver)),
     ):
         try:
-            ok = all(dims[position(i)] == recursive[i] for i in arq.quiver.vertices())
-        except KeyError as exc:  # a projective or injective with no vector
+            # Every position first: an injective with no orbit fails whatever the vectors.
+            positions = list(map(position, vertices))
+            ok = all(dims[p] == recursive[i] for i, p in zip(vertices, positions))
+        except (KeyError, PositionOutOfRangeError) as exc:  # no orbit, or no vector
             report.add(name, False, _reason(exc))
         else:
             report.add(name, ok, "" if ok else "dimension vectors differ")
     return report
 
 
+def _mesh_runs(arq: ARQuiver, meshes: dict[int, tuple[tuple[int, int, int], ...]]) -> bool:
+    """Whether every mesh relation holds, read off the vectors laid out
+    orbit by orbit; ``False`` also whenever :func:`_walk_meshes` might read
+    anything else.
+
+    With the layout of :func:`~arquiver.coxeter._orbit_major`, orbit ``b``
+    starts at ``s_b``, so its non-projective run is ``m_b`` vectors from
+    ``s_b + 1``, their translates are ``m_b`` vectors from ``s_b``, and a
+    mesh input ``(offset, src, w)`` is ``m_b`` vectors from
+    ``s_src + 1 + offset``, all in range exactly when
+    ``m_b + offset <= m(src)``.  Each run is summed by one ``map`` per
+    input over all its components, which are the loop's per-vertex sums
+    laid end to end.  The loop reads the same vectors when
+    ``arq.vertices`` is that layout and every input is in range (a key of
+    ``dims`` outside the layout is then never read); otherwise this
+    returns ``False`` and the loop decides.
+    """
+    laid = _orbit_major(arq)
+    if laid is None:
+        return False
+    sizes, positions, vectors = laid
+    if arq.vertices != tuple(positions):
+        return False
+    starts = [0, *accumulate(sizes)]
+    flat = chain.from_iterable
+    for base, (start, size) in enumerate(zip(starts, sizes), start=1):
+        levels = size - 1
+        if not levels:
+            continue
+        here = flat(vectors[start + 1 : start + size])
+        sums = map(add, here, flat(vectors[start : start + levels]))  # plus the translates
+        for offset, src, weight in meshes[base]:
+            if levels + offset >= sizes[src - 1]:
+                return False  # an input out of range
+            first = starts[src - 1] + 1 + offset
+            column = flat(vectors[first : first + levels])
+            sums = map(sub, sums, column if weight == 1 else map(mul, column, repeat(weight)))
+        if any(sums):
+            return False
+    return True
+
+
+def _walk_meshes(
+    arq: ARQuiver, meshes: dict[int, tuple[tuple[int, int, int], ...]]
+) -> tuple[bool, str]:
+    """The ``mesh-additivity`` result, one vertex of ``arq.vertices`` at a
+    time, naming the first whose mesh has an input out of range or fails."""
+    dims = arq.dims
+    for v in arq.vertices:
+        if not v.level:
+            continue
+        lhs = list(map(add, dims[v], dims[v.translate()]))
+        rhs = [0] * arq.n
+        for offset, src, weight in meshes[v.base]:
+            u = ZVertex(v.level + offset, src)
+            if u not in dims:
+                return False, f"in-arrow source {u} of {v} out of range"
+            rhs = [a + weight * b for a, b in zip(rhs, dims[u])]
+        if lhs != rhs:
+            return False, f"mesh relation fails at {v}"
+    return True, ""
+
+
 def _reason(exc: Exception) -> str:
     """The detail of a check that ``exc`` stopped."""
-    if isinstance(exc, CrossCheckFailedError):
+    if isinstance(exc, ArquiverError):
         return str(exc)
     return f"{type(exc).__name__}: {exc}"
 
@@ -352,25 +392,29 @@ def _spans(
     """``(shortest, longest)`` from ``a`` to ``b`` for each pair of ``ends``.
 
     Under the certificate both are phi(b) - phi(a) when ``b`` is
-    reachable; one forward search over the positions up to ``b`` decides
-    that.  ``None`` where no path joins the pair.
+    reachable; one sweep over the positions in reverse topological order
+    decides that for every pair at once.  Position ``v`` carries a bitmask
+    with bit ``k`` set when ``v`` is the ``b`` of pair ``k`` or a successor
+    of ``v`` carries bit ``k``, that is, when a path leads from ``v`` to
+    that ``b``; successors come later in the order, so they are done
+    first.  ``None`` where no path joins the pair.
     """
     table = arq.path_table
-    successors = table.successors
+    index, successors = table.index, table.successors
+    reach = [0] * len(successors)
+    for k, (_, b) in enumerate(ends):
+        if b in index:
+            reach[index[b]] |= 1 << k
+    for v in reversed(range(len(successors))):
+        for w in successors[v]:
+            reach[v] |= reach[w]
     spans: list[tuple[int, int] | None] = []
-    for a, b in ends:
-        start, stop = table.index.get(a), table.index.get(b)
-        if start is None or stop is None or stop < start:
+    for k, (a, b) in enumerate(ends):
+        start = index.get(a)
+        if start is None or not reach[start] >> k & 1:
             spans.append(None)
-            continue
-        reached = [False] * (stop + 1)
-        reached[start] = True
-        for v in range(start, stop):
-            if reached[v]:
-                for w in successors[v]:
-                    if w <= stop:
-                        reached[w] = True
-        spans.append((phi[stop] - phi[start],) * 2 if reached[stop] else None)
+        else:
+            spans.append((phi[index[b]] - phi[start],) * 2)
     return spans
 
 
@@ -408,7 +452,12 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     ``projective-injective-distance`` read those lengths, so each pair is
     walked once.
     """
-    ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
+    try:
+        ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
+    except PositionOutOfRangeError as exc:  # rho is not a permutation
+        unpaired, ends = str(exc), []
+    else:
+        unpaired = ""  # why some injective has no position, if one has none
     unread = ""  # why the path table could not be read, if it could not
     try:
         audit, lengths = _path_audit(arq, ends)
@@ -419,7 +468,11 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     report = verify_mesh(arq)
     report.checks += audit.checks
 
-    def guarded(name: str, fn) -> None:
+    def guarded(name: str, fn, reason: str = "") -> None:
+        """Run ``fn`` unless ``reason`` says why it cannot run."""
+        if reason:
+            report.add(name, False, reason)
+            return
         try:
             fn()
         except CrossCheckFailedError as exc:
@@ -427,18 +480,16 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
         else:
             report.add(name, True)
 
-    if unread:
-        report.add("count-identity", False, unread)
-    else:
-        guarded("count-identity", lambda: _count_identity(arq, order, lengths))
-    guarded("derived-period", lambda: derived_nilpotency(arq, order))
+    guarded("count-identity", lambda: _count_identity(arq, order, lengths), unread or unpaired)
+    guarded("derived-period", lambda: derived_nilpotency(arq, order), unpaired)
     guarded("cluster-count", lambda: cluster_count(arq, order))
     report.add("orbit-index-relation", orbit_index_relation_holds(arq))
 
     # Read from the path audit, independently of the closed form that
     # ``counts_and_nilpotency`` reads.
-    ok = not unread and all(span == (order - 2, order - 2) for span in lengths)
-    report.add("projective-injective-distance", ok, unread)
+    reason = unread or unpaired
+    ok = not reason and all(span == (order - 2, order - 2) for span in lengths)
+    report.add("projective-injective-distance", ok, reason)
 
     dims = list(arq.dims.values())
     report.add("distinct-dimension-vectors", len(set(dims)) == len(dims))
@@ -447,7 +498,7 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
         "positive-dimension-vectors",
         all(map(any, dims)) and min(map(min, dims), default=0) >= 0,
     )
-    report.add(
-        "closed-form-orbits", (arq.m, arq.rho) == closed_form_rho_m(arq.quiver)
-    )
+    # The build's classification, so the quiver is classified once per check.
+    closed_form = _closed_form_rho_m(arq.quiver, arq.dynkin)
+    report.add("closed-form-orbits", (arq.m, arq.rho) == closed_form)
     return report

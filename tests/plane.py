@@ -1,8 +1,10 @@
 """Test-only references: paths of the translation plane and their covering
 map, bounded windows of the plane, the arrow table of a built quiver, its
 successor lists and topological order, path lengths by dynamic
-programming, the all-pairs path audit, vertex-by-vertex mesh sums,
-heap-ordered knitting and composition multiplicities."""
+programming, reachability by one forward search per pair, the
+orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
+path audit, vertex-by-vertex mesh sums, heap-ordered knitting and
+composition multiplicities."""
 
 from __future__ import annotations
 
@@ -198,6 +200,52 @@ def distance(arq, a: ZVertex, b: ZVertex) -> int | None:
             f"parallel paths {a} .. {b} of lengths {shortest[stop]} and {longest[stop]}"
         )
     return shortest[stop]
+
+
+def reference_spans(
+    arq, phi: list[int], ends: list[tuple[ZVertex, ZVertex]]
+) -> list[tuple[int, int] | None]:
+    """What ``oracle._spans`` returns, by one forward search per pair over
+    the positions from ``a`` up to ``b``: ``(phi(b) - phi(a),) * 2`` when
+    ``b`` is reached, ``None`` otherwise."""
+    table = arq.path_table
+    successors = table.successors
+    spans: list[tuple[int, int] | None] = []
+    for a, b in ends:
+        start, stop = table.index.get(a), table.index.get(b)
+        if start is None or stop is None or stop < start:
+            spans.append(None)
+            continue
+        reached = [False] * (stop + 1)
+        reached[start] = True
+        for v in range(start, stop):
+            if reached[v]:
+                for w in successors[v]:
+                    if w <= stop:
+                        reached[w] = True
+        spans.append((phi[stop] - phi[start],) * 2 if reached[stop] else None)
+    return spans
+
+
+def reference_orbit_relation(arq) -> bool:
+    """What ``ar_quiver.orbit_index_relation_holds`` returns, one
+    ``arrow_counts`` pair at a time; ``False`` when ``m`` or ``rho`` does
+    not hold one entry per vertex or ``rho`` names a vertex outside ``1..n``."""
+    q = arq.quiver
+    if len(arq.m) != q.n or len(arq.rho) != q.n:
+        return False
+    if any(not 1 <= r <= q.n for r in arq.rho):
+        return False
+    for i in q.vertices():
+        for j in q.vertices():
+            lhs = arq.m_of(i) - arq.m_of(j)
+            rhs = (
+                arrow_counts(q, arq.rho_of(i), arq.rho_of(j))[0]
+                - arrow_counts(q, i, j)[0]
+            )
+            if lhs != rhs:
+                return False
+    return True
 
 
 # -- all-pairs path audit, the reference for ``oracle.audit_paths`` ----------------

@@ -24,6 +24,7 @@ from arquiver import (
 from arquiver.dynkin import (
     all_orientations,
     canonical_diagram,
+    orient,
     random_orientation,
     relabel_quiver,
 )
@@ -40,6 +41,7 @@ from plane import (
     distance,
     path_statistics,
     reference_arrows,
+    reference_orbit_relation,
     successors,
     topological_order,
     window_arrows,
@@ -152,6 +154,37 @@ def test_orbit_index_relation():
     assert orbit_index_relation_holds(build(a1_quiver()))
     corrupted = replace(build(e6_example()), m=(4, 4, 5, 5, 6, 5))
     assert not orbit_index_relation_holds(corrupted)
+
+
+@st.composite
+def _orbit_data(draw, max_rank=8):
+    """A built quiver with ``m`` and ``rho`` kept, shifted or redrawn:
+    ``rho`` over ``0..n+1`` or permuted, ``m`` possibly one entry off."""
+    family, rank = draw(st.sampled_from(all_diagrams(max_rank)))
+    g = canonical_diagram(family, rank)
+    arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
+    kind = draw(st.sampled_from(["kept", "shifted", "drawn"]))
+    if kind == "kept":
+        m = arq.m
+    elif kind == "shifted":  # the relation reads only differences of m
+        c = draw(st.integers(-3, 3))
+        m = tuple(x + c for x in arq.m)
+    else:
+        m = tuple(draw(st.lists(st.integers(-1, 2 * rank), min_size=rank - 1, max_size=rank + 1)))
+    rho = draw(
+        st.one_of(
+            st.just(arq.rho),
+            st.permutations(arq.rho).map(tuple),
+            st.lists(st.integers(0, rank + 1), min_size=rank, max_size=rank).map(tuple),
+        )
+    )
+    return replace(arq, m=m, rho=rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_orbit_data())
+def test_orbit_index_relation_matches_the_arrow_counts_loop(arq):
+    assert orbit_index_relation_holds(arq) == reference_orbit_relation(arq)
 
 
 def test_projective_injective_distances_all_equal():

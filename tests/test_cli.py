@@ -191,6 +191,21 @@ def test_cli_check_passes(tmp_path, capsys):
     assert "FAIL" not in out and "PASS" in out
 
 
+def test_cli_check_classifies_the_quiver_once(tmp_path, capsys, monkeypatch):
+    from arquiver import ar_quiver
+
+    calls, classify = [], ar_quiver.classify_quiver
+
+    def counted(q):
+        calls.append(q)
+        return classify(q)
+
+    monkeypatch.setattr(ar_quiver, "classify_quiver", counted)
+    assert main(["check", _write(tmp_path, "e6.q", E6_TEXT)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_cli_check_rejects_invalid_input(tmp_path, capsys):
     path = _write(tmp_path, "bad.q", "n 2\narrow 1 2\narrow 2 1\n")
     assert main(["check", path]) == 2

@@ -22,7 +22,7 @@ from arquiver import (
     verify_mesh,
 )
 from arquiver.dynkin import canonical_diagram, orient, random_orientation
-from arquiver.oracle import _audit, _certify, _path_audit, audit_paths, run_all
+from arquiver.oracle import _audit, _certify, _path_audit, _spans, audit_paths, run_all
 from arquiver.quiver import Arrow
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
@@ -30,6 +30,7 @@ from plane import (
     distance,
     reference_audit_lines,
     reference_mesh_line,
+    reference_spans,
     successors,
     topological_order,
 )
@@ -76,23 +77,44 @@ def test_verify_mesh_names_the_corrupted_vertex():
     assert line == "mesh-additivity: FAIL (mesh relation fails at ZVertex(level=1, base=2))"
 
 
+def _bumped(arq, rng):
+    """A copy of ``arq.dims`` with one or two vectors bumped in one entry."""
+    dims = dict(arq.dims)
+    for _ in range(rng.randrange(1, 3)):
+        v = rng.choice(arq.vertices)
+        bumped = list(dims[v])
+        bumped[rng.randrange(arq.n)] += rng.choice((-1, 1, 2))
+        dims[v] = tuple(bumped)
+    return dims
+
+
 def _mesh_corruptions(arq, rng):
     """Copies of ``arq`` with dimension vectors bumped, or with one or two
-    orbits cut a level short (a top is a mesh input of neighbouring orbits)."""
+    orbits cut a level short (a top is a mesh input of neighbouring orbits),
+    or laid out other than orbit by orbit: vertices reordered, a key in
+    ``dims`` past the top of its orbit (also made a vertex), a vector one
+    entry short."""
     yield arq
     for _ in range(3):
-        dims = dict(arq.dims)
-        for _ in range(rng.randrange(1, 3)):
-            v = rng.choice(arq.vertices)
-            bumped = list(dims[v])
-            bumped[rng.randrange(arq.n)] += rng.choice((-1, 1, 2))
-            dims[v] = tuple(bumped)
-        yield replace(arq, dims=dims)
+        yield replace(arq, dims=_bumped(arq, rng))
     tops = [v for v in arq.vertices if v.level == arq.m_of(v.base) > 0]
     for cut in (rng.sample(tops, k) for k in (1, 2) if k <= len(tops)):
         m = tuple(mi - (ZVertex(mi, i) in cut) for i, mi in enumerate(arq.m, start=1))
+        vertices = tuple(u for u in arq.vertices if u not in cut)
         dims = {u: d for u, d in arq.dims.items() if u not in cut}
-        yield replace(arq, m=m, vertices=tuple(u for u in arq.vertices if u not in cut), dims=dims)
+        yield replace(arq, m=m, vertices=vertices, dims=dims)
+        yield replace(arq, m=m, vertices=vertices)  # the cut tops stay keys of dims
+    # Level by level, then backwards; with bumped vectors the order names the witness.
+    for vertices in (tuple(sorted(arq.vertices)), arq.vertices[::-1]):
+        yield replace(arq, vertices=vertices)
+        yield replace(arq, vertices=vertices, dims=_bumped(arq, rng))
+    top = rng.choice(arq.vertices)
+    extra = {**arq.dims, top.translate(-1): arq.dims[top]}
+    yield replace(arq, dims=extra)
+    yield replace(arq, vertices=arq.vertices + (top.translate(-1),), dims=extra)
+    for _ in range(2):
+        v = rng.choice(arq.vertices)
+        yield replace(arq, dims={**arq.dims, v: arq.dims[v][:-1]})
 
 
 @pytest.mark.parametrize("family, rank", all_diagrams(7))
@@ -103,6 +125,42 @@ def test_verify_mesh_names_the_first_failure_like_the_vertex_loop(family, rank):
         for corrupted in _mesh_corruptions(arq, rng):
             line = verify_mesh(corrupted).checks[0].line()
             assert line == reference_mesh_line(corrupted)
+
+
+@pytest.fixture
+def no_mesh_fallback(monkeypatch):
+    from arquiver import oracle
+
+    def fallback(*args):
+        raise AssertionError("the orbit-run mesh sums fell back to the vertex loop")
+
+    monkeypatch.setattr(oracle, "_walk_meshes", fallback)
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_mesh_runs_hold_on_every_small_diagram(no_mesh_fallback, family, rank):
+    rng = random.Random(f"mesh runs {family}{rank}")
+    for _ in range(3):
+        report = verify_mesh(build(random_orientation(canonical_diagram(family, rank), rng)))
+        assert report.ok, report.first_failure()
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_mesh_runs_hold_on_random_orientations_to_rank_40(no_mesh_fallback, family):
+    rng = random.Random(f"mesh runs {family}")
+    lowest = {"A": 1, "B": 2, "C": 3, "D": 4}[family]
+    for rank in range(lowest, 41):
+        report = verify_mesh(build(random_orientation(canonical_diagram(family, rank), rng)))
+        assert report.ok, report.first_failure()
+
+
+def test_mesh_runs_fall_back_on_every_failure(no_mesh_fallback):
+    arq = build(e6_example())
+    rng = random.Random("mesh fallback")
+    for corrupted in list(_mesh_corruptions(arq, rng))[1:]:
+        if reference_mesh_line(corrupted) != "mesh-additivity: PASS":
+            with pytest.raises(AssertionError, match="fell back"):
+                verify_mesh(corrupted)
 
 
 def test_audit_paths_a3():
@@ -510,6 +568,39 @@ def test_certificate_holds_on_linear_a100(no_fallback):
     _assert_certified_without_fallback(build(validate(100, [(i, i + 1) for i in range(1, 100)])))
 
 
+def _span_ends(arq, rng):
+    """Every projective-injective pair, then random pairs of vertices: some
+    equal, some backwards in the topological order, some not joined."""
+    ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
+    ends += [(rng.choice(arq.vertices), rng.choice(arq.vertices)) for _ in range(20)]
+    ends += [(v, v) for v in rng.sample(arq.vertices, min(3, len(arq.vertices)))]
+    return ends
+
+
+def test_spans_of_a_projective_that_is_its_own_injective():
+    arq = build(a1_quiver())
+    assert _spans(arq, _certify(arq), [(ZVertex(0, 1), ZVertex(0, 1))]) == [(0, 0)]
+
+
+@pytest.mark.parametrize(
+    "family, rank", _CORRUPTED_DIAGRAMS, ids=[f + str(r) for f, r in _CORRUPTED_DIAGRAMS]
+)
+def test_spans_sweep_matches_the_per_pair_search(family, rank):
+    # A deleted arrow keeps the certificate but leaves pairs unjoined.
+    rng = random.Random(f"spans {family}{rank}")
+    arq = build(random_orientation(canonical_diagram(family, rank), rng))
+    unjoined = 0
+    for k in [None] + rng.sample(range(len(arq.arrows)), min(6, len(arq.arrows))):
+        corrupted = arq if k is None else replace(arq, arrows=arq.arrows[:k] + arq.arrows[k + 1 :])
+        phi = _certify(corrupted)
+        assert phi is not None
+        ends = _span_ends(corrupted, rng)
+        spans = _spans(corrupted, phi, ends)
+        assert spans == reference_spans(corrupted, phi, ends)
+        unjoined += spans.count(None)
+    assert unjoined
+
+
 @settings(max_examples=100, deadline=None)
 @given(_corrupted_quivers())
 def test_path_table_order_matches_the_reference_kahn_order_on_corrupted_quivers(arq):
@@ -604,6 +695,46 @@ def test_an_arrow_into_a_cut_vertex_fails_every_check_that_reads_paths():
     assert lines[7] == (
         "cluster-count: FAIL (fundamental domain has 8 objects, expected n(|C|+2)/2)"
     )
+
+
+# The checks that read an injective's position.
+_INJECTIVE_CHECKS = {
+    "injective-recursion",
+    "count-identity",
+    "derived-period",
+    "projective-injective-distance",
+}
+
+
+@pytest.mark.parametrize(
+    "rho, missing", [((1, 1, 1), 2), ((0, 2, 1), 3)], ids=["repeated", "zero"]
+)
+def test_a_rho_that_is_no_permutation_fails_every_check_that_reads_an_injective(rho, missing):
+    reason = f"no orbit ends at injective {missing}"
+    failing = _INJECTIVE_CHECKS | {"orbit-index-relation", "closed-form-orbits"}
+    assert _lines(replace(build(a3_linear()), rho=rho)) == [
+        f"{name}: FAIL ({reason})" if name in _INJECTIVE_CHECKS
+        else f"{name}: FAIL" if name in failing
+        else f"{name}: PASS"
+        for name in _CHECK_NAMES
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_all_reports_any_rho_line_by_line(data):
+    family, rank = data.draw(st.sampled_from(all_diagrams(5)))
+    g = canonical_diagram(family, rank)
+    arq = build(orient(g, data.draw(st.integers(0, (1 << len(g.edges)) - 1))))
+    rho = data.draw(st.lists(st.integers(0, rank + 1), min_size=rank, max_size=rank))
+    lines = _lines(replace(arq, rho=tuple(rho)))
+    assert [line.split(":")[0] for line in lines] == _CHECK_NAMES
+    missing = next((l for l in arq.quiver.vertices() if l not in rho), None)
+    for name, line in zip(_CHECK_NAMES, lines):
+        if missing is not None and name in _INJECTIVE_CHECKS:
+            assert line == f"{name}: FAIL (no orbit ends at injective {missing})"
+        else:
+            assert "no orbit ends" not in line
 
 
 @pytest.mark.parametrize(
