@@ -55,7 +55,10 @@ class ARQuiver:
         return self.quiver.n
 
     def m_of(self, i: int) -> int:
-        return self.m[i - 1]
+        """The level of the injective on base ``i``."""
+        if 0 < i <= len(self.m) and i <= self.quiver.n:
+            return self.m[i - 1]
+        raise PositionOutOfRangeError(f"no injective level for base {i}")
 
     def rho_of(self, i: int) -> int:
         return self.rho[i - 1]

@@ -94,21 +94,11 @@ def recursive_injective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
     """Injective dimension vectors by recursion from the sources.
 
     The vector at ``l`` is the unit vector plus, for every arrow
-    ``j -> l`` with valuation ``(a, b)``, ``b`` times the vector at ``j``.
+    ``j -> l`` with valuation ``(a, b)``, ``b`` times the vector at ``j``:
+    the projective recursion on the opposite quiver, where that arrow is
+    ``l -> j`` with valuation ``(b, a)``.
     """
-    dims: dict[int, tuple[int, ...]] = {}
-
-    def compute(l: int) -> tuple[int, ...]:
-        if l not in dims:
-            vec = _unit(q.n, l)
-            for a in q.in_arrows(l):
-                vec = _add(vec, compute(a.src), a.val[1])
-            dims[l] = vec
-        return dims[l]
-
-    for l in q.vertices():
-        compute(l)
-    return dims
+    return recursive_projective_dims(q.opposite())
 
 
 def verify_mesh(arq: ARQuiver) -> OracleReport:

@@ -161,7 +161,7 @@ def write_report(report: dict, out: TextIO) -> None:
 
 
 def _document(report: dict) -> Iterator[str]:
-    yield from _Encoder().stream(report, "", "", 2)
+    yield from _stream(report, "", "", 2)
     yield "\n"
 
 
@@ -170,130 +170,100 @@ _DICT = frozenset((dict,))
 _CHUNK_SLOTS = 1 << 11  # ints per chunk of a templated array
 
 
-class _Encoder:
-    """The text of one document.
+def _stream(value: object, pad: str, lead: str, depth: int) -> Iterator[str]:
+    """``lead`` and the text of ``value``, one string per member of each
+    container fewer than ``depth`` levels down; deeper values come whole.
 
-    Objects go through ``%`` templates, one per shape and indent.  A shape
-    is the sorted keys and, per member, whether it is an int, an array of
-    ``L`` ints, or anything else: ints and array members fill ``%d``
-    slots, anything else is encoded on its own and fills a ``%s`` slot.
-    A streamed array whose members all share one shape of ints and int
-    arrays is checked once as a whole and written through its template,
-    a bounded chunk of members per string; any other array goes member by
-    member.  The templates belong to the encoder, which serves one
-    document.
+    A streamed array whose members are all objects of one shape, each key
+    holding an int or an array of ints of one length, is checked once as
+    a whole and written through one ``%`` template, a bounded chunk of
+    members per string; any other array goes member by member.
     """
-
-    def __init__(self) -> None:
-        self.templates: dict[tuple, str] = {}
-
-    def stream(self, value: object, pad: str, lead: str, depth: int) -> Iterator[str]:
-        """``lead`` and the text of ``value``, one string per member of each
-        container fewer than ``depth`` levels down; deeper values come whole."""
-        if depth == 0 or not isinstance(value, (dict, list, tuple)) or not value:
-            yield lead + self.encode(value, pad)
+    if depth == 0 or not isinstance(value, (dict, list, tuple)) or not value:
+        yield lead + _encode(value, pad)
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        prefixes = [f"{_quote(key)}: " for key, _ in items]
+        members = [member for _, member in items]
+        separator, closing = f"{lead}{{\n{inner}", f"\n{pad}}}"
+    else:
+        prefixes, members = repeat(""), value
+        separator, closing = f"{lead}[\n{inner}", f"\n{pad}]"
+        chunks = _rows(value, inner) if depth == 1 else None
+        if chunks is not None:
+            for chunk in chunks:
+                yield separator + chunk
+                separator = f",\n{inner}"
+            yield closing
             return
-        inner = pad + "  "
-        if isinstance(value, dict):
-            items = sorted(value.items())
-            prefixes = [f"{_quote(key)}: " for key, _ in items]
-            members = [member for _, member in items]
-            separator, closing = f"{lead}{{\n{inner}", f"\n{pad}}}"
+    for prefix, member in zip(prefixes, members):
+        if depth == 1:
+            yield separator + prefix + _encode(member, inner)
         else:
-            prefixes, members = repeat(""), value
-            separator, closing = f"{lead}[\n{inner}", f"\n{pad}]"
-            chunks = self._rows(value, inner) if depth == 1 else None
-            if chunks is not None:
-                for chunk in chunks:
-                    yield separator + chunk
-                    separator = f",\n{inner}"
-                yield closing
-                return
-        for prefix, member in zip(prefixes, members):
-            if depth == 1:
-                yield separator + prefix + self.encode(member, inner)
-            else:
-                yield from self.stream(member, inner, separator + prefix, depth - 1)
-            separator = f",\n{inner}"
-        yield closing
+            yield from _stream(member, inner, separator + prefix, depth - 1)
+        separator = f",\n{inner}"
+    yield closing
 
-    def _rows(self, array: list | tuple, pad: str) -> Iterator[str] | None:
-        """The members of ``array`` through one template, in bounded chunks,
-        or ``None`` unless all are objects of one shape that holds only
-        ints and int arrays, at least one int in all."""
-        if not _DICT.issuperset(map(type, array)):
-            return None
-        keys = sorted(array[0])
-        if set(map(len, array)) != {len(keys)}:
-            return None
-        shape: list = [pad]
-        for key in keys:
-            try:
-                column = list(map(itemgetter(key), array))
-            except KeyError:
-                return None
-            kinds = set(map(type, column))
-            if kinds == _INT:
-                shape += key, -1
-            elif (
-                all(issubclass(kind, (list, tuple)) for kind in kinds)
-                and len(lengths := set(map(len, column))) == 1
-                and _INT.issuperset(map(type, chain.from_iterable(column)))
-            ):
-                shape += key, lengths.pop()
-            else:
-                return None
-        kinds = shape[2::2]
-        width = sum(1 if kind < 0 else kind for kind in kinds)
-        if not width:
-            return None
-        template = self._template_of(tuple(shape))
-        return _chunks(array, keys, kinds, template, pad, max(1, _CHUNK_SLOTS // width))
 
-    def encode(self, value: object, pad: str) -> str:
-        """The text of ``value``, its nested lines indented past ``pad``."""
-        kind = type(value)
-        if kind is int:
-            return int.__repr__(value)
+def _encode(value: object, pad: str) -> str:
+    """The text of ``value``, its nested lines indented past ``pad``."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if isinstance(value, (dict, list, tuple)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = pad + "  "
+        separator = ",\n" + inner
         if isinstance(value, dict):
-            return self._object(value, pad) if value else "{}"
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            inner = pad + "  "
-            separator = ",\n" + inner
-            if _INT.issuperset(map(type, value)):
-                return f"[\n{inner}{separator.join(map(int.__repr__, value))}\n{pad}]"
-            members = [self.encode(member, inner) for member in value]
-            return f"[\n{inner}{separator.join(members)}\n{pad}]"
-        if isinstance(value, str):
-            return _quote(value)
-        if isinstance(value, int) and kind is not bool:
-            return int.__repr__(value)
-        raise TypeError(f"{kind.__name__} value {value!r} is not JSON report data")
+            members = [
+                f"{_quote(key)}: {_encode(member, inner)}" for key, member in sorted(value.items())
+            ]
+            return f"{{\n{inner}{separator.join(members)}\n{pad}}}"
+        if _INT.issuperset(map(type, value)):
+            return f"[\n{inner}{separator.join(map(int.__repr__, value))}\n{pad}]"
+        members = [_encode(member, inner) for member in value]
+        return f"[\n{inner}{separator.join(members)}\n{pad}]"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int) and kind is not bool:
+        return int.__repr__(value)
+    raise TypeError(f"{kind.__name__} value {value!r} is not JSON report data")
 
-    def _object(self, value: dict, pad: str) -> str:
-        # The shape: the indent, then each key with -1 for an int, L for an
-        # array of L ints and None for anything else.
-        shape: list = [pad]
-        slots: list = []
-        for key, member in sorted(value.items()):
-            if type(member) is int:
-                shape += key, -1
-                slots.append(member)
-            elif isinstance(member, (list, tuple)) and _INT.issuperset(map(type, member)):
-                shape += key, len(member)
-                slots += member
-            else:
-                shape += key, None
-                slots.append(self.encode(member, pad + "  "))
-        return self._template_of(tuple(shape)) % tuple(slots)
 
-    def _template_of(self, shape: tuple) -> str:
-        template = self.templates.get(shape)
-        if template is None:
-            template = self.templates[shape] = _template(shape)
-        return template
+def _rows(array: list | tuple, pad: str) -> Iterator[str] | None:
+    """The members of ``array`` through one template, in bounded chunks,
+    or ``None`` unless all are objects of one shape that holds only ints
+    and int arrays, at least one int in all."""
+    if not _DICT.issuperset(map(type, array)):
+        return None
+    keys = sorted(array[0])
+    if set(map(len, array)) != {len(keys)}:
+        return None
+    kinds = []
+    for key in keys:
+        try:
+            column = list(map(itemgetter(key), array))
+        except KeyError:
+            return None
+        types = set(map(type, column))
+        if types == _INT:
+            kinds.append(-1)
+        elif (
+            all(issubclass(kind, (list, tuple)) for kind in types)
+            and len(lengths := set(map(len, column))) == 1
+            and _INT.issuperset(map(type, chain.from_iterable(column)))
+        ):
+            kinds.append(lengths.pop())
+        else:
+            return None
+    width = sum(1 if kind < 0 else kind for kind in kinds)
+    if not width:
+        return None
+    template = _template(keys, kinds, pad)
+    return _chunks(array, keys, kinds, template, pad, max(1, _CHUNK_SLOTS // width))
 
 
 def _chunks(
@@ -317,15 +287,13 @@ def _chunks(
         yield separator.join(map(template.__mod__, zip(*columns)))
 
 
-def _template(shape: tuple) -> str:
-    """The ``%`` template of an object shape (see :class:`_Encoder`)."""
-    pad = shape[0]
+def _template(keys: list[str], kinds: list[int], pad: str) -> str:
+    """The ``%`` template of an object indented past ``pad`` whose member
+    at each key is an int (kind -1) or an array of ``kind`` ints."""
     inner = pad + "  "
     members = []
-    for key, kind in zip(shape[1::2], shape[2::2]):
-        if kind is None:
-            text = "%s"
-        elif kind < 0:
+    for key, kind in zip(keys, kinds):
+        if kind < 0:
             text = "%d"
         elif kind == 0:
             text = "[]"

@@ -123,8 +123,8 @@ def test_write_report_holds_less_than_a_megabyte_at_a60_with_hammocks():
     assert peak < 1_000_000, peak
 
 
-# -- object templates: objects below the streamed top levels are written
-# through one ``%`` template per shape, so these put rows at that depth.
+# -- objects below the streamed top levels are encoded whole, so these put
+# rows at that depth.
 
 _ROW_KEYS = ["%", "%d", "%s", "é", "\x00", "100%", "a%%b"]
 
@@ -204,28 +204,6 @@ def test_templates_still_reject_bools(value):
         report_to_json(value)
     with pytest.raises(TypeError):
         _written(value)
-
-
-def test_each_document_gets_its_own_templates(monkeypatch):
-    from arquiver import report
-
-    encoders = []
-
-    class Recording(report._Encoder):
-        def __init__(self):
-            super().__init__()
-            encoders.append(self)
-
-    monkeypatch.setattr(report, "_Encoder", Recording)
-    first = {"rows": [{"a": 1, "b": (1, 2)}]}
-    second = {"rows": [{"a": 2, "c": "x"}]}
-    text = report_to_json(first)
-    kept = dict(encoders[0].templates)
-    assert report_to_json(second) == _reference(second)
-    assert len(encoders) == 2
-    assert encoders[0].templates == kept
-    assert not encoders[1].templates.keys() & kept.keys()
-    assert report_to_json(first) == text == _reference(first)
 
 
 # -- one template per array: members of one shape are written together, in

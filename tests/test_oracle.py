@@ -648,8 +648,12 @@ def _broken_quivers(draw, max_rank=5):
         return _with_extra_arrows(arq, (za.dst, za.src))
     if kind == "cut":  # leaves an arrow into a vertex that is gone
         return replace(arq, vertices=tuple(v for v in arq.vertices if v != za.dst))
-    m = draw(st.lists(st.integers(0, 2 * rank), min_size=rank, max_size=rank))
-    return replace(arq, m=tuple(m), rho=tuple(draw(st.permutations(arq.rho))))
+    # Orbit data of any length up to rank + 2, entries past 1..rank included.
+    m = draw(st.lists(st.integers(-1, 2 * rank + 1), max_size=rank + 2))
+    rho = draw(
+        st.permutations(arq.rho) | st.lists(st.integers(-1, rank + 2), max_size=rank + 2)
+    )
+    return replace(arq, m=tuple(m), rho=tuple(rho))
 
 
 @settings(max_examples=200, deadline=None)
@@ -706,18 +710,30 @@ _INJECTIVE_CHECKS = {
 }
 
 
-@pytest.mark.parametrize(
-    "rho, missing", [((1, 1, 1), 2), ((0, 2, 1), 3)], ids=["repeated", "zero"]
-)
-def test_a_rho_that_is_no_permutation_fails_every_check_that_reads_an_injective(rho, missing):
-    reason = f"no orbit ends at injective {missing}"
+def _unpaired_lines(reason):
+    """The lines of linear A3 with orbit data that place no injective."""
     failing = _INJECTIVE_CHECKS | {"orbit-index-relation", "closed-form-orbits"}
-    assert _lines(replace(build(a3_linear()), rho=rho)) == [
+    return [
         f"{name}: FAIL ({reason})" if name in _INJECTIVE_CHECKS
         else f"{name}: FAIL" if name in failing
         else f"{name}: PASS"
         for name in _CHECK_NAMES
     ]
+
+
+@pytest.mark.parametrize(
+    "rho, missing", [((1, 1, 1), 2), ((0, 2, 1), 3)], ids=["repeated", "zero"]
+)
+def test_a_rho_that_is_no_permutation_fails_every_check_that_reads_an_injective(rho, missing):
+    assert _lines(replace(build(a3_linear()), rho=rho)) == _unpaired_lines(
+        f"no orbit ends at injective {missing}"
+    )
+
+
+def test_an_m_shorter_than_the_rank_fails_every_check_that_reads_an_injective():
+    assert _lines(replace(build(a3_linear()), m=(1, 2))) == _unpaired_lines(
+        "no injective level for base 3"
+    )
 
 
 @settings(max_examples=150, deadline=None)
