@@ -3,15 +3,18 @@
 Position ``(r, i)`` stands for the ``r``-th translate of the ``i``-th
 projective; column 0 is the projectives, and orbit ``i`` ends at its
 ``m(i)``-th translate, which is the injective paired to ``i`` by the
-permutation ``rho``.  Both ``m`` and ``rho`` are read off the hammock
-knits; the closed forms below recompute them from walk statistics alone
-and serve as an independent route.
+permutation ``rho``.  The closed forms below recompute ``m`` and ``rho``
+from walk statistics alone and serve as an independent route.
 
-Dimension vectors are read straight off the knitted hammock grids
-(entry ``k`` of the vector at ``(r, i)`` is the ``k``-th hammock value
-there, level ``r`` of base ``i`` in grid ``k``), not by knitting meshes
-from the projectives; the mesh recursion lives in the
-oracle module as a cross-check.
+The dimension vectors are knitted from the projectives, all ``n``
+hammocks in lockstep: entry ``k`` of the vector at ``(r, i)`` is hammock
+``k``'s value there.  Level 0 holds the projectives, read off the
+hammocks' seed sections; past it, ``dim (s, x)`` is the mesh sum of its
+inputs less ``dim (s - 1, x)``.  An orbit stops at its first vector with a
+negative entry, one level past its injective; that vector is minus the
+projective ``P_k`` whose hammock ends there, so ``rho(x) = k``.  The
+paper's per-hammock knit (:mod:`arquiver.hammock`) runs only on demand,
+for the hammock tables.
 """
 
 from __future__ import annotations
@@ -20,15 +23,20 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import itemgetter, ne, sub
+from operator import add, itemgetter, mul, ne, neg, sub
 from typing import Iterable, NamedTuple
 
 from .coxeter import table_order
 from .dynkin import DynkinClass, classify_quiver, relabel_quiver
-from .errors import CrossCheckFailedError, KnitInconsistentError, PositionOutOfRangeError
-from .hammock import HammockResult, knit_classified
+from .errors import (
+    BoundExceededError,
+    CrossCheckFailedError,
+    KnitInconsistentError,
+    PositionOutOfRangeError,
+)
+from .hammock import HammockResult, knit_classified, seed_section
 from .quiver import ValuedQuiver, arrow_counts
-from .repetitive import ZArrow, ZVertex, path_length
+from .repetitive import ZArrow, ZVertex, mesh_inputs, path_length
 
 
 class PathTable(NamedTuple):
@@ -48,7 +56,6 @@ class ARQuiver:
     vertices: tuple[ZVertex, ...]
     arrows: tuple[ZArrow, ...]
     dims: dict[ZVertex, tuple[int, ...]] = field(compare=False)
-    hammocks: tuple[HammockResult, ...] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -77,6 +84,17 @@ class ARQuiver:
         """Position of the injective hull of the ``l``-th simple."""
         i = self.rho_inverse(l)
         return ZVertex(self.m_of(i), i)
+
+    @cached_property
+    def hammocks(self) -> tuple[HammockResult, ...]:
+        """The paper's hammock of every vertex, knitted on first read.
+
+        Column ``k`` of the dimension vectors is hammock ``k`` restricted to
+        the quiver; the knit adds its values past the quiver and its
+        terminator.  A racing second read knits equal results.
+        """
+        order = table_order(self.dynkin)
+        return tuple(knit_classified(self.quiver, k, order) for k in self.quiver.vertices())
 
     @cached_property
     def path_table(self) -> PathTable:
@@ -121,25 +139,27 @@ class Counts(NamedTuple):
 
 
 def build(q: ValuedQuiver) -> ARQuiver:
-    """Knit every hammock and assemble the finite translation quiver."""
+    """Knit every dimension vector and assemble the finite translation quiver."""
     dynkin = classify_quiver(q)
-    order = table_order(dynkin)
-    results = [knit_classified(q, k, order) for k in q.vertices()]
+    columns, ends = _knit_vectors(q, table_order(dynkin) + 1)
 
     m = [-1] * q.n
     rho = [0] * q.n
-    for res in results:
-        if rho[res.orbit - 1]:
+    for k, end in sorted(ends.items()):
+        if rho[end.base - 1]:
             raise KnitInconsistentError(
-                f"orbit {res.orbit} terminates two hammocks ({rho[res.orbit - 1]} and {res.k})"
+                f"orbit {end.base} terminates two hammocks ({rho[end.base - 1]} and {k})"
             )
-        m[res.orbit - 1] = res.orbit_index
-        rho[res.orbit - 1] = res.k
+        m[end.base - 1] = end.level - 1
+        rho[end.base - 1] = k
     if 0 in rho:
         raise KnitInconsistentError("some orbit terminates no hammock")
     for i in q.vertices():
         if rho[rho[i - 1] - 1] != i:
             raise KnitInconsistentError("orbit pairing is not an involution")
+    for i, column in zip(q.vertices(), columns):
+        if column[0][i - 1] != 1:
+            raise KnitInconsistentError(f"projective {i} misses its own simple top")
 
     # Orbit i holds the positions (r, i) for r = 0..m(i).
     orbits = [[ZVertex(r, i) for r in range(m[i - 1] + 1)] for i in q.vertices()]
@@ -152,26 +172,90 @@ def build(q: ValuedQuiver) -> ARQuiver:
         arrows += [ZArrow(x[s], y[s], a, False) for s in range(min(len(x), len(y)))]
         arrows += [ZArrow(y[s], x[s + 1], a, True) for s in range(min(len(y), len(x) - 1))]
     arrows.sort(key=itemgetter(0, 1))
+    # Each column ends at its terminator, which lies past the quiver.
+    dims = dict(zip(vertices, chain.from_iterable(column[:-1] for column in columns)))
+    return ARQuiver(q, dynkin, tuple(m), tuple(rho), vertices, tuple(arrows), dims)
 
-    # Column k of the dimension vectors is hammock k, read off its grid by
-    # orbit.  Terminators sit one level past their orbit, so no vertex is
-    # one; levels below the seed section (None) or past the knit are zero.
-    columns = []
-    for res in results:
-        column: list[int] = []
-        for i, levels in zip(q.vertices(), m):
-            values = res.grid[i][: levels + 1]
-            column += [0 if value is None else value for value in values]
-            column += repeat(0, levels + 1 - len(values))
-        columns.append(column)
-    dims = dict(zip(vertices, zip(*columns)))
-    for i in q.vertices():
-        if dims[ZVertex(0, i)][i - 1] != 1:
-            raise KnitInconsistentError(f"projective {i} misses its own simple top")
 
-    return ARQuiver(
-        q, dynkin, tuple(m), tuple(rho), vertices, tuple(arrows), dims, tuple(results)
-    )
+def _knit_vectors(
+    q: ValuedQuiver, bound: int
+) -> tuple[list[list[tuple[int, ...]]], dict[int, ZVertex]]:
+    """Per base, the dimension vectors by level up to its terminator, and
+    the terminator of each hammock ``k``: where ``-dim P_k`` is knitted.
+
+    Level ``s`` is knitted after level ``s - 1``, its bases in the opposite
+    quiver's topological order, so every mesh input is knitted before it
+    is read; a terminator stays readable by the neighbouring orbits.
+    Raises :class:`KnitInconsistentError` when a mesh input is read before
+    it was knitted, a first negative vector is not minus a projective's,
+    or the vector directly before it is not a module's (zero, or with a
+    negative entry), and :class:`BoundExceededError` when an orbit runs
+    past level ``bound``.
+    """
+    n, qop = q.n, q.opposite()
+    # Entry k of dim P_j is hammock k's seed at (0, j): 0 when the seed
+    # section meets base j above level 0.
+    projectives = [[0] * n for _ in range(n)]
+    for k in q.vertices():
+        for v, value in seed_section(qop, k).items():
+            if not v.level:
+                projectives[v.base - 1][k - 1] = value
+    columns = [[tuple(p)] for p in projectives]
+    hammocks_of: dict[tuple[int, ...], list[int]] = {}
+    for k, column in enumerate(columns, 1):
+        hammocks_of.setdefault(tuple(map(neg, column[0])), []).append(k)
+    # Along every arrow of the opposite quiver the forward minus the
+    # backward steps from base 1 rise by one: a topological order.
+    steps = qop._forward_steps
+    live = sorted(q.vertices(), key=lambda x: steps[1][x] - steps[x][1])
+    meshes = mesh_inputs(qop)
+    rows = {
+        x: [(offset, columns[src - 1], weight) for offset, src, weight in meshes[x]]
+        for x in live
+    }
+    ends: dict[int, ZVertex] = {}
+    level = 0
+    while live:
+        level += 1
+        if level > bound:
+            raise BoundExceededError(
+                f"no negative dimension vector within {bound} levels; "
+                "input is not of finite type"
+            )
+        knitting, live = live, []
+        for x in knitting:
+            column = columns[x - 1]
+            before = column[-1]
+            total = None  # one lazy map chain over the inputs, less before
+            try:
+                for offset, source, weight in rows[x]:
+                    vector = source[level + offset]
+                    if weight != 1:
+                        vector = map(mul, vector, repeat(weight))
+                    total = vector if total is None else map(add, total, vector)
+            except IndexError:
+                raise KnitInconsistentError(
+                    f"mesh input of {ZVertex(level, x)} read before it was knitted"
+                ) from None
+            # Through a list: a tuple drawn straight from the iterator starts
+            # at a guessed size and is shrunk in place, a larger block per vector.
+            vector = tuple(list(map(neg, before) if total is None else map(sub, total, before)))
+            column.append(vector)
+            if min(vector) >= 0:
+                live.append(x)
+                continue
+            v = ZVertex(level, x)
+            if vector not in hammocks_of:
+                raise KnitInconsistentError(
+                    f"first negative vector at {v} is not minus a projective's"
+                )
+            if min(before) < 0 or not any(before):
+                raise KnitInconsistentError(
+                    f"vector directly before the terminator {v} is not a module's"
+                )
+            for k in hammocks_of[vector]:
+                ends[k] = v
+    return columns, ends
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -257,8 +341,9 @@ def _count_identity(
     after the vertex count is checked."""
     total = sum(mi + 1 for mi in arq.m)
     if 2 * total != arq.n * order:
+        half, odd = divmod(arq.n * order, 2)
         raise CrossCheckFailedError(
-            f"{total} vertices but n*|C| = {arq.n * order}"
+            f"{total} vertices but n*|C|/2 = {half}{'.5' if odd else ''}"
         )
     dists = []
     for i, span in zip(arq.quiver.vertices(), spans):

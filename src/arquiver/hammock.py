@@ -24,6 +24,12 @@ fills a list indexed by level, one entry every other length, and at each
 length the bases of its parity take their turn in ``(-c_j, j)`` order;
 no heap is needed.  Every in-arrow source precedes its target in this
 order, so all mesh inputs are available when needed.
+
+This per-hammock knit serves the hammock tables (``build --hammocks``,
+``arquiver hammock -k``) and :attr:`~arquiver.ar_quiver.ARQuiver.hammocks`,
+which knits on first read.  ``build`` reads only :func:`seed_section`:
+it knits all ``n`` hammocks at once as dimension vectors, seeded with the
+level-0 values of the seed sections.
 """
 
 from __future__ import annotations

@@ -434,7 +434,8 @@ def _enumerated_counts(arq, order):
     its result, or the message it fails with."""
     total = sum(mi + 1 for mi in arq.m)
     if 2 * total != arq.n * order:
-        return f"{total} vertices but n*|C| = {arq.n * order}"
+        half, odd = divmod(arq.n * order, 2)
+        return f"{total} vertices but n*|C|/2 = {half}{'.5' if odd else ''}"
     dists = []
     for i in arq.quiver.vertices():
         inj = arq.injective(i)
@@ -503,3 +504,160 @@ def test_path_table_matches_the_reference_kahn_order_on_every_orientation(family
         assert [tuple(table.order[w] for w in out) for out in table.successors] == [
             heads[v] for v in table.order
         ]
+
+
+def test_count_identity_names_half_of_n_times_the_order():
+    # Four orbits of three on linear A3: 12 vertices against n*|C| = 12,
+    # and the count must equal half of that.
+    a3 = build(a3_linear())
+    with pytest.raises(CrossCheckFailedError, match=r"^12 vertices but n\*\|C\|/2 = 6$"):
+        counts_and_nilpotency(replace(a3, m=(2, 2, 2, 2)), 4)
+
+
+# -- the vector knit: dimension vectors are the scalar hammocks, column by column ---
+
+
+def _assert_columns_are_the_hammocks(q):
+    from arquiver import knit_hammock
+
+    arq = build(q)
+    for k in q.vertices():
+        res = knit_hammock(q, k)
+        column = []
+        for v in arq.vertices:  # None below the seed, nothing past the terminator
+            levels = res.grid[v.base]
+            value = levels[v.level] if v.level < len(levels) else None
+            column.append(0 if value is None else value)
+        assert column == [arq.dims[v][k - 1] for v in arq.vertices], k
+        x = res.terminator.base
+        assert res.terminator == ZVertex(arq.m_of(x) + 1, x), k
+        assert arq.rho_of(x) == k
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_vector_columns_are_the_scalar_hammocks_on_every_orientation(family, rank):
+    for q in all_orientations(canonical_diagram(family, rank)):
+        _assert_columns_are_the_hammocks(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_orientations())
+def test_vector_columns_are_the_scalar_hammocks_on_relabelled_orientations(q):
+    _assert_columns_are_the_hammocks(q)
+
+
+def test_build_knits_no_scalar_hammock_until_the_hammocks_are_read(monkeypatch):
+    from arquiver import ar_quiver
+
+    calls = []
+    knit = ar_quiver.knit_classified
+
+    def counting(q, k, order):
+        calls.append(k)
+        return knit(q, k, order)
+
+    monkeypatch.setattr(ar_quiver, "knit_classified", counting)
+    q = e6_example()
+    arq = build(q)
+    assert calls == []
+    hammocks = arq.hammocks
+    assert calls == list(q.vertices())
+    assert arq.hammocks is hammocks and len(calls) == q.n
+
+
+def _seeding(monkeypatch, *projectives):
+    """Seed the vector knit with these projective dimension vectors."""
+    from arquiver import ar_quiver
+
+    def seeds(qop, k):
+        return {ZVertex(0, j): p[k - 1] for j, p in enumerate(projectives, 1) if p[k - 1]}
+
+    monkeypatch.setattr(ar_quiver, "seed_section", seeds)
+
+
+A2 = validate(2, [(1, 2)])  # dim P_1 = (1, 1), dim P_2 = (0, 1)
+
+
+@pytest.mark.parametrize(
+    "q, projectives, message",
+    [
+        # P_1 = P_2: the translate of P_2 is zero, right below -dim P_1.
+        (
+            A2,
+            [(1, 1), (1, 1)],
+            r"^vector directly before the terminator ZVertex\(level=2, base=2\) is not a module's$",
+        ),
+        # The terminator -dim P_2 sits right above P_1, which has a negative entry.
+        (
+            A2,
+            [(2, -1), (1, -1)],
+            r"^vector directly before the terminator ZVertex\(level=1, base=1\) is not a module's$",
+        ),
+        # P_2 = (2, 1) outgrows P_1: the translate (-1, 0) of P_2 is no -dim P.
+        (
+            A2,
+            [(1, 1), (2, 1)],
+            r"^first negative vector at ZVertex\(level=1, base=2\) is not minus a projective's$",
+        ),
+        # P_2 = P_3: orbit 2 ends at minus both.
+        (
+            a3_linear(),
+            [(1, 1, 1), (0, 1, 1), (0, 1, 1)],
+            r"^orbit 2 terminates two hammocks \(2 and 3\)$",
+        ),
+        # Orbits 1 and 3 both end at -dim P_1 (read off 3 -> 2 -> 1).
+        (
+            validate(3, [(2, 1), (3, 2)]),
+            [(1, 0, 0), (2, 1, 1), (1, 1, 1)],
+            r"^some orbit terminates no hammock$",
+        ),
+        # Column 1 doubled: every vector knits consistently but P_1's top.
+        (A2, [(2, 1), (0, 1)], r"^projective 1 misses its own simple top$"),
+    ],
+    ids=["zero-before", "negative-before", "not-a-projective", "two-hammocks", "no-hammock", "top"],
+)
+def test_vector_knit_rejects_inconsistent_seeds(monkeypatch, q, projectives, message):
+    from arquiver import KnitInconsistentError
+
+    _seeding(monkeypatch, *projectives)
+    with pytest.raises(KnitInconsistentError, match=message):
+        build(q)
+
+
+def test_vector_knit_rejects_a_pairing_that_is_not_an_involution(monkeypatch):
+    from arquiver import KnitInconsistentError, ar_quiver
+
+    knit = ar_quiver._knit_vectors
+
+    def swapped(q, bound):  # rho (3, 2, 1) becomes the 3-cycle (2, 3, 1)
+        columns, ends = knit(q, bound)
+        return columns, {1: ends[1], 2: ends[3], 3: ends[2]}
+
+    monkeypatch.setattr(ar_quiver, "_knit_vectors", swapped)
+    with pytest.raises(KnitInconsistentError, match="^orbit pairing is not an involution$"):
+        build(a3_linear())
+
+
+def test_vector_knit_reads_no_mesh_input_before_it_is_knitted(monkeypatch):
+    from arquiver import KnitInconsistentError, ar_quiver
+
+    meshes = ar_quiver.mesh_inputs
+
+    def ahead(base):  # star inputs read a level up, where nothing is knitted yet
+        return {x: tuple((0, s, w) for _, s, w in rows) for x, rows in meshes(base).items()}
+
+    monkeypatch.setattr(ar_quiver, "mesh_inputs", ahead)
+    with pytest.raises(
+        KnitInconsistentError,
+        match=r"^mesh input of ZVertex\(level=1, base=2\) read before it was knitted$",
+    ):
+        build(A2)
+
+
+def test_vector_knit_stops_past_level_h_plus_one(monkeypatch):
+    from arquiver import BoundExceededError, ar_quiver
+
+    # Claiming h = 1 bounds the knit at level 2; linear A3 ends orbit 3 at level 3.
+    monkeypatch.setattr(ar_quiver, "table_order", lambda dynkin: 1)
+    with pytest.raises(BoundExceededError, match="within 2 levels"):
+        build(a3_linear())

@@ -470,3 +470,42 @@ def test_row_certificate_leaves_open_orbits_to_the_walk(q, m, rho, vectors, lowe
     assert _orbit_lengths(arq, lower, []) is None
     with pytest.raises(CrossCheckFailedError, match=r"orbit of projective 1 does not close"):
         _walk_orbits(arq, lower, [])
+
+
+def test_negative_orbit_level_sends_both_certificates_to_their_walks(monkeypatch):
+    # Orbit 1 of linear A3 claimed to end one level below its projective,
+    # with a vector filed there, and an interior vector bumped: no orbit
+    # layout exists, so both checks walk and name the bumped vertex.
+    from arquiver import coxeter, oracle
+    from arquiver.coxeter import _orbit_major
+
+    arq = build(a3_linear())
+    dims = dict(arq.dims)
+    dims[ZVertex(-1, 1)] = dims[ZVertex(0, 1)]  # the injective of rho(1) = 3
+    dims[ZVertex(1, 3)] = tuple(x + 1 for x in dims[ZVertex(1, 3)])
+    corrupted = replace(arq, m=(-1, 1, 2), dims=dims)
+    assert _orbit_major(corrupted) is None
+    walks = []
+    for module, name in ((oracle, "_walk_meshes"), (coxeter, "_walk_orbits")):
+        walk = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, walk=walk, name=name: walks.append(name) or walk(*args)
+        )
+    line = oracle.verify_mesh(corrupted).checks[0].line()
+    assert line == "mesh-additivity: FAIL (mesh relation fails at ZVertex(level=1, base=2))"
+    message = r"coxeter: C \* dim ZVertex\(level=1, base=3\) != dim ZVertex\(level=0, base=3\)"
+    with pytest.raises(CrossCheckFailedError, match=message):
+        coxeter_matrix(corrupted)
+    assert walks == ["_walk_meshes", "_walk_orbits"]
+
+
+def test_negative_orbit_size_leaves_the_order_to_the_walk():
+    # Orbit 1 of A2 claimed to end at level -2: an orbit of size -1, which
+    # the row certificate must not lay out.  The walk finds orbit lengths
+    # 2 and 2, whose order does not divide h = 3.
+    from arquiver import OrderBoundExceededError, validate
+
+    arq = build(validate(2, [(1, 2)]))
+    dims = {**arq.dims, ZVertex(-2, 1): arq.dims[ZVertex(0, 1)]}
+    with pytest.raises(OrderBoundExceededError, match=r"^coxeter: C\^3 != I for A2 \(h = 3\)$"):
+        coxeter_matrix(replace(arq, m=(-2, 1), dims=dims))
