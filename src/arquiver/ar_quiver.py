@@ -13,18 +13,21 @@ hammocks' seed sections; past it, ``dim (s, x)`` is the mesh sum of its
 inputs less ``dim (s - 1, x)``.  An orbit stops at its first vector with a
 negative entry, one level past its injective; that vector is minus the
 projective ``P_k`` whose hammock ends there, so ``rho(x) = k``.  The
-paper's per-hammock knit (:mod:`arquiver.hammock`) runs only on demand,
-for the hammock tables.
+vectors below the terminators, orbit by orbit, are what :class:`ARQuiver`
+stores; ``m``, the positions and the position-keyed vectors are read off
+them.  The paper's per-hammock knit (:mod:`arquiver.hammock`) runs only
+on demand, for the hammock tables.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import add, itemgetter, mul, ne, neg, sub
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .coxeter import table_order
 from .dynkin import DynkinClass, classify_quiver, relabel_quiver
@@ -49,26 +52,62 @@ class PathTable(NamedTuple):
 
 @dataclass(frozen=True)
 class ARQuiver:
+    """The finite translation quiver, held as its knitted orbits.
+
+    ``orbits[i - 1]`` is the dimension vectors of ``(r, i)`` for
+    ``r = 0..m(i)``; ``m``, ``vertices`` and ``dims`` are views of it,
+    built on first read.  The constructor rejects a layout without one
+    non-empty orbit per vertex of ``n``-tuples.
+    """
+
     quiver: ValuedQuiver
     dynkin: DynkinClass
-    m: tuple[int, ...]
+    orbits: tuple[tuple[tuple[int, ...], ...], ...]
     rho: tuple[int, ...]
-    vertices: tuple[ZVertex, ...]
     arrows: tuple[ZArrow, ...]
-    dims: dict[ZVertex, tuple[int, ...]] = field(compare=False)
+
+    def __post_init__(self) -> None:
+        n, orbits = self.quiver.n, self.orbits
+        if len(orbits) != n:
+            raise KnitInconsistentError(f"{len(orbits)} orbits for {n} vertices")
+        if not all(orbits):
+            raise KnitInconsistentError(f"orbit {list(map(len, orbits)).index(0) + 1} is empty")
+        vectors = list(chain.from_iterable(orbits))
+        if set(map(type, vectors)) != {tuple} or set(map(len, vectors)) != {n}:
+            raise KnitInconsistentError(f"a dimension vector is not a tuple of length {n}")
 
     @property
     def n(self) -> int:
         return self.quiver.n
 
+    @cached_property
+    def m(self) -> tuple[int, ...]:
+        """The level of the injective on each base."""
+        return tuple(len(orbit) - 1 for orbit in self.orbits)
+
+    @cached_property
+    def vertices(self) -> tuple[ZVertex, ...]:
+        """The positions orbit by orbit, each orbit in level order."""
+        return tuple(
+            ZVertex(r, i) for i, orbit in enumerate(self.orbits, 1) for r in range(len(orbit))
+        )
+
+    @cached_property
+    def dims(self) -> Mapping[ZVertex, tuple[int, ...]]:
+        """The dimension vector at each position, read-only."""
+        return MappingProxyType(dict(zip(self.vertices, chain.from_iterable(self.orbits))))
+
     def m_of(self, i: int) -> int:
         """The level of the injective on base ``i``."""
-        if 0 < i <= len(self.m) and i <= self.quiver.n:
+        if 0 < i <= self.n:
             return self.m[i - 1]
         raise PositionOutOfRangeError(f"no injective level for base {i}")
 
     def rho_of(self, i: int) -> int:
-        return self.rho[i - 1]
+        """The injective that ends orbit ``i``."""
+        if 0 < i <= self.n:
+            return self.rho[i - 1]
+        raise PositionOutOfRangeError(f"no paired injective for base {i}")
 
     def rho_inverse(self, l: int) -> int:
         """The orbit that ends at the injective of ``l``."""
@@ -78,7 +117,9 @@ class ARQuiver:
             raise PositionOutOfRangeError(f"no orbit ends at injective {l}") from None
 
     def projective(self, i: int) -> ZVertex:
-        return ZVertex(0, i)
+        if 0 < i <= self.n:
+            return ZVertex(0, i)
+        raise PositionOutOfRangeError(f"no projective for base {i}")
 
     def injective(self, l: int) -> ZVertex:
         """Position of the injective hull of the ``l``-th simple."""
@@ -143,14 +184,12 @@ def build(q: ValuedQuiver) -> ARQuiver:
     dynkin = classify_quiver(q)
     columns, ends = _knit_vectors(q, table_order(dynkin) + 1)
 
-    m = [-1] * q.n
     rho = [0] * q.n
     for k, end in sorted(ends.items()):
         if rho[end.base - 1]:
             raise KnitInconsistentError(
                 f"orbit {end.base} terminates two hammocks ({rho[end.base - 1]} and {k})"
             )
-        m[end.base - 1] = end.level - 1
         rho[end.base - 1] = k
     if 0 in rho:
         raise KnitInconsistentError("some orbit terminates no hammock")
@@ -161,20 +200,18 @@ def build(q: ValuedQuiver) -> ARQuiver:
         if column[0][i - 1] != 1:
             raise KnitInconsistentError(f"projective {i} misses its own simple top")
 
-    # Orbit i holds the positions (r, i) for r = 0..m(i).
-    orbits = [[ZVertex(r, i) for r in range(m[i - 1] + 1)] for i in q.vertices()]
-    vertices = tuple(chain.from_iterable(orbits))
+    # Each column ends at its terminator, which lies past the quiver.
+    orbits = tuple(tuple(column[:-1]) for column in columns)
+    positions = [[ZVertex(r, i) for r in range(len(o))] for i, o in enumerate(orbits, 1)]
     # Each base arrow x -> y gives plain arrows (s, x) -> (s, y) and star
     # arrows (s, y) -> (s + 1, x), for every level s with both ends in range.
     arrows: list[ZArrow] = []
     for a in q.opposite().arrows:
-        x, y = orbits[a.src - 1], orbits[a.dst - 1]
+        x, y = positions[a.src - 1], positions[a.dst - 1]
         arrows += [ZArrow(x[s], y[s], a, False) for s in range(min(len(x), len(y)))]
         arrows += [ZArrow(y[s], x[s + 1], a, True) for s in range(min(len(y), len(x) - 1))]
     arrows.sort(key=itemgetter(0, 1))
-    # Each column ends at its terminator, which lies past the quiver.
-    dims = dict(zip(vertices, chain.from_iterable(column[:-1] for column in columns)))
-    return ARQuiver(q, dynkin, tuple(m), tuple(rho), vertices, tuple(arrows), dims)
+    return ARQuiver(q, dynkin, orbits, tuple(rho), tuple(arrows))
 
 
 def _knit_vectors(
@@ -325,8 +362,7 @@ def counts_and_nilpotency(arq: ARQuiver, order: int) -> Counts:
     qop = arq.quiver.opposite()
 
     def span(i: int) -> tuple[int, int] | None:
-        inj = arq.injective(i)
-        d = path_length(qop, arq.projective(i), inj) if inj in arq.dims else None
+        d = path_length(qop, arq.projective(i), arq.injective(i))
         return None if d is None else (d, d)
 
     return _count_identity(arq, order, map(span, arq.quiver.vertices()))
@@ -339,7 +375,7 @@ def _count_identity(
     shortest and longest path length from projective ``i`` to injective
     ``i``, or ``None`` where no path joins them.  Spans are read in order,
     after the vertex count is checked."""
-    total = sum(mi + 1 for mi in arq.m)
+    total = sum(map(len, arq.orbits))
     if 2 * total != arq.n * order:
         half, odd = divmod(arq.n * order, 2)
         raise CrossCheckFailedError(
@@ -369,12 +405,12 @@ def orbit_index_relation_holds(arq: ARQuiver) -> bool:
     The difference of orbit indices must match the difference between the
     forward-step counts of the walks ``rho(i) .. rho(j)`` and ``i .. j``,
     read off rows ``rho(i)`` and ``i`` of the quiver's walk step table.
-    ``False`` when ``m`` or ``rho`` does not hold one entry per vertex, or
-    ``rho`` names a vertex outside ``1..n``.
+    ``False`` when ``rho`` does not hold one entry per vertex, or names a
+    vertex outside ``1..n``.
     """
     q = arq.quiver
     n, m, rho = q.n, arq.m, arq.rho
-    if len(m) != n or len(rho) != n or min(rho) < 1 or max(rho) > n:
+    if len(rho) != n or min(rho) < 1 or max(rho) > n:
         return False
     steps = q._forward_steps
     for i, mi, ri in zip(q.vertices(), m, rho):

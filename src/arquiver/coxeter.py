@@ -66,9 +66,9 @@ def _minus(terms: list[tuple[int, int, int]], x: tuple[int, ...]) -> list[int]:
 
 def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
     """Form the transformation exactly and certify its tabled order."""
-    n, dims = arq.n, arq.dims
-    proj = [dims[arq.projective(j)] for j in range(1, n + 1)]
-    inj = [dims[arq.injective(j)] for j in range(1, n + 1)]
+    n, orbits = arq.n, arq.orbits
+    proj = [orbit[0] for orbit in orbits]
+    inj = [orbits[v.base - 1][v.level] for v in map(arq.injective, range(1, n + 1))]
     lower = [(a.dst - 1, a.src - 1, a.val[0]) for a in arq.quiver.arrows]  # A
     upper = [(a.src - 1, a.dst - 1, a.val[1]) for a in arq.quiver.arrows]  # B
     units = [[int(i == j) for i in range(n)] for j in range(n)]
@@ -103,48 +103,24 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
     return CoxeterData(tuple(zip(*proj)), tuple(zip(*inj)), tuple(zip(*columns)), order)
 
 
-def _orbit_major(
-    arq: "ARQuiver",
-) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, ...]]] | None:
-    """The orbit sizes, the ``(level, base)`` positions orbit by orbit
-    (orbit 1 first, in level order) and their vectors laid end to end;
-    ``None`` when ``m`` is malformed or a vector is missing or not an
-    ``n``-tuple.  Positions are plain tuples, so no ``ZVertex`` is built.
-    """
-    n, m, dims = arq.n, arq.m, arq.dims
-    if len(m) != n or min(m) < 0:
-        return None
-    sizes = [k + 1 for k in m]
-    levels = chain.from_iterable(map(range, sizes))
-    bases = chain.from_iterable(map(repeat, range(1, n + 1), sizes))
-    positions = list(zip(levels, bases))
-    try:
-        vectors = list(map(dims.__getitem__, positions))
-    except KeyError:
-        return None
-    if set(map(type, vectors)) != {tuple} or set(map(len, vectors)) != {n}:
-        return None
-    return sizes, positions, vectors
-
-
 def _orbit_lengths(
     arq: "ARQuiver", lower: list[tuple[int, int, int]], upper: list[tuple[int, int, int]]
 ) -> list[int] | None:
     """The signed orbit lengths when every orbit passes :func:`_walk_orbits`,
     read off the coordinate rows; ``None`` when any orbit may fail.
 
-    The vectors are laid end to end by :func:`_orbit_major` and transposed
-    into ``n`` rows, so ``(E - A) * dim v + (E - B) * dim tau v`` is formed
+    The vectors are laid end to end, orbit by orbit, and transposed into
+    ``n`` rows, so ``(E - A) * dim v + (E - B) * dim tau v`` is formed
     for every vertex at once, one ``map`` per arrow term, and must vanish at
     every position that does not start an orbit.  A signed orbit ``dim (r, i)``,
     ``-dim (r, rho^-1(i))`` is distinct when all vectors are distinct,
     non-zero and non-negative: no such vector is the negative of another.
     """
     n, rho = arq.n, arq.rho
-    laid = _orbit_major(arq)
-    if laid is None or sorted(rho) != list(range(1, n + 1)):
+    if sorted(rho) != list(range(1, n + 1)):
         return None
-    sizes, _, vectors = laid
+    sizes = list(map(len, arq.orbits))
+    vectors = list(chain.from_iterable(arq.orbits))
     if len(set(vectors)) != len(vectors) or not all(map(any, vectors)):
         return None
     rows = list(zip(*vectors))
@@ -175,16 +151,14 @@ def _walk_orbits(
 ) -> list[int]:
     """The signed orbit lengths, orbit by orbit: each orbit's ``C * dim``
     steps, then its closure, raising at the first failure."""
-    dims = arq.dims
     lengths = []
-    for i in arq.quiver.vertices():
-        orbit = [dims[ZVertex(r, i)] for r in range(arq.m_of(i) + 1)]
+    for i, orbit in enumerate(map(list, arq.orbits), 1):
         for r in range(1, len(orbit)):
             if _minus(lower, orbit[r]) != [-x for x in _minus(upper, orbit[r - 1])]:
                 v = ZVertex(r, i)
                 raise CrossCheckFailedError(f"coxeter: C * dim {v} != dim {v.translate()}")
         j = arq.injective(i).base
-        orbit += [tuple(-x for x in dims[ZVertex(r, j)]) for r in range(arq.m_of(j) + 1)]
+        orbit += [tuple(-x for x in vector) for vector in arq.orbits[j - 1]]
         if arq.injective(j).base != i or len(set(orbit)) != len(orbit):
             raise CrossCheckFailedError(
                 f"coxeter: orbit of projective {i} does not close "

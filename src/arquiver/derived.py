@@ -63,10 +63,11 @@ def shift(v: DerivedVertex, s: int = 1) -> DerivedVertex:
 
 
 def plane_position(arq: "ARQuiver", order: int, v: DerivedVertex) -> ZVertex:
-    """Embed into the translation plane of the opposite ext-quiver."""
+    """Embed into the translation plane of the opposite ext-quiver; a base
+    outside ``1..n`` raises ``PositionOutOfRangeError``."""
     q, parity = divmod(v.shift, 2)
     if parity == 0:
-        return ZVertex(q * order + v.level, v.base)
+        return ZVertex(q * order + v.level, arq.projective(v.base).base)
     i = arq.rho_of(v.base)
     return ZVertex(q * order + arq.m_of(i) + 1 + v.level, i)
 
@@ -94,7 +95,7 @@ def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
     Only otherwise is the period walked, to name where it lands.
     """
     m, rho = arq.m, arq.rho
-    size = min(len(m), len(rho))  # entries past a short m or rho are left to the walk
+    size = min(len(m), len(rho))  # entries past a short rho are left to the walk
     for i in arq.quiver.vertices():
         p = DerivedVertex(0, i, 0)
         inj = arq.injective(i)
@@ -105,9 +106,8 @@ def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
                 f"expected {order - 2}"
             )
         j = rho[i - 1] if i <= size else 0
-        if 0 < j <= size and rho[j - 1] == i and min(m[i - 1], m[j - 1]) >= 0:
-            if m[i - 1] + m[j - 1] + 2 == order:
-                continue
+        if 0 < j <= size and rho[j - 1] == i and m[i - 1] + m[j - 1] + 2 == order:
+            continue
         w = p
         for _ in range(order):
             w = tau_d_inverse(arq, w)
@@ -157,7 +157,7 @@ def cluster_normalize(arq: "ARQuiver", order: int, v: DerivedVertex) -> ClusterR
 
 def cluster_count(arq: "ARQuiver", order: int) -> int:
     """Number of cluster-category objects: domain size, doubly computed."""
-    size = len(arq.vertices) + arq.n
+    size = sum(map(len, arq.orbits)) + arq.n
     if 2 * size != arq.n * (order + 2):
         raise CrossCheckFailedError(
             f"fundamental domain has {size} objects, expected n(|C|+2)/2"

@@ -18,7 +18,7 @@ a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, mul, sub
 
 from .ar_quiver import (
@@ -27,7 +27,6 @@ from .ar_quiver import (
     _count_identity,
     orbit_index_relation_holds,
 )
-from .coxeter import _orbit_major
 from .derived import cluster_count, derived_nilpotency
 from .errors import ArquiverError, CrossCheckFailedError, PositionOutOfRangeError
 from .quiver import ValuedQuiver
@@ -102,18 +101,13 @@ def recursive_injective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
 
 
 def verify_mesh(arq: ARQuiver) -> OracleReport:
-    """Check every mesh relation and both boundary recursions.
-
-    The mesh sums run over whole orbit runs (:func:`_mesh_runs`); only when
-    they do not all pass does :func:`_walk_meshes` go vertex by vertex, to
-    name the first failure.
-    """
+    """Check every mesh relation, by :func:`_mesh_witness`, and both
+    boundary recursions."""
     report = OracleReport()
-    meshes = mesh_inputs(arq.quiver.opposite())
-    ok, detail = (True, "") if _mesh_runs(arq, meshes) else _walk_meshes(arq, meshes)
-    report.add("mesh-additivity", ok, detail)
+    witness = _mesh_witness(arq, mesh_inputs(arq.quiver.opposite()))
+    report.add("mesh-additivity", not witness, witness)
 
-    dims, vertices = arq.dims, arq.quiver.vertices()
+    orbits, vertices = arq.orbits, arq.quiver.vertices()
     for name, position, recursive in (
         ("projective-recursion", arq.projective, recursive_projective_dims(arq.quiver)),
         ("injective-recursion", arq.injective, recursive_injective_dims(arq.quiver)),
@@ -121,75 +115,47 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
         try:
             # Every position first: an injective with no orbit fails whatever the vectors.
             positions = list(map(position, vertices))
-            ok = all(dims[p] == recursive[i] for i, p in zip(vertices, positions))
-        except (KeyError, PositionOutOfRangeError) as exc:  # no orbit, or no vector
-            report.add(name, False, _reason(exc))
+        except PositionOutOfRangeError as exc:
+            report.add(name, False, str(exc))
         else:
+            ok = all(
+                orbits[p.base - 1][p.level] == recursive[i] for i, p in zip(vertices, positions)
+            )
             report.add(name, ok, "" if ok else "dimension vectors differ")
     return report
 
 
-def _mesh_runs(arq: ARQuiver, meshes: dict[int, tuple[tuple[int, int, int], ...]]) -> bool:
-    """Whether every mesh relation holds, read off the vectors laid out
-    orbit by orbit; ``False`` also whenever :func:`_walk_meshes` might read
-    anything else.
+def _mesh_witness(arq: ARQuiver, meshes: dict[int, tuple[tuple[int, int, int], ...]]) -> str:
+    """Where the first mesh relation in ``arq.vertices`` order fails, or
+    ``""`` when all hold.
 
-    With the layout of :func:`~arquiver.coxeter._orbit_major`, orbit ``b``
-    starts at ``s_b``, so its non-projective run is ``m_b`` vectors from
-    ``s_b + 1``, their translates are ``m_b`` vectors from ``s_b``, and a
-    mesh input ``(offset, src, w)`` is ``m_b`` vectors from
-    ``s_src + 1 + offset``, all in range exactly when
-    ``m_b + offset <= m(src)``.  Each run is summed by one ``map`` per
-    input over all its components, which are the loop's per-vertex sums
-    laid end to end.  The loop reads the same vectors when
-    ``arq.vertices`` is that layout and every input is in range (a key of
-    ``dims`` outside the layout is then never read); otherwise this
-    returns ``False`` and the loop decides.
+    Orbit ``b`` is checked as one run over its levels ``1..top`` whose mesh
+    inputs are all in range: an input ``(offset, src, w)`` stays in range
+    up to level ``m(src) - offset``.  The run's vectors laid end to end,
+    plus those one level down, less ``w`` times each input's run, are the
+    per-vertex mesh sums laid end to end, each summed by one ``map``; the
+    first non-zero entry names its vertex.  When ``top`` stops short of
+    ``m(b)``, the first input in mesh-table order that is out of range one
+    level up is named.
     """
-    laid = _orbit_major(arq)
-    if laid is None:
-        return False
-    sizes, positions, vectors = laid
-    if arq.vertices != tuple(positions):
-        return False
-    starts = [0, *accumulate(sizes)]
+    orbits, n = arq.orbits, arq.n
     flat = chain.from_iterable
-    for base, (start, size) in enumerate(zip(starts, sizes), start=1):
-        levels = size - 1
-        if not levels:
-            continue
-        here = flat(vectors[start + 1 : start + size])
-        sums = map(add, here, flat(vectors[start : start + levels]))  # plus the translates
-        for offset, src, weight in meshes[base]:
-            if levels + offset >= sizes[src - 1]:
-                return False  # an input out of range
-            first = starts[src - 1] + 1 + offset
-            column = flat(vectors[first : first + levels])
+    for base, orbit in enumerate(orbits, start=1):
+        inputs = meshes[base]
+        top = min([len(orbit), *(len(orbits[src - 1]) - offset for offset, src, _ in inputs)]) - 1
+        sums = map(add, flat(orbit[1 : top + 1]), flat(orbit[:top]))  # plus the translates
+        for offset, src, weight in inputs:
+            column = flat(orbits[src - 1][1 + offset : top + 1 + offset])
             sums = map(sub, sums, column if weight == 1 else map(mul, column, repeat(weight)))
-        if any(sums):
-            return False
-    return True
-
-
-def _walk_meshes(
-    arq: ARQuiver, meshes: dict[int, tuple[tuple[int, int, int], ...]]
-) -> tuple[bool, str]:
-    """The ``mesh-additivity`` result, one vertex of ``arq.vertices`` at a
-    time, naming the first whose mesh has an input out of range or fails."""
-    dims = arq.dims
-    for v in arq.vertices:
-        if not v.level:
-            continue
-        lhs = list(map(add, dims[v], dims[v.translate()]))
-        rhs = [0] * arq.n
-        for offset, src, weight in meshes[v.base]:
-            u = ZVertex(v.level + offset, src)
-            if u not in dims:
-                return False, f"in-arrow source {u} of {v} out of range"
-            rhs = [a + weight * b for a, b in zip(rhs, dims[u])]
-        if lhs != rhs:
-            return False, f"mesh relation fails at {v}"
-    return True, ""
+        bad = next(compress(count(), sums), None)
+        if bad is not None:
+            return f"mesh relation fails at {ZVertex(1 + bad // n, base)}"
+        if top < len(orbit) - 1:  # some input is out of range one level up
+            v = ZVertex(top + 1, base)
+            for offset, src, _ in inputs:
+                if v.level + offset >= len(orbits[src - 1]):
+                    return f"in-arrow source {ZVertex(v.level + offset, src)} of {v} out of range"
+    return ""
 
 
 def _reason(exc: Exception) -> str:
@@ -481,12 +447,12 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     ok = not reason and all(span == (order - 2, order - 2) for span in lengths)
     report.add("projective-injective-distance", ok, reason)
 
-    dims = list(arq.dims.values())
-    report.add("distinct-dimension-vectors", len(set(dims)) == len(dims))
+    vectors = list(chain.from_iterable(arq.orbits))
+    report.add("distinct-dimension-vectors", len(set(vectors)) == len(vectors))
     # Every vector non-zero, then no entry negative: a vector's minimum.
     report.add(
         "positive-dimension-vectors",
-        all(map(any, dims)) and min(map(min, dims), default=0) >= 0,
+        all(map(any, vectors)) and min(map(min, vectors)) >= 0,
     )
     # The build's classification, so the quiver is classified once per check.
     closed_form = _closed_form_rho_m(arq.quiver, arq.dynkin)

@@ -127,8 +127,9 @@ def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> d
             "cluster": order - 1,
         },
         "vertices": [
-            {"r": v.level, "i": v.base, "dim": arq.dims[v]}
-            for v in sorted(arq.vertices, key=itemgetter(1, 0))
+            {"r": r, "i": i, "dim": vector}
+            for i, orbit in enumerate(arq.orbits, 1)
+            for r, vector in enumerate(orbit)
         ],
         "arrows": [
             {"src": za.src, "dst": za.dst, "val": za.val} for za in arq.arrows

@@ -3,15 +3,16 @@ map, bounded windows of the plane, the arrow table of a built quiver, its
 successor lists and topological order, path lengths by dynamic
 programming, reachability by one forward search per pair, the
 orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
-path audit, vertex-by-vertex mesh sums, heap-ordered knitting and
-composition multiplicities."""
+path audit, vertex-by-vertex mesh sums, heap-ordered knitting,
+composition multiplicities, and orbit layouts for fault injection."""
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, replace
+from itertools import count, takewhile
+from typing import Iterator, Mapping, Sequence
 
 from arquiver.errors import (
     BoundExceededError,
@@ -229,10 +230,10 @@ def reference_spans(
 
 def reference_orbit_relation(arq) -> bool:
     """What ``ar_quiver.orbit_index_relation_holds`` returns, one
-    ``arrow_counts`` pair at a time; ``False`` when ``m`` or ``rho`` does
-    not hold one entry per vertex or ``rho`` names a vertex outside ``1..n``."""
+    ``arrow_counts`` pair at a time; ``False`` when ``rho`` does not hold
+    one entry per vertex or names a vertex outside ``1..n``."""
     q = arq.quiver
-    if len(arq.m) != q.n or len(arq.rho) != q.n:
+    if len(arq.rho) != q.n:
         return False
     if any(not 1 <= r <= q.n for r in arq.rho):
         return False
@@ -383,3 +384,23 @@ def composition_multiplicity(res: HammockResult, pos: ZVertex) -> int:
     if not 1 <= pos.base <= res.quiver.n or pos.level < 0 or pos == res.terminator:
         raise PositionOutOfRangeError(f"{pos} is not a module position")
     return res.table.get(pos, 0)
+
+
+# -- orbit layouts, for fault injection --------------------------------------------
+
+
+def relaid(arq, dims: Mapping | None = None, m: Sequence[int] | None = None, **fields):
+    """``replace(arq, orbits=..., **fields)``, orbit ``i`` holding the vectors
+    that ``dims`` (by default ``arq.dims``) files at levels ``0, 1, ..`` of
+    base ``i``: while it files one, or up to level ``m[i - 1]`` when ``m``
+    is given, with the zero vector at the levels it lacks."""
+    dims = arq.dims if dims is None else dims
+    zero = (0,) * arq.n
+    orbits = []
+    for i in arq.quiver.vertices():
+        if m is None:
+            levels = takewhile(lambda r: (r, i) in dims, count())
+        else:
+            levels = range(m[i - 1] + 1)
+        orbits.append(tuple(dims.get((r, i), zero) for r in levels))
+    return replace(arq, orbits=tuple(orbits), **fields)

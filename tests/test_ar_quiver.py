@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arquiver import (
+    ARQuiver,
     Counts,
     CrossCheckFailedError,
+    KnitInconsistentError,
     PositionOutOfRangeError,
     ZVertex,
     build,
@@ -42,6 +44,7 @@ from plane import (
     path_statistics,
     reference_arrows,
     reference_orbit_relation,
+    relaid,
     successors,
     topological_order,
     window_arrows,
@@ -120,7 +123,56 @@ def test_build_is_equivariant_under_relabelling(q, data):
         assert moved.dims[ZVertex(v.level, pi[v.base - 1])] == tuple(transported)
 
 
+def test_the_knitted_orbits_are_the_only_vector_field():
+    assert [f.name for f in fields(ARQuiver)] == ["quiver", "dynkin", "orbits", "rho", "arrows"]
+    arq = build(a3_linear())
+    assert arq.orbits == (
+        ((1, 1, 1),),
+        ((0, 1, 1), (1, 1, 0)),
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    )
+    assert arq.vertices == tuple(ZVertex(r, i) for i in (1, 2, 3) for r in range(i))
+    assert arq.dims == dict(zip(arq.vertices, sum(arq.orbits, ())))
+    for view in ("m", "vertices", "dims"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(arq, view, getattr(arq, view))
+    with pytest.raises(TypeError):
+        arq.dims[ZVertex(0, 1)] = (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda o: o[:-1], "^2 orbits for 3 vertices$"),
+        (lambda o: (o[0], (), o[2]), "^orbit 2 is empty$"),
+        (lambda o: o[:2] + ((o[2][0][:2],) + o[2][1:],), "^a dimension vector is not a tuple"),
+        (lambda o: (([1, 1, 1],),) + o[1:], "^a dimension vector is not a tuple of length 3$"),
+    ],
+    ids=["short", "empty", "vector", "list"],
+)
+def test_a_layout_without_one_orbit_of_n_tuples_per_vertex_is_rejected(change, message):
+    arq = build(a3_linear())
+    with pytest.raises(KnitInconsistentError, match=message):
+        replace(arq, orbits=change(arq.orbits))
+
+
+def test_build_and_check_read_no_position_keyed_vectors():
+    # What `arquiver build` and `arquiver check` run reads the orbits: the
+    # position-keyed `dims` view is built only when it is read.
+    from arquiver import build_report, order_identity_check, report_to_json, to_dot
+    from arquiver.oracle import run_all
+
+    for q in (a3_linear(), g2_quiver(), e6_example()):
+        arq = build(q)
+        cd = coxeter_matrix(arq)
+        report_to_json(build_report(arq, cd.order, include_hammocks=True))
+        to_dot(arq)
+        assert run_all(arq, cd.order).ok and order_identity_check(arq, cd)
+        assert "dims" not in vars(arq)
+
+
 def test_dim_vector_examples():
+
     a3 = build(a3_linear())
     assert a3.dims[ZVertex(1, 2)] == (1, 1, 0)
     assert a3.dims[ZVertex(0, 3)] == (0, 0, 1)
@@ -152,14 +204,14 @@ def test_counts_examples():
 def test_orbit_index_relation():
     assert orbit_index_relation_holds(build(e6_example()))
     assert orbit_index_relation_holds(build(a1_quiver()))
-    corrupted = replace(build(e6_example()), m=(4, 4, 5, 5, 6, 5))
+    corrupted = relaid(build(e6_example()), m=(4, 4, 5, 5, 6, 5))
     assert not orbit_index_relation_holds(corrupted)
 
 
 @st.composite
 def _orbit_data(draw, max_rank=8):
     """A built quiver with ``m`` and ``rho`` kept, shifted or redrawn:
-    ``rho`` over ``0..n+1`` or permuted, ``m`` possibly one entry off."""
+    ``rho`` over ``0..n+1`` or permuted."""
     family, rank = draw(st.sampled_from(all_diagrams(max_rank)))
     g = canonical_diagram(family, rank)
     arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
@@ -167,10 +219,10 @@ def _orbit_data(draw, max_rank=8):
     if kind == "kept":
         m = arq.m
     elif kind == "shifted":  # the relation reads only differences of m
-        c = draw(st.integers(-3, 3))
+        c = draw(st.integers(-min(arq.m), 3))
         m = tuple(x + c for x in arq.m)
     else:
-        m = tuple(draw(st.lists(st.integers(-1, 2 * rank), min_size=rank - 1, max_size=rank + 1)))
+        m = tuple(draw(st.lists(st.integers(0, 2 * rank), min_size=rank, max_size=rank)))
     rho = draw(
         st.one_of(
             st.just(arq.rho),
@@ -178,7 +230,7 @@ def _orbit_data(draw, max_rank=8):
             st.lists(st.integers(0, rank + 1), min_size=rank, max_size=rank).map(tuple),
         )
     )
-    return replace(arq, m=m, rho=rho)
+    return relaid(arq, m=m, rho=rho)
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,7 +302,7 @@ def test_build_rejects_non_dynkin_input():
 def test_counts_cross_check_rejects_corrupted_orbit_lengths():
     arq = build(a3_linear())
     with pytest.raises(CrossCheckFailedError):
-        counts_and_nilpotency(replace(arq, m=(0, 1, 3)), 4)
+        counts_and_nilpotency(relaid(arq, m=(0, 1, 3)), 4)
 
 
 def test_distance_cross_check_rejects_unequal_parallel_paths():
@@ -430,17 +482,20 @@ def test_build_report_and_cluster_statistics_build_no_path_table():
 
 
 def _enumerated_counts(arq, order):
-    """``counts_and_nilpotency`` with each distance enumerated on the quiver:
-    its result, or the message it fails with."""
+    """``counts_and_nilpotency`` with each distance enumerated on a window of
+    the plane, all bases at levels ``0..max(m)``: its result, or the message
+    it fails with.  A path never descends a level, so the window holds every
+    path between its vertices."""
     total = sum(mi + 1 for mi in arq.m)
     if 2 * total != arq.n * order:
         half, odd = divmod(arq.n * order, 2)
         return f"{total} vertices but n*|C|/2 = {half}{'.5' if odd else ''}"
+    top = (max(arq.m),) * arq.n
+    window = relaid(arq, m=top, arrows=reference_arrows(arq.quiver, top))
     dists = []
     for i in arq.quiver.vertices():
-        inj = arq.injective(i)
         try:
-            d = distance(arq, arq.projective(i), inj) if inj in arq.dims else None
+            d = distance(window, arq.projective(i), arq.injective(i))
         except CrossCheckFailedError as exc:
             return str(exc)
         if d is None:
@@ -459,12 +514,14 @@ def _closed_form_counts(arq, order):
 
 
 def test_counts_on_permuted_orbit_lengths_name_the_missing_path():
+    # Orbit 3 of linear A3 cut to one level: the injective of 1 sits below
+    # the level that projective 1 reaches it from.
     a3 = build(a3_linear())
-    with pytest.raises(CrossCheckFailedError, match="^no path from projective 3 to injective 3$"):
-        counts_and_nilpotency(replace(a3, m=(1, 0, 2)), 4)
+    with pytest.raises(CrossCheckFailedError, match="^no path from projective 1 to injective 1$"):
+        counts_and_nilpotency(relaid(a3, m=(0, 2, 1)), 4)
     a4 = build(validate(4, [(1, 2), (3, 2), (3, 4)]))
-    with pytest.raises(CrossCheckFailedError, match="^no path from projective 4 to injective 4$"):
-        counts_and_nilpotency(replace(a4, m=(2, 1, 1, 2)), 5)
+    with pytest.raises(CrossCheckFailedError, match="^no path from projective 1 to injective 1$"):
+        counts_and_nilpotency(relaid(a4, m=(1, 2, 2, 1)), 5)
 
 
 @pytest.mark.parametrize(
@@ -486,7 +543,7 @@ def test_counts_on_permuted_orbit_data_match_the_enumeration(q):
     outcomes = set()
     for m in sorted(set(permutations(arq.m))):
         for rho in (arq.rho, arq.rho[::-1]):
-            copy = replace(arq, m=m, rho=rho)
+            copy = relaid(arq, m=m, rho=rho)
             expected = _enumerated_counts(copy, order)
             assert _closed_form_counts(copy, order) == expected, (m, rho)
             outcomes.add(type(expected))
@@ -507,11 +564,11 @@ def test_path_table_matches_the_reference_kahn_order_on_every_orientation(family
 
 
 def test_count_identity_names_half_of_n_times_the_order():
-    # Four orbits of three on linear A3: 12 vertices against n*|C| = 12,
+    # Three orbits of four on linear A3: 12 vertices against n*|C| = 12,
     # and the count must equal half of that.
     a3 = build(a3_linear())
     with pytest.raises(CrossCheckFailedError, match=r"^12 vertices but n\*\|C\|/2 = 6$"):
-        counts_and_nilpotency(replace(a3, m=(2, 2, 2, 2)), 4)
+        counts_and_nilpotency(relaid(a3, m=(3, 3, 3)), 4)
 
 
 # -- the vector knit: dimension vectors are the scalar hammocks, column by column ---

@@ -37,6 +37,7 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
+from plane import relaid
 
 # -- dense reference arithmetic, for checking the sparse certificate ------------
 
@@ -156,7 +157,7 @@ def test_order_identity_check_examples():
     assert order_identity_check(e6, cd)
     a3 = build(a3_linear())
     assert order_identity_check(a3, coxeter_matrix(a3))
-    corrupted = replace(e6, m=(4, 4, 5, 5, 6, 5))
+    corrupted = relaid(e6, m=(4, 4, 5, 5, 6, 5))
     assert not order_identity_check(corrupted, cd)
 
 
@@ -187,10 +188,9 @@ def test_order_table_exhaustive_up_to_rank_six():
 
 def test_corrupted_dims_fail_unitriangularity():
     arq = build(a3_linear())
-    dims = dict(arq.dims)
-    dims[arq.projective(1)] = (0, 1, 1)  # kills the unit diagonal
+    corrupted = relaid(arq, {**arq.dims, arq.projective(1): (0, 1, 1)})  # kills the unit diagonal
     with pytest.raises(SingularCartanError):
-        coxeter_matrix(replace(arq, dims=dims))
+        coxeter_matrix(corrupted)
 
 
 def test_projectives_that_disagree_with_the_ext_quiver_are_named():
@@ -198,10 +198,9 @@ def test_projectives_that_disagree_with_the_ext_quiver_are_named():
     # Adding the sixth simple keeps the Cartan matrix unimodular, so only the
     # Euler form E - A read off the arrows tells it apart from a real one.
     arq = build(e6_example())
-    dims = dict(arq.dims)
-    dims[arq.projective(1)] = (1, 1, 1, 1, 1, 1)
+    corrupted = relaid(arq, {**arq.dims, arq.projective(1): (1, 1, 1, 1, 1, 1)})
     with pytest.raises(SingularCartanError, match=r"projective 1\b"):
-        coxeter_matrix(replace(arq, dims=dims))
+        coxeter_matrix(corrupted)
 
 
 def test_derived_dim_check_examples():
@@ -265,9 +264,7 @@ def test_truncated_orbit_misplaces_an_injective():
     # Dropping the top of orbit 1 moves the injective hull of simple rho(1)
     # onto a module that E - B does not send to its unit vector.
     arq = build(e6_example())
-    m = (arq.m_of(1) - 1,) + arq.m[1:]
-    vertices = tuple(v for v in arq.vertices if v.level <= m[v.base - 1])
-    truncated = replace(arq, m=m, vertices=vertices)
+    truncated = relaid(arq, m=(arq.m_of(1) - 1,) + arq.m[1:])
     with pytest.raises(SingularCartanError, match=rf"injective {arq.rho_of(1)} disagrees"):
         coxeter_matrix(truncated)
 
@@ -276,23 +273,20 @@ def test_corrupted_interior_dimension_vector_is_named():
     # Unitriangularity and the order both survive this corruption; only
     # tau-equivariance at the vertex itself tells it apart.
     arq = build(e6_example())
-    dims = dict(arq.dims)
     v = ZVertex(1, 1)
-    dims[v] = tuple(x + 1 for x in dims[v])
+    corrupted = relaid(arq, {**arq.dims, v: tuple(x + 1 for x in arq.dims[v])})
     message = (
         r"coxeter: C \* dim ZVertex\(level=1, base=1\) "
         r"!= dim ZVertex\(level=0, base=1\)"
     )
     with pytest.raises(CrossCheckFailedError, match=message):
-        coxeter_matrix(replace(arq, dims=dims))
+        coxeter_matrix(corrupted)
 
 
 def test_orbit_with_a_repeated_vector_is_rejected():
     # A1 stretched to three translates that alternate in sign: every step is
     # tau-equivariant, yet the signed orbit 1, -1, 1, -1, 1, -1 returns early.
-    arq = build(a1_quiver())
-    dims = {ZVertex(r, 1): ((-1) ** r,) for r in range(3)}
-    stretched = replace(arq, m=(2,), vertices=tuple(dims), dims=dims)
+    stretched = replace(build(a1_quiver()), orbits=(((1,), (-1,), (1,)),))
     with pytest.raises(CrossCheckFailedError, match=r"orbit of projective 1"):
         coxeter_matrix(stretched)
 
@@ -326,7 +320,7 @@ def test_non_involutive_pairing_leaves_the_orbit_of_projective_1_open():
         CrossCheckFailedError,
         match=r"^coxeter: orbit of projective 1 does not close after 3 distinct vectors$",
     ):
-        coxeter_matrix(replace(arq, rho=(3, 1, 2), dims=dims))
+        coxeter_matrix(relaid(arq, dims, rho=(3, 1, 2)))
 
 
 def test_an_orbit_that_does_not_close_is_named_before_a_later_orbit_fails():
@@ -342,8 +336,7 @@ def test_an_orbit_that_does_not_close_is_named_before_a_later_orbit_fails():
     dims = {v: d for v, d in arq.dims.items() if v.base != 1}
     dims.update((ZVertex(r, 1), d) for r, d in enumerate(stretched))
     dims[ZVertex(1, 2)] = tuple(x + 1 for x in dims[ZVertex(1, 2)])
-    m = (len(stretched) - 1,) + arq.m[1:]
-    corrupted = replace(arq, m=m, vertices=tuple(sorted(dims, key=lambda v: v[::-1])), dims=dims)
+    corrupted = relaid(arq, dims)
     size = len(stretched) + len(other)
     with pytest.raises(
         CrossCheckFailedError,
@@ -351,23 +344,22 @@ def test_an_orbit_that_does_not_close_is_named_before_a_later_orbit_fails():
     ):
         coxeter_matrix(corrupted)
     # Orbit 2 alone is named once orbit 1 is restored.
-    dims.update((v, arq.dims[v]) for v in arq.vertices if v.base == 1)
+    dims = {**arq.dims, ZVertex(1, 2): dims[ZVertex(1, 2)]}
     with pytest.raises(CrossCheckFailedError, match=r"dim ZVertex\(level=1, base=2\) "):
-        coxeter_matrix(replace(arq, dims=dims))
+        coxeter_matrix(relaid(arq, dims))
 
 
 def test_corrupted_vector_in_the_last_orbit_is_named_by_its_position():
     arq = build(e6_example())
     n = arq.n
     v = ZVertex(arq.m_of(n) - 1, n)
-    dims = dict(arq.dims)
-    dims[v] = tuple(x + 1 for x in dims[v])
+    corrupted = relaid(arq, {**arq.dims, v: tuple(x + 1 for x in arq.dims[v])})
     message = (
         rf"^coxeter: C \* dim ZVertex\(level={v.level}, base={n}\) "
         rf"!= dim ZVertex\(level={v.level - 1}, base={n}\)$"
     )
     with pytest.raises(CrossCheckFailedError, match=message):
-        coxeter_matrix(replace(arq, dims=dims))
+        coxeter_matrix(corrupted)
 
 
 # -- the row certificate against the orbit walk ---------------------------------
@@ -390,14 +382,16 @@ def _walked_outcome(arq):
 
 @st.composite
 def _corrupted_orbits(draw):
-    """A small build with one orbit datum changed."""
+    """A small build with one orbit datum changed: a vector, ``rho``, an
+    orbit cut or run on by one level, or run a full period past its injective."""
     family, rank = draw(st.sampled_from(all_diagrams(6)))
     g = canonical_diagram(family, rank)
     arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
-    dims, m, rho = dict(arq.dims), list(arq.m), list(arq.rho)
+    dims, m, rho = dict(arq.dims), None, arq.rho
     v = draw(st.sampled_from(arq.vertices))
     w = draw(st.sampled_from(arq.vertices))
-    kind = draw(st.sampled_from(["bump", "swap", "negate", "zero", "copy", "rho", "m", "period"]))
+    kinds = ["bump", "swap", "negate", "zero", "copy", "rho", "cut", "extend", "period"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "bump":
         k = draw(st.integers(0, arq.n - 1))
         dims[v] = dims[v][:k] + (dims[v][k] + draw(st.sampled_from([-1, 1, 2])),) + dims[v][k + 1 :]
@@ -410,18 +404,17 @@ def _corrupted_orbits(draw):
     elif kind == "copy":
         dims[v] = dims[w]
     elif kind == "rho":
-        rho = list(draw(st.permutations(rho)))
-    elif kind == "m":
-        m[v.base - 1] += draw(st.sampled_from([-1, 1]))
+        rho = tuple(draw(st.permutations(rho)))
+    elif kind in ("cut", "extend"):  # an orbit of one level runs on; a new top is zero
+        step = -1 if kind == "cut" and arq.m_of(v.base) else 1
+        m = [mi + step * (i == v.base) for i, mi in enumerate(arq.m, 1)]
     else:  # run orbit i a full period past its injective
         i = v.base
         j = arq.rho_of(i)
         own = [dims[ZVertex(r, i)] for r in range(arq.m_of(i) + 1)]
         other = [tuple(-x for x in dims[ZVertex(r, j)]) for r in range(arq.m_of(j) + 1)]
         dims.update((ZVertex(r, i), d) for r, d in enumerate(own + other + own))
-        m[i - 1] += len(own + other)
-    vertices = tuple(sorted(dims, key=lambda u: u[::-1]))
-    return replace(arq, m=tuple(m), rho=tuple(rho), vertices=vertices, dims=dims)
+    return relaid(arq, dims, m, rho=rho)
 
 
 @settings(max_examples=300, deadline=None)
@@ -444,68 +437,26 @@ def test_row_certificate_needs_no_walk_on_every_orientation(family, rank):
 
 
 @pytest.mark.parametrize(
-    "q, m, rho, vectors, lower",
+    "q, orbits, rho, lower",
     [
         # The signed orbit 1, -1, -1, 1 repeats.
-        (a1_quiver(), (1,), (1,), [(1,), (-1,)], []),
+        (a1_quiver(), [[(1,), (-1,)]], (1,), []),
         # The signed orbit 0, -0 repeats.
-        (a1_quiver(), (0,), (1,), [(0,)], []),
+        (a1_quiver(), [[(0,)]], (1,), []),
         # With A = (2), C * dim = dim tau is dim v = dim tau v.
-        (a1_quiver(), (1,), (1,), [(1,), (1,)], [(0, 0, 2)]),
+        (a1_quiver(), [[(1,), (1,)]], (1,), [(0, 0, 2)]),
         # rho^-1(1) = 3 but rho^-1(3) = 2: orbit 1 does not close.
-        (a3_linear(), (0, 0, 0), (2, 3, 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)], []),
+        (a3_linear(), [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]], (2, 3, 1), []),
     ],
     ids=["negative", "zero", "repeated", "non-involutive"],
 )
-def test_row_certificate_leaves_open_orbits_to_the_walk(q, m, rho, vectors, lower):
+def test_row_certificate_leaves_open_orbits_to_the_walk(q, orbits, rho, lower):
     # Fed straight to the orbit checks, with sparse terms of their own: the
     # unit checks on projectives and injectives would stop each case first.
     # Every C * dim step holds, yet a signed orbit repeats or does not close.
     from arquiver.coxeter import _orbit_lengths, _walk_orbits
 
-    sizes = [k + 1 for k in m]
-    positions = [ZVertex(r, i) for i, size in enumerate(sizes, 1) for r in range(size)]
-    dims = dict(zip(positions, vectors))
-    arq = replace(build(q), m=m, rho=rho, vertices=tuple(dims), dims=dims)
+    arq = replace(build(q), orbits=tuple(map(tuple, orbits)), rho=rho)
     assert _orbit_lengths(arq, lower, []) is None
     with pytest.raises(CrossCheckFailedError, match=r"orbit of projective 1 does not close"):
         _walk_orbits(arq, lower, [])
-
-
-def test_negative_orbit_level_sends_both_certificates_to_their_walks(monkeypatch):
-    # Orbit 1 of linear A3 claimed to end one level below its projective,
-    # with a vector filed there, and an interior vector bumped: no orbit
-    # layout exists, so both checks walk and name the bumped vertex.
-    from arquiver import coxeter, oracle
-    from arquiver.coxeter import _orbit_major
-
-    arq = build(a3_linear())
-    dims = dict(arq.dims)
-    dims[ZVertex(-1, 1)] = dims[ZVertex(0, 1)]  # the injective of rho(1) = 3
-    dims[ZVertex(1, 3)] = tuple(x + 1 for x in dims[ZVertex(1, 3)])
-    corrupted = replace(arq, m=(-1, 1, 2), dims=dims)
-    assert _orbit_major(corrupted) is None
-    walks = []
-    for module, name in ((oracle, "_walk_meshes"), (coxeter, "_walk_orbits")):
-        walk = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *args, walk=walk, name=name: walks.append(name) or walk(*args)
-        )
-    line = oracle.verify_mesh(corrupted).checks[0].line()
-    assert line == "mesh-additivity: FAIL (mesh relation fails at ZVertex(level=1, base=2))"
-    message = r"coxeter: C \* dim ZVertex\(level=1, base=3\) != dim ZVertex\(level=0, base=3\)"
-    with pytest.raises(CrossCheckFailedError, match=message):
-        coxeter_matrix(corrupted)
-    assert walks == ["_walk_meshes", "_walk_orbits"]
-
-
-def test_negative_orbit_size_leaves_the_order_to_the_walk():
-    # Orbit 1 of A2 claimed to end at level -2: an orbit of size -1, which
-    # the row certificate must not lay out.  The walk finds orbit lengths
-    # 2 and 2, whose order does not divide h = 3.
-    from arquiver import OrderBoundExceededError, validate
-
-    arq = build(validate(2, [(1, 2)]))
-    dims = {**arq.dims, ZVertex(-2, 1): arq.dims[ZVertex(0, 1)]}
-    with pytest.raises(OrderBoundExceededError, match=r"^coxeter: C\^3 != I for A2 \(h = 3\)$"):
-        coxeter_matrix(replace(arq, m=(-2, 1), dims=dims))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from arquiver import (
     CrossCheckFailedError,
     DerivedVertex,
+    PositionOutOfRangeError,
     build,
     cluster_count,
     cluster_normalize,
@@ -26,7 +26,7 @@ from arquiver import (
 from arquiver.derived import in_fundamental_domain, orbit_shift, plane_position
 from arquiver.dynkin import all_orientations, canonical_diagram
 from conftest import a1_quiver, a3_linear, e6_example, g2_quiver
-from plane import window_paths
+from plane import relaid, window_paths
 
 
 def _with_order(q):
@@ -175,8 +175,10 @@ def test_fundamental_domain_size_formula():
         # distance check passes, but the period climbs orbit 1 into orbit 2
         # and orbit 2 into orbit 3.
         ((0, 1, 2), (2, 3, 1), 4, "level=1, base=3, shift=2"),
-        # m(1) = -1: the period leaves orbit 1 at once, one step early.
-        ((-1, 1, 2), (3, 1, 1), 3, "level=2, base=3, shift=1"),
+        # A period of 3, one short of h, with rho = (3, 1, 1): injective 1
+        # ends orbit 2, one arrow from P_1 as the distance check asks, but
+        # the period leaves orbit 1 at once and stops two levels up orbit 3.
+        ((0, 1, 2), (3, 1, 1), 3, "level=2, base=3, shift=1"),
     ],
 )
 def test_a_period_that_misses_home_is_named_with_where_it_lands(m, rho, order, landing):
@@ -186,7 +188,7 @@ def test_a_period_that_misses_home_is_named_with_where_it_lands(m, rho, order, l
         rf"DerivedVertex\(level=0, base=1, shift=0\) to DerivedVertex\({landing}\)$"
     )
     with pytest.raises(CrossCheckFailedError, match=message):
-        derived_nilpotency(replace(arq, m=m, rho=rho), order)
+        derived_nilpotency(relaid(arq, m=m, rho=rho), order)
 
 
 def _reference_derived_nilpotency(arq, order):
@@ -236,8 +238,29 @@ def test_derived_nilpotency_matches_the_period_walk_on_corrupted_orbits(data):
         rho[a], rho[b] = rho[b], rho[a]
     for _ in range(data.draw(st.integers(0, 2))):
         edited = data.draw(st.sampled_from([rho, m]))
-        edited[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-1, n + 1))
+        lowest = -1 if edited is rho else 0  # an orbit holds at least its projective
+        edited[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(lowest, n + 1))
     order = data.draw(st.sampled_from([order, order, order + 2, order - 1, 0]))
-    arq = replace(arq, rho=tuple(rho), m=tuple(m))
+    arq = relaid(arq, m=m, rho=tuple(rho))
     expected = _outcome(_reference_derived_nilpotency, arq, order)
     assert _outcome(derived_nilpotency, arq, order) == expected
+
+
+@pytest.mark.parametrize("base", [0, -1, 4])
+def test_a_base_outside_the_quiver_has_no_derived_position(base):
+    # Linear A3 has bases 1..3; rho[base - 1] would read rho[-1] at base 0.
+    arq, order = _with_order(a3_linear())
+    with pytest.raises(PositionOutOfRangeError, match=rf"^no paired injective for base {base}$"):
+        arq.rho_of(base)
+    with pytest.raises(PositionOutOfRangeError, match=rf"^no projective for base {base}$"):
+        arq.projective(base)
+    for shift in (0, 1, 2, -1):
+        v = DerivedVertex(0, base, shift)
+        with pytest.raises(PositionOutOfRangeError):
+            plane_position(arq, order, v)
+        with pytest.raises(PositionOutOfRangeError):
+            derived_distance(arq, order, v, DerivedVertex(0, 1, 2))
+        with pytest.raises(PositionOutOfRangeError):
+            derived_distance(arq, order, DerivedVertex(0, 1, 0), v)
+        with pytest.raises(PositionOutOfRangeError):
+            tau_d_inverse(arq, v)
