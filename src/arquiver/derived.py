@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import CrossCheckFailedError
+from .errors import CrossCheckFailedError, PositionOutOfRangeError
 from .repetitive import ZVertex, path_length
 
 if TYPE_CHECKING:
@@ -43,15 +43,25 @@ class ClusterRep(NamedTuple):
     power: int
 
 
+def _top(arq: "ARQuiver", v: DerivedVertex) -> int:
+    """``m(base)`` of ``v``; ``PositionOutOfRangeError`` unless ``v`` lies on
+    an orbit of the quiver: ``1 <= base <= n`` and ``0 <= level <= m(base)``."""
+    top = arq.m_of(v.base)
+    if 0 <= v.level <= top:
+        return top
+    raise PositionOutOfRangeError(f"no level {v.level} on base {v.base}")
+
+
 def tau_d_inverse(arq: "ARQuiver", v: DerivedVertex) -> DerivedVertex:
     """One backward step of the derived translation."""
-    if v.level < arq.m_of(v.base):
+    if v.level < _top(arq, v):
         return DerivedVertex(v.level + 1, v.base, v.shift)
     return DerivedVertex(0, arq.rho_of(v.base), v.shift + 1)
 
 
 def tau_d(arq: "ARQuiver", v: DerivedVertex) -> DerivedVertex:
     """One forward step; two-sided inverse of :func:`tau_d_inverse`."""
+    _top(arq, v)
     if v.level > 0:
         return DerivedVertex(v.level - 1, v.base, v.shift)
     j = arq.rho_inverse(v.base)
@@ -63,11 +73,12 @@ def shift(v: DerivedVertex, s: int = 1) -> DerivedVertex:
 
 
 def plane_position(arq: "ARQuiver", order: int, v: DerivedVertex) -> ZVertex:
-    """Embed into the translation plane of the opposite ext-quiver; a base
-    outside ``1..n`` raises ``PositionOutOfRangeError``."""
+    """Embed into the translation plane of the opposite ext-quiver; a
+    position off the quiver's orbits raises ``PositionOutOfRangeError``."""
+    _top(arq, v)
     q, parity = divmod(v.shift, 2)
     if parity == 0:
-        return ZVertex(q * order + v.level, arq.projective(v.base).base)
+        return ZVertex(q * order + v.level, v.base)
     i = arq.rho_of(v.base)
     return ZVertex(q * order + arq.m_of(i) + 1 + v.level, i)
 
@@ -139,8 +150,10 @@ def cluster_normalize(arq: "ARQuiver", order: int, v: DerivedVertex) -> ClusterR
     Returns ``(rep, p)`` with ``p`` applications of the identification
     sending ``rep`` to ``v``.  A power of ``order`` identifications moves
     a coordinate exactly two shifts plus one period up, which gives the
-    coarse reduction; the remainder is walked step by step.
+    coarse reduction; the remainder is walked step by step.  A position
+    off the quiver's orbits raises ``PositionOutOfRangeError``.
     """
+    _top(arq, v)
     period = order + 2
     coarse = v.shift // period
     power = coarse * order

@@ -56,9 +56,6 @@ class OracleReport:
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, passed, detail))
 
-    def first_failure(self) -> CheckResult | None:
-        return next((c for c in self.checks if not c.passed), None)
-
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
     return (0,) * (i - 1) + (1,) + (0,) * (n - i)

@@ -12,18 +12,20 @@ returns it as a plain ``dict`` and ``report_to_json``/``write_report``
 encode it deterministically: sorted object keys, vertices ordered by
 (base, level), integers only.
 
-The encoder is this module's own: its text is exactly what the standard
-library's ``json`` writes with ``sort_keys=True, indent=2``, followed by
-a newline.  It accepts ``dict`` with ``str`` keys, ``list``, ``tuple``
-(named tuples too), ``int`` and ``str``; strings are escaped to ASCII as
-``json`` does.  Any other value or key type, ``bool``, ``float`` and
-``None`` included, raises ``TypeError``.
+The writer takes a ``build_report`` document and writes exactly what the
+standard library's ``json`` writes with ``sort_keys=True, indent=2``,
+followed by a newline.  Every member other than the row arrays
+(``vertices``, ``arrows`` and each hammock's ``table`` and ``vertices``)
+is the stdlib's own text; each row array goes through one ``%`` template
+made from the stdlib's text of its first row, and a row slot that is not
+an ``int`` raises ``TypeError``.
 """
 
 from __future__ import annotations
 
-from itertools import chain, groupby, repeat
-from json.encoder import encode_basestring_ascii as _quote
+import json
+import re
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterator, TextIO
 
@@ -154,154 +156,78 @@ def report_to_json(report: dict) -> str:
 def write_report(report: dict, out: TextIO) -> None:
     """Stream the text of :func:`report_to_json` to ``out``.
 
-    One string goes out per member of each top-level array or object, or
-    per bounded chunk of members of an array written through one template,
-    so the whole text is never held.
+    Each row array goes out in bounded chunks, so the whole text is never
+    held.
     """
     out.writelines(_document(report))
 
 
-def _document(report: dict) -> Iterator[str]:
-    yield from _stream(report, "", "", 2)
-    yield "\n"
-
-
 _INT = frozenset((int,))
-_DICT = frozenset((dict,))
-_CHUNK_SLOTS = 1 << 11  # ints per chunk of a templated array
+_CHUNK_SLOTS = 1 << 11  # ints per chunk of a row array
 
 
-def _stream(value: object, pad: str, lead: str, depth: int) -> Iterator[str]:
-    """``lead`` and the text of ``value``, one string per member of each
-    container fewer than ``depth`` levels down; deeper values come whole.
+def _document(report: dict) -> Iterator[str]:
+    """The stdlib's text of ``report`` with each row array cut out and
+    written by :func:`_array` at the indent of the line that held it."""
+    arrays: list = []
 
-    A streamed array whose members are all objects of one shape, each key
-    holding an int or an array of ints of one length, is checked once as
-    a whole and written through one ``%`` template, a bounded chunk of
-    members per string; any other array goes member by member.
+    def cut(rows: list) -> str:
+        # No string of a document holds a NUL, so "\u0000<i>" marks array i.
+        arrays.append(rows)
+        return f"\0{len(arrays) - 1}"
+
+    outline = {**report, "arrows": cut(report["arrows"]), "vertices": cut(report["vertices"])}
+    if "hammocks" in report:
+        outline["hammocks"] = {
+            k: {**hammock, "table": cut(hammock["table"]), "vertices": cut(hammock["vertices"])}
+            for k, hammock in report["hammocks"].items()
+        }
+    pieces = re.split(r'"\\u0000(\d+)"', json.dumps(outline, sort_keys=True, indent=2))
+    for text, index in zip(pieces[::2], pieces[1::2]):
+        yield text
+        line = text[text.rfind("\n") + 1 :]
+        yield from _array(arrays[int(index)], line[: len(line) - len(line.lstrip())])
+    yield pieces[-1] + "\n"
+
+
+def _array(rows: list, pad: str) -> Iterator[str]:
+    """The stdlib's text of ``rows`` closed at indent ``pad``, a chunk of at
+    most ``_CHUNK_SLOTS`` ints per string.
+
+    Every row goes through one ``%`` template: the text of the first row
+    with each int as ``%d``.  A chunk holding a slot that is not an
+    ``int`` raises ``TypeError``, as ``%d`` would write a ``bool`` or a
+    ``float`` as an int.
     """
-    if depth == 0 or not isinstance(value, (dict, list, tuple)) or not value:
-        yield lead + _encode(value, pad)
+    if not rows:
+        yield "[]"
         return
     inner = pad + "  "
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        prefixes = [f"{_quote(key)}: " for key, _ in items]
-        members = [member for _, member in items]
-        separator, closing = f"{lead}{{\n{inner}", f"\n{pad}}}"
-    else:
-        prefixes, members = repeat(""), value
-        separator, closing = f"{lead}[\n{inner}", f"\n{pad}]"
-        chunks = _rows(value, inner) if depth == 1 else None
-        if chunks is not None:
-            for chunk in chunks:
-                yield separator + chunk
-                separator = f",\n{inner}"
-            yield closing
-            return
-    for prefix, member in zip(prefixes, members):
-        if depth == 1:
-            yield separator + prefix + _encode(member, inner)
-        else:
-            yield from _stream(member, inner, separator + prefix, depth - 1)
-        separator = f",\n{inner}"
-    yield closing
+    first = json.dumps(rows[0], sort_keys=True, indent=2).replace("\n", "\n" + inner)
+    template = re.sub(r"-?\d+", "%d", first)
+    size = max(1, _CHUNK_SLOTS // max(1, template.count("%d")))
+    lead, separator = "[\n" + inner, ",\n" + inner
+    for start in range(0, len(rows), size):
+        columns = _columns(rows[start : start + size], rows[0])
+        if not _INT.issuperset(map(type, chain.from_iterable(columns))):
+            bad = next(x for x in chain.from_iterable(columns) if type(x) is not int)
+            raise TypeError(f"{type(bad).__name__} value {bad!r} in a row is not an int")
+        yield lead + separator.join(map(template.__mod__, zip(*columns)))
+        lead = separator
+    yield f"\n{pad}]"
 
 
-def _encode(value: object, pad: str) -> str:
-    """The text of ``value``, its nested lines indented past ``pad``."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if isinstance(value, (dict, list, tuple)):
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        inner = pad + "  "
-        separator = ",\n" + inner
-        if isinstance(value, dict):
-            members = [
-                f"{_quote(key)}: {_encode(member, inner)}" for key, member in sorted(value.items())
-            ]
-            return f"{{\n{inner}{separator.join(members)}\n{pad}}}"
-        if _INT.issuperset(map(type, value)):
-            return f"[\n{inner}{separator.join(map(int.__repr__, value))}\n{pad}]"
-        members = [_encode(member, inner) for member in value]
-        return f"[\n{inner}{separator.join(members)}\n{pad}]"
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, int) and kind is not bool:
-        return int.__repr__(value)
-    raise TypeError(f"{kind.__name__} value {value!r} is not JSON report data")
-
-
-def _rows(array: list | tuple, pad: str) -> Iterator[str] | None:
-    """The members of ``array`` through one template, in bounded chunks,
-    or ``None`` unless all are objects of one shape that holds only ints
-    and int arrays, at least one int in all."""
-    if not _DICT.issuperset(map(type, array)):
-        return None
-    keys = sorted(array[0])
-    if set(map(len, array)) != {len(keys)}:
-        return None
-    kinds = []
-    for key in keys:
-        try:
-            column = list(map(itemgetter(key), array))
-        except KeyError:
-            return None
-        types = set(map(type, column))
-        if types == _INT:
-            kinds.append(-1)
-        elif (
-            all(issubclass(kind, (list, tuple)) for kind in types)
-            and len(lengths := set(map(len, column))) == 1
-            and _INT.issuperset(map(type, chain.from_iterable(column)))
-        ):
-            kinds.append(lengths.pop())
-        else:
-            return None
-    width = sum(1 if kind < 0 else kind for kind in kinds)
-    if not width:
-        return None
-    template = _template(keys, kinds, pad)
-    return _chunks(array, keys, kinds, template, pad, max(1, _CHUNK_SLOTS // width))
-
-
-def _chunks(
-    array: list | tuple, keys: list[str], kinds: list[int], template: str, pad: str, size: int
-) -> Iterator[str]:
-    """The members of ``array``, ``size`` at a time, each through ``template``.
-
-    The slots are gathered column by column: a key's ints, or one column
-    per entry of its arrays.
-    """
-    separator = ",\n" + pad
-    for start in range(0, len(array), size):
-        chunk = array[start : start + size]
-        columns: list = []
-        for key, kind in zip(keys, kinds):
-            column = list(map(itemgetter(key), chunk))
-            if kind < 0:
-                columns.append(column)
-            else:
-                columns += zip(*column)
-        yield separator.join(map(template.__mod__, zip(*columns)))
-
-
-def _template(keys: list[str], kinds: list[int], pad: str) -> str:
-    """The ``%`` template of an object indented past ``pad`` whose member
-    at each key is an int (kind -1) or an array of ``kind`` ints."""
-    inner = pad + "  "
-    members = []
-    for key, kind in zip(keys, kinds):
-        if kind < 0:
-            text = "%d"
-        elif kind == 0:
-            text = "[]"
-        else:
-            text = f"[\n{inner}  " + f",\n{inner}  ".join(["%d"] * kind) + f"\n{inner}]"
-        members.append(f"{_quote(key).replace('%', '%%')}: {text}")
-    return f"{{\n{inner}" + f",\n{inner}".join(members) + f"\n{pad}}}"
+def _columns(rows: list, first: object) -> list:
+    """The slots of ``rows`` column by column, in the order of the text of
+    ``first``: a tuple row entry by entry, a dict row by sorted key with
+    an array member entry by entry."""
+    if not isinstance(first, dict):
+        return list(zip(*rows))
+    columns: list = []
+    for key in sorted(first):
+        column = list(map(itemgetter(key), rows))
+        columns += zip(*column) if isinstance(first[key], (list, tuple)) else [column]
+    return columns
 
 
 # -- DOT ------------------------------------------------------------------------

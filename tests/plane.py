@@ -3,8 +3,9 @@ map, bounded windows of the plane, the arrow table of a built quiver, its
 successor lists and topological order, path lengths by dynamic
 programming, reachability by one forward search per pair, the
 orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
-path audit, vertex-by-vertex mesh sums, heap-ordered knitting,
-composition multiplicities, and orbit layouts for fault injection."""
+path audit, vertex-by-vertex mesh sums, the first failing check of an
+oracle report, heap-ordered knitting, composition multiplicities, and
+orbit layouts for fault injection."""
 
 from __future__ import annotations
 
@@ -330,6 +331,11 @@ def reference_mesh_line(arq) -> str:
         if lhs != rhs:
             return f"mesh-additivity: FAIL (mesh relation fails at {v})"
     return "mesh-additivity: PASS"
+
+
+def first_failure(report):
+    """The first failing check of an ``OracleReport``, or ``None``."""
+    return next((c for c in report.checks if not c.passed), None)
 
 
 # -- heap-ordered knitting, the reference for ``hammock._knit_from_seed`` ---------

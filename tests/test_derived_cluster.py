@@ -264,3 +264,38 @@ def test_a_base_outside_the_quiver_has_no_derived_position(base):
             derived_distance(arq, order, DerivedVertex(0, 1, 0), v)
         with pytest.raises(PositionOutOfRangeError):
             tau_d_inverse(arq, v)
+
+
+@pytest.mark.parametrize(
+    "call, v",
+    [
+        (tau_d, DerivedVertex(2, 0, 0)),  # base 0
+        (tau_d, DerivedVertex(7, 1, 0)),  # m(1) = 0
+        (tau_d_inverse, DerivedVertex(9, 1, 0)),
+        (tau_d_inverse, DerivedVertex(-1, 2, 0)),
+        (plane_position, DerivedVertex(2, 2, 1)),  # m(2) = 1
+        (plane_position, DerivedVertex(-1, 3, 0)),
+        (cluster_normalize, DerivedVertex(0, 9, 0)),
+        (cluster_normalize, DerivedVertex(3, 3, 5)),  # m(3) = 2
+    ],
+    ids=["tau-base-0", "tau-past-m", "tau-inverse-past-m", "tau-inverse-negative",
+         "plane-past-m", "plane-negative", "cluster-base-9", "cluster-past-m"],
+)
+def test_a_position_off_the_orbits_is_rejected(call, v):
+    # Linear A3: m = (0, 1, 2); every coordinate lies on base 1..3 at level 0..m(base).
+    arq, order = _with_order(a3_linear())
+    assert arq.m == (0, 1, 2)
+    args = (arq, v) if call in (tau_d, tau_d_inverse) else (arq, order, v)
+    with pytest.raises(PositionOutOfRangeError):
+        call(*args)
+
+
+def test_every_position_on_the_orbits_is_accepted():
+    arq, order = _with_order(a3_linear())
+    for i, top in enumerate(arq.m, 1):
+        for r in range(top + 1):
+            for s in (-3, 0, 1, 4):
+                v = DerivedVertex(r, i, s)
+                assert tau_d_inverse(arq, tau_d(arq, v)) == v
+                plane_position(arq, order, v)
+                cluster_normalize(arq, order, v)

@@ -1,7 +1,8 @@
-"""The report emitter against the standard library's JSON encoder.
+"""The report writer against the standard library's JSON encoder.
 
 ``json.dumps(report, sort_keys=True, indent=2) + "\\n"`` is the reference
-for every byte ``report_to_json`` and ``write_report`` produce.
+for every byte ``report_to_json`` and ``write_report`` produce from a
+``build_report`` document.
 """
 
 from __future__ import annotations
@@ -10,15 +11,17 @@ import io
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import build, build_report, coxeter_matrix, report_to_json
+from arquiver import build, build_report, coxeter_matrix, report, report_to_json
 from arquiver.dynkin import all_orientations, canonical_diagram, orient
 from arquiver.report import write_report
-from conftest import all_diagrams
+from conftest import a1_quiver, all_diagrams
+from plane import relaid
 
 
 def _reference(value) -> str:
@@ -37,13 +40,32 @@ def _reports(q):
     return [build_report(arq, order, include) for include in (False, True)]
 
 
+def _spoiled(value, path, slot):
+    """A copy of ``value`` with ``slot`` at ``path``, a list of keys and indices."""
+    if not path:
+        return slot
+    head, *rest = path
+    if isinstance(value, dict):
+        return {**value, head: _spoiled(value[head], rest, slot)}
+    items = list(value)
+    items[head] = _spoiled(items[head], rest, slot)
+    return items
+
+
+def _rejected(document):
+    with pytest.raises(TypeError):
+        report_to_json(document)
+    with pytest.raises(TypeError):
+        _written(document)
+
+
 @pytest.mark.parametrize("family, rank", all_diagrams(6))
 def test_report_bytes_match_the_stdlib_on_every_orientation(family, rank):
     for q in all_orientations(canonical_diagram(family, rank)):
-        for report in _reports(q):
-            text = report_to_json(report)
-            assert text == _reference(report)
-            assert _written(report) == text
+        for document in _reports(q):
+            text = report_to_json(document)
+            assert text == _reference(document)
+            assert _written(document) == text
 
 
 def _linear(family, rank):
@@ -52,34 +74,26 @@ def _linear(family, rank):
 
 @pytest.mark.parametrize("family, rank", [("A", 60), ("B", 32)])
 def test_report_bytes_match_the_stdlib_at_large_rank(family, rank):
-    for report in _reports(_linear(family, rank)):
-        text = report_to_json(report)
-        assert text == _reference(report)
-        assert _written(report) == text
+    for document in _reports(_linear(family, rank)):
+        text = report_to_json(document)
+        assert text == _reference(document)
+        assert _written(document) == text
 
 
-_KEYS = st.text(max_size=4) | st.sampled_from(["10", "2", "", "a", "A", "é", "\x00"])
-_SCALARS = (
-    st.integers()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.text(max_size=6)
-    | st.text(st.characters(max_codepoint=0x1F), max_size=3)
-)
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_KEYS, inner, max_size=4),
-    max_leaves=25,
-)
+def test_write_report_holds_less_than_a_megabyte_at_a60_with_hammocks():
+    document = _reports(_linear("A", 60))[1]
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            write_report(document, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(_KEYS, _VALUES, max_size=6) | _VALUES)
-def test_emitter_matches_the_stdlib_on_nested_values(value):
-    text = report_to_json(value)
-    assert text == _reference(value)
-    assert _written(value) == text
+# -- row slots: every slot of a row array is an int, which ``%d`` writes as
+# the stdlib does; anything else raises ``TypeError``.
 
 
 @pytest.mark.parametrize(
@@ -105,199 +119,130 @@ def test_emitter_matches_the_stdlib_on_nested_values(value):
     ],
 )
 def test_emitter_rejects_values_outside_the_report_types(value):
-    with pytest.raises(TypeError):
-        report_to_json(value)
-    with pytest.raises(TypeError):
-        _written(value)
-
-
-def test_write_report_holds_less_than_a_megabyte_at_a60_with_hammocks():
-    report = _reports(_linear("A", 60))[1]
-    with open(os.devnull, "w", encoding="utf-8") as sink:
-        tracemalloc.start()
-        try:
-            write_report(report, sink)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 1_000_000, peak
-
-
-# -- objects below the streamed top levels are encoded whole, so these put
-# rows at that depth.
-
-_ROW_KEYS = ["%", "%d", "%s", "é", "\x00", "100%", "a%%b"]
+    # In the first row the value also shapes the template; past it, only the check sees it.
+    document = _reports(_linear("D", 4))[0]
+    for row in (0, -1):
+        _rejected(_spoiled(document, ["vertices", row, "dim", 0], value))
 
 
 @pytest.mark.parametrize(
     "value",
     [
-        {"rows": [{key: 1 for key in _ROW_KEYS}, {key: (1, 2) for key in _ROW_KEYS}]},
-        [{key: [key, {key: key}] for key in _ROW_KEYS}],
-        {"a": {"b": {key: -3 for key in _ROW_KEYS}}},
-    ],
-    ids=["ints", "nested", "deep"],
-)
-def test_object_templates_escape_their_keys(value):
-    assert report_to_json(value) == _reference(value)
-    assert _written(value) == _reference(value)
-
-
-def test_one_list_of_rows_with_arrays_of_different_lengths():
-    rows = [{"a": tuple(range(length)), "b": length} for length in (3, 1, 0, 5, 1, 3)]
-    rows.append({"a": [7, 8], "b": [9]})
-    for value in ({"rows": rows}, rows):
-        assert report_to_json(value) == _reference(value)
-
-
-def test_rows_with_empty_arrays_and_large_integers():
-    big = 10**40
-    rows = [
-        {"dim": (), "r": big, "i": -big},
-        {"dim": (-big, big, 0), "r": -big, "i": big},
-        {"dim": [], "r": 0, "i": 0},
-    ]
-    assert report_to_json({"rows": rows}) == _reference({"rows": rows})
-
-
-def test_rows_that_mix_member_kinds_under_the_same_keys():
-    rows = [
-        {"i": 1, "a": (1, 2), "s": "%d%s", "d": {"x": (3,), "y": {"z": 1}}},
-        {"i": (1,), "a": "s", "s": 2, "d": 4},
-        {"i": {"%": 1}, "a": [1, "2"], "s": [], "d": ({"e": (5,)},)},
-        {"i": 1, "a": (1, 2), "s": "%d%s", "d": {"x": (3,), "y": {"z": 1}}},
-    ]
-    for value in ({"rows": rows}, rows, {"a": {"rows": rows}}):
-        assert report_to_json(value) == _reference(value)
-
-
-_MEMBERS = (
-    st.integers(min_value=-(10**40), max_value=10**40)
-    | st.lists(st.integers(), max_size=4).map(tuple)
-    | st.lists(st.integers(), max_size=3)
-    | st.text(max_size=3)
-    | st.dictionaries(st.sampled_from(["%", "x"]), st.integers(), max_size=2)
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.dictionaries(st.sampled_from(_ROW_KEYS[:4] + ["a"]), _MEMBERS), max_size=8))
-def test_rows_drawn_from_few_shapes_match_the_stdlib(rows):
-    for value in ({"rows": rows}, rows):
-        assert report_to_json(value) == _reference(value)
-        assert _written(value) == _reference(value)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        {"a": (1, True)},
-        {"a": 1, "b": False},
-        {"rows": [{"a": (1, True)}]},
-        {"rows": [{"a": 1, "b": False}]},
-        [{"a": 1}, {"a": 1, "b": False}],
-        [{"a": (1, 2)}, {"a": (1, True)}],
+        ["vertices", 0, "r"],
+        ["vertices", 0, "dim", 1],
+        ["arrows", 0, "src", 0],
+        ["arrows", 0, "val", 1],
+        ["hammocks", "1", "table", 0, 2],
+        ["hammocks", "1", "vertices", 0, 1],
     ],
 )
 def test_templates_still_reject_bools(value):
-    with pytest.raises(TypeError):
-        report_to_json(value)
-    with pytest.raises(TypeError):
-        _written(value)
-
-
-# -- one template per array: members of one shape are written together, in
-# bounded chunks; any other array goes member by member.
-
-
-@st.composite
-def _uniform_rows(draw):
-    """Rows of one shape (each key an int or an int array of one length),
-    sometimes with one member that breaks the shape."""
-    keys = draw(st.lists(st.sampled_from(_ROW_KEYS + ["a", "dim"]), min_size=1, max_size=4, unique=True))
-    kinds = {key: draw(st.integers(-1, 3)) for key in keys}
-    count = draw(st.integers(1, 12))
-    ints = st.integers(min_value=-(10**20), max_value=10**20)
-
-    def member(key):
-        if kinds[key] < 0:
-            return draw(ints)
-        array = draw(st.lists(ints, min_size=kinds[key], max_size=kinds[key]))
-        return draw(st.sampled_from([tuple, list]))(array)
-
-    rows = [{key: member(key) for key in keys} for _ in range(count)]
-    if draw(st.booleans()):
-        row = rows[draw(st.integers(0, count - 1))]
-        key = draw(st.sampled_from(keys))
-        change = draw(st.sampled_from(["drop", "add", "string", "array", "longer", "dict", "nested"]))
-        if change == "drop":
-            del row[key]
-        elif change == "add":
-            row["zz"] = 1
-        elif change == "string":
-            row[key] = "%d"
-        elif change == "array":
-            row[key] = (1,) if kinds[key] < 0 else 1
-        elif change == "longer":
-            row[key] = tuple(row[key]) + (5,) if kinds[key] >= 0 else [row[key]]
-        elif change == "dict":
-            rows[rows.index(row)] = dict(row.items()) if count > 1 else [row]
-        else:
-            row[key] = {"x": row[key]}
-    return rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(_uniform_rows(), st.sampled_from([1, 2, 7, 1 << 11]))
-def test_arrays_of_one_shape_match_the_stdlib_in_any_chunking(rows, slots):
-    from unittest import mock
-
-    from arquiver import report
-
-    with mock.patch.object(report, "_CHUNK_SLOTS", slots):
-        for value in ({"rows": rows, "n": 1}, rows, {"a": rows}):
-            assert report_to_json(value) == _reference(value)
-            assert _written(value) == _reference(value)
+    # ``%d`` writes ``True`` as 1 and ``False`` as 0, so each row array checks its slots.
+    document = _reports(_linear("A", 3))[1]
+    for flag in (True, False):
+        _rejected(_spoiled(document, value, flag))
 
 
 @pytest.mark.parametrize(
     "rows",
     [
-        [{"a": 1}, {"a": True}],
-        [{"a": (1, 2)}, {"a": (1, False)}],
-        [{"a": 1, "b": (2,)}, {"a": 1, "b": (None,)}],
-        [{"a": 1.0}, {"a": 1}],
-        [{1: 1}, {1: 2}],
+        (["vertices", -1, "dim", 0], 1.0),
+        (["vertices", -1, "i"], True),
+        (["arrows", -1, "val", 1], None),
+        (["hammocks", "3", "table", -1, 2], "0"),
+        (["hammocks", "3", "vertices", -1, 0], 2.5),
     ],
 )
 def test_arrays_of_one_shape_still_reject_values_outside_the_report_types(rows):
-    for value in ({"rows": rows}, rows):
-        with pytest.raises(TypeError):
-            report_to_json(value)
-        with pytest.raises(TypeError):
-            _written(value)
+    # ``rows``: a slot in the last row of an array, which a later chunk checks.
+    path, slot = rows
+    document = _reports(_linear("D", 5))[1]
+    with mock.patch.object(report, "_CHUNK_SLOTS", 7):
+        assert report_to_json(document) == _reference(document)
+        _rejected(_spoiled(document, path, slot))
 
 
-def test_arrays_of_empty_rows_go_member_by_member():
-    for rows in ([{}, {}], [{"a": ()}, {"a": []}]):
-        assert report_to_json({"rows": rows}) == _reference({"rows": rows})
+@pytest.mark.parametrize("slot", [True, 1.0])
+def test_a_dimension_vector_holding_a_bool_or_float_is_rejected(slot):
+    arq = build(_linear("B", 4))
+    order = coxeter_matrix(arq).order
+    v = arq.vertices[-1]
+    dims = {**arq.dims, v: (slot, *arq.dims[v][1:])}
+    _rejected(build_report(relaid(arq, dims), order))
+
+
+def test_rows_with_empty_arrays_and_large_integers():
+    # A1 has no arrows; the first row's ints shape the template whatever their size and sign.
+    document = _reports(a1_quiver())[1]
+    assert document["arrows"] == []
+    big = 10**40
+    for dim in ((big,), (-big,), (-1,), (0,)):
+        spoiled = _spoiled(document, ["vertices", 0, "dim"], dim)
+        assert report_to_json(spoiled) == _reference(spoiled)
+        assert _written(spoiled) == _reference(spoiled)
 
 
 class _Pieces:
     def __init__(self):
-        self.sizes = []
+        self.pieces = []
 
     def writelines(self, pieces):
-        self.sizes += map(len, pieces)
+        self.pieces += pieces
+
+    @property
+    def sizes(self):
+        return list(map(len, self.pieces))
+
+
+_SMALL = [q for family, rank in all_diagrams(5) for q in all_orientations(canonical_diagram(family, rank))]
+_INTS = st.integers(min_value=-(10**20), max_value=10**20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SMALL), st.data())
+def test_rows_drawn_from_few_shapes_match_the_stdlib(q, data):
+    # Each of the four row shapes (vertex, arrow, table row, hammock vertex) with any ints.
+    document = _reports(q)[1]
+    paths = [["vertices", r, "dim", k] for r in range(len(document["vertices"])) for k in range(q.n)]
+    paths += [["arrows", a, "val", 0] for a in range(len(document["arrows"]))]
+    for key, hammock in document["hammocks"].items():
+        paths += [["hammocks", key, "table", t, 2] for t in range(len(hammock["table"]))]
+        paths += [["hammocks", key, "vertices", t, 0] for t in range(len(hammock["vertices"]))]
+    for path in data.draw(st.lists(st.sampled_from(paths), max_size=6)):
+        document = _spoiled(document, path, data.draw(_INTS))
+    assert report_to_json(document) == _reference(document)
+    assert _written(document) == _reference(document)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SMALL), st.booleans(), st.sampled_from([1, 2, 7, 1 << 11]))
+def test_arrays_of_one_shape_match_the_stdlib_in_any_chunking(q, hammocks, slots):
+    document = _reports(q)[hammocks]
+    with mock.patch.object(report, "_CHUNK_SLOTS", slots):
+        assert report_to_json(document) == _reference(document)
+        sink = _Pieces()
+        write_report(document, sink)
+    assert "".join(sink.pieces) == _reference(document)
+    if slots == 1:  # a row of n + 2 ints is more than a chunk, so it goes alone
+        vertex_rows = [piece.count('"dim"') for piece in sink.pieces if '"dim"' in piece]
+        assert vertex_rows == [1] * len(document["vertices"])
 
 
 def test_vertices_of_a60_are_written_in_bounded_chunks():
-    report = _reports(_linear("A", 60))[0]
+    document = _reports(_linear("A", 60))[0]
     sink = _Pieces()
-    write_report(report, sink)
-    text = report_to_json(report)
+    write_report(document, sink)
+    text = report_to_json(document)
     assert sum(sink.sizes) == len(text)
     # 1,830 vertices of 62 ints each, at most 33 vertices (about 50 kB) a chunk.
-    assert len(report["vertices"]) == 1830
+    assert len(document["vertices"]) == 1830
     assert len(text) > 1_800_000
+    assert max(sink.sizes) < 64_000
+
+
+def test_hammocks_of_a60_are_written_in_bounded_chunks():
+    document = _reports(_linear("A", 60))[1]
+    sink = _Pieces()
+    write_report(document, sink)
+    assert "".join(sink.pieces) == report_to_json(document)
     assert max(sink.sizes) < 64_000

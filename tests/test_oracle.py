@@ -28,6 +28,7 @@ from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
 from plane import (
     distance,
+    first_failure,
     reference_audit_lines,
     reference_mesh_line,
     reference_spans,
@@ -55,7 +56,7 @@ def test_recursive_dims_a3():
 def test_verify_mesh_passes():
     for q in (a3_linear(), g2_quiver(), e6_example(), f4_example()):
         report = verify_mesh(build(q))
-        assert report.ok, report.first_failure()
+        assert report.ok, first_failure(report)
 
 
 def test_verify_mesh_catches_corruption():
@@ -64,7 +65,7 @@ def test_verify_mesh_catches_corruption():
     corrupted = relaid(arq, {**arq.dims, v: tuple(x + 1 for x in arq.dims[v])})
     report = verify_mesh(corrupted)
     assert not report.ok
-    assert report.first_failure().name == "mesh-additivity"
+    assert first_failure(report).name == "mesh-additivity"
 
 
 def test_verify_mesh_names_the_corrupted_vertex():
@@ -125,7 +126,7 @@ def test_mesh_runs_hold_on_every_small_diagram(family, rank):
     rng = random.Random(f"mesh runs {family}{rank}")
     for _ in range(3):
         report = verify_mesh(build(random_orientation(canonical_diagram(family, rank), rng)))
-        assert report.ok, report.first_failure()
+        assert report.ok, first_failure(report)
 
 
 @pytest.mark.parametrize("family", "ABCD")
@@ -134,7 +135,7 @@ def test_mesh_runs_hold_on_random_orientations_to_rank_40(family):
     lowest = {"A": 1, "B": 2, "C": 3, "D": 4}[family]
     for rank in range(lowest, 41):
         report = verify_mesh(build(random_orientation(canonical_diagram(family, rank), rng)))
-        assert report.ok, report.first_failure()
+        assert report.ok, first_failure(report)
 
 
 def test_audit_paths_a3():
