@@ -8,24 +8,38 @@ from walk statistics alone and serve as an independent route.
 
 The dimension vectors are knitted from the projectives, all ``n``
 hammocks in lockstep: entry ``k`` of the vector at ``(r, i)`` is hammock
-``k``'s value there.  Level 0 holds the projectives, read off the
-hammocks' seed sections; past it, ``dim (s, x)`` is the mesh sum of its
-inputs less ``dim (s - 1, x)``.  An orbit stops at its first vector with a
+``k``'s value there.  Level 0 holds the projectives: entry ``k`` of
+``dim P_j`` is hammock ``k``'s seed at ``(0, j)``, read off the plain
+arrows from ``k``.  Past it, ``dim (s, x)`` is the mesh sum of its inputs
+less ``dim (s - 1, x)``.  An orbit stops at its first vector with a
 negative entry, one level past its injective; that vector is minus the
 projective ``P_k`` whose hammock ends there, so ``rho(x) = k``.  The
 vectors below the terminators, orbit by orbit, are what :class:`ARQuiver`
 stores; ``m``, the positions and the position-keyed vectors are read off
 them.  The paper's per-hammock knit (:mod:`arquiver.hammock`) runs only
 on demand, for the hammock tables.
+
+While knitting, each vector is one Python int with entry ``k`` in the
+signed 16-bit lane ``k`` (:class:`_Lanes`), so a mesh step is one big-int
+multiply-add per input.  The arithmetic is exact: the packed
+``sum(f[k] << 16 * k)`` is a true integer for any signed ``f``, linear
+in ``f``, and decodes faithfully while every ``|f[k]| < 2 ** 15``.  An
+entry of a Dynkin dimension vector is at most 6 (E8's highest root) and
+the mesh weights into a vertex sum to at most 3, so a mesh step from
+vectors within ``±_CAP = ±(3 + 1) * 6`` lands within ``±4 * _CAP``, far
+inside a lane; the knit stops at the first vector past ``±_CAP``, before
+a lane can overflow.  Each orbit is decoded once, after knitting.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import add, itemgetter, mul, ne, neg, sub
+from operator import itemgetter, ne, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -37,7 +51,7 @@ from .errors import (
     KnitInconsistentError,
     PositionOutOfRangeError,
 )
-from .hammock import HammockResult, knit_classified, seed_section
+from .hammock import HammockResult, knit_classified
 from .quiver import ValuedQuiver, arrow_counts
 from .repetitive import ZArrow, ZVertex, mesh_inputs, path_length
 
@@ -182,7 +196,7 @@ class Counts(NamedTuple):
 def build(q: ValuedQuiver) -> ARQuiver:
     """Knit every dimension vector and assemble the finite translation quiver."""
     dynkin = classify_quiver(q)
-    columns, ends = _knit_vectors(q, table_order(dynkin) + 1)
+    orbits, ends = _knit_vectors(q, table_order(dynkin) + 1)
 
     rho = [0] * q.n
     for k, end in sorted(ends.items()):
@@ -196,12 +210,10 @@ def build(q: ValuedQuiver) -> ARQuiver:
     for i in q.vertices():
         if rho[rho[i - 1] - 1] != i:
             raise KnitInconsistentError("orbit pairing is not an involution")
-    for i, column in zip(q.vertices(), columns):
-        if column[0][i - 1] != 1:
+    for i, orbit in zip(q.vertices(), orbits):
+        if orbit[0][i - 1] != 1:
             raise KnitInconsistentError(f"projective {i} misses its own simple top")
 
-    # Each column ends at its terminator, which lies past the quiver.
-    orbits = tuple(tuple(column[:-1]) for column in columns)
     positions = [[ZVertex(r, i) for r in range(len(o))] for i, o in enumerate(orbits, 1)]
     # Each base arrow x -> y gives plain arrows (s, x) -> (s, y) and star
     # arrows (s, y) -> (s + 1, x), for every level s with both ends in range.
@@ -211,13 +223,92 @@ def build(q: ValuedQuiver) -> ARQuiver:
         arrows += [ZArrow(x[s], y[s], a, False) for s in range(min(len(x), len(y)))]
         arrows += [ZArrow(y[s], x[s + 1], a, True) for s in range(min(len(y), len(x) - 1))]
     arrows.sort(key=itemgetter(0, 1))
-    return ARQuiver(q, dynkin, orbits, tuple(rho), tuple(arrows))
+    arq = ARQuiver(q, dynkin, tuple(orbits), tuple(rho), tuple(arrows))
+    # The vertex view is the positions the arrows were made of, not a copy.
+    arq.__dict__["vertices"] = tuple(chain.from_iterable(positions))
+    return arq
+
+
+# An entry of a Dynkin dimension vector is at most 6 (E8's highest root), and
+# the mesh weights into a vertex sum to at most 3: no mesh step from vectors
+# within this bound leaves four times it, which a 16-bit lane holds exactly.
+_CAP = (3 + 1) * 6
+
+
+class _Lanes:
+    """Vectors of ``n`` entries packed into one int, entry ``k`` in the
+    signed 16-bit lane ``k``: the exact integer ``sum(f[k] << 16 * k)``.
+
+    Sums and integer multiples of packed vectors are the packed sums and
+    multiples, and decode faithfully while every entry lies in
+    ``-2 ** 15 .. 2 ** 15 - 1``.
+    """
+
+    def __init__(self, n: int) -> None:
+        def every_lane(value: int) -> int:
+            return int.from_bytes(value.to_bytes(2, "little") * n, "little")
+
+        self.n = n
+        self.sign = every_lane(1 << 15)  # the top bit of every lane
+        self.cap = every_lane(_CAP)
+
+    def pack(self, vector: Iterable[int]) -> int:
+        lanes = array("h", vector)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return (int.from_bytes(lanes.tobytes(), "little") ^ self.sign) - self.sign
+
+    def decode(self, packed: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """The vectors of ``packed``, in one pass through a signed array."""
+        size, sign = 2 * self.n, self.sign
+        lanes = array("h", b"".join([((x + sign) ^ sign).to_bytes(size, "little") for x in packed]))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return tuple(zip(*[iter(lanes)] * self.n))
+
+    def nonnegative(self, x: int) -> bool:
+        """No entry negative: every lane of ``x + sign`` keeps its top bit."""
+        return (x + self.sign) & self.sign == self.sign
+
+    def within_cap(self, x: int) -> bool:
+        """Every entry within ``±_CAP``, for an ``x`` whose entries are less
+        than ``2 ** 15 - _CAP`` in size: then the lowest negative lane of
+        ``cap + x`` or of ``cap - x``, if any, has its top bit set."""
+        return not ((self.cap + x) | (self.cap - x)) & self.sign
+
+
+def _level_zero(qop: ValuedQuiver, k: int) -> dict[int, int]:
+    """Level 0 of the seed section of ``(0, k)``: the bases that the plain
+    arrows reach from ``k``, each with the product of the arrows' second
+    valuation components.
+
+    The section meets every other base above level 0, at its level
+    offset, so the reached bases must be exactly those of level offset 0;
+    raises :class:`KnitInconsistentError` otherwise.
+    """
+    found = {k: 1}
+    stack = [k]
+    while stack:
+        u = stack.pop()
+        for a in qop.out_arrows(u):
+            if a.dst not in found:
+                found[a.dst] = found[u] * a.val[1]
+                stack.append(a.dst)
+    # Entry j: the backward steps of the walk k .. j (entry 0 is padding).
+    offsets = list(map(itemgetter(k), qop._forward_steps))
+    if offsets.count(0) - 1 != len(found) or any(map(offsets.__getitem__, found)):
+        j = next(j for j in qop.vertices() if (j in found) != (offsets[j] == 0))
+        met = "meets" if j in found else "misses"
+        raise KnitInconsistentError(
+            f"sweep from {k} {met} base {j} at level 0; its level offset is {offsets[j]}"
+        )
+    return found
 
 
 def _knit_vectors(
     q: ValuedQuiver, bound: int
-) -> tuple[list[list[tuple[int, ...]]], dict[int, ZVertex]]:
-    """Per base, the dimension vectors by level up to its terminator, and
+) -> tuple[list[tuple[tuple[int, ...], ...]], dict[int, ZVertex]]:
+    """Per base, the dimension vectors by level below its terminator, and
     the terminator of each hammock ``k``: where ``-dim P_k`` is knitted.
 
     Level ``s`` is knitted after level ``s - 1``, its bases in the opposite
@@ -226,21 +317,22 @@ def _knit_vectors(
     Raises :class:`KnitInconsistentError` when a mesh input is read before
     it was knitted, a first negative vector is not minus a projective's,
     or the vector directly before it is not a module's (zero, or with a
-    negative entry), and :class:`BoundExceededError` when an orbit runs
-    past level ``bound``.
+    negative entry), and :class:`BoundExceededError` when a vector has an
+    entry past ``±_CAP`` or an orbit runs past level ``bound``.
     """
     n, qop = q.n, q.opposite()
-    # Entry k of dim P_j is hammock k's seed at (0, j): 0 when the seed
-    # section meets base j above level 0.
-    projectives = [[0] * n for _ in range(n)]
+    lanes = _Lanes(n)
+    within_cap, nonnegative = lanes.within_cap, lanes.nonnegative
+    projectives = [[0] * n for _ in range(n)]  # entry k of dim P_j: hammock k's seed at (0, j)
     for k in q.vertices():
-        for v, value in seed_section(qop, k).items():
-            if not v.level:
-                projectives[v.base - 1][k - 1] = value
-    columns = [[tuple(p)] for p in projectives]
-    hammocks_of: dict[tuple[int, ...], list[int]] = {}
+        for j, value in _level_zero(qop, k).items():
+            projectives[j - 1][k - 1] = value
+    columns = [[lanes.pack(p)] for p in projectives]
+    hammocks_of: dict[int, list[int]] = {}
     for k, column in enumerate(columns, 1):
-        hammocks_of.setdefault(tuple(map(neg, column[0])), []).append(k)
+        if not within_cap(column[0]):
+            raise BoundExceededError(f"dimension vector at {ZVertex(0, k)} leaves ±{_CAP}")
+        hammocks_of.setdefault(-column[0], []).append(k)
     # Along every arrow of the opposite quiver the forward minus the
     # backward steps from base 1 rise by one: a topological order.
     steps = qop._forward_steps
@@ -263,36 +355,38 @@ def _knit_vectors(
         for x in knitting:
             column = columns[x - 1]
             before = column[-1]
-            total = None  # one lazy map chain over the inputs, less before
+            total = -before
             try:
                 for offset, source, weight in rows[x]:
                     vector = source[level + offset]
-                    if weight != 1:
-                        vector = map(mul, vector, repeat(weight))
-                    total = vector if total is None else map(add, total, vector)
+                    total += vector if weight == 1 else weight * vector
             except IndexError:
                 raise KnitInconsistentError(
                     f"mesh input of {ZVertex(level, x)} read before it was knitted"
                 ) from None
-            # Through a list: a tuple drawn straight from the iterator starts
-            # at a guessed size and is shrunk in place, a larger block per vector.
-            vector = tuple(list(map(neg, before) if total is None else map(sub, total, before)))
-            column.append(vector)
-            if min(vector) >= 0:
+            column.append(total)
+            if not within_cap(total):
+                raise BoundExceededError(f"dimension vector at {ZVertex(level, x)} leaves ±{_CAP}")
+            if nonnegative(total):
                 live.append(x)
                 continue
             v = ZVertex(level, x)
-            if vector not in hammocks_of:
+            if total not in hammocks_of:
                 raise KnitInconsistentError(
                     f"first negative vector at {v} is not minus a projective's"
                 )
-            if min(before) < 0 or not any(before):
+            if not nonnegative(before) or not before:
                 raise KnitInconsistentError(
                     f"vector directly before the terminator {v} is not a module's"
                 )
-            for k in hammocks_of[vector]:
+            for k in hammocks_of[total]:
                 ends[k] = v
-    return columns, ends
+    del rows
+    orbits = []
+    for x, column in enumerate(columns):
+        orbits.append(lanes.decode(column[:-1]))  # each column ends at its terminator
+        columns[x] = []
+    return orbits, ends
 
 
 # -- closed forms ---------------------------------------------------------------

@@ -27,15 +27,18 @@ h); `order_identity_check` ties it to the orbit-length identity again.
 The orbit checks run on the ``n`` coordinate rows of all the vectors at
 once (:func:`_orbit_lengths`); only when they do not all pass are the
 orbits walked one by one (:func:`_walk_orbits`), to name the first
-failure.
+failure.  A row is one int with entry ``p`` in lane ``p``: the exact
+integer ``sum(x[p] << bits * p)``.  Sums and multiples of rows are the
+rows of the sums and multiples, and every lane of a row sum reads
+faithfully once biased by half a lane, as the lanes are wide enough for
+the largest sum that entries in ``0..255`` can give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain
 from math import lcm
-from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from .dynkin import DynkinClass
@@ -109,34 +112,62 @@ def _orbit_lengths(
     """The signed orbit lengths when every orbit passes :func:`_walk_orbits`,
     read off the coordinate rows; ``None`` when any orbit may fail.
 
-    The vectors are laid end to end, orbit by orbit, and transposed into
-    ``n`` rows, so ``(E - A) * dim v + (E - B) * dim tau v`` is formed
-    for every vertex at once, one ``map`` per arrow term, and must vanish at
-    every position that does not start an orbit.  A signed orbit ``dim (r, i)``,
-    ``-dim (r, rho^-1(i))`` is distinct when all vectors are distinct,
-    non-zero and non-negative: no such vector is the negative of another.
+    The vectors are laid end to end as ``bytes``, orbit by orbit, and each
+    coordinate row is cut out by striding into one int, entry ``p`` in
+    lane ``p`` (see the module docstring).  So ``(E - A) * dim v +
+    (E - B) * dim tau v`` is formed for every vertex at once, one big-int
+    multiply-add per arrow term, and must vanish in every lane that does
+    not start an orbit.  A signed orbit ``dim (r, i)``, ``-dim (r, rho^-1(i))``
+    is distinct when all vectors are distinct, non-zero and non-negative:
+    no such vector is the negative of another.  An entry outside
+    ``0..255``, or not an int, leaves the orbits to the walk.
     """
     n, rho = arq.n, arq.rho
     if sorted(rho) != list(range(1, n + 1)):
         return None
     sizes = list(map(len, arq.orbits))
-    vectors = list(chain.from_iterable(arq.orbits))
-    if len(set(vectors)) != len(vectors) or not all(map(any, vectors)):
+    try:
+        vectors = list(map(bytes, chain.from_iterable(arq.orbits)))
+    except (TypeError, ValueError):
         return None
-    rows = list(zip(*vectors))
-    if min(map(min, rows)) < 0:
+    distinct = set(vectors)
+    if len(distinct) != len(vectors) or bytes(n) in distinct:
         return None
-    # Entry p - 1 of row c: row c of (E - A) * x_p plus of (E - B) * x_(p-1).
-    sums = [map(add, islice(row, 1, None), row) for row in rows]
-    for terms, skip in ((lower, 1), (upper, 0)):
-        for r, s, w in terms:
-            column = islice(rows[s], skip, None)
-            sums[r] = map(sub, sums[r], column if w == 1 else map(mul, column, repeat(w)))
-    checked = [1] * (len(vectors) - 1)
-    for p in accumulate(sizes[:-1]):  # orbit starts: projectives, not checked
-        checked[p - 1] = 0
-    if any(map(any, map(compress, sums, repeat(checked)))):
-        return None
+    count, data = len(vectors), b"".join(vectors)
+    del vectors, distinct
+    # The terms of row r: (column, weight) of A and of B.
+    terms: list[tuple[list, list]] = [([], []) for _ in range(n)]
+    for r, s, w in lower:
+        terms[r][0].append((s, w))
+    for r, s, w in upper:
+        terms[r][1].append((s, w))
+    # A lane of a row sum is at most 255 * (2 + the row's weights) in size;
+    # a lane of `width` bytes holds it signed.
+    reach = 255 * max(2 + sum(abs(w) for _, w in a + b) for a, b in terms)
+    width = reach.bit_length() // 8 + 1
+    rows = []
+    for c in range(n):
+        lanes = bytearray(width * count)
+        lanes[::width] = data[c::n]
+        rows.append(int.from_bytes(lanes, "little"))
+    # Lane p of a sum is row r of (E - A) * x_p plus (E - B) * x_(p-1), for
+    # p = 0..count; the lanes that start an orbit or lie past the last
+    # vector are not checked.  Biased by the top bit of every lane, a sum
+    # passes when each checked lane reads as that bit alone.
+    sign = int.from_bytes((bytes(width - 1) + b"\x80") * (count + 1), "little")
+    checked = bytearray(b"\xff" * (width * (count + 1)))
+    for p in chain([0], accumulate(sizes)):  # the orbit starts, then the top lane
+        checked[p * width : (p + 1) * width] = bytes(width)
+    mask = int.from_bytes(checked, "little")
+    zero = sign & mask
+    for r, (a, b) in enumerate(terms):
+        now = back = rows[r]
+        for s, w in a:
+            now -= w * rows[s]
+        for s, w in b:
+            back -= w * rows[s]
+        if (now + (back << 8 * width) + sign) & mask != zero:
+            return None
 
     partner = [0] * (n + 1)  # partner[i] = rho^-1(i)
     for i, j in enumerate(rho, 1):

@@ -27,9 +27,11 @@ order, so all mesh inputs are available when needed.
 
 This per-hammock knit serves the hammock tables (``build --hammocks``,
 ``arquiver hammock -k``) and :attr:`~arquiver.ar_quiver.ARQuiver.hammocks`,
-which knits on first read.  ``build`` reads only :func:`seed_section`:
-it knits all ``n`` hammocks at once as dimension vectors, seeded with the
-level-0 values of the seed sections.
+which knits on first read.  ``build`` reads none of this module's
+knitting: it knits all ``n`` hammocks at once as dimension vectors,
+packed one vector per int with a signed 16-bit lane per entry, seeded
+with level 0 of the seed sections, which it sweeps along the plain
+arrows alone (:mod:`arquiver.ar_quiver`).
 """
 
 from __future__ import annotations

@@ -628,9 +628,9 @@ def _seeding(monkeypatch, *projectives):
     from arquiver import ar_quiver
 
     def seeds(qop, k):
-        return {ZVertex(0, j): p[k - 1] for j, p in enumerate(projectives, 1) if p[k - 1]}
+        return {j: p[k - 1] for j, p in enumerate(projectives, 1) if p[k - 1]}
 
-    monkeypatch.setattr(ar_quiver, "seed_section", seeds)
+    monkeypatch.setattr(ar_quiver, "_level_zero", seeds)
 
 
 A2 = validate(2, [(1, 2)])  # dim P_1 = (1, 1), dim P_2 = (0, 1)
@@ -680,6 +680,84 @@ def test_vector_knit_rejects_inconsistent_seeds(monkeypatch, q, projectives, mes
     _seeding(monkeypatch, *projectives)
     with pytest.raises(KnitInconsistentError, match=message):
         build(q)
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_level_zero_seeds_are_level_zero_of_the_seed_sections(family, rank):
+    from arquiver import seed_section
+    from arquiver.ar_quiver import _level_zero
+
+    for q in all_orientations(canonical_diagram(family, rank)):
+        qop = q.opposite()
+        for k in q.vertices():
+            section = seed_section(qop, k)
+            assert _level_zero(qop, k) == {v.base: x for v, x in section.items() if not v.level}
+
+
+@pytest.mark.parametrize(
+    "x, k, offset, message",
+    [
+        # Linear A3: the plain arrows of the opposite quiver run 3 -> 2 -> 1.
+        (1, 3, 1, r"^sweep from 3 meets base 1 at level 0; its level offset is 1$"),
+        (2, 1, 0, r"^sweep from 1 misses base 2 at level 0; its level offset is 0$"),
+    ],
+    ids=["meets", "misses"],
+)
+def test_level_zero_sweep_must_meet_the_level_offsets(x, k, offset, message):
+    q = a3_linear()
+    qop = q.opposite()
+    steps = [list(row) for row in qop._forward_steps]
+    steps[x][k] = offset  # the backward steps of the walk k .. x, misread
+    qop.__dict__["_forward_steps"] = steps
+    with pytest.raises(KnitInconsistentError, match=message):
+        build(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 64).flatmap(
+        lambda n: st.tuples(*[st.integers(-23, 23)] * n)  # inside +-_CAP = +-24
+    )
+)
+def test_packed_lanes_round_trip(vector):
+    from arquiver.ar_quiver import _CAP, _Lanes
+
+    n = len(vector)
+    lanes = _Lanes(n)
+    packed = lanes.pack(vector)
+    assert packed == sum(x << 16 * k for k, x in enumerate(vector))
+    assert lanes.decode([packed, -packed, 3 * packed - packed]) == (
+        vector,
+        tuple(-x for x in vector),
+        tuple(2 * x for x in vector),
+    )
+    assert lanes.nonnegative(packed) == (min(vector) >= 0)
+    assert lanes.within_cap(packed)
+    assert lanes.within_cap(2 * packed) == (max(map(abs, vector)) <= _CAP // 2)
+
+
+@pytest.mark.parametrize("weight", [25, 1000])
+def test_vector_knit_stops_at_an_entry_past_the_cap(monkeypatch, weight):
+    from arquiver import BoundExceededError, ar_quiver
+
+    meshes = ar_quiver.mesh_inputs
+
+    def heavy(base):  # dim (1, 2) = weight * dim P_1 - dim P_2 = (weight, weight - 1)
+        return {x: tuple((o, s, weight * w) for o, s, w in ins) for x, ins in meshes(base).items()}
+
+    monkeypatch.setattr(ar_quiver, "mesh_inputs", heavy)
+    with pytest.raises(
+        BoundExceededError, match=r"^dimension vector at ZVertex\(level=1, base=2\) leaves ±24$"
+    ):
+        build(A2)
+
+
+def test_vertex_view_holds_the_arrows_own_endpoints():
+    arq = build(e6_example())
+    view = set(map(id, arq.vertices))
+    assert all(id(za.src) in view and id(za.dst) in view for za in arq.arrows)
+    copy = replace(arq)  # a copy builds its view afresh, from its own orbits
+    assert copy.vertices == arq.vertices and copy.vertices is not arq.vertices
 
 
 def test_vector_knit_rejects_a_pairing_that_is_not_an_involution(monkeypatch):

@@ -436,6 +436,50 @@ def test_row_certificate_needs_no_walk_on_every_orientation(family, rank):
             assert coxeter_matrix(arq).order == table_order(arq.dynkin)
 
 
+def _terms(q):
+    """The sparse ``A`` and ``B`` terms that :func:`coxeter_matrix` reads off ``q``."""
+    lower = [(a.dst - 1, a.src - 1, a.val[0]) for a in q.arrows]
+    upper = [(a.src - 1, a.dst - 1, a.val[1]) for a in q.arrows]
+    return lower, upper
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(8))
+def test_row_certificate_returns_the_walked_lengths_on_every_orientation(family, rank):
+    from arquiver.coxeter import _orbit_lengths, _walk_orbits
+
+    for q in all_orientations(canonical_diagram(family, rank)):
+        arq = build(q)
+        lower, upper = _terms(q)
+        assert _orbit_lengths(arq, lower, upper) == _walk_orbits(arq, lower, upper)
+
+
+@pytest.mark.parametrize(
+    "entry", [lambda x: 256, lambda x: -1, lambda x: x + 0.5], ids=["256", "minus-1", "float"]
+)
+def test_entries_outside_a_byte_are_left_to_the_walk(entry):
+    # An interior vector of E6 with entry 0 changed: no lane holds it, and
+    # the walk names the vertex, as for any other broken C * dim step.
+    from arquiver.coxeter import _orbit_lengths
+
+    arq = build(e6_example())
+    v = ZVertex(1, 1)
+    broken = relaid(arq, {**arq.dims, v: (entry(arq.dims[v][0]),) + arq.dims[v][1:]})
+    assert _orbit_lengths(broken, *_terms(arq.quiver)) is None
+    message = r"^coxeter: C \* dim ZVertex\(level=1, base=1\) != dim ZVertex\(level=0, base=1\)$"
+    with pytest.raises(CrossCheckFailedError, match=message):
+        coxeter_matrix(broken)
+
+
+def test_integral_floats_are_left_to_the_walk_which_passes_them():
+    from arquiver.coxeter import _orbit_lengths
+
+    arq = build(e6_example())
+    v = ZVertex(1, 1)
+    floats = relaid(arq, {**arq.dims, v: tuple(map(float, arq.dims[v]))})
+    assert _orbit_lengths(floats, *_terms(arq.quiver)) is None
+    assert coxeter_matrix(floats).order == table_order(arq.dynkin)
+
+
 @pytest.mark.parametrize(
     "q, orbits, rho, lower",
     [

@@ -237,17 +237,17 @@ def test_knit_hammock_matches_build():
     ids=["A5", "E6"],
 )
 def test_build_sweeps_once_per_knit(monkeypatch, q):
-    from arquiver import build
-    from arquiver import hammock
+    # build knits all hammocks at once from their level-0 seeds, one sweep each.
+    from arquiver import ar_quiver, build
 
     calls = []
-    sweep = hammock._sweep
+    sweep = ar_quiver._level_zero
 
     def counting(qop, k):
         calls.append(k)
         return sweep(qop, k)
 
-    monkeypatch.setattr(hammock, "_sweep", counting)
+    monkeypatch.setattr(ar_quiver, "_level_zero", counting)
     build(q)
     assert sorted(calls) == list(q.vertices())
 
