@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -54,14 +53,6 @@ from .errors import (
 from .hammock import HammockResult, knit_classified
 from .quiver import ValuedQuiver, arrow_counts
 from .repetitive import ZArrow, ZVertex, mesh_inputs, path_length
-
-
-class PathTable(NamedTuple):
-    """The quiver by integer topological position, for path DPs."""
-
-    order: tuple[ZVertex, ...]
-    index: dict[ZVertex, int]
-    successors: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,8 @@ class ARQuiver:
 
     @cached_property
     def vertices(self) -> tuple[ZVertex, ...]:
-        """The positions orbit by orbit, each orbit in level order."""
+        """The positions orbit by orbit, each orbit in level order; the
+        oracle's path audit numbers a vertex by its place here."""
         return tuple(
             ZVertex(r, i) for i, orbit in enumerate(self.orbits, 1) for r in range(len(orbit))
         )
@@ -150,42 +142,6 @@ class ARQuiver:
         """
         order = table_order(self.dynkin)
         return tuple(knit_classified(self.quiver, k, order) for k in self.quiver.vertices())
-
-    @cached_property
-    def path_table(self) -> PathTable:
-        """Vertices in topological order, with successor positions in arrow order.
-
-        Kahn's order: the sources sorted, then each vertex once its last
-        in-arrow is taken, heads in arrow order.  Built on first use; a
-        racing second build computes the same value, so sharing stays safe.
-        """
-        vertices = self.vertices
-        at = {v: k for k, v in enumerate(vertices)}
-        heads: list[list[int]] = [[] for _ in vertices]
-        indeg = [0] * len(vertices)
-        for za in self.arrows:
-            w = at[za.dst]
-            heads[at[za.src]].append(w)
-            indeg[w] += 1
-        sources = (k for k, d in enumerate(indeg) if not d)
-        queue = deque(sorted(sources, key=vertices.__getitem__))
-        ranked = []
-        while queue:
-            k = queue.popleft()
-            ranked.append(k)
-            for w in heads[k]:
-                indeg[w] -= 1
-                if not indeg[w]:
-                    queue.append(w)
-        if len(ranked) != len(vertices):
-            raise CrossCheckFailedError("translation quiver contains an oriented cycle")
-        position = {k: t for t, k in enumerate(ranked)}
-        order = tuple(vertices[k] for k in ranked)
-        return PathTable(
-            order,
-            dict(zip(order, range(len(order)))),
-            tuple(tuple(position[w] for w in heads[k]) for k in ranked),
-        )
 
 
 class Counts(NamedTuple):

@@ -50,7 +50,7 @@ from .errors import (
     PositionOutOfRangeError,
 )
 from .quiver import ValuedQuiver
-from .repetitive import ZVertex, level_offset, mesh_inputs
+from .repetitive import ZVertex, mesh_inputs
 
 
 @dataclass(frozen=True)
@@ -227,16 +227,13 @@ def knit_classified(q: ValuedQuiver, k: int, order: int) -> HammockResult:
 
 
 def hammock_vertices(res: HammockResult) -> frozenset[ZVertex]:
-    """Positions with positive value between ``(0, k)`` and the injective.
+    """Positions with positive value, all between ``(0, k)`` and the injective.
 
     These are exactly the modules containing the ``k``-th simple as a
     composition factor; the full subquiver they induce is the hammock.
+    Each lies on a path to the injective hull ``I_k`` of that simple:
+    ``[X : S_k] = dim Hom(X, I_k)`` is non-zero, and in a Dynkin AR quiver
+    a non-zero map between indecomposables is a sum of composites of
+    irreducible maps.
     """
-    qop = res.quiver.opposite()
-    top = res.injective_position
-    # A path v .. top exists exactly when the level gap covers the offset.
-    reach = {j: top.level - level_offset(qop, j, top.base) for j in qop.vertices()}
-    return frozenset(
-        v for v, value in res.table.items() if value > 0 and v.level <= reach[v.base]
-    )
-
+    return frozenset(v for v, value in res.table.items() if value > 0)

@@ -12,14 +12,16 @@ The path audit runs a linear-time certificate first (see
 :func:`_certify`): when it holds, every parallel pair of paths shares one
 length and every sectional path is the only path between its ends.  Only
 when it fails does the exhaustive per-source dynamic program run, to name
-a witness.
+a witness; only that fallback computes a topological order.  Both read
+one numbering of the vertices, their positions in ``arq.vertices``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, mul, sub
+from typing import Callable
 
 from .ar_quiver import (
     ARQuiver,
@@ -162,41 +164,90 @@ def _reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _positions(arq: ARQuiver) -> Callable[[ZVertex], int]:
+    """Where a vertex sits in ``arq.vertices``: its orbit's offset plus its
+    level.  Raises ``KeyError(v)``, as a dict would, for a ``v`` off the
+    orbits."""
+    sizes = list(map(len, arq.orbits))
+    offsets = [0, *accumulate(sizes)]
+
+    def position(v: ZVertex) -> int:
+        level, base = v
+        if 0 < base <= len(sizes) and 0 <= level < sizes[base - 1]:
+            return offsets[base - 1] + level
+        raise KeyError(v)
+
+    return position
+
+
+def _successors(arq: ARQuiver) -> list[list[int]]:
+    """The heads of each vertex's arrows, in arrow order, every vertex by
+    its position in ``arq.vertices``.
+
+    Raises ``KeyError(v)`` for an arrow end ``v`` off the orbits.
+    """
+    position = _positions(arq)
+    successors: list[list[int]] = [[] for _ in arq.vertices]
+    for za in arq.arrows:
+        head = position(za.dst)  # checked before the tail
+        successors[position(za.src)].append(head)
+    return successors
+
+
+def _topological_order(arq: ARQuiver, successors: list[list[int]]) -> list[int]:
+    """Kahn's order of the positions: the sources sorted by vertex, then
+    each vertex once its last in-arrow is taken, heads in arrow order.
+
+    Raises :class:`CrossCheckFailedError` on an oriented cycle.
+    """
+    indegree = [0] * len(successors)
+    for w in chain.from_iterable(successors):
+        indegree[w] += 1
+    order = sorted((v for v, d in enumerate(indegree) if not d), key=arq.vertices.__getitem__)
+    for v in order:  # grows while it is read: first in, first out
+        for w in successors[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+    if len(order) != len(successors):
+        raise CrossCheckFailedError("translation quiver contains an oriented cycle")
+    return order
+
+
 def _audit(
-    arq: ARQuiver, ends: list[tuple[ZVertex, ZVertex]]
+    arq: ARQuiver, successors: list[list[int]], ends: list[tuple[ZVertex, ZVertex]]
 ) -> tuple[OracleReport, list[tuple[int, int] | None]]:
     """Parallel-path and sectional-uniqueness audit, one source at a time.
 
-    Each source gets one DP over the topological positions, whose path
-    counts and shortest/longest lengths are dropped once the source's
-    sectional paths have been checked against them, so memory stays
-    linear in the quiver.  Besides the report, returns the shortest and
-    longest length from ``a`` to ``b`` for each pair of ``ends``, or
-    ``None`` where no path joins them.
+    Each source gets one DP over the vertices after it in
+    :func:`_topological_order`, whose path counts and shortest/longest
+    lengths are dropped once the source's sectional paths have been
+    checked against them, so memory stays linear in the quiver.  Besides
+    the report, returns the shortest and longest length from ``a`` to
+    ``b`` for each pair of ``ends``, or ``None`` where no path joins them.
     """
-    table = arq.path_table
-    order, successors = table.order, table.successors
+    vertices, position = arq.vertices, _positions(arq)
+    order = _topological_order(arq, successors)
     size = len(order)
     wanted: dict[int, list[tuple[int, int]]] = {}
     for k, (a, b) in enumerate(ends):
-        if a in table.index and b in table.index:
-            wanted.setdefault(table.index[a], []).append((k, table.index[b]))
+        wanted.setdefault(position(a), []).append((k, position(b)))
     lengths: list[tuple[int, int] | None] = [None] * len(ends)
     # A sectional path never continues through the inverse translate of the
     # vertex before its last one: that would be a hook and leave the section.
-    hook = [table.index.get(v.translate(-1), -1) for v in order]
-    start_rank = {v: k for k, v in enumerate(arq.vertices)}
+    hook = [k + 1 if v.level < arq.m[v.base - 1] else None for k, v in enumerate(vertices)]
 
     # Witnesses: the first bad pair with sources in topological order, and
     # the first bad sectional path with starts in ``arq.vertices`` order.
-    parallel: tuple[ZVertex, ZVertex] | None = None
-    sectional: tuple[int, ZVertex, ZVertex] | None = None
-    for src in range(size):
+    parallel: tuple[int, int] | None = None
+    sectional: tuple[int, int] | None = None
+    for t, src in enumerate(order):
+        later = order[t:]
         count = [0] * size
         shortest = [-1] * size
         longest = [-1] * size
         count[src], shortest[src], longest[src] = 1, 0, 0
-        for v in range(src, size):
+        for v in later:
             c = count[v]
             if not c:
                 continue
@@ -211,55 +262,46 @@ def _audit(
                 else:
                     count[w], shortest[w], longest[w] = c, lo, hi
 
-        for k, dst in wanted.get(src, ()):
-            if count[dst]:
-                lengths[k] = (shortest[dst], longest[dst])
+        for k, stop in wanted.get(src, ()):
+            if count[stop]:
+                lengths[k] = (shortest[stop], longest[stop])
         if parallel is None and shortest != longest:
-            bad = _first_discovered(successors, shortest, longest, src)
-            parallel = (order[src], order[bad])
+            parallel = (src, _first_discovered(successors, shortest, longest, later))
 
         # The hook rule needs only the last two vertices of a path, so the
         # stack holds (before, last) pairs, popped in the order a search
         # over whole paths would pop them.
-        rank = start_rank[order[src]]
-        if sectional is not None and sectional[0] < rank:
+        if sectional is not None and sectional[0] < src:
             continue  # an earlier start already has a witness
         stack = [(src, w) for w in successors[src]]
         while stack:
             before, last = stack.pop()
             if count[last] != 1:
-                sectional = (rank, order[src], order[last])
+                sectional = (src, last)
                 break
             skip = hook[before]
             stack.extend((last, w) for w in successors[last] if w != skip)
 
     report = OracleReport()
-    report.add(
-        "parallel-path-lengths",
-        parallel is None,
-        ""
-        if parallel is None
-        else f"lengths differ between {parallel[0]} and {parallel[1]}",
-    )
-    report.add(
-        "sectional-uniqueness",
-        sectional is None,
-        ""
-        if sectional is None
-        else f"extra parallel path between {sectional[1]} and {sectional[2]}",
-    )
+    for name, what, witness in (
+        ("parallel-path-lengths", "lengths differ", parallel),
+        ("sectional-uniqueness", "extra parallel path", sectional),
+    ):
+        if witness is None:
+            report.add(name, True)
+        else:
+            a, b = map(vertices.__getitem__, witness)
+            report.add(name, False, f"{what} between {a} and {b}")
     return report, lengths
 
 
 def _first_discovered(
-    successors: tuple[tuple[int, ...], ...],
-    shortest: list[int],
-    longest: list[int],
-    src: int,
+    successors: list[list[int]], shortest: list[int], longest: list[int], later: list[int]
 ) -> int:
-    """The first target reached from ``src`` whose path lengths differ."""
-    seen = {src}
-    for v in range(src, len(shortest)):
+    """The first target reached from ``later[0]`` whose path lengths
+    differ, ``later`` being the topological order from there on."""
+    seen = {later[0]}
+    for v in later:
         if shortest[v] >= 0:
             for w in successors[v]:
                 if w not in seen:
@@ -269,12 +311,12 @@ def _first_discovered(
     raise AssertionError("no target with unequal path lengths")
 
 
-def _certify(arq: ARQuiver) -> list[int] | None:
+def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int] | None:
     """A potential proving the path audit passes, or ``None``.
 
-    The potential is indexed by topological position.  The certificate
-    reads the bases and levels of the positions and checks, in
-    O(V + E):
+    The potential is indexed by position in ``arq.vertices``, as
+    ``successors`` is.  The certificate reads the bases and levels of the
+    vertices and checks, in O(V + E):
 
     (a) a breadth-first search over the arrows, in both directions, finds
         phi with phi(dst) = phi(src) + 1 on every arrow;
@@ -286,26 +328,25 @@ def _certify(arq: ARQuiver) -> list[int] | None:
     Why it suffices (the covering argument of Bongartz-Gabriel, "Covering
     spaces in representation theory", Invent. Math. 1982).  By (a) every
     path ``u .. w`` has length phi(w) - phi(u), so parallel paths share
-    one length.  By (b) and (c) the level step of an arrow is fixed by its
-    two bases, so a path is determined by its start and the walk it folds
-    onto in the tree; an arrow there followed by one back to the first
-    base climbs exactly one level, so a hook (``w`` the inverse translate
-    of the vertex two before it) is exactly a backtrack of that walk.  A
-    sectional path therefore folds onto a reduced walk, which in a tree is
-    the unique geodesic between its ends.  Any other path between the same
-    ends has the same length, so its walk has the geodesic's length and
-    is that geodesic; by (d) a vertex and the next base fix the next
-    vertex, so the two paths coincide.
+    one length, and no path is an oriented cycle.  By (b) and (c) the
+    level step of an arrow is fixed by its two bases, so a path is
+    determined by its start and the walk it folds onto in the tree; an
+    arrow there followed by one back to the first base climbs exactly one
+    level, so a hook (``w`` the inverse translate of the vertex two
+    before it) is exactly a backtrack of that walk.  A sectional path
+    therefore folds onto a reduced walk, which in a tree is the unique
+    geodesic between its ends.  Any other path between the same ends has
+    the same length, so its walk has the geodesic's length and is that
+    geodesic; by (d) a vertex and the next base fix the next vertex, so
+    the two paths coincide.
     """
-    table = arq.path_table
-    order, successors = table.order, table.successors
-    q = arq.quiver
+    vertices, q = arq.vertices, arq.quiver
     if not q.is_tree():
         return None
     adjacent = {(a.src, a.dst) for a in q.arrows}
     adjacent |= {(y, x) for x, y in adjacent}
-    bases = [v.base for v in order]
-    predecessors: list[list[int]] = [[] for _ in order]
+    bases = [v.base for v in vertices]
+    predecessors: list[list[int]] = [[] for _ in vertices]
     for v, heads in enumerate(successors):
         x = bases[v]
         if len({bases[w] for w in heads}) != len(heads):
@@ -315,9 +356,9 @@ def _certify(arq: ARQuiver) -> list[int] | None:
                 return None  # (c)
             predecessors[w].append(v)
 
-    phi: list[int] = [0] * len(order)
-    seen = [False] * len(order)
-    for root in range(len(order)):
+    phi: list[int] = [0] * len(vertices)
+    seen = [False] * len(vertices)
+    for root in range(len(vertices)):
         if seen[root]:
             continue
         seen[root] = True
@@ -325,7 +366,7 @@ def _certify(arq: ARQuiver) -> list[int] | None:
         queue = [root]
         for v in queue:  # grows while it is read: breadth first
             p = phi[v]
-            key = p - 2 * order[v].level
+            key = p - 2 * vertices[v].level
             if shift.setdefault(bases[v], key) != key:
                 return None  # (b)
             for near, step in ((successors[v], 1), (predecessors[v], -1)):
@@ -340,48 +381,47 @@ def _certify(arq: ARQuiver) -> list[int] | None:
 
 
 def _spans(
-    arq: ARQuiver, phi: list[int], ends: list[tuple[ZVertex, ZVertex]]
+    arq: ARQuiver,
+    successors: list[list[int]],
+    phi: list[int],
+    ends: list[tuple[ZVertex, ZVertex]],
 ) -> list[tuple[int, int] | None]:
     """``(shortest, longest)`` from ``a`` to ``b`` for each pair of ``ends``.
 
     Under the certificate both are phi(b) - phi(a) when ``b`` is
-    reachable; one sweep over the positions in reverse topological order
-    decides that for every pair at once.  Position ``v`` carries a bitmask
-    with bit ``k`` set when ``v`` is the ``b`` of pair ``k`` or a successor
-    of ``v`` carries bit ``k``, that is, when a path leads from ``v`` to
-    that ``b``; successors come later in the order, so they are done
+    reachable; one sweep over the vertices in decreasing phi decides that
+    for every pair at once.  Vertex ``v`` carries a bitmask with bit ``k``
+    set when ``v`` is the ``b`` of pair ``k`` or a successor of ``v``
+    carries bit ``k``, that is, when a path leads from ``v`` to that
+    ``b``; phi rises by one along every arrow, so successors are done
     first.  ``None`` where no path joins the pair.
     """
-    table = arq.path_table
-    index, successors = table.index, table.successors
+    position = _positions(arq)
+    located = [(position(a), position(b)) for a, b in ends]
     reach = [0] * len(successors)
-    for k, (_, b) in enumerate(ends):
-        if b in index:
-            reach[index[b]] |= 1 << k
-    for v in reversed(range(len(successors))):
+    for k, (_, stop) in enumerate(located):
+        reach[stop] |= 1 << k
+    for v in sorted(range(len(successors)), key=phi.__getitem__, reverse=True):
         for w in successors[v]:
             reach[v] |= reach[w]
-    spans: list[tuple[int, int] | None] = []
-    for k, (a, b) in enumerate(ends):
-        start = index.get(a)
-        if start is None or not reach[start] >> k & 1:
-            spans.append(None)
-        else:
-            spans.append((phi[index[b]] - phi[start],) * 2)
-    return spans
+    return [
+        (phi[stop] - phi[start],) * 2 if reach[start] >> k & 1 else None
+        for k, (start, stop) in enumerate(located)
+    ]
 
 
 def _path_audit(
     arq: ARQuiver, ends: list[tuple[ZVertex, ZVertex]]
 ) -> tuple[OracleReport, list[tuple[int, int] | None]]:
     """What :func:`_audit` returns, from the certificate whenever it holds."""
-    phi = _certify(arq)
+    successors = _successors(arq)
+    phi = _certify(arq, successors)
     if phi is None:
-        return _audit(arq, ends)
+        return _audit(arq, successors, ends)
     report = OracleReport()
     report.add("parallel-path-lengths", True)
     report.add("sectional-uniqueness", True)
-    return report, _spans(arq, phi, ends)
+    return report, _spans(arq, successors, phi, ends)
 
 
 def audit_paths(arq: ARQuiver) -> OracleReport:

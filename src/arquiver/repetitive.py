@@ -8,19 +8,18 @@ arrow ``(s, y) -> (s+1, x)`` with valuation ``(b, a)``.  The translation
 shifts levels down by one.
 
 Nothing infinite is ever materialised: consumers work inside bounded
-level windows, and read the plane through the mesh table and the two
-closed forms at the bottom.  Those closed forms rest on the covering map
-that folds a path of the plane onto a walk of the base quiver (plain
-arrows map to forward steps, star arrows to backward steps).  A path is
+level windows, and read the plane through the mesh table and the closed
+form at the bottom.  That closed form rests on the covering map that
+folds a path of the plane onto a walk of the base quiver (plain arrows
+map to forward steps, star arrows to backward steps).  A path is
 *sectional* exactly when its folded walk is reduced, and for tree bases a
 sectional path is the unique path between its endpoints while any two
-parallel paths share the same length.  This makes `level_offset` and
-`path_length` well defined: a path ``(r, x) .. (s, y)`` exists iff
-``s - r`` is at least the number of backward steps of the reduced walk
-``x .. y``, and every such path has length
-``len(walk) + 2 * (s - r - backward steps)``.  The path model itself
-(paths, the covering map, window enumeration) lives in ``tests/plane.py``,
-where it checks both closed forms.
+parallel paths share the same length.  This makes `path_length` well
+defined: a path ``(r, x) .. (s, y)`` exists iff ``s - r`` is at least the
+number of backward steps of the reduced walk ``x .. y``, and every such
+path has length ``len(walk) + 2 * (s - r - backward steps)``.  The path
+model itself (paths, the covering map, window enumeration) lives in
+``tests/plane.py``, where it checks the closed form.
 """
 
 from __future__ import annotations
@@ -60,11 +59,6 @@ def mesh_inputs(base: ValuedQuiver) -> dict[int, tuple[tuple[int, int, int], ...
     Built once per quiver instance and shared: callers only read it.
     """
     return base._mesh_table
-
-
-def level_offset(base: ValuedQuiver, x: int, y: int) -> int:
-    """Minimal level gap ``s - r`` admitting a path ``(r, x) .. (s, y)``."""
-    return arrow_counts(base, x, y)[1]
 
 
 def path_length(base: ValuedQuiver, u: ZVertex, w: ZVertex) -> int | None:

@@ -23,7 +23,7 @@ from arquiver.errors import (
 )
 from arquiver.hammock import HammockResult
 from arquiver.quiver import Arrow, Step, ValuedQuiver, Walk, arrow_counts
-from arquiver.repetitive import ZArrow, ZVertex, level_offset, mesh_inputs
+from arquiver.repetitive import ZArrow, ZVertex, mesh_inputs
 
 
 # -- paths and the covering map, the model behind ``repetitive.path_length`` --
@@ -88,7 +88,7 @@ def is_sectional(p: ZPath) -> bool:
 
 def is_successor(base: ValuedQuiver, u: ZVertex, w: ZVertex) -> bool:
     """Whether some path ``u .. w`` exists: the level gap covers the offset."""
-    return w.level - u.level >= level_offset(base, u.base, w.base)
+    return w.level - u.level >= arrow_counts(base, u.base, w.base)[1]
 
 
 def window_arrows(base: ValuedQuiver, lo: int, hi: int) -> list[ZArrow]:
@@ -145,8 +145,8 @@ def successors(arq) -> dict[ZVertex, tuple[ZVertex, ...]]:
 
 
 def topological_order(arq) -> tuple[ZVertex, ...]:
-    """Kahn's order over ``ZVertex`` keys, the reference for
-    ``ARQuiver.path_table``: sorted sources first, heads in arrow order."""
+    """Kahn's order over ``ZVertex`` keys, the reference for the order of
+    ``oracle._topological_order``: sorted sources first, heads in arrow order."""
     out = successors(arq)
     indeg = {v: 0 for v in arq.vertices}
     for za in arq.arrows:
@@ -168,64 +168,56 @@ def topological_order(arq) -> tuple[ZVertex, ...]:
 def distance(arq, a: ZVertex, b: ZVertex) -> int | None:
     """Common length of all paths ``a .. b``; ``None`` when unreachable.
 
-    Enumerates by one dynamic program over the topological positions up
-    to ``b``; shortest and longest path lengths are computed separately
-    and must agree, so parallel paths of different lengths raise.
+    Enumerates by one dynamic program over the topological order from
+    ``a`` up to ``b``; shortest and longest path lengths are computed
+    separately and must agree, so parallel paths of different lengths
+    raise.
     """
     for v in (a, b):
         if v not in arq.dims:
             raise PositionOutOfRangeError(f"{v} is not a vertex")
-    table = arq.path_table
-    start, stop = table.index[a], table.index[b]
-    if stop < start:
-        return None
-    # Lengths by topological position; -1 marks a vertex not reached yet.
-    # Arrows only go forward, so nothing past ``b`` can reach it.
-    shortest = [-1] * (stop + 1)
-    longest = [-1] * (stop + 1)
-    shortest[start] = longest[start] = 0
-    for v in range(start, stop):
-        if shortest[v] < 0:
+    order, out = topological_order(arq), successors(arq)
+    start, stop = order.index(a), order.index(b)
+    # Arrows only go forward in the order, so nothing past ``b`` can reach it.
+    shortest, longest = {a: 0}, {a: 0}
+    for v in order[start:stop]:
+        if v not in shortest:
             continue
-        for w in table.successors[v]:
-            if w > stop:
-                continue
-            if shortest[w] < 0:
+        for w in out[v]:
+            if w not in shortest:
                 shortest[w], longest[w] = shortest[v] + 1, longest[v] + 1
             else:
                 shortest[w] = min(shortest[w], shortest[v] + 1)
                 longest[w] = max(longest[w], longest[v] + 1)
-    if shortest[stop] < 0:
+    if b not in shortest:
         return None
-    if shortest[stop] != longest[stop]:
+    if shortest[b] != longest[b]:
         raise CrossCheckFailedError(
-            f"parallel paths {a} .. {b} of lengths {shortest[stop]} and {longest[stop]}"
+            f"parallel paths {a} .. {b} of lengths {shortest[b]} and {longest[b]}"
         )
-    return shortest[stop]
+    return shortest[b]
 
 
 def reference_spans(
     arq, phi: list[int], ends: list[tuple[ZVertex, ZVertex]]
 ) -> list[tuple[int, int] | None]:
     """What ``oracle._spans`` returns, by one forward search per pair over
-    the positions from ``a`` up to ``b``: ``(phi(b) - phi(a),) * 2`` when
-    ``b`` is reached, ``None`` otherwise."""
-    table = arq.path_table
-    successors = table.successors
+    the topological order from ``a`` up to ``b``: ``(phi(b) - phi(a),) * 2``
+    when ``b`` is reached, ``None`` otherwise.  ``phi`` is indexed by
+    position in ``arq.vertices``."""
+    order, out = topological_order(arq), successors(arq)
+    rank = {v: t for t, v in enumerate(order)}
+    at = {v: k for k, v in enumerate(arq.vertices)}
     spans: list[tuple[int, int] | None] = []
     for a, b in ends:
-        start, stop = table.index.get(a), table.index.get(b)
-        if start is None or stop is None or stop < start:
+        if a not in rank or b not in rank or rank[b] < rank[a]:
             spans.append(None)
             continue
-        reached = [False] * (stop + 1)
-        reached[start] = True
-        for v in range(start, stop):
-            if reached[v]:
-                for w in successors[v]:
-                    if w <= stop:
-                        reached[w] = True
-        spans.append((phi[stop] - phi[start],) * 2 if reached[stop] else None)
+        reached = {a}
+        for v in order[rank[a] : rank[b]]:
+            if v in reached:
+                reached.update(out[v])
+        spans.append((phi[at[b]] - phi[at[a]],) * 2 if b in reached else None)
     return spans
 
 
@@ -255,7 +247,7 @@ def reference_orbit_relation(arq) -> bool:
 
 def path_statistics(arq) -> tuple[dict[tuple[ZVertex, ZVertex], int], dict, dict]:
     """Path counts and shortest/longest lengths for all ordered pairs."""
-    order = arq.path_table.order
+    order = topological_order(arq)
     out = successors(arq)
     counts: dict[tuple[ZVertex, ZVertex], int] = {}
     shortest: dict[tuple[ZVertex, ZVertex], int] = {}

@@ -30,6 +30,7 @@ from arquiver.dynkin import (
     random_orientation,
     relabel_quiver,
 )
+from arquiver.oracle import _successors, _topological_order
 from conftest import (
     a1_quiver,
     a3_linear,
@@ -429,24 +430,6 @@ def test_threads_sharing_one_quiver_build_equal_results():
     assert results == [expected] * len(threads)
 
 
-def test_path_tables_are_built_once_per_instance():
-    from arquiver.quiver import Arrow
-    from arquiver.repetitive import ZArrow
-
-    arq = build(a3_linear())
-    table = arq.path_table
-    assert arq.path_table is table
-    heads = table.successors[table.index[ZVertex(0, 2)]]
-    assert [table.order[w] for w in heads] == [ZVertex(0, 1), ZVertex(1, 3)]
-    # A copy with a back arrow gets its own table, and it sees the cycle.
-    back = ZArrow(ZVertex(2, 3), ZVertex(0, 1), Arrow(3, 1), False)
-    cyclic = replace(arq, arrows=arq.arrows + (back,))
-    with pytest.raises(CrossCheckFailedError, match="oriented cycle"):
-        cyclic.path_table
-    assert arq.path_table is table
-    assert distance(arq, ZVertex(0, 1), ZVertex(2, 3)) == 2
-
-
 @pytest.mark.parametrize(
     "q",
     [
@@ -467,19 +450,7 @@ def test_distance_matches_all_pairs_reference(q):
             assert distance(arq, a, b) == shortest.get((a, b)), (a, b)
 
 
-# -- one path length in the library, one path table for the oracle ---------------
-
-
-def test_build_report_and_cluster_statistics_build_no_path_table():
-    from arquiver import build_report, cluster_count, derived_nilpotency
-
-    for q in (a3_linear(), g2_quiver(), e6_example()):
-        arq = build(q)
-        order = coxeter_matrix(arq).order
-        build_report(arq, order, include_hammocks=True)
-        cluster_count(arq, order)
-        derived_nilpotency(arq, order)
-        assert "path_table" not in vars(arq)
+# -- one path length in the library, checked by enumeration ---------------------
 
 
 def _enumerated_counts(arq, order):
@@ -553,15 +524,17 @@ def test_counts_on_permuted_orbit_data_match_the_enumeration(q):
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
 def test_path_table_matches_the_reference_kahn_order_on_every_orientation(family, rank):
+    # The oracle's successor lists and Kahn order number a vertex by its
+    # position in ``arq.vertices``; the references key it by itself.
     for q in all_orientations(canonical_diagram(family, rank)):
         arq = build(q)
-        table = arq.path_table
-        assert table.order == topological_order(arq)
-        assert table.index == {v: k for k, v in enumerate(table.order)}
-        heads = successors(arq)
-        assert [tuple(table.order[w] for w in out) for out in table.successors] == [
-            heads[v] for v in table.order
+        vertices, heads = arq.vertices, successors(arq)
+        oracle_heads = _successors(arq)
+        assert [tuple(map(vertices.__getitem__, out)) for out in oracle_heads] == [
+            heads[v] for v in vertices
         ]
+        order = _topological_order(arq, oracle_heads)
+        assert tuple(map(vertices.__getitem__, order)) == topological_order(arq)
 
 
 def test_count_identity_names_half_of_n_times_the_order():

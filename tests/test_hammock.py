@@ -34,7 +34,6 @@ from conftest import (
     a3_linear,
     all_diagrams,
     e6_example,
-    f4_example,
     g2_quiver,
     relabelled_orientations,
 )
@@ -250,26 +249,6 @@ def test_build_sweeps_once_per_knit(monkeypatch, q):
     monkeypatch.setattr(ar_quiver, "_level_zero", counting)
     build(q)
     assert sorted(calls) == list(q.vertices())
-
-
-@pytest.mark.parametrize("q", [e6_example(), f4_example(), g2_quiver()], ids=["E6", "F4", "G2"])
-def test_hammock_vertices_reads_one_level_offset_per_base(monkeypatch, q):
-    from arquiver import repetitive
-
-    calls = []
-    arrow_counts = repetitive.arrow_counts
-
-    def counting(base, x, y):
-        calls.append((x, y))
-        return arrow_counts(base, x, y)
-
-    for k in q.vertices():
-        res = knit_hammock(q, k)
-        with monkeypatch.context() as patch:
-            patch.setattr(repetitive, "arrow_counts", counting)
-            calls.clear()
-            hammock_vertices(res)
-        assert len(calls) <= q.n, (k, len(calls))
 
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from arquiver import (
     ArquiverError,
+    CrossCheckFailedError,
     ZVertex,
     build,
     coxeter_matrix,
@@ -22,7 +23,16 @@ from arquiver import (
     verify_mesh,
 )
 from arquiver.dynkin import canonical_diagram, orient, random_orientation
-from arquiver.oracle import _audit, _certify, _path_audit, _spans, audit_paths, run_all
+from arquiver.oracle import (
+    _audit,
+    _certify,
+    _path_audit,
+    _spans,
+    _successors,
+    _topological_order,
+    audit_paths,
+    run_all,
+)
 from arquiver.quiver import Arrow
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
@@ -272,7 +282,7 @@ def test_audit_paths_names_second_path_along_a_sectional_path():
 
 def _forward_arrow_corruptions(arq, rng, count):
     """Copies of ``arq`` with one random arrow that keeps it acyclic."""
-    order = arq.path_table.order
+    order = topological_order(arq)
     for _ in range(count):
         i = rng.randrange(len(order) - 1)
         j = rng.randrange(i + 1, len(order))
@@ -331,7 +341,7 @@ def test_audit_lengths_agree_with_distance(family, rank):
     rng = random.Random(f"{family}{rank}")
     arq = build(random_orientation(canonical_diagram(family, rank), rng))
     ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
-    _, lengths = _audit(arq, ends)
+    _, lengths = _audit(arq, _successors(arq), ends)
     assert lengths == [(distance(arq, a, b),) * 2 for a, b in ends]
 
 
@@ -404,7 +414,7 @@ def _failed_conditions(arq):
 
 def _assert_only_condition_rejects(arq, condition, lines):
     assert _failed_conditions(arq) == {condition}
-    assert _certify(arq) is None
+    assert _certify(arq, _successors(arq)) is None
     assert [c.line() for c in audit_paths(arq).checks] == lines
     assert reference_audit_lines(arq) == lines
 
@@ -476,7 +486,7 @@ def test_certificate_rejects_the_a3_shortcut():
     # Bases 1 and 3 are not adjacent, and the shortcut skips a level.
     arq = _with_extra_arrows(build(a3_linear()), (ZVertex(0, 1), ZVertex(2, 3)))
     assert _failed_conditions(arq) == {"a", "c"}
-    assert _certify(arq) is None
+    assert _certify(arq, _successors(arq)) is None
 
 
 @st.composite
@@ -487,7 +497,7 @@ def _corrupted_quivers(draw, max_rank=8):
     arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
     kind = draw(st.sampled_from(["forward", "doubled", "deleted"]))
     if kind == "forward":
-        order = arq.path_table.order
+        order = topological_order(arq)
         i = draw(st.integers(0, len(order) - 2))
         j = draw(st.integers(i + 1, len(order) - 1))
         return _with_extra_arrows(arq, (order[i], order[j]))
@@ -501,7 +511,7 @@ def _corrupted_quivers(draw, max_rank=8):
 @given(_corrupted_quivers())
 def test_certificate_is_sound_on_corrupted_quivers(arq):
     expected = reference_audit_lines(arq)
-    if _certify(arq) is not None:
+    if _certify(arq, _successors(arq)) is not None:
         assert all(line.endswith(": PASS") for line in expected)
     assert [c.line() for c in audit_paths(arq).checks] == expected
 
@@ -554,7 +564,8 @@ def _span_ends(arq, rng):
 
 def test_spans_of_a_projective_that_is_its_own_injective():
     arq = build(a1_quiver())
-    assert _spans(arq, _certify(arq), [(ZVertex(0, 1), ZVertex(0, 1))]) == [(0, 0)]
+    heads = _successors(arq)
+    assert _spans(arq, heads, _certify(arq, heads), [(ZVertex(0, 1), ZVertex(0, 1))]) == [(0, 0)]
 
 
 @pytest.mark.parametrize(
@@ -567,10 +578,11 @@ def test_spans_sweep_matches_the_per_pair_search(family, rank):
     unjoined = 0
     for k in [None] + rng.sample(range(len(arq.arrows)), min(6, len(arq.arrows))):
         corrupted = arq if k is None else replace(arq, arrows=arq.arrows[:k] + arq.arrows[k + 1 :])
-        phi = _certify(corrupted)
+        heads = _successors(corrupted)
+        phi = _certify(corrupted, heads)
         assert phi is not None
         ends = _span_ends(corrupted, rng)
-        spans = _spans(corrupted, phi, ends)
+        spans = _spans(corrupted, heads, phi, ends)
         assert spans == reference_spans(corrupted, phi, ends)
         unjoined += spans.count(None)
     assert unjoined
@@ -579,7 +591,8 @@ def test_spans_sweep_matches_the_per_pair_search(family, rank):
 @settings(max_examples=100, deadline=None)
 @given(_corrupted_quivers())
 def test_path_table_order_matches_the_reference_kahn_order_on_corrupted_quivers(arq):
-    assert arq.path_table.order == topological_order(arq)
+    order = _topological_order(arq, _successors(arq))
+    assert tuple(map(arq.vertices.__getitem__, order)) == topological_order(arq)
 
 
 # -- run_all on broken quivers: a FAIL line per check, never an exception --------
@@ -665,6 +678,46 @@ def test_an_arrow_into_a_cut_vertex_fails_every_check_that_reads_paths():
     assert lines[7] == (
         "cluster-count: FAIL (fundamental domain has 8 objects, expected n(|C|+2)/2)"
     )
+
+
+@pytest.mark.parametrize("q", [a3_linear(), g2_quiver(), e6_example()], ids=["A3", "G2", "E6"])
+def test_every_back_arrow_makes_the_path_audit_name_an_oriented_cycle(q):
+    # The certificate fails on a cycle, and the fallback's Kahn order
+    # cannot place every vertex; the original quiver is untouched.
+    arq = build(q)
+    reason = "translation quiver contains an oriented cycle"
+    for za in arq.arrows:
+        cyclic = _with_extra_arrows(arq, (za.dst, za.src))
+        with pytest.raises(CrossCheckFailedError, match=reason):
+            audit_paths(cyclic)
+        assert _lines(cyclic)[3:5] == [
+            f"parallel-path-lengths: FAIL ({reason})",
+            f"sectional-uniqueness: FAIL ({reason})",
+        ]
+    assert audit_paths(arq).ok
+
+
+@pytest.mark.parametrize(
+    "src, dst, named",
+    [
+        (ZVertex(0, 2), ZVertex(2, 2), ZVertex(2, 2)),  # past the top of orbit 2
+        (ZVertex(1, 1), ZVertex(1, 2), ZVertex(1, 1)),  # past the top of orbit 1
+        (ZVertex(-1, 3), ZVertex(0, 3), ZVertex(-1, 3)),  # below level 0
+        (ZVertex(0, 2), ZVertex(0, 0), ZVertex(0, 0)),  # no base 0
+        (ZVertex(1, 1), ZVertex(0, 4), ZVertex(0, 4)),  # both ends off: the head is named
+    ],
+    ids=["head", "tail", "negative", "base-0", "both"],
+)
+def test_an_arrow_end_off_the_orbits_fails_every_check_that_reads_paths(src, dst, named):
+    arq = _with_extra_arrows(build(a3_linear()), (src, dst))  # m = (0, 1, 2)
+    with pytest.raises(KeyError) as caught:
+        audit_paths(arq)
+    assert caught.value.args == (named,)
+    reason = f"KeyError: {named}"
+    assert _lines(arq) == [
+        f"{name}: FAIL ({reason})" if name in _PATH_CHECKS else f"{name}: PASS"
+        for name in _CHECK_NAMES
+    ]
 
 
 # The checks that read an injective's position.
