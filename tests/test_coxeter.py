@@ -37,7 +37,7 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import relaid
+from plane import dims, relaid
 
 # -- dense reference arithmetic, for checking the sparse certificate ------------
 
@@ -62,7 +62,7 @@ def mat_neg(a):
 def signed_dim(arq, v):
     """Dimension vector of a shifted stalk: the sign alternates with the shift."""
     sign = -1 if v.shift % 2 else 1
-    return tuple(sign * x for x in arq.dims[(v.level, v.base)])
+    return tuple(sign * x for x in arq.orbits[v.base - 1][v.level])
 
 
 def derived_dim_check(arq, cd, samples):
@@ -188,7 +188,7 @@ def test_order_table_exhaustive_up_to_rank_six():
 
 def test_corrupted_dims_fail_unitriangularity():
     arq = build(a3_linear())
-    corrupted = relaid(arq, {**arq.dims, arq.projective(1): (0, 1, 1)})  # kills the unit diagonal
+    corrupted = relaid(arq, {**dims(arq), arq.projective(1): (0, 1, 1)})  # kills the unit diagonal
     with pytest.raises(SingularCartanError):
         coxeter_matrix(corrupted)
 
@@ -198,7 +198,7 @@ def test_projectives_that_disagree_with_the_ext_quiver_are_named():
     # Adding the sixth simple keeps the Cartan matrix unimodular, so only the
     # Euler form E - A read off the arrows tells it apart from a real one.
     arq = build(e6_example())
-    corrupted = relaid(arq, {**arq.dims, arq.projective(1): (1, 1, 1, 1, 1, 1)})
+    corrupted = relaid(arq, {**dims(arq), arq.projective(1): (1, 1, 1, 1, 1, 1)})
     with pytest.raises(SingularCartanError, match=r"projective 1\b"):
         coxeter_matrix(corrupted)
 
@@ -274,7 +274,7 @@ def test_corrupted_interior_dimension_vector_is_named():
     # tau-equivariance at the vertex itself tells it apart.
     arq = build(e6_example())
     v = ZVertex(1, 1)
-    corrupted = relaid(arq, {**arq.dims, v: tuple(x + 1 for x in arq.dims[v])})
+    corrupted = relaid(arq, {**dims(arq), v: tuple(x + 1 for x in dims(arq)[v])})
     message = (
         r"coxeter: C \* dim ZVertex\(level=1, base=1\) "
         r"!= dim ZVertex\(level=0, base=1\)"
@@ -314,13 +314,13 @@ def test_non_involutive_pairing_leaves_the_orbit_of_projective_1_open():
     # pairing asks for, and orbit 1 (a single vertex) needs no C * dim check,
     # but the orbit of rho^-1(1) = 2 ends at I_1 and hands over to orbit 3.
     arq = build(a3_linear())
-    dims = dict(arq.dims)
-    dims[ZVertex(1, 2)], dims[ZVertex(2, 3)] = dims[ZVertex(2, 3)], dims[ZVertex(1, 2)]
+    vectors = dims(arq)
+    vectors[ZVertex(1, 2)], vectors[ZVertex(2, 3)] = vectors[ZVertex(2, 3)], vectors[ZVertex(1, 2)]
     with pytest.raises(
         CrossCheckFailedError,
         match=r"^coxeter: orbit of projective 1 does not close after 3 distinct vectors$",
     ):
-        coxeter_matrix(relaid(arq, dims, rho=(3, 1, 2)))
+        coxeter_matrix(relaid(arq, vectors, rho=(3, 1, 2)))
 
 
 def test_an_orbit_that_does_not_close_is_named_before_a_later_orbit_fails():
@@ -330,13 +330,12 @@ def test_an_orbit_that_does_not_close_is_named_before_a_later_orbit_fails():
     # corrupted interior vector that fails C * dim.
     arq = build(e6_example())
     j = arq.rho_of(1)
-    own = [arq.dims[ZVertex(r, 1)] for r in range(arq.m_of(1) + 1)]
-    other = [tuple(-x for x in arq.dims[ZVertex(r, j)]) for r in range(arq.m_of(j) + 1)]
-    stretched = own + other + own
-    dims = {v: d for v, d in arq.dims.items() if v.base != 1}
-    dims.update((ZVertex(r, 1), d) for r, d in enumerate(stretched))
-    dims[ZVertex(1, 2)] = tuple(x + 1 for x in dims[ZVertex(1, 2)])
-    corrupted = relaid(arq, dims)
+    own, other = arq.orbits[0], [tuple(-x for x in d) for d in arq.orbits[j - 1]]
+    stretched = [*own, *other, *own]
+    vectors = {v: d for v, d in dims(arq).items() if v.base != 1}
+    vectors.update((ZVertex(r, 1), d) for r, d in enumerate(stretched))
+    vectors[ZVertex(1, 2)] = tuple(x + 1 for x in vectors[ZVertex(1, 2)])
+    corrupted = relaid(arq, vectors)
     size = len(stretched) + len(other)
     with pytest.raises(
         CrossCheckFailedError,
@@ -344,16 +343,16 @@ def test_an_orbit_that_does_not_close_is_named_before_a_later_orbit_fails():
     ):
         coxeter_matrix(corrupted)
     # Orbit 2 alone is named once orbit 1 is restored.
-    dims = {**arq.dims, ZVertex(1, 2): dims[ZVertex(1, 2)]}
+    vectors = {**dims(arq), ZVertex(1, 2): vectors[ZVertex(1, 2)]}
     with pytest.raises(CrossCheckFailedError, match=r"dim ZVertex\(level=1, base=2\) "):
-        coxeter_matrix(relaid(arq, dims))
+        coxeter_matrix(relaid(arq, vectors))
 
 
 def test_corrupted_vector_in_the_last_orbit_is_named_by_its_position():
     arq = build(e6_example())
     n = arq.n
     v = ZVertex(arq.m_of(n) - 1, n)
-    corrupted = relaid(arq, {**arq.dims, v: tuple(x + 1 for x in arq.dims[v])})
+    corrupted = relaid(arq, {**dims(arq), v: tuple(x + 1 for x in dims(arq)[v])})
     message = (
         rf"^coxeter: C \* dim ZVertex\(level={v.level}, base={n}\) "
         rf"!= dim ZVertex\(level={v.level - 1}, base={n}\)$"
@@ -387,22 +386,23 @@ def _corrupted_orbits(draw):
     family, rank = draw(st.sampled_from(all_diagrams(6)))
     g = canonical_diagram(family, rank)
     arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
-    dims, m, rho = dict(arq.dims), None, arq.rho
+    vectors, m, rho = dims(arq), None, arq.rho
     v = draw(st.sampled_from(arq.vertices))
     w = draw(st.sampled_from(arq.vertices))
     kinds = ["bump", "swap", "negate", "zero", "copy", "rho", "cut", "extend", "period"]
     kind = draw(st.sampled_from(kinds))
     if kind == "bump":
         k = draw(st.integers(0, arq.n - 1))
-        dims[v] = dims[v][:k] + (dims[v][k] + draw(st.sampled_from([-1, 1, 2])),) + dims[v][k + 1 :]
+        x = vectors[v]
+        vectors[v] = x[:k] + (x[k] + draw(st.sampled_from([-1, 1, 2])),) + x[k + 1 :]
     elif kind == "swap":
-        dims[v], dims[w] = dims[w], dims[v]
+        vectors[v], vectors[w] = vectors[w], vectors[v]
     elif kind == "negate":
-        dims[v] = tuple(-x for x in dims[v])
+        vectors[v] = tuple(-x for x in vectors[v])
     elif kind == "zero":
-        dims[v] = (0,) * arq.n
+        vectors[v] = (0,) * arq.n
     elif kind == "copy":
-        dims[v] = dims[w]
+        vectors[v] = vectors[w]
     elif kind == "rho":
         rho = tuple(draw(st.permutations(rho)))
     elif kind in ("cut", "extend"):  # an orbit of one level runs on; a new top is zero
@@ -411,10 +411,10 @@ def _corrupted_orbits(draw):
     else:  # run orbit i a full period past its injective
         i = v.base
         j = arq.rho_of(i)
-        own = [dims[ZVertex(r, i)] for r in range(arq.m_of(i) + 1)]
-        other = [tuple(-x for x in dims[ZVertex(r, j)]) for r in range(arq.m_of(j) + 1)]
-        dims.update((ZVertex(r, i), d) for r, d in enumerate(own + other + own))
-    return relaid(arq, dims, m, rho=rho)
+        own = [vectors[ZVertex(r, i)] for r in range(arq.m_of(i) + 1)]
+        other = [tuple(-x for x in vectors[ZVertex(r, j)]) for r in range(arq.m_of(j) + 1)]
+        vectors.update((ZVertex(r, i), d) for r, d in enumerate(own + other + own))
+    return relaid(arq, vectors, m, rho=rho)
 
 
 @settings(max_examples=300, deadline=None)
@@ -463,7 +463,7 @@ def test_entries_outside_a_byte_are_left_to_the_walk(entry):
 
     arq = build(e6_example())
     v = ZVertex(1, 1)
-    broken = relaid(arq, {**arq.dims, v: (entry(arq.dims[v][0]),) + arq.dims[v][1:]})
+    broken = relaid(arq, {**dims(arq), v: (entry(dims(arq)[v][0]),) + dims(arq)[v][1:]})
     assert _orbit_lengths(broken, *_terms(arq.quiver)) is None
     message = r"^coxeter: C \* dim ZVertex\(level=1, base=1\) != dim ZVertex\(level=0, base=1\)$"
     with pytest.raises(CrossCheckFailedError, match=message):
@@ -475,7 +475,7 @@ def test_integral_floats_are_left_to_the_walk_which_passes_them():
 
     arq = build(e6_example())
     v = ZVertex(1, 1)
-    floats = relaid(arq, {**arq.dims, v: tuple(map(float, arq.dims[v]))})
+    floats = relaid(arq, {**dims(arq), v: tuple(map(float, dims(arq)[v]))})
     assert _orbit_lengths(floats, *_terms(arq.quiver)) is None
     assert coxeter_matrix(floats).order == table_order(arq.dynkin)
 

@@ -21,7 +21,7 @@ from arquiver import build, build_report, coxeter_matrix, report, report_to_json
 from arquiver.dynkin import all_orientations, canonical_diagram, orient
 from arquiver.report import write_report
 from conftest import a1_quiver, all_diagrams
-from plane import relaid
+from plane import dims, relaid
 
 
 def _reference(value) -> str:
@@ -167,8 +167,8 @@ def test_a_dimension_vector_holding_a_bool_or_float_is_rejected(slot):
     arq = build(_linear("B", 4))
     order = coxeter_matrix(arq).order
     v = arq.vertices[-1]
-    dims = {**arq.dims, v: (slot, *arq.dims[v][1:])}
-    _rejected(build_report(relaid(arq, dims), order))
+    vectors = {**dims(arq), v: (slot, *dims(arq)[v][1:])}
+    _rejected(build_report(relaid(arq, vectors), order))
 
 
 def test_rows_with_empty_arrays_and_large_integers():

@@ -1,4 +1,5 @@
-"""Hammock seeding, knitting, and composition multiplicities."""
+"""Hammock tables read off the build, seed sections, and composition
+multiplicities."""
 
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ from arquiver import (
     NotDynkinError,
     PositionOutOfRangeError,
     ZVertex,
+    build,
     hammock_vertices,
+    hammocks,
     knit_hammock,
-    seed_section,
     validate,
 )
 from arquiver.coxeter import table_order
@@ -27,7 +29,6 @@ from arquiver.dynkin import (
     classify_quiver,
     random_orientation,
 )
-from arquiver.hammock import HammockResult, _knit_from_seed
 from arquiver.repetitive import mesh_inputs
 from conftest import (
     a1_quiver,
@@ -37,7 +38,15 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import composition_multiplicity, in_arrows, is_successor, reference_knit
+from plane import (
+    composition_multiplicity,
+    dims,
+    in_arrows,
+    is_successor,
+    reference_knit,
+    relaid,
+    seed_section,
+)
 
 
 def test_seed_section_a3():
@@ -54,38 +63,34 @@ def test_seed_section_a1():
     assert seed_section(a1_quiver(), 1) == {ZVertex(0, 1): 1}
 
 
-def _sweep_one_level_late(monkeypatch):
-    from arquiver import hammock
-
-    sweep = hammock._sweep
-
-    def late(qop, k):
-        found = sweep(qop, k)
-        level, value = found[3]
-        found[3] = (level + 1, value)
-        return found
-
-    monkeypatch.setattr(hammock, "_sweep", late)
+def _offset_misread(q):
+    """``q``, its opposite's level offset of base 1 in hammock 3 misread as 1."""
+    qop = q.opposite()
+    steps = [list(row) for row in qop._forward_steps]
+    steps[1][3] = 1  # the backward steps of the walk 3 .. 1
+    qop.__dict__["_forward_steps"] = steps
+    return q
 
 
-def test_sweep_off_the_level_offset_is_inconsistent(monkeypatch):
-    _sweep_one_level_late(monkeypatch)
+def test_sweep_off_the_level_offset_is_inconsistent():
+    # Linear A3: the plain arrows of the opposite quiver run 3 -> 2 -> 1.
     with pytest.raises(
         KnitInconsistentError,
-        match=re.escape("sweep from 1 meets base 3 at level 3, not at its level offset 2"),
+        match=re.escape("sweep from 3 meets base 1 at level 0; its level offset is 1"),
     ):
-        knit_hammock(a3_linear(), 1)
+        knit_hammock(_offset_misread(a3_linear()), 1)
 
 
 def test_cli_hammock_reports_an_inconsistent_sweep(monkeypatch, tmp_path, capsys):
-    from arquiver.cli import main
+    from arquiver import cli
 
-    _sweep_one_level_late(monkeypatch)
+    load = cli._load
+    monkeypatch.setattr(cli, "_load", lambda path: _offset_misread(load(path)))
     path = tmp_path / "a3.q"
     path.write_text("n 3\narrow 1 2\narrow 2 3\n", encoding="utf-8")
-    assert main(["hammock", str(path), "-k", "1"]) == 1
+    assert cli.main(["hammock", str(path), "-k", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("internal error: sweep from 1 meets base 3")
+    assert err.startswith("internal error: sweep from 3 meets base 1")
 
 
 def test_knit_a3():
@@ -190,20 +195,47 @@ def test_knit_rejects_non_dynkin_input():
 
 
 def test_knit_bound_exceeded_on_wild_valuation():
-    wild = validate(2, [(1, 2, (1, 4))])
-    qop = wild.opposite()
+    from arquiver.ar_quiver import _knit_vectors
+
+    # Classification rejects a wild input first; the knit itself still stops.
     with pytest.raises(BoundExceededError):
-        _knit_from_seed(qop, 1, seed_section(qop, 1), bound=60)
+        _knit_vectors(validate(2, [(1, 2, (1, 4))]), 60)
 
 
-def test_knit_detects_inconsistent_seed():
-    # Doubling the seeds scales the whole table; the first negative
-    # value is then -2 and must be flagged.
-    q = a3_linear()
-    qop = q.opposite()
-    seeds = {v: 2 * value for v, value in seed_section(qop, 1).items()}
-    with pytest.raises(KnitInconsistentError):
-        _knit_from_seed(qop, 1, seeds, bound=100)
+def test_knit_detects_inconsistent_seed(monkeypatch):
+    # Doubling the seeds scales every vector, so the knit runs as before
+    # and only the top of each projective, 2 instead of 1, is flagged.
+    from arquiver import ar_quiver
+
+    level_zero = ar_quiver._level_zero
+    monkeypatch.setattr(
+        ar_quiver,
+        "_level_zero",
+        lambda qop, k: {j: 2 * value for j, value in level_zero(qop, k).items()},
+    )
+    with pytest.raises(KnitInconsistentError, match="^projective 1 misses its own simple top$"):
+        knit_hammock(a3_linear(), 1)
+
+
+def test_read_rejects_a_terminator_off_path_length_h():
+    # Orbit 3 of linear A3 run on by a zero vector: hammock 1 would end a level late.
+    arq = relaid(build(a3_linear()), m=(0, 1, 3))
+    with pytest.raises(
+        KnitInconsistentError,
+        match=r"^terminator ZVertex\(level=4, base=3\) lies at path length 6, not at h = 4$",
+    ):
+        hammocks(arq)
+
+
+def test_read_rejects_a_terminator_without_a_positive_value_below():
+    arq = build(a3_linear())
+    injective = arq.injective(1)  # (2, 3), where orbit 3 ends hammock 1
+    arq = relaid(arq, {**dims(arq), injective: (0, 1, 0)})
+    with pytest.raises(
+        KnitInconsistentError,
+        match=r"^value directly before the terminator ZVertex\(level=3, base=3\) is not positive$",
+    ):
+        hammocks(arq)
 
 
 def test_vertex_out_of_range():
@@ -211,21 +243,24 @@ def test_vertex_out_of_range():
         knit_hammock(a3_linear(), 4)
 
 
-def test_knit_bound_comes_from_the_coxeter_number():
-    from arquiver.hammock import knit_classified
+def test_knit_bound_comes_from_the_coxeter_number(monkeypatch):
+    from arquiver import hammock
 
-    # A3 has h = 4; hammock 1 terminates at level 3 = h - 1.
-    assert knit_classified(a3_linear(), 1, 4).terminator == ZVertex(3, 3)
-    # Claiming h = 1 bounds knitting at level 2, below the terminator.
-    with pytest.raises(BoundExceededError, match="within 2 levels"):
-        knit_classified(a3_linear(), 1, 1)
+    # A3 has h = 4; hammock 1 terminates at level 3 = h - 1, at path length h.
+    res = knit_hammock(a3_linear(), 1)
+    assert res.terminator == ZVertex(3, 3)
+    # Base j runs to the last level within path length h, (h - c_j) // 2,
+    # where c_j = 0, -1, -2 is the walk 1 .. j's forward less backward steps.
+    assert [len(res.grid[j]) for j in (1, 2, 3)] == [3, 3, 4]
+    # Claiming h = 6 leaves the terminator short of it.
+    monkeypatch.setattr(hammock, "table_order", lambda dynkin: 6)
+    with pytest.raises(KnitInconsistentError, match="lies at path length 4, not at h = 6$"):
+        knit_hammock(a3_linear(), 1)
 
 
 def test_knit_hammock_matches_build():
-    from arquiver import build
-
     q = g2_quiver()
-    for res in build(q).hammocks:
+    for res in hammocks(build(q)):
         alone = knit_hammock(q, res.k)
         assert alone.table == res.table and alone.terminator == res.terminator
 
@@ -263,27 +298,18 @@ def test_hammock_vertices_are_the_positive_predecessors_of_the_injective(family,
         }
 
 
-def _knits(q):
-    """Seeds and bound of every hammock of ``q``, as ``knit_classified`` passes them."""
+def _reference_knits(q):
+    """The heap knit's table and terminator of every hammock of ``q``."""
     qop = q.opposite()
     bound = table_order(classify_quiver(q)) + 1
-    return [(qop, k, seed_section(qop, k), bound) for k in q.vertices()]
-
-
-def _knit_table(qop, k, seeds, bound):
-    """The position-keyed table of ``_knit_from_seed``'s grid, and its terminator."""
-    grid, terminator = _knit_from_seed(qop, k, seeds, bound)
-    return HammockResult(qop.opposite(), k, grid, terminator).table, terminator
+    return [reference_knit(qop, k, seed_section(qop, k), bound) for k in q.vertices()]
 
 
 def _assert_knit_matches_reference(q):
-    for qop, k, seeds, bound in _knits(q):
-        table, terminator = _knit_table(qop, k, seeds, bound)
-        ref_table, ref_terminator = reference_knit(qop, k, seeds, bound)
-        assert table == ref_table, k
-        assert terminator == ref_terminator, k
-        # The benchmark's hammock.table_entries counts these entries.
-        assert len(knit_hammock(q, k).table) == len(ref_table), k
+    read = hammocks(build(q))
+    assert [(res.table, res.terminator) for res in read] == _reference_knits(q)
+    # The benchmark's hammock.table_entries counts the entries of knit_hammock.
+    assert knit_hammock(q, q.n).table == read[-1].table
 
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
@@ -310,30 +336,26 @@ def _shifted_meshes(shift):
     return meshes
 
 
-# Star inputs read a level too high (not knitted yet); plain inputs a level
-# too low (below the seed for some bases).
+# Star inputs read a level too high, where nothing is knitted yet; plain
+# inputs a level too low, below the seed for some bases of the heap knit.
+# The vector knit has every level below knitted and fails on the sums.
 @pytest.mark.parametrize(
-    "shift", [{-1: 1, 0: 0}, {-1: 0, 0: -1}], ids=["ahead", "behind"]
+    "shift, match",
+    [({-1: 1, 0: 0}, "before it was knitted"), ({-1: 0, 0: -1}, None)],
+    ids=["ahead", "behind"],
 )
 @pytest.mark.parametrize("family, rank", all_diagrams(5))
-def test_mesh_input_read_before_it_was_knitted_fails(monkeypatch, family, rank, shift):
+def test_mesh_input_read_before_it_was_knitted_fails(monkeypatch, family, rank, shift, match):
     import plane
-    from arquiver import hammock
+    from arquiver import ar_quiver
 
-    monkeypatch.setattr(hammock, "mesh_inputs", _shifted_meshes(shift))
+    monkeypatch.setattr(ar_quiver, "mesh_inputs", _shifted_meshes(shift))
     monkeypatch.setattr(plane, "mesh_inputs", _shifted_meshes(shift))
     for q in all_orientations(canonical_diagram(family, rank)):
-        for qop, k, seeds, bound in _knits(q):
-            try:
-                expected = reference_knit(qop, k, seeds, bound)
-            except LookupError:
-                with pytest.raises(KnitInconsistentError, match="before it was knitted"):
-                    _knit_from_seed(qop, k, seeds, bound)
-                continue
-            except ArquiverError as exc:
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    _knit_from_seed(qop, k, seeds, bound)
-                continue
-            table, terminator = _knit_table(qop, k, seeds, bound)
-            assert table == expected[0]
-            assert terminator == expected[1]
+        try:
+            expected = _reference_knits(q)
+        except (LookupError, ArquiverError):
+            with pytest.raises(KnitInconsistentError, match=match):
+                build(q)
+            continue
+        assert [(res.table, res.terminator) for res in hammocks(build(q))] == expected

@@ -1,17 +1,19 @@
 """Classical families far past the exceptional Coxeter numbers.
 
 The Coxeter number grows with the rank in A-D (n + 1, 2n, 2n - 2), so
-every bound must come from the type.  Only the build and the Coxeter
-solve run here; the oracle suite at large rank runs in test_oracle.py.
+every bound must come from the type.  Only the build, the Coxeter
+solve and the hammock tables run here; the oracle suite at large rank
+runs in test_oracle.py.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from arquiver import build, closed_form_rho_m, coxeter_matrix, table_order
+from arquiver import build, closed_form_rho_m, coxeter_matrix, hammocks, table_order, validate
 from arquiver.cli import main
 from arquiver.dynkin import canonical_diagram, orient
+from plane import reference_knit, seed_section
 
 LARGE = [("A", 60), ("A", 64), ("B", 31), ("C", 32), ("D", 32), ("D", 40)]
 
@@ -41,3 +43,30 @@ def test_cli_build_b32_exits_zero(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["build", str(path), "--json", str(tmp_path / "b32.json")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _flipped(start: int) -> list[tuple[int, int]]:
+    """Edges ``i -- i + 1`` up to 64, every third one reversed."""
+    return [(i, i + 1) if i % 3 else (i + 1, i) for i in range(start, 64)]
+
+
+# The large inputs of CI's smoke step.  With h up to 151, a hammock's tail
+# past the quiver and its ties at path length h reach far beyond rank 8.
+CI_LARGE = {
+    "A150": lambda: validate(150, [(i, i + 1) for i in range(1, 150)]),
+    "B64": lambda: validate(64, [(2, 1, (2, 1)), *_flipped(2)]),
+    "C64": lambda: validate(64, [(2, 1, (1, 2)), *_flipped(2)]),
+    "D64": lambda: validate(64, [(1, 3), (3, 2), *_flipped(3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CI_LARGE))
+def test_large_rank_hammocks_match_the_heap_knit(name):
+    q = CI_LARGE[name]()
+    arq = build(q)
+    qop, bound = q.opposite(), table_order(arq.dynkin) + 1
+    read = hammocks(arq)
+    for k in (1, q.n // 2, q.n):
+        table, terminator = reference_knit(qop, k, seed_section(qop, k), bound)
+        assert read[k - 1].table == table, k
+        assert read[k - 1].terminator == terminator, k

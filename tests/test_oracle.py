@@ -37,6 +37,7 @@ from arquiver.quiver import Arrow
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
 from plane import (
+    dims,
     distance,
     first_failure,
     reference_audit_lines,
@@ -72,7 +73,7 @@ def test_verify_mesh_passes():
 def test_verify_mesh_catches_corruption():
     arq = build(a3_linear())
     v = ZVertex(1, 2)
-    corrupted = relaid(arq, {**arq.dims, v: tuple(x + 1 for x in arq.dims[v])})
+    corrupted = relaid(arq, {**dims(arq), v: tuple(x + 1 for x in dims(arq)[v])})
     report = verify_mesh(corrupted)
     assert not report.ok
     assert first_failure(report).name == "mesh-additivity"
@@ -81,20 +82,34 @@ def test_verify_mesh_catches_corruption():
 def test_verify_mesh_names_the_corrupted_vertex():
     arq = build(a3_linear())
     v = ZVertex(1, 2)
-    corrupted = relaid(arq, {**arq.dims, v: tuple(x + 1 for x in arq.dims[v])})
+    corrupted = relaid(arq, {**dims(arq), v: tuple(x + 1 for x in dims(arq)[v])})
     line = verify_mesh(corrupted).checks[0].line()
     assert line == "mesh-additivity: FAIL (mesh relation fails at ZVertex(level=1, base=2))"
 
 
+def test_recursion_checks_name_the_first_vertex_that_differs():
+    # Linear A3: P_2, P_3 sit at (0, 2), (0, 3) and I_1, I_2 at (2, 3), (1, 2).
+    # Each check names the first of 1..n, not the first in vertex order.
+    arq = build(a3_linear())
+    vectors = dims(arq)
+    for v in (ZVertex(0, 2), ZVertex(0, 3), ZVertex(1, 2), ZVertex(2, 3)):
+        vectors[v] = tuple(x + 1 for x in vectors[v])
+    lines = [check.line() for check in verify_mesh(relaid(arq, vectors)).checks[1:]]
+    assert lines == [
+        "projective-recursion: FAIL (dimension vectors differ at ZVertex(level=0, base=2))",
+        "injective-recursion: FAIL (dimension vectors differ at ZVertex(level=2, base=3))",
+    ]
+
+
 def _bumped(arq, rng):
-    """A copy of ``arq.dims`` with one or two vectors bumped in one entry."""
-    dims = dict(arq.dims)
+    """A copy of ``dims(arq)`` with one or two vectors bumped in one entry."""
+    vectors = dims(arq)
     for _ in range(rng.randrange(1, 3)):
         v = rng.choice(arq.vertices)
-        bumped = list(dims[v])
+        bumped = list(vectors[v])
         bumped[rng.randrange(arq.n)] += rng.choice((-1, 1, 2))
-        dims[v] = tuple(bumped)
-    return dims
+        vectors[v] = tuple(bumped)
+    return vectors
 
 
 def _mesh_corruptions(arq, rng):
@@ -112,8 +127,8 @@ def _mesh_corruptions(arq, rng):
         yield relaid(arq, _bumped(arq, rng), m=m)
     b = rng.randrange(1, arq.n + 1)
     top = ZVertex(arq.m_of(b), b)
-    yield relaid(arq, {**arq.dims, top.translate(-1): arq.dims[top]})
-    yield relaid(arq, {**_bumped(arq, rng), top.translate(-1): arq.dims[top]})
+    yield relaid(arq, {**dims(arq), top.translate(-1): dims(arq)[top]})
+    yield relaid(arq, {**_bumped(arq, rng), top.translate(-1): dims(arq)[top]})
     yield relaid(arq, m=[mi + (i == b) for i, mi in enumerate(arq.m, start=1)])
 
 
@@ -197,7 +212,7 @@ def test_projective_recursion_discriminates_valuation_side():
     wrong = {1: (1, 3), 2: (0, 1)}  # would follow from the second component
     assert recursive_projective_dims(q) != wrong
     arq = build(q)
-    assert arq.dims[arq.projective(1)] == recursive_projective_dims(q)[1]
+    assert dims(arq)[arq.projective(1)] == recursive_projective_dims(q)[1]
 
 
 def test_recursions_match_hammock_dims_on_b_and_c_types():
@@ -210,8 +225,8 @@ def test_recursions_match_hammock_dims_on_b_and_c_types():
         proj = recursive_projective_dims(q)
         inj = recursive_injective_dims(q)
         for i in q.vertices():
-            assert arq.dims[arq.projective(i)] == proj[i]
-            assert arq.dims[arq.injective(i)] == inj[i]
+            assert dims(arq)[arq.projective(i)] == proj[i]
+            assert dims(arq)[arq.injective(i)] == inj[i]
 
 
 def _other_component_meshes(base):
@@ -240,9 +255,9 @@ def _other_component_meshes(base):
 def test_shared_mesh_table_with_wrong_convention_is_caught(monkeypatch, q):
     # The knitter and verify_mesh share one table, so a wrong convention in
     # it must be caught by the build's own checks or the boundary recursions.
-    from arquiver import hammock, oracle
+    from arquiver import ar_quiver, oracle
 
-    monkeypatch.setattr(hammock, "mesh_inputs", _other_component_meshes)
+    monkeypatch.setattr(ar_quiver, "mesh_inputs", _other_component_meshes)
     monkeypatch.setattr(oracle, "mesh_inputs", _other_component_meshes)
     try:
         arq = build(q)
@@ -779,6 +794,6 @@ def test_run_all_reports_any_rho_line_by_line(data):
 def test_positive_dimension_vectors_are_non_zero_and_non_negative(change, passed):
     arq = build(e6_example())
     v = arq.vertices[7]
-    corrupted = relaid(arq, {**arq.dims, v: change(arq.dims[v])})
+    corrupted = relaid(arq, {**dims(arq), v: change(dims(arq)[v])})
     checks = run_all(corrupted, table_order(arq.dynkin)).checks
     assert next(c for c in checks if c.name == "positive-dimension-vectors").passed is passed

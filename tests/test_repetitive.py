@@ -7,7 +7,7 @@ from collections import defaultdict
 
 import pytest
 
-from arquiver import ZVertex, reduced_walk, seed_section, validate
+from arquiver import ZVertex, reduced_walk, validate
 from arquiver.dynkin import canonical_diagram, random_orientation
 from arquiver.quiver import Step
 from arquiver.repetitive import mesh_inputs, path_length
@@ -20,6 +20,7 @@ from plane import (
     is_successor,
     out_arrows,
     plain_arrow,
+    seed_section,
     star_arrow,
     window_paths,
 )
