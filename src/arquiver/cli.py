@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     PositionOutOfRangeError,
 )
-from .hammock import hammock_vertices, knit_hammock
+from .hammock import knit_hammock
 from .quiver import ValuedQuiver
 from .report import build_report, parse_quiver, to_dot, write_report
 
@@ -42,11 +42,7 @@ def _load(path: str) -> ValuedQuiver:
         # Number lines as parse_quiver does, counting the bad byte's own line.
         line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
         raise ParseError(line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from exc
-    return parse_quiver(text)
-
-
-def _fmt_vertex(v) -> str:
-    return f"({v.level},{v.base})"
+    return parse_quiver(text.removeprefix("\ufeff"))  # one UTF-8 byte-order mark
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -78,12 +74,12 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_hammock(args: argparse.Namespace) -> int:
     res = knit_hammock(_load(args.file), args.k)
     print(f"k = {args.k}")
-    for v in sorted(res.table):
-        print(f"h{_fmt_vertex(v)} = {res.table[v]}")
-    print(f"terminator: {_fmt_vertex(res.terminator)}")
+    for level, base, value in res.table:
+        print(f"h({level},{base}) = {value}")
+    print(f"terminator: ({res.terminator.level},{res.terminator.base})")
     print(f"m({res.orbit}) = {res.orbit_index}")
     print(f"rho({res.orbit}) = {res.k}")
-    members = " ".join(_fmt_vertex(v) for v in sorted(hammock_vertices(res)))
+    members = " ".join(f"({level},{base})" for level, base, value in res.table if value > 0)
     print(f"hammock vertices: {members}")
     return 0
 

@@ -21,13 +21,14 @@ whose path length is the Coxeter number ``h``: base ``j`` holds the
 levels from ``r_j`` up to the last one within length ``h``, less the
 one of length ``h`` if it comes after the terminator.  Levels past
 ``m(j)`` hold 0, as ``Hom(P_k, X[1]) = 0`` before ``P_k[1]``, except the
-terminator's ``-1``.
+terminator's ``-1``.  The table lists these values level by level, bases
+ascending, which is the order the report and ``arquiver hammock`` print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import zip_longest
 from operator import itemgetter
 from typing import Callable
 
@@ -42,26 +43,16 @@ from .repetitive import ZVertex
 class HammockResult:
     """Hammock values for one simple composition factor.
 
-    ``grid`` maps each base vertex to its values by level, as the paper's
-    knit meets them: ``None`` below the seed section, then every value
-    knitted before (and including) the terminator; ``terminator`` is the
-    unique vertex with value ``-1``.  ``table`` holds the same values
-    keyed by position.
+    ``table`` holds a ``(level, base, value)`` row for every value the
+    paper's knit meets before (and including) the terminator, in
+    ``(level, base)`` order; ``terminator`` is the unique position with
+    value ``-1``.
     """
 
     quiver: ValuedQuiver
     k: int
-    grid: dict[int, list[int | None]] = field(compare=False)
+    table: tuple[tuple[int, int, int], ...] = field(compare=False)
     terminator: ZVertex
-
-    @cached_property
-    def table(self) -> dict[ZVertex, int]:
-        return {
-            ZVertex(level, base): value
-            for base, column in self.grid.items()
-            for level, value in enumerate(column)
-            if value is not None
-        }
 
     @property
     def orbit(self) -> int:
@@ -72,10 +63,6 @@ class HammockResult:
     def orbit_index(self) -> int:
         """Number of translates: the injective sits at this translate."""
         return self.terminator.level - 1
-
-    @property
-    def injective_position(self) -> ZVertex:
-        return ZVertex(self.orbit_index, self.orbit)
 
 
 def _reader(arq: ARQuiver) -> Callable[[int], HammockResult]:
@@ -103,7 +90,7 @@ def _reader(arq: ARQuiver) -> Callable[[int], HammockResult]:
                 f"value directly before the terminator {terminator} is not positive"
             )
         entry = itemgetter(k - 1)
-        grid = {}
+        columns = []  # base j's values by level, None below its seed
         for j, orbit in enumerate(orbits, 1):
             top, last = divmod(h - c[j], 2)
             if not last and (-c[j], j) > (-c[i], i):  # knitted after the terminator
@@ -111,9 +98,15 @@ def _reader(arq: ARQuiver) -> Callable[[int], HammockResult]:
             column: list[int | None] = [None] * steps[j][k]
             column += map(entry, orbit[len(column) : top + 1])
             column += [0] * (top + 1 - len(column))
-            grid[j] = column
-        grid[i][-1] = -1
-        return HammockResult(q, k, grid, terminator)
+            columns.append(column)
+        columns[i - 1][-1] = -1
+        rows = tuple(
+            (level, j, value)
+            for level, values in enumerate(zip_longest(*columns))
+            for j, value in enumerate(values, 1)
+            if value is not None
+        )
+        return HammockResult(q, k, rows, terminator)
 
     return read
 
@@ -140,4 +133,4 @@ def hammock_vertices(res: HammockResult) -> frozenset[ZVertex]:
     a non-zero map between indecomposables is a sum of composites of
     irreducible maps.
     """
-    return frozenset(v for v, value in res.table.items() if value > 0)
+    return frozenset(ZVertex(level, base) for level, base, value in res.table if value > 0)

@@ -436,6 +436,21 @@ def audit_paths(arq: ARQuiver) -> OracleReport:
     return _path_audit(arq, [])[0]
 
 
+def _repeated_vector(arq: ARQuiver, vectors: list[tuple[int, ...]]) -> str:
+    """The first vertex, in ``arq.vertices`` order, whose vector an earlier one holds."""
+    first: dict[tuple[int, ...], ZVertex] = {}
+    v, u = next(
+        (v, u) for v, x in zip(arq.vertices, vectors) if (u := first.setdefault(x, v)) is not v
+    )
+    return f"{v} repeats the vector of {u}"
+
+
+def _non_positive_vector(arq: ARQuiver, vectors: list[tuple[int, ...]]) -> str:
+    """The first vertex, in ``arq.vertices`` order, with a zero vector or a negative entry."""
+    v, x = next((v, x) for v, x in zip(arq.vertices, vectors) if not any(x) or min(x) < 0)
+    return f"{'negative entry' if any(x) else 'zero vector'} at {v}"
+
+
 def run_all(arq: ARQuiver, order: int) -> OracleReport:
     """Full oracle suite plus the global counting identities.
 
@@ -485,12 +500,11 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     report.add("projective-injective-distance", ok, reason)
 
     vectors = list(chain.from_iterable(arq.orbits))
-    report.add("distinct-dimension-vectors", len(set(vectors)) == len(vectors))
+    ok = len(set(vectors)) == len(vectors)
+    report.add("distinct-dimension-vectors", ok, "" if ok else _repeated_vector(arq, vectors))
     # Every vector non-zero, then no entry negative: a vector's minimum.
-    report.add(
-        "positive-dimension-vectors",
-        all(map(any, vectors)) and min(map(min, vectors)) >= 0,
-    )
+    ok = all(map(any, vectors)) and min(map(min, vectors)) >= 0
+    report.add("positive-dimension-vectors", ok, "" if ok else _non_positive_vector(arq, vectors))
     # The build's classification, so the quiver is classified once per check.
     closed_form = _closed_form_rho_m(arq.quiver, arq.dynkin)
     report.add("closed-form-orbits", (arq.m, arq.rho) == closed_form)

@@ -56,9 +56,6 @@ class Step(NamedTuple):
     def end(self) -> int:
         return self.arrow.dst if self.forward else self.arrow.src
 
-    def inverse(self) -> "Step":
-        return Step(self.arrow, not self.forward)
-
 
 @dataclass(frozen=True)
 class Walk:
@@ -80,11 +77,6 @@ class Walk:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def is_reduced(self) -> bool:
-        return all(
-            b != a.inverse() for a, b in zip(self.steps, self.steps[1:])
-        )
 
 
 class Edge(NamedTuple):
@@ -266,9 +258,6 @@ class ValuedGraph:
 
     def degree(self, x: int) -> int:
         return len(self.neighbors(x))
-
-    def weight(self, x: int) -> int:
-        return sum(self.valuation(x, y) for y in self.neighbors(x))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)

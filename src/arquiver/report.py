@@ -32,7 +32,7 @@ from typing import Iterator, TextIO
 from .ar_quiver import ARQuiver, counts_and_nilpotency
 from .derived import cluster_count, derived_nilpotency
 from .errors import InvalidQuiverError, ParseError
-from .hammock import hammock_vertices, hammocks
+from .hammock import hammocks
 from .quiver import Arrow, ValuedQuiver, Valuation
 
 
@@ -107,7 +107,8 @@ def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> d
 
     Values are the build's own tuples; JSON writes tuples and ``ZVertex``
     named tuples as arrays.  With ``include_hammocks``, each hammock's
-    ``table`` rows are ``(level, base, value)``.
+    ``table`` rows are ``(level, base, value)`` and its ``vertices`` the
+    ``(level, base)`` of the positive rows, both in ``(level, base)`` order.
     """
     counts = counts_and_nilpotency(arq, order)
     report = {
@@ -140,9 +141,9 @@ def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> d
     if include_hammocks:
         report["hammocks"] = {
             str(res.k): {
-                "table": sorted((*v, value) for v, value in res.table.items()),
+                "table": res.table,
                 "terminator": res.terminator,
-                "vertices": sorted(hammock_vertices(res)),
+                "vertices": [(level, base) for level, base, value in res.table if value > 0],
             }
             for res in hammocks(arq)
         }

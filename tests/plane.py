@@ -4,9 +4,9 @@ successor lists and topological order, path lengths by dynamic
 programming, reachability by one forward search per pair, the
 orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
 path audit, vertex-by-vertex mesh sums, the first failing check of an
-oracle report, seed sections and heap-ordered knitting, composition
-multiplicities, the dimension vectors by position, and orbit layouts for
-fault injection."""
+oracle report, seed sections and heap-ordered knitting, hammock tables
+by position, composition multiplicities, the dimension vectors by
+position, and orbit layouts for fault injection."""
 
 from __future__ import annotations
 
@@ -80,8 +80,13 @@ def covering_map(p: ZPath) -> Walk:
     )
 
 
+def is_reduced(walk: Walk) -> bool:
+    """Whether no step of ``walk`` undoes the step before it."""
+    return all(b != Step(a.arrow, not a.forward) for a, b in zip(walk.steps, walk.steps[1:]))
+
+
 def is_sectional(p: ZPath) -> bool:
-    return covering_map(p).is_reduced()
+    return is_reduced(covering_map(p))
 
 
 # -- bounded windows of the plane ------------------------------------------------
@@ -398,6 +403,16 @@ def reference_knit(
     raise BoundExceededError("empty knitting frontier")
 
 
+def table_of(res: HammockResult) -> dict[ZVertex, int]:
+    """The rows of ``res.table`` as a ``{ZVertex: value}`` dict."""
+    return {ZVertex(level, base): value for level, base, value in res.table}
+
+
+def injective_position(res: HammockResult) -> ZVertex:
+    """Where the injective hull of the ``k``-th simple sits."""
+    return ZVertex(res.orbit_index, res.orbit)
+
+
 def composition_multiplicity(res: HammockResult, pos: ZVertex) -> int:
     """Multiplicity of the ``k``-th simple in the module at ``pos``.
 
@@ -406,7 +421,7 @@ def composition_multiplicity(res: HammockResult, pos: ZVertex) -> int:
     """
     if not 1 <= pos.base <= res.quiver.n or pos.level < 0 or pos == res.terminator:
         raise PositionOutOfRangeError(f"{pos} is not a module position")
-    return res.table.get(pos, 0)
+    return table_of(res).get(pos, 0)
 
 
 # -- the dimension vectors by position, and orbit layouts for fault injection ------

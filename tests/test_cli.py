@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from arquiver import (
 from arquiver.cli import main
 from arquiver.report import build_report, report_to_json, to_dot
 from conftest import a3_linear, e6_example
-from plane import dims
+from plane import dims, table_of
 
 E6_TEXT = "n 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5\narrow 6 5\n"
 
@@ -342,6 +343,27 @@ def test_cli_invalid_utf8_is_a_parse_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_TEXTS))
+def test_cli_build_skips_one_utf8_byte_order_mark(tmp_path, capsys, name):
+    text = FAMILY_TEXTS[name]
+    plain, marked = tmp_path / "plain.q", tmp_path / "marked.q"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for path in (plain, marked):
+        args = ["build", str(path), "--json", f"{path}.json", "--dot", f"{path}.dot", "--hammocks"]
+        assert main(args) == 0
+    assert capsys.readouterr() == ("", "")
+    for suffix in (".json", ".dot"):
+        assert Path(f"{marked}{suffix}").read_bytes() == Path(f"{plain}{suffix}").read_bytes()
+
+
+def test_cli_second_byte_order_mark_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "twice.q"
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + E6_TEXT.encode("utf-8"))
+    assert main(["build", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1: unknown directive '\\ufeffn'\n"
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TEXTS))
 def test_cli_hammock_knits_only_the_requested_hammock(tmp_path, capsys, name):
     text = FAMILY_TEXTS[name]
     arq = build(parse_quiver(text))
@@ -352,7 +374,8 @@ def test_cli_hammock_knits_only_the_requested_hammock(tmp_path, capsys, name):
 
     for res in hammocks(arq):
         lines = [f"k = {res.k}"]
-        lines += [f"h{fmt(v)} = {res.table[v]}" for v in sorted(res.table)]
+        table = table_of(res)
+        lines += [f"h{fmt(v)} = {table[v]}" for v in sorted(table)]
         lines += [
             f"terminator: {fmt(res.terminator)}",
             f"m({res.orbit}) = {res.orbit_index}",

@@ -30,6 +30,7 @@ from arquiver.dynkin import (
     random_orientation,
 )
 from arquiver.repetitive import mesh_inputs
+from arquiver.report import build_report
 from conftest import (
     a1_quiver,
     a3_linear,
@@ -42,10 +43,12 @@ from plane import (
     composition_multiplicity,
     dims,
     in_arrows,
+    injective_position,
     is_successor,
     reference_knit,
     relaid,
     seed_section,
+    table_of,
 )
 
 
@@ -97,10 +100,11 @@ def test_knit_a3():
     res = knit_hammock(a3_linear(), 1)
     assert res.terminator == ZVertex(3, 3)
     assert res.orbit == 3 and res.orbit_index == 2
-    assert res.table[ZVertex(1, 1)] == 0
-    assert res.table[ZVertex(2, 2)] == 0
-    assert res.table[ZVertex(2, 1)] == 0
-    assert res.table[ZVertex(3, 3)] == -1
+    table = table_of(res)
+    assert table[ZVertex(1, 1)] == 0
+    assert table[ZVertex(2, 2)] == 0
+    assert table[ZVertex(2, 1)] == 0
+    assert table[ZVertex(3, 3)] == -1
 
 
 def test_knit_a1_projective_equals_injective():
@@ -113,10 +117,11 @@ def test_knit_g2():
     res = knit_hammock(g2_quiver(), 1)
     assert res.terminator == ZVertex(3, 1)
     assert res.orbit == 1 and res.orbit_index == 2
-    assert res.table[ZVertex(1, 1)] == 2
-    assert res.table[ZVertex(2, 2)] == 3
-    assert res.table[ZVertex(2, 1)] == 1
-    assert res.table[ZVertex(3, 2)] == 0
+    table = table_of(res)
+    assert table[ZVertex(1, 1)] == 2
+    assert table[ZVertex(2, 2)] == 3
+    assert table[ZVertex(2, 1)] == 1
+    assert table[ZVertex(3, 2)] == 0
 
 
 def test_hammock_vertices_a3():
@@ -164,26 +169,27 @@ def test_additivity_holds_at_knitted_vertices():
     qop = q.opposite()
     res = knit_hammock(q, 2)
     seeds = seed_section(qop, 2)
-    for v, value in res.table.items():
+    table = table_of(res)
+    for v, value in table.items():
         if v in seeds:
             continue
-        total = sum(za.val[1] * res.table[za.src] for za in in_arrows(qop, v))
-        assert value == total - res.table[v.translate()]
+        total = sum(za.val[1] * table[za.src] for za in in_arrows(qop, v))
+        assert value == total - table[v.translate()]
 
 
 def test_projective_and_injective_multiplicities_are_one():
     for q in (a3_linear(), g2_quiver()):
         for k in q.vertices():
             res = knit_hammock(q, k)
-            assert res.table[ZVertex(0, k)] == 1
-            assert res.table[res.injective_position] > 0
-            assert composition_multiplicity(res, res.injective_position) == 1
+            assert table_of(res)[ZVertex(0, k)] == 1
+            assert table_of(res)[injective_position(res)] > 0
+            assert composition_multiplicity(res, injective_position(res)) == 1
 
 
 def test_values_before_terminator_are_nonnegative():
     for k in (1, 2, 3):
         res = knit_hammock(a3_linear(), k)
-        for v, value in res.table.items():
+        for v, value in table_of(res).items():
             if v != res.terminator:
                 assert value >= 0
 
@@ -251,7 +257,8 @@ def test_knit_bound_comes_from_the_coxeter_number(monkeypatch):
     assert res.terminator == ZVertex(3, 3)
     # Base j runs to the last level within path length h, (h - c_j) // 2,
     # where c_j = 0, -1, -2 is the walk 1 .. j's forward less backward steps.
-    assert [len(res.grid[j]) for j in (1, 2, 3)] == [3, 3, 4]
+    lengths = [1 + max(level for level, base, _ in res.table if base == j) for j in (1, 2, 3)]
+    assert lengths == [3, 3, 4]
     # Claiming h = 6 leaves the terminator short of it.
     monkeypatch.setattr(hammock, "table_order", lambda dynkin: 6)
     with pytest.raises(KnitInconsistentError, match="lies at path length 4, not at h = 6$"):
@@ -292,10 +299,24 @@ def test_hammock_vertices_are_the_positive_predecessors_of_the_injective(family,
     qop = q.opposite()
     for k in q.vertices():
         res = knit_hammock(q, k)
-        top = res.injective_position
+        top = injective_position(res)
         assert hammock_vertices(res) == {
-            v for v, value in res.table.items() if value > 0 and is_successor(qop, v, top)
+            v for v, value in table_of(res).items() if value > 0 and is_successor(qop, v, top)
         }
+
+
+@pytest.mark.parametrize("family, rank", all_diagrams(6))
+def test_table_rows_are_the_report_order_and_hold_the_hammock_vertices(family, rank):
+    for q in all_orientations(canonical_diagram(family, rank)):
+        arq = build(q)
+        report = build_report(arq, table_order(arq.dynkin), include_hammocks=True)
+        for res in hammocks(arq):
+            keys = [(level, base) for level, base, _ in res.table]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            positive = [(level, base) for level, base, value in res.table if value > 0]
+            assert hammock_vertices(res) == set(positive)
+            assert report["hammocks"][str(res.k)]["table"] == res.table
+            assert report["hammocks"][str(res.k)]["vertices"] == positive
 
 
 def _reference_knits(q):
@@ -307,7 +328,7 @@ def _reference_knits(q):
 
 def _assert_knit_matches_reference(q):
     read = hammocks(build(q))
-    assert [(res.table, res.terminator) for res in read] == _reference_knits(q)
+    assert [(table_of(res), res.terminator) for res in read] == _reference_knits(q)
     # The benchmark's hammock.table_entries counts the entries of knit_hammock.
     assert knit_hammock(q, q.n).table == read[-1].table
 
@@ -358,4 +379,4 @@ def test_mesh_input_read_before_it_was_knitted_fails(monkeypatch, family, rank, 
             with pytest.raises(KnitInconsistentError, match=match):
                 build(q)
             continue
-        assert [(res.table, res.terminator) for res in hammocks(build(q))] == expected
+        assert [(table_of(res), res.terminator) for res in hammocks(build(q))] == expected

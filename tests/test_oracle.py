@@ -782,18 +782,38 @@ def test_run_all_reports_any_rho_line_by_line(data):
 
 
 @pytest.mark.parametrize(
-    "change, passed",
+    "change, passed, detail",
     [
-        (lambda d: d, True),
-        (lambda d: (0,) * len(d), False),
-        (lambda d: (-1,) + d[1:], False),
-        (lambda d: (-1,) + (2,) * (len(d) - 1), False),
+        (lambda d: d, True, ""),
+        (lambda d: (0,) * len(d), False, "zero vector at {v}"),
+        (lambda d: (-1,) + d[1:], False, "negative entry at {v}"),
+        (lambda d: (-1,) + (2,) * (len(d) - 1), False, "negative entry at {v}"),
     ],
     ids=["unchanged", "zero", "negative", "negative-and-non-zero"],
 )
-def test_positive_dimension_vectors_are_non_zero_and_non_negative(change, passed):
+def test_positive_dimension_vectors_are_non_zero_and_non_negative(change, passed, detail):
     arq = build(e6_example())
     v = arq.vertices[7]
     corrupted = relaid(arq, {**dims(arq), v: change(dims(arq)[v])})
     checks = run_all(corrupted, table_order(arq.dynkin)).checks
-    assert next(c for c in checks if c.name == "positive-dimension-vectors").passed is passed
+    check = next(c for c in checks if c.name == "positive-dimension-vectors")
+    assert check.passed is passed
+    assert check.line() == (
+        "positive-dimension-vectors: PASS"
+        if passed
+        else f"positive-dimension-vectors: FAIL ({detail.format(v=v)})"
+    )
+
+
+@pytest.mark.parametrize("src, dst", [(3, 7), (7, 3), (0, 1), (12, 30)])
+def test_distinct_dimension_vectors_name_the_first_repeat(src, dst):
+    # Vertex dst takes the vector of vertex src; the later of the two repeats the earlier.
+    arq = build(e6_example())
+    u, v = arq.vertices[src], arq.vertices[dst]
+    corrupted = relaid(arq, {**dims(arq), v: dims(arq)[u]})
+    checks = run_all(corrupted, table_order(arq.dynkin)).checks
+    first, later = sorted((src, dst))
+    assert next(c for c in checks if c.name == "distinct-dimension-vectors").line() == (
+        "distinct-dimension-vectors: FAIL "
+        f"({arq.vertices[later]} repeats the vector of {arq.vertices[first]})"
+    )

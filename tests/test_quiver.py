@@ -22,6 +22,7 @@ from arquiver import (
     validate,
 )
 from conftest import e6_example
+from plane import is_reduced
 
 
 def test_validate_oriented_g2():
@@ -150,4 +151,4 @@ def test_walks_are_reduced():
     q = e6_example()
     for x in q.vertices():
         for y in q.vertices():
-            assert reduced_walk(q, x, y).is_reduced()
+            assert is_reduced(reduced_walk(q, x, y))
