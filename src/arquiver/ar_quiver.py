@@ -15,9 +15,9 @@ less ``dim (s - 1, x)``.  An orbit stops at its first vector with a
 negative entry, one level past its injective; that vector is minus the
 projective ``P_k`` whose hammock ends there, so ``rho(x) = k``.  The
 vectors below the terminators, orbit by orbit, are what :class:`ARQuiver`
-stores; ``m`` and the positions are read off them, and so are the
-paper's per-hammock tables (:mod:`arquiver.hammock`).  This is the one
-knit of the package.
+stores; ``m``, the positions and the arrows are read off them, and so
+are the paper's per-hammock tables (:mod:`arquiver.hammock`).  This is
+the one knit of the package.
 
 While knitting, each vector is one Python int with entry ``k`` in the
 signed 16-bit lane ``k`` (:class:`_Lanes`), so a mesh step is one big-int
@@ -37,7 +37,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter, ne, sub
 from typing import Iterable, NamedTuple
 
@@ -58,16 +58,15 @@ class ARQuiver:
     """The finite translation quiver, held as its knitted orbits.
 
     ``orbits[i - 1]`` is the dimension vectors of ``(r, i)`` for
-    ``r = 0..m(i)``; ``m`` and ``vertices`` are views of it, built on
-    first read.  The constructor rejects a layout without one
-    non-empty orbit per vertex of ``n``-tuples.
+    ``r = 0..m(i)``; ``m``, ``vertices`` and ``arrows`` are views of it and
+    of the quiver, built on first read.  The constructor rejects a layout
+    without one non-empty orbit per vertex of ``n``-tuples.
     """
 
     quiver: ValuedQuiver
     dynkin: DynkinClass
     orbits: tuple[tuple[tuple[int, ...], ...], ...]
     rho: tuple[int, ...]
-    arrows: tuple[ZArrow, ...]
 
     def __post_init__(self) -> None:
         n, orbits = self.quiver.n, self.orbits
@@ -95,6 +94,38 @@ class ARQuiver:
         return tuple(
             ZVertex(r, i) for i, orbit in enumerate(self.orbits, 1) for r in range(len(orbit))
         )
+
+    @cached_property
+    def arrows(self) -> tuple[ZArrow, ...]:
+        """Every plain and star arrow of the plane of the opposite quiver
+        with both ends among ``vertices``, sorted by ``(src, dst)``.
+
+        Each base arrow ``x -> y`` of the opposite quiver gives plain arrows
+        ``(s, x) -> (s, y)`` and star arrows ``(s, y) -> (s + 1, x)``.  The
+        view is generated in its order: level by level, each level's bases
+        in order, and each base's plain heads, then its star heads, by head
+        base.  Both ends are the ``ZVertex`` objects of ``vertices``.
+        """
+        qop, m, vertices = self.quiver.opposite(), self.m, self.vertices
+        start = [0, *accumulate(map(len, self.orbits))]  # (0, i) sits at start[i - 1]
+        # Per arrow out of a base at level 0, in (src, dst) order: where its
+        # ends sit in ``vertices``, and the top level it is repeated to.
+        spans = []
+        for x in self.quiver.vertices():
+            heads = sorted((a.dst, False, a) for a in qop.out_arrows(x))
+            heads += sorted((a.src, True, a) for a in qop.in_arrows(x))  # a level up
+            spans += [
+                (start[x - 1], start[y - 1] + up, min(m[x - 1], m[y - 1] - up), a, up)
+                for y, up, a in heads
+            ]
+        arrows: list[ZArrow] = []
+        for s in range(max(m) + 1):
+            arrows += [
+                ZArrow(vertices[tail + s], vertices[head + s], a, star)
+                for tail, head, top, a, star in spans
+                if s <= top
+            ]
+        return tuple(arrows)
 
     def m_of(self, i: int) -> int:
         """The level of the injective on base ``i``."""
@@ -132,7 +163,7 @@ class Counts(NamedTuple):
 
 
 def build(q: ValuedQuiver) -> ARQuiver:
-    """Knit every dimension vector and assemble the finite translation quiver."""
+    """Knit every dimension vector and pair each orbit with its injective."""
     dynkin = classify_quiver(q)
     orbits, ends = _knit_vectors(q, table_order(dynkin) + 1)
 
@@ -152,19 +183,7 @@ def build(q: ValuedQuiver) -> ARQuiver:
         if orbit[0][i - 1] != 1:
             raise KnitInconsistentError(f"projective {i} misses its own simple top")
 
-    positions = [[ZVertex(r, i) for r in range(len(o))] for i, o in enumerate(orbits, 1)]
-    # Each base arrow x -> y gives plain arrows (s, x) -> (s, y) and star
-    # arrows (s, y) -> (s + 1, x), for every level s with both ends in range.
-    arrows: list[ZArrow] = []
-    for a in q.opposite().arrows:
-        x, y = positions[a.src - 1], positions[a.dst - 1]
-        arrows += [ZArrow(x[s], y[s], a, False) for s in range(min(len(x), len(y)))]
-        arrows += [ZArrow(y[s], x[s + 1], a, True) for s in range(min(len(y), len(x) - 1))]
-    arrows.sort(key=itemgetter(0, 1))
-    arq = ARQuiver(q, dynkin, tuple(orbits), tuple(rho), tuple(arrows))
-    # The vertex view is the positions the arrows were made of, not a copy.
-    arq.__dict__["vertices"] = tuple(chain.from_iterable(positions))
-    return arq
+    return ARQuiver(q, dynkin, tuple(orbits), tuple(rho))
 
 
 # An entry of a Dynkin dimension vector is at most 6 (E8's highest root), and
@@ -440,15 +459,30 @@ def orbit_index_relation_holds(arq: ARQuiver) -> bool:
     ``False`` when ``rho`` does not hold one entry per vertex, or names a
     vertex outside ``1..n``.
     """
+    return not _orbit_index_witness(arq)
+
+
+def _orbit_index_witness(arq: ARQuiver) -> str:
+    """The first pair ``(i, j)`` that breaks the relation of
+    :func:`orbit_index_relation_holds`, or why ``rho`` cannot be read;
+    ``""`` when the relation holds."""
     q = arq.quiver
     n, m, rho = q.n, arq.m, arq.rho
-    if len(rho) != n or min(rho) < 1 or max(rho) > n:
-        return False
+    if len(rho) != n:
+        return _wrong_length(rho, n)
+    if min(rho) < 1 or max(rho) > n:
+        return f"rho names {next(r for r in rho if not 0 < r <= n)}, not a vertex in 1..{n}"
     steps = q._forward_steps
     for i, mi, ri in zip(q.vertices(), m, rho):
         lhs = map(sub, repeat(mi), m)  # m(i) - m(j), for j = 1..n
         across = map(steps[ri].__getitem__, rho)  # steps of rho(i) .. rho(j)
         rhs = map(sub, across, islice(steps[i], 1, None))  # less those of i .. j
-        if any(map(ne, lhs, rhs)):
-            return False
-    return True
+        j = next(compress(count(1), map(ne, lhs, rhs)), None)
+        if j is not None:
+            walks = steps[ri][rho[j - 1]] - steps[i][j]
+            return f"m({i}) - m({j}) = {mi - m[j - 1]}, not the walk statistic {walks}"
+    return ""
+
+
+def _wrong_length(rho: tuple[int, ...], n: int) -> str:
+    return f"rho has {len(rho)} entries for {n} vertices"

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 
 from . import ar_quiver, coxeter, derived, oracle
@@ -61,13 +62,19 @@ def cmd_build(args: argparse.Namespace) -> int:
     arq = ar_quiver.build(_load(args.file))
     cd = coxeter.coxeter_matrix(arq)
     report = build_report(arq, cd.order, include_hammocks=args.hammocks)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as out:
+    with ExitStack() as targets:
+        # Both targets are opened before either is written, so a target
+        # that cannot be opened leaves no report behind.
+        json_out, dot_out = (
+            targets.enter_context(open(path, "w", encoding="utf-8")) if path else None
+            for path in (args.json, args.dot)
+        )
+        with json_out or nullcontext(sys.stdout) as out:
             write_report(report, out)
-    else:
-        write_report(report, sys.stdout)
-    if args.dot:
-        Path(args.dot).write_text(to_dot(arq), encoding="utf-8")
+        if dot_out:
+            dot_out.write(to_dot(arq))
+            if dot_out.seekable():
+                dot_out.truncate()  # the end of a report written to the same file
     return 0
 
 

@@ -27,7 +27,8 @@ from .ar_quiver import (
     ARQuiver,
     _closed_form_rho_m,
     _count_identity,
-    orbit_index_relation_holds,
+    _orbit_index_witness,
+    _wrong_length,
 )
 from .derived import cluster_count, derived_nilpotency
 from .errors import ArquiverError, CrossCheckFailedError, PositionOutOfRangeError
@@ -451,6 +452,31 @@ def _non_positive_vector(arq: ARQuiver, vectors: list[tuple[int, ...]]) -> str:
     return f"{'negative entry' if any(x) else 'zero vector'} at {v}"
 
 
+def _distance_witness(lengths: list[tuple[int, int] | None], order: int) -> str:
+    """The first ``i`` whose shortest and longest path from projective
+    ``i`` to injective ``i`` are not both ``order - 2``, or ``""``."""
+    expected = (order - 2, order - 2)
+    for i, span in enumerate(lengths, start=1):
+        if span is None:
+            return f"no path from projective {i} to injective {i}"
+        if span != expected:
+            return (
+                f"projective {i} to injective {i}: shortest path {span[0]}, "
+                f"longest {span[1]}, not |C| - 2 = {order - 2}"
+            )
+    return ""
+
+
+def _closed_form_witness(arq: ARQuiver, m: tuple[int, ...], rho: tuple[int, ...]) -> str:
+    """The first base whose knitted ``(m, rho)`` differs from the closed
+    form's ``(m, rho)``; ``rho`` of the wrong length is named first."""
+    if len(arq.rho) != arq.n:
+        return _wrong_length(arq.rho, arq.n)
+    pairs = enumerate(zip(zip(arq.m, arq.rho), zip(m, rho)), start=1)
+    i, (knitted, closed) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+    return f"base {i}: knitted (m, rho) = {knitted}, closed form {closed}"
+
+
 def run_all(arq: ARQuiver, order: int) -> OracleReport:
     """Full oracle suite plus the global counting identities.
 
@@ -491,13 +517,13 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     guarded("count-identity", lambda: _count_identity(arq, order, lengths), unread or unpaired)
     guarded("derived-period", lambda: derived_nilpotency(arq, order), unpaired)
     guarded("cluster-count", lambda: cluster_count(arq, order))
-    report.add("orbit-index-relation", orbit_index_relation_holds(arq))
+    witness = _orbit_index_witness(arq)
+    report.add("orbit-index-relation", not witness, witness)
 
     # Read from the path audit, independently of the closed form that
     # ``counts_and_nilpotency`` reads.
-    reason = unread or unpaired
-    ok = not reason and all(span == (order - 2, order - 2) for span in lengths)
-    report.add("projective-injective-distance", ok, reason)
+    reason = unread or unpaired or _distance_witness(lengths, order)
+    report.add("projective-injective-distance", not reason, reason)
 
     vectors = list(chain.from_iterable(arq.orbits))
     ok = len(set(vectors)) == len(vectors)
@@ -507,5 +533,6 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     report.add("positive-dimension-vectors", ok, "" if ok else _non_positive_vector(arq, vectors))
     # The build's classification, so the quiver is classified once per check.
     closed_form = _closed_form_rho_m(arq.quiver, arq.dynkin)
-    report.add("closed-form-orbits", (arq.m, arq.rho) == closed_form)
+    ok = (arq.m, arq.rho) == closed_form
+    report.add("closed-form-orbits", ok, "" if ok else _closed_form_witness(arq, *closed_form))
     return report

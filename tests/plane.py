@@ -6,7 +6,7 @@ orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
 path audit, vertex-by-vertex mesh sums, the first failing check of an
 oracle report, seed sections and heap-ordered knitting, hammock tables
 by position, composition multiplicities, the dimension vectors by
-position, and orbit layouts for fault injection."""
+position, and orbit layouts and arrows for fault injection."""
 
 from __future__ import annotations
 
@@ -424,7 +424,7 @@ def composition_multiplicity(res: HammockResult, pos: ZVertex) -> int:
     return table_of(res).get(pos, 0)
 
 
-# -- the dimension vectors by position, and orbit layouts for fault injection ------
+# -- the dimension vectors by position, and orbit layouts and arrows for fault injection
 
 
 def dims(arq) -> dict[ZVertex, tuple[int, ...]]:
@@ -432,11 +432,27 @@ def dims(arq) -> dict[ZVertex, tuple[int, ...]]:
     return dict(zip(arq.vertices, chain.from_iterable(arq.orbits)))
 
 
-def relaid(arq, vectors: Mapping | None = None, m: Sequence[int] | None = None, **fields):
+def with_arrows(arq, arrows: Sequence[ZArrow], **fields):
+    """``replace(arq, **fields)`` whose ``arrows`` view holds ``arrows``
+    rather than the arrows of its orbits: the one way to inject arrows."""
+    copy = replace(arq, **fields)
+    copy.__dict__["arrows"] = tuple(arrows)
+    return copy
+
+
+def relaid(
+    arq,
+    vectors: Mapping | None = None,
+    m: Sequence[int] | None = None,
+    arrows: Sequence[ZArrow] | None = None,
+    **fields,
+):
     """``replace(arq, orbits=..., **fields)``, orbit ``i`` holding the vectors
     that ``vectors`` (by default ``dims(arq)``) files at levels ``0, 1, ..``
     of base ``i``: while it files one, or up to level ``m[i - 1]`` when
-    ``m`` is given, with the zero vector at the levels it lacks."""
+    ``m`` is given, with the zero vector at the levels it lacks.  The copy's
+    ``arrows`` view is that of its own orbits, or ``arrows`` when given
+    (through :func:`with_arrows`)."""
     vectors = dims(arq) if vectors is None else vectors
     zero = (0,) * arq.n
     orbits = []
@@ -446,4 +462,6 @@ def relaid(arq, vectors: Mapping | None = None, m: Sequence[int] | None = None, 
         else:
             levels = range(m[i - 1] + 1)
         orbits.append(tuple(vectors.get((r, i), zero) for r in levels))
-    return replace(arq, orbits=tuple(orbits), **fields)
+    if arrows is None:
+        return replace(arq, orbits=tuple(orbits), **fields)
+    return with_arrows(arq, arrows, orbits=tuple(orbits), **fields)

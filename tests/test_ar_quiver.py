@@ -57,6 +57,7 @@ from plane import (
     topological_order,
     window_arrows,
     window_paths,
+    with_arrows,
 )
 
 G2_POSITIVE_ROOTS = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
@@ -133,7 +134,7 @@ def test_build_is_equivariant_under_relabelling(q, data):
 
 
 def test_the_knitted_orbits_are_the_only_vector_field():
-    assert [f.name for f in fields(ARQuiver)] == ["quiver", "dynkin", "orbits", "rho", "arrows"]
+    assert [f.name for f in fields(ARQuiver)] == ["quiver", "dynkin", "orbits", "rho"]
     arq = build(a3_linear())
     assert arq.orbits == (
         ((1, 1, 1),),
@@ -142,7 +143,7 @@ def test_the_knitted_orbits_are_the_only_vector_field():
     )
     assert arq.vertices == tuple(ZVertex(r, i) for i in (1, 2, 3) for r in range(i))
     assert not hasattr(arq, "dims")  # vectors by position are plane.dims, for the tests
-    for view in ("m", "vertices"):
+    for view in ("m", "vertices", "arrows"):
         with pytest.raises(FrozenInstanceError):
             setattr(arq, view, getattr(arq, view))
 
@@ -165,7 +166,7 @@ def test_a_layout_without_one_orbit_of_n_tuples_per_vertex_is_rejected(change, m
 
 def test_build_and_check_read_no_position_keyed_vectors():
     # What `arquiver build` and `arquiver check` run reads the orbits: the
-    # only views built are `m` and `vertices`, none keyed by position.
+    # only views built are `m`, `vertices` and `arrows`, none keyed by position.
     from arquiver import build_report, order_identity_check, report_to_json, to_dot
     from arquiver.oracle import run_all
 
@@ -175,7 +176,7 @@ def test_build_and_check_read_no_position_keyed_vectors():
         report_to_json(build_report(arq, cd.order, include_hammocks=True))
         to_dot(arq)
         assert run_all(arq, cd.order).ok and order_identity_check(arq, cd)
-        assert set(vars(arq)) <= {f.name for f in fields(ARQuiver)} | {"m", "vertices"}
+        assert set(vars(arq)) <= {f.name for f in fields(ARQuiver)} | {"m", "vertices", "arrows"}
 
 
 def test_dim_vector_examples():
@@ -319,7 +320,7 @@ def test_distance_cross_check_rejects_unequal_parallel_paths():
 
     # A fabricated shortcut creates parallel paths of lengths 1 and 2.
     fake = ZArrow(ZVertex(0, 1), ZVertex(2, 3), Arrow(3, 1), True)
-    corrupted = replace(arq, arrows=arq.arrows + (fake,))
+    corrupted = with_arrows(arq, arq.arrows + (fake,))
     with pytest.raises(CrossCheckFailedError):
         distance(corrupted, ZVertex(0, 1), ZVertex(2, 3))
 

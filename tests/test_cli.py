@@ -229,6 +229,27 @@ def test_cli_build_writes_json_and_dot(tmp_path, capsys):
     assert (tmp_path / "drawing.dot").read_bytes() == first
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["json", "stdout"])
+def test_cli_build_writes_no_report_when_a_target_cannot_be_opened(tmp_path, capsys, to_file):
+    # The DOT target is a directory: the build fails before writing the report.
+    path = _write(tmp_path, "a3.q", "n 3\narrow 1 2\narrow 2 3\n")
+    json_out = tmp_path / "report.json"
+    args = ["build", path, "--dot", str(tmp_path)]
+    assert main(args + ["--json", str(json_out)] if to_file else args) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert out == ""
+    assert not to_file or json_out.read_bytes() == b""
+
+
+def test_cli_build_to_one_file_for_both_targets_leaves_the_drawing(tmp_path, capsys):
+    # As when the report is written and closed before the drawing is opened.
+    path = _write(tmp_path, "a3.q", "n 3\narrow 1 2\narrow 2 3\n")
+    both = tmp_path / "both.out"
+    assert main(["build", path, "--json", str(both), "--dot", str(both)]) == 0
+    assert both.read_text(encoding="utf-8") == to_dot(build(a3_linear()))
+
+
 def test_cli_build_stdout_json(tmp_path, capsys):
     path = _write(tmp_path, "g2.q", "n 2\narrow 1 2 1 3\n")
     assert main(["build", path, "--hammocks"]) == 0

@@ -10,10 +10,20 @@ from __future__ import annotations
 
 import pytest
 
-from arquiver import build, closed_form_rho_m, coxeter_matrix, hammocks, table_order, validate
+from arquiver import (
+    build,
+    closed_form_rho_m,
+    cluster_count,
+    counts_and_nilpotency,
+    coxeter_matrix,
+    derived_nilpotency,
+    hammocks,
+    table_order,
+    validate,
+)
 from arquiver.cli import main
 from arquiver.dynkin import canonical_diagram, orient
-from plane import reference_knit, seed_section, table_of
+from plane import reference_arrows, reference_knit, seed_section, table_of
 
 LARGE = [("A", 60), ("A", 64), ("B", 31), ("C", 32), ("D", 32), ("D", 40)]
 
@@ -33,6 +43,13 @@ def test_large_rank_builds_with_tabled_order(family, rank):
     assert coxeter_matrix(arq).order == h
     assert 2 * len(arq.vertices) == rank * h
     assert closed_form_rho_m(q) == (arq.m, arq.rho)
+    # coxeter, cluster and hammock read no arrow: the view stays unbuilt.
+    cluster_count(arq, h)
+    derived_nilpotency(arq, h)
+    counts_and_nilpotency(arq, h)
+    hammocks(arq)
+    assert "arrows" not in vars(arq)
+    assert arq.arrows == reference_arrows(arq.quiver, arq.m)
 
 
 def test_cli_build_b32_exits_zero(tmp_path, capsys):

@@ -46,6 +46,7 @@ from plane import (
     relaid,
     successors,
     topological_order,
+    with_arrows,
 )
 
 
@@ -269,7 +270,7 @@ def test_shared_mesh_table_with_wrong_convention_is_caught(monkeypatch, q):
 def _with_extra_arrows(arq, *pairs):
     """A copy of ``arq`` with one fabricated arrow per ``(src, dst)`` pair."""
     extra = tuple(ZArrow(src, dst, Arrow(1, 2), False) for src, dst in pairs)
-    return replace(arq, arrows=arq.arrows + extra)
+    return with_arrows(arq, arq.arrows + extra)
 
 
 def test_audit_paths_names_unequal_parallel_paths():
@@ -338,8 +339,13 @@ def test_run_all_reports_corrupted_paths_without_raising():
         "ZVertex(level=0, base=1) and ZVertex(level=2, base=3))",
         "count-identity: FAIL (parallel paths "
         "ZVertex(level=0, base=1) .. ZVertex(level=2, base=3) of lengths 1 and 2)",
-        "projective-injective-distance: FAIL",
+        "projective-injective-distance: FAIL (projective 1 to injective 1: "
+        "shortest path 1, longest 2, not |C| - 2 = 2)",
     ]
+    unjoined = {c.name: c.line() for c in run_all(with_arrows(arq, ()), order).checks}
+    assert unjoined["projective-injective-distance"] == (
+        "projective-injective-distance: FAIL (no path from projective 1 to injective 1)"
+    )
 
 
 def test_run_all_checks_orbit_data_against_closed_forms():
@@ -347,8 +353,17 @@ def test_run_all_checks_orbit_data_against_closed_forms():
     order = coxeter_matrix(arq).order
     assert run_all(arq, order).checks[-1].line() == "closed-form-orbits: PASS"
     wrong = replace(arq, rho=tuple(arq.quiver.vertices()))
-    result = {c.name: c.passed for c in run_all(wrong, order).checks}
-    assert result["closed-form-orbits"] is False
+    result = {c.name: c.line() for c in run_all(wrong, order).checks}
+    assert result["closed-form-orbits"] == (
+        "closed-form-orbits: FAIL (base 1: knitted (m, rho) = (4, 1), closed form (4, 6))"
+    )
+    assert result["orbit-index-relation"] == (
+        "orbit-index-relation: FAIL (m(1) - m(3) = -1, not the walk statistic 0)"
+    )
+    longer = replace(arq, rho=arq.rho + (1,))
+    result = {c.name: c.line() for c in run_all(longer, order).checks}
+    for name in ("closed-form-orbits", "orbit-index-relation"):
+        assert result[name] == f"{name}: FAIL (rho has 7 entries for 6 vertices)"
 
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
@@ -387,7 +402,7 @@ def _edited(arq, add=(), drop=()):
     """A copy of ``arq`` without the ``drop`` arrows and with the ``add`` ones."""
     dropped = set(drop)
     kept = tuple(za for za in arq.arrows if (za.src, za.dst) not in dropped)
-    return _with_extra_arrows(replace(arq, arrows=kept), *add)
+    return _with_extra_arrows(with_arrows(arq, kept), *add)
 
 
 def _failed_conditions(arq):
@@ -518,8 +533,8 @@ def _corrupted_quivers(draw, max_rank=8):
         return _with_extra_arrows(arq, (order[i], order[j]))
     k = draw(st.integers(0, len(arq.arrows) - 1))
     if kind == "doubled":
-        return replace(arq, arrows=arq.arrows + arq.arrows[k : k + 1])
-    return replace(arq, arrows=arq.arrows[:k] + arq.arrows[k + 1 :])
+        return with_arrows(arq, arq.arrows + arq.arrows[k : k + 1])
+    return with_arrows(arq, arq.arrows[:k] + arq.arrows[k + 1 :])
 
 
 @settings(max_examples=150, deadline=None)
@@ -592,7 +607,7 @@ def test_spans_sweep_matches_the_per_pair_search(family, rank):
     arq = build(random_orientation(canonical_diagram(family, rank), rng))
     unjoined = 0
     for k in [None] + rng.sample(range(len(arq.arrows)), min(6, len(arq.arrows))):
-        corrupted = arq if k is None else replace(arq, arrows=arq.arrows[:k] + arq.arrows[k + 1 :])
+        corrupted = arq if k is None else with_arrows(arq, arq.arrows[:k] + arq.arrows[k + 1 :])
         heads = _successors(corrupted)
         phi = _certify(corrupted, heads)
         assert phi is not None
@@ -658,7 +673,7 @@ def _broken_quivers(draw, max_rank=5):
     rho = draw(
         st.permutations(arq.rho) | st.lists(st.integers(-1, rank + 2), max_size=rank + 2)
     )
-    return relaid(arq, m=m, rho=tuple(rho))
+    return relaid(arq, m=m, rho=tuple(rho), arrows=arq.arrows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -685,7 +700,7 @@ def test_an_oriented_cycle_fails_every_check_that_reads_paths():
 def test_an_arrow_into_a_cut_vertex_fails_every_check_that_reads_paths():
     arq = build(a3_linear())
     gone = arq.arrows[0].dst  # the top of orbit 2
-    lines = _lines(relaid(arq, m=(0, 0, 2)))
+    lines = _lines(relaid(arq, m=(0, 0, 2), arrows=arq.arrows))
     reason = f"KeyError: {gone}"
     for name, line in zip(_CHECK_NAMES, lines):
         if name in _PATH_CHECKS:
@@ -744,23 +759,34 @@ _INJECTIVE_CHECKS = {
 }
 
 
-def _unpaired_lines(reason):
-    """The lines of linear A3 with orbit data that place no injective."""
-    failing = _INJECTIVE_CHECKS | {"orbit-index-relation", "closed-form-orbits"}
+def _unpaired_lines(reason, witnesses):
+    """The lines of linear A3 with orbit data that place no injective,
+    ``witnesses`` naming why each orbit-data check fails."""
     return [
         f"{name}: FAIL ({reason})" if name in _INJECTIVE_CHECKS
-        else f"{name}: FAIL" if name in failing
+        else f"{name}: FAIL ({witnesses[name]})" if name in witnesses
         else f"{name}: PASS"
         for name in _CHECK_NAMES
     ]
 
 
 @pytest.mark.parametrize(
-    "rho, missing", [((1, 1, 1), 2), ((0, 2, 1), 3)], ids=["repeated", "zero"]
+    "rho, missing, orbit_index, closed_form",
+    [
+        ((1, 1, 1), 2, "m(2) - m(1) = 1, not the walk statistic 0", "(0, 1), closed form (0, 3)"),
+        ((0, 2, 1), 3, "rho names 0, not a vertex in 1..3", "(0, 0), closed form (0, 3)"),
+    ],
+    ids=["repeated", "zero"],
 )
-def test_a_rho_that_is_no_permutation_fails_every_check_that_reads_an_injective(rho, missing):
+def test_a_rho_that_is_no_permutation_fails_every_check_that_reads_an_injective(
+    rho, missing, orbit_index, closed_form
+):
+    witnesses = {
+        "orbit-index-relation": orbit_index,
+        "closed-form-orbits": f"base 1: knitted (m, rho) = {closed_form}",
+    }
     assert _lines(replace(build(a3_linear()), rho=rho)) == _unpaired_lines(
-        f"no orbit ends at injective {missing}"
+        f"no orbit ends at injective {missing}", witnesses
     )
 
 
