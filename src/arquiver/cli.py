@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hammock import knit_hammock
 from .quiver import ValuedQuiver
-from .report import build_report, parse_quiver, to_dot, write_report
+from .report import _lines, build_report, parse_quiver, to_dot, write_report
 
 _INPUT_ERRORS = (
     ParseError,
@@ -41,7 +41,7 @@ def _load(path: str) -> ValuedQuiver:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Number lines as parse_quiver does, counting the bad byte's own line.
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        line = len(_lines(data[: exc.start].decode("utf-8") + "?"))
         raise ParseError(line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from exc
     return parse_quiver(text.removeprefix("\ufeff"))  # one UTF-8 byte-order mark
 
@@ -119,7 +119,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     arq = ar_quiver.build(_load(args.file))
     cd = coxeter.coxeter_matrix(arq)
     report = oracle.run_all(arq, cd.order)
-    report.add("order-identity", coxeter.order_identity_check(arq, cd))
+    witness = coxeter._order_identity_witness(arq, cd)
+    report.add("order-identity", not witness, witness)
     for check in report.checks:
         print(check.line())
     return 0 if report.ok else 1

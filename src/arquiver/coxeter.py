@@ -217,9 +217,21 @@ def table_order(dynkin: DynkinClass) -> int:
 
 def order_identity_check(arq: "ARQuiver", cd: CoxeterData) -> bool:
     """Order equals the table value and every paired orbit-length sum."""
-    if cd.order != table_order(arq.dynkin):
-        return False
-    return all(
-        arq.m_of(i) + arq.m_of(arq.rho_of(i)) + 2 == cd.order
-        for i in arq.quiver.vertices()
-    )
+    return not _order_identity_witness(arq, cd)
+
+
+def _order_identity_witness(arq: "ARQuiver", cd: CoxeterData) -> str:
+    """Why :func:`order_identity_check` fails, or ``""`` when it holds:
+    an order off the table value, else the first ``i`` in ``1..n`` whose
+    ``rho(i)`` is no vertex or whose orbit-length sum is off."""
+    h = table_order(arq.dynkin)
+    if cd.order != h:
+        return f"order {cd.order} is not h = {h} for {arq.dynkin.name}"
+    for i in arq.quiver.vertices():
+        j = arq.rho_of(i)
+        if not 0 < j <= arq.n:
+            return f"rho({i}) = {j} is not a vertex in 1..{arq.n}"
+        total = arq.m_of(i) + arq.m_of(j) + 2
+        if total != cd.order:
+            return f"m({i}) + m(rho({i})) + 2 = {total}, not |C| = {cd.order}"
+    return ""

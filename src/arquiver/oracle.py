@@ -31,7 +31,7 @@ from .ar_quiver import (
     _wrong_length,
 )
 from .derived import cluster_count, derived_nilpotency
-from .errors import ArquiverError, CrossCheckFailedError, PositionOutOfRangeError
+from .errors import ArquiverError, CrossCheckFailedError, NotATreeError, PositionOutOfRangeError
 from .quiver import ValuedQuiver
 from .repetitive import ZVertex, mesh_inputs
 
@@ -316,68 +316,49 @@ def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int] | None:
     """A potential proving the path audit passes, or ``None``.
 
     The potential is indexed by position in ``arq.vertices``, as
-    ``successors`` is.  The certificate reads the bases and levels of the
-    vertices and checks, in O(V + E):
+    ``successors`` is: phi(v) = 2 * level(v) + c(base(v)), where c(x) is
+    the forward less the backward steps of the walk ``1 .. x`` in the
+    opposite quiver.  One pass over the arrows checks, in O(V + E):
 
-    (a) a breadth-first search over the arrows, in both directions, finds
-        phi with phi(dst) = phi(src) + 1 on every arrow;
-    (b) within each weakly connected component, phi(v) - 2 * level(v)
-        depends only on the base of ``v``;
+    (a) phi(dst) = phi(src) + 1 on every arrow;
+    (b) phi(v) - 2 * level(v) depends only on the base of ``v``, which
+        holds by construction;
     (c) every arrow joins two bases adjacent in the ext-quiver, a tree;
-    (d) no vertex has two successors with the same base.
+    (d) no vertex has the same head twice.
 
     Why it suffices (the covering argument of Bongartz-Gabriel, "Covering
     spaces in representation theory", Invent. Math. 1982).  By (a) every
     path ``u .. w`` has length phi(w) - phi(u), so parallel paths share
-    one length, and no path is an oriented cycle.  By (b) and (c) the
-    level step of an arrow is fixed by its two bases, so a path is
-    determined by its start and the walk it folds onto in the tree; an
-    arrow there followed by one back to the first base climbs exactly one
-    level, so a hook (``w`` the inverse translate of the vertex two
+    one length, and no path is an oriented cycle.  By (a)-(c) an arrow
+    out of ``(s, x)`` to base ``y`` is the plane's plain arrow to ``(s, y)``
+    or its star arrow to ``(s + 1, y)``, whichever raises phi by one, and
+    by (d) it is the only arrow between its ends; so a path is determined
+    by its start and the walk it folds onto in the tree.  Two arrows
+    there and back raise phi by two on one base, so they climb exactly
+    one level: a hook (``w`` the inverse translate of the vertex two
     before it) is exactly a backtrack of that walk.  A sectional path
     therefore folds onto a reduced walk, which in a tree is the unique
     geodesic between its ends.  Any other path between the same ends has
     the same length, so its walk has the geodesic's length and is that
-    geodesic; by (d) a vertex and the next base fix the next vertex, so
-    the two paths coincide.
+    geodesic, and the two paths coincide.
     """
     vertices, q = arq.vertices, arq.quiver
-    if not q.is_tree():
+    try:
+        steps = q.opposite()._forward_steps
+    except NotATreeError:
         return None
     adjacent = {(a.src, a.dst) for a in q.arrows}
     adjacent |= {(y, x) for x, y in adjacent}
+    c = [0, *(steps[1][x] - steps[x][1] for x in q.vertices())]
     bases = [v.base for v in vertices]
-    predecessors: list[list[int]] = [[] for _ in vertices]
+    phi = [2 * level + c[base] for level, base in vertices]
     for v, heads in enumerate(successors):
-        x = bases[v]
-        if len({bases[w] for w in heads}) != len(heads):
+        x, rise = bases[v], phi[v] + 1
+        if len(set(heads)) != len(heads):
             return None  # (d)
         for w in heads:
-            if (x, bases[w]) not in adjacent:
-                return None  # (c)
-            predecessors[w].append(v)
-
-    phi: list[int] = [0] * len(vertices)
-    seen = [False] * len(vertices)
-    for root in range(len(vertices)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        shift: dict[int, int] = {}
-        queue = [root]
-        for v in queue:  # grows while it is read: breadth first
-            p = phi[v]
-            key = p - 2 * vertices[v].level
-            if shift.setdefault(bases[v], key) != key:
-                return None  # (b)
-            for near, step in ((successors[v], 1), (predecessors[v], -1)):
-                for w in near:
-                    if not seen[w]:
-                        seen[w] = True
-                        phi[w] = p + step
-                        queue.append(w)
-                    elif phi[w] != p + step:
-                        return None  # (a)
+            if phi[w] != rise or (x, bases[w]) not in adjacent:
+                return None  # (a), (c)
     return phi
 
 

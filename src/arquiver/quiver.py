@@ -144,13 +144,6 @@ class ValuedQuiver:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def is_tree(self) -> bool:
-        try:
-            self._forward_steps
-        except NotATreeError:
-            return False
-        return True
-
     # -- per-instance tables, built on first use ----------------------------
     # A racing second build computes the same value, so sharing an instance
     # across threads stays safe.

@@ -7,10 +7,11 @@ Input format, one directive per line::
     arrow 2 3 1 2  # valuation (1, 2)
 
 ``#`` starts a comment, blank lines are skipped, tokens are separated by
-spaces or tabs.  The report is the JSON document itself: ``build_report``
-returns it as a plain ``dict`` and ``report_to_json``/``write_report``
-encode it deterministically: sorted object keys, vertices ordered by
-(base, level), integers only.
+spaces or tabs, and lines end at ``\n``, ``\r\n`` or ``\r`` only.  The
+report is the JSON document itself: ``build_report`` returns it as a
+plain ``dict`` and ``report_to_json``/``write_report`` encode it
+deterministically: sorted object keys, vertices ordered by (base,
+level), integers only.
 
 The writer takes a ``build_report`` document and writes exactly what the
 standard library's ``json`` writes with ``sort_keys=True, indent=2``,
@@ -23,6 +24,7 @@ an ``int`` raises ``TypeError``.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from itertools import chain, groupby
@@ -34,6 +36,12 @@ from .derived import cluster_count, derived_nilpotency
 from .errors import InvalidQuiverError, ParseError
 from .hammock import hammocks
 from .quiver import Arrow, ValuedQuiver, Valuation
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` as ``open()`` reads them: broken only at
+    ``\\n``, ``\\r\\n`` and ``\\r``, each with its break read as ``\\n``."""
+    return io.StringIO(text, newline=None).readlines()
 
 
 def parse_quiver(text: str) -> ValuedQuiver:
@@ -55,7 +63,7 @@ def parse_quiver(text: str) -> ValuedQuiver:
                 raise ParseError(line_no, f"integer of {len(digits)} digits is too long") from exc
         return values
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -96,7 +104,7 @@ def parse_quiver(text: str) -> ValuedQuiver:
         else:
             raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
     if n is None:
-        raise ParseError(len(text.splitlines()) + 1, "missing 'n' line")
+        raise ParseError(len(_lines(text)) + 1, "missing 'n' line")
     return ValuedQuiver(n, tuple(arrows))
 
 

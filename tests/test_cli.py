@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,12 @@ def test_parse_bad_valuation_names_line():
         ("n x\n", 1),
         ("n \u00b2\n", 1),
         ("n 2\narrow 1 \u0662\n", 2),
+        # Lines break only at \n, \r\n and \r, as open() reads them.
+        ("n 2\n\x0c\narrow 1 2\nfoo\n", 4),
+        ("n 3\narrow 1 2\x85arrow 2 3\n", 2),
+        ("n 2\u2028arrow 1 2\n", 1),
+        ("n 2\rarrow 1 2\x1carrow 2 1\r", 2),
+        ("\x0b\x0c\u2029\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -311,6 +318,21 @@ def test_cli_check_exit_one_on_failing_oracle(tmp_path, capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_check_names_the_order_identity_witness(tmp_path, capsys, monkeypatch):
+    from arquiver import coxeter
+
+    solve = coxeter.coxeter_matrix
+
+    def doubled(arq):
+        cd = solve(arq)
+        return replace(cd, order=2 * cd.order)
+
+    monkeypatch.setattr(coxeter, "coxeter_matrix", doubled)
+    assert main(["check", _write(tmp_path, "e6.q", E6_TEXT)]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "order-identity: FAIL (order 24 is not h = 12 for E6)"
+
+
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     from arquiver import cli
     from arquiver.errors import KnitInconsistentError
@@ -356,11 +378,28 @@ def test_cli_build_streams_the_report_bytes(tmp_path, capsys, name, hammocks):
 
 @pytest.mark.parametrize("command", [["classify"], ["build"], ["hammock", "-k", "1"]])
 def test_cli_invalid_utf8_is_a_parse_error(tmp_path, capsys, command):
-    path = tmp_path / "bad.q"
-    path.write_bytes(b"n 2\narrow 1 2\n\xff\n")
-    assert main([command[0], str(path)] + command[1:]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: line 3: invalid UTF-8 byte 0xff\n"
+    # Lines break only at \n, \r\n and \r, as open() reads them.
+    for data, line in [
+        (b"n 2\narrow 1 2\n\xff\n", 3),
+        (b"n 2\n\x0c\narrow 1 2\n\xff\n", 4),
+        (b"n 2\r\n# \xc2\x85 \xe2\x80\xa8\rarrow 1 2\r\xff\n", 4),
+    ]:
+        path = tmp_path / "bad.q"
+        path.write_bytes(data)
+        assert main([command[0], str(path)] + command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {line}: invalid UTF-8 byte 0xff\n"
+
+
+def test_cli_comment_holding_a_unicode_line_separator_is_one_comment(tmp_path, capsys):
+    plain, commented = tmp_path / "plain.q", tmp_path / "commented.q"
+    plain.write_bytes(b"n 3\narrow 1 2\narrow 2 3\n")
+    commented.write_bytes("n 3\n# see\x85note\narrow 1 2\narrow 2 3\n".encode("utf-8"))
+    for path in (plain, commented):
+        assert main(["build", str(path), "--json", f"{path}.json", "--dot", f"{path}.dot"]) == 0
+    assert capsys.readouterr() == ("", "")
+    for suffix in (".json", ".dot"):
+        assert Path(f"{commented}{suffix}").read_bytes() == Path(f"{plain}{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_TEXTS))

@@ -21,6 +21,7 @@ from arquiver import (
     order_identity_check,
     table_order,
 )
+from arquiver.coxeter import _order_identity_witness
 from arquiver.derived import tau_d, tau_d_inverse
 from arquiver.dynkin import (
     DynkinClass,
@@ -159,6 +160,16 @@ def test_order_identity_check_examples():
     assert order_identity_check(a3, coxeter_matrix(a3))
     corrupted = relaid(e6, m=(4, 4, 5, 5, 6, 5))
     assert not order_identity_check(corrupted, cd)
+    # The witness of each failure.
+    assert _order_identity_witness(e6, cd) == ""
+    assert _order_identity_witness(e6, replace(cd, order=2 * cd.order)) == (
+        "order 24 is not h = 12 for E6"
+    )
+    assert _order_identity_witness(corrupted, cd) == "m(1) + m(rho(1)) + 2 = 11, not |C| = 12"
+    # A rho entry off the vertices is a failure, not PositionOutOfRangeError.
+    unpaired = replace(e6, rho=(6, 5, 3, 7, 2, 1))
+    assert _order_identity_witness(unpaired, cd) == "rho(4) = 7 is not a vertex in 1..6"
+    assert not order_identity_check(unpaired, cd)
 
 
 def test_order_independent_of_orientation_sample():

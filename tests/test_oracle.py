@@ -33,7 +33,7 @@ from arquiver.oracle import (
     audit_paths,
     run_all,
 )
-from arquiver.quiver import Arrow
+from arquiver.quiver import Arrow, reduced_walk
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
 from plane import (
@@ -519,6 +519,42 @@ def test_certificate_rejects_the_a3_shortcut():
     assert _certify(arq, _successors(arq)) is None
 
 
+def test_certificate_needs_one_shift_per_base_across_components():
+    # With every arrow between bases 1 and 2 gone, each vertex of base 1 is
+    # a component of its own but (0, 1), which (0, 1) -> (0, 2) joins to the
+    # rest one step below (0, 2): a shift per component would pass, while
+    # the plane's potential drops along that arrow, so the exhaustive audit
+    # decides the quiver.
+    arq = build(validate(3, [(1, 2), (2, 3)]))
+    order = coxeter_matrix(arq).order
+    arq = _edited(
+        arq,
+        add=[(ZVertex(0, 1), ZVertex(0, 2))],
+        drop=[(za.src, za.dst) for za in arq.arrows if {za.src.base, za.dst.base} == {1, 2}],
+    )
+    assert _certify(arq, _successors(arq)) is None
+    assert [c.line() for c in audit_paths(arq).checks] == reference_audit_lines(arq) == [
+        "parallel-path-lengths: PASS",
+        "sectional-uniqueness: PASS",
+    ]
+    assert [c.line() for c in run_all(arq, order).checks] == [
+        "mesh-additivity: PASS",
+        "projective-recursion: PASS",
+        "injective-recursion: PASS",
+        "parallel-path-lengths: PASS",
+        "sectional-uniqueness: PASS",
+        "count-identity: FAIL (no path from projective 3 to injective 3)",
+        "derived-period: PASS",
+        "cluster-count: PASS",
+        "orbit-index-relation: PASS",
+        "projective-injective-distance: FAIL (projective 1 to injective 1: "
+        "shortest path 4, longest 4, not |C| - 2 = 2)",
+        "distinct-dimension-vectors: PASS",
+        "positive-dimension-vectors: PASS",
+        "closed-form-orbits: PASS",
+    ]
+
+
 @st.composite
 def _corrupted_quivers(draw, max_rank=8):
     """A random orientation up to ``max_rank`` with one forward, doubled or deleted arrow."""
@@ -547,6 +583,15 @@ def test_certificate_is_sound_on_corrupted_quivers(arq):
 
 
 def _assert_certified_without_fallback(arq):
+    # The potential is 2 * level + c(base), c(x) the forward less the
+    # backward steps of the walk 1 .. x in the opposite quiver, and it
+    # rises by one along every arrow.
+    qop = arq.quiver.opposite()
+    walks = {x: reduced_walk(qop, 1, x).steps for x in qop.vertices()}
+    c = {x: sum(1 if step.forward else -1 for step in steps) for x, steps in walks.items()}
+    phi = dict(zip(arq.vertices, _certify(arq, _successors(arq))))
+    assert phi == {v: 2 * v.level + c[v.base] for v in arq.vertices}
+    assert all(phi[za.dst] == phi[za.src] + 1 for za in arq.arrows)
     order = table_order(arq.dynkin)
     assert all(c.passed for c in run_all(arq, order).checks)
     assert audit_paths(arq).ok
