@@ -60,7 +60,9 @@ class ARQuiver:
     ``orbits[i - 1]`` is the dimension vectors of ``(r, i)`` for
     ``r = 0..m(i)``; ``m``, ``vertices`` and ``arrows`` are views of it and
     of the quiver, built on first read.  The constructor rejects a layout
-    without one non-empty orbit per vertex of ``n``-tuples.
+    without one non-empty orbit per vertex of ``n``-tuples, and a ``rho``
+    that is not a tuple holding each of ``1..n`` once; whether ``rho`` is an
+    involution is left to the checks.
     """
 
     quiver: ValuedQuiver
@@ -77,6 +79,17 @@ class ARQuiver:
         vectors = list(chain.from_iterable(orbits))
         if set(map(type, vectors)) != {tuple} or set(map(len, vectors)) != {n}:
             raise KnitInconsistentError(f"a dimension vector is not a tuple of length {n}")
+        rho, bases = self.rho, range(1, n + 1)
+        if type(rho) is not tuple:
+            raise KnitInconsistentError(f"rho is a {type(rho).__name__}, not a tuple")
+        if len(rho) != n:
+            raise KnitInconsistentError(f"rho has {len(rho)} entries for {n} vertices")
+        stray = next((r for r in rho if type(r) is not int or r not in bases), None)
+        if stray is not None:
+            raise KnitInconsistentError(f"rho names {stray!r}, not a vertex in 1..{n}")
+        if len(set(rho)) != n:
+            missing = min(set(bases).difference(rho))
+            raise KnitInconsistentError(f"no orbit ends at injective {missing}")
 
     @property
     def n(self) -> int:
@@ -456,22 +469,15 @@ def orbit_index_relation_holds(arq: ARQuiver) -> bool:
     The difference of orbit indices must match the difference between the
     forward-step counts of the walks ``rho(i) .. rho(j)`` and ``i .. j``,
     read off rows ``rho(i)`` and ``i`` of the quiver's walk step table.
-    ``False`` when ``rho`` does not hold one entry per vertex, or names a
-    vertex outside ``1..n``.
     """
     return not _orbit_index_witness(arq)
 
 
 def _orbit_index_witness(arq: ARQuiver) -> str:
     """The first pair ``(i, j)`` that breaks the relation of
-    :func:`orbit_index_relation_holds`, or why ``rho`` cannot be read;
-    ``""`` when the relation holds."""
+    :func:`orbit_index_relation_holds`, or ``""`` when it holds."""
     q = arq.quiver
-    n, m, rho = q.n, arq.m, arq.rho
-    if len(rho) != n:
-        return _wrong_length(rho, n)
-    if min(rho) < 1 or max(rho) > n:
-        return f"rho names {next(r for r in rho if not 0 < r <= n)}, not a vertex in 1..{n}"
+    m, rho = arq.m, arq.rho
     steps = q._forward_steps
     for i, mi, ri in zip(q.vertices(), m, rho):
         lhs = map(sub, repeat(mi), m)  # m(i) - m(j), for j = 1..n
@@ -482,7 +488,3 @@ def _orbit_index_witness(arq: ARQuiver) -> str:
             walks = steps[ri][rho[j - 1]] - steps[i][j]
             return f"m({i}) - m({j}) = {mi - m[j - 1]}, not the walk statistic {walks}"
     return ""
-
-
-def _wrong_length(rho: tuple[int, ...], n: int) -> str:
-    return f"rho has {len(rho)} entries for {n} vertices"

@@ -109,7 +109,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     print(f"cluster objects: {derived.cluster_count(arq, cd.order)}")
     print(
         "nilpotency: module={0} derived={1} cluster={2}".format(
-            cd.order - 1, derived.derived_nilpotency(arq, cd.order), cd.order - 1
+            ar_quiver.counts_and_nilpotency(arq, cd.order).nilpotency,
+            derived.derived_nilpotency(arq, cd.order),
+            cd.order - 1,
         )
     )
     return 0

@@ -106,7 +106,6 @@ def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
     Only otherwise is the period walked, to name where it lands.
     """
     m, rho = arq.m, arq.rho
-    size = min(len(m), len(rho))  # entries past a short rho are left to the walk
     for i in arq.quiver.vertices():
         p = DerivedVertex(0, i, 0)
         inj = arq.injective(i)
@@ -116,8 +115,8 @@ def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
                 f"derived distance projective {i} .. injective {i} is {d}, "
                 f"expected {order - 2}"
             )
-        j = rho[i - 1] if i <= size else 0
-        if 0 < j <= size and rho[j - 1] == i and m[i - 1] + m[j - 1] + 2 == order:
+        j = rho[i - 1]
+        if rho[j - 1] == i and m[i - 1] + m[j - 1] + 2 == order:
             continue
         w = p
         for _ in range(order):

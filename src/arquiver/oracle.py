@@ -19,19 +19,13 @@ one numbering of the vertices, their positions in ``arq.vertices``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, mul, sub
 from typing import Callable
 
-from .ar_quiver import (
-    ARQuiver,
-    _closed_form_rho_m,
-    _count_identity,
-    _orbit_index_witness,
-    _wrong_length,
-)
+from .ar_quiver import ARQuiver, _closed_form_rho_m, _count_identity, _orbit_index_witness
 from .derived import cluster_count, derived_nilpotency
-from .errors import ArquiverError, CrossCheckFailedError, NotATreeError, PositionOutOfRangeError
+from .errors import ArquiverError, CrossCheckFailedError, NotATreeError
 from .quiver import ValuedQuiver
 from .repetitive import ZVertex, mesh_inputs
 
@@ -112,16 +106,10 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
         ("projective-recursion", arq.projective, recursive_projective_dims(arq.quiver)),
         ("injective-recursion", arq.injective, recursive_injective_dims(arq.quiver)),
     ):
-        try:
-            # Every position first: an injective with no orbit fails whatever the vectors.
-            positions = list(map(position, vertices))
-        except PositionOutOfRangeError as exc:
-            report.add(name, False, str(exc))
-        else:
-            pairs = zip(vertices, positions)  # the first, in 1..n, whose vector differs
-            bad = next((p for i, p in pairs if orbits[p.base - 1][p.level] != recursive[i]), None)
-            detail = "" if bad is None else f"dimension vectors differ at {bad}"
-            report.add(name, bad is None, detail)
+        pairs = zip(vertices, map(position, vertices))  # the first, in 1..n, whose vector differs
+        bad = next((p for i, p in pairs if orbits[p.base - 1][p.level] != recursive[i]), None)
+        detail = "" if bad is None else f"dimension vectors differ at {bad}"
+        report.add(name, bad is None, detail)
     return report
 
 
@@ -166,19 +154,9 @@ def _reason(exc: Exception) -> str:
 
 
 def _positions(arq: ARQuiver) -> Callable[[ZVertex], int]:
-    """Where a vertex sits in ``arq.vertices``: its orbit's offset plus its
-    level.  Raises ``KeyError(v)``, as a dict would, for a ``v`` off the
-    orbits."""
-    sizes = list(map(len, arq.orbits))
-    offsets = [0, *accumulate(sizes)]
-
-    def position(v: ZVertex) -> int:
-        level, base = v
-        if 0 < base <= len(sizes) and 0 <= level < sizes[base - 1]:
-            return offsets[base - 1] + level
-        raise KeyError(v)
-
-    return position
+    """Where a vertex sits in ``arq.vertices``; raises ``KeyError(v)`` for
+    a ``v`` off the orbits."""
+    return {v: k for k, v in enumerate(arq.vertices)}.__getitem__
 
 
 def _successors(arq: ARQuiver) -> list[list[int]]:
@@ -450,9 +428,7 @@ def _distance_witness(lengths: list[tuple[int, int] | None], order: int) -> str:
 
 def _closed_form_witness(arq: ARQuiver, m: tuple[int, ...], rho: tuple[int, ...]) -> str:
     """The first base whose knitted ``(m, rho)`` differs from the closed
-    form's ``(m, rho)``; ``rho`` of the wrong length is named first."""
-    if len(arq.rho) != arq.n:
-        return _wrong_length(arq.rho, arq.n)
+    form's ``(m, rho)``."""
     pairs = enumerate(zip(zip(arq.m, arq.rho), zip(m, rho)), start=1)
     i, (knitted, closed) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
     return f"base {i}: knitted (m, rho) = {knitted}, closed form {closed}"
@@ -467,12 +443,7 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     ``projective-injective-distance`` read those lengths, so each pair is
     walked once.
     """
-    try:
-        ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
-    except PositionOutOfRangeError as exc:  # rho is not a permutation
-        unpaired, ends = str(exc), []
-    else:
-        unpaired = ""  # why some injective has no position, if one has none
+    ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
     unread = ""  # why the path table could not be read, if it could not
     try:
         audit, lengths = _path_audit(arq, ends)
@@ -495,15 +466,15 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
         else:
             report.add(name, True)
 
-    guarded("count-identity", lambda: _count_identity(arq, order, lengths), unread or unpaired)
-    guarded("derived-period", lambda: derived_nilpotency(arq, order), unpaired)
+    guarded("count-identity", lambda: _count_identity(arq, order, lengths), unread)
+    guarded("derived-period", lambda: derived_nilpotency(arq, order))
     guarded("cluster-count", lambda: cluster_count(arq, order))
     witness = _orbit_index_witness(arq)
     report.add("orbit-index-relation", not witness, witness)
 
     # Read from the path audit, independently of the closed form that
     # ``counts_and_nilpotency`` reads.
-    reason = unread or unpaired or _distance_witness(lengths, order)
+    reason = unread or _distance_witness(lengths, order)
     report.add("projective-injective-distance", not reason, reason)
 
     vectors = list(chain.from_iterable(arq.orbits))

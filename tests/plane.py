@@ -229,13 +229,8 @@ def reference_spans(
 
 def reference_orbit_relation(arq) -> bool:
     """What ``ar_quiver.orbit_index_relation_holds`` returns, one
-    ``arrow_counts`` pair at a time; ``False`` when ``rho`` does not hold
-    one entry per vertex or names a vertex outside ``1..n``."""
+    ``arrow_counts`` pair at a time."""
     q = arq.quiver
-    if len(arq.rho) != q.n:
-        return False
-    if any(not 1 <= r <= q.n for r in arq.rho):
-        return False
     for i in q.vertices():
         for j in q.vertices():
             lhs = arq.m_of(i) - arq.m_of(j)

@@ -164,6 +164,58 @@ def test_a_layout_without_one_orbit_of_n_tuples_per_vertex_is_rejected(change, m
         replace(arq, orbits=change(arq.orbits))
 
 
+def _rho_reason(rho: tuple, n: int) -> str:
+    """Why ``rho`` is no permutation of ``1..n``, or ``""``: its length,
+    else its first entry off the bases, else the least base it misses."""
+    if len(rho) != n:
+        return f"rho has {len(rho)} entries for {n} vertices"
+    stray = [r for r in rho if not 1 <= r <= n]
+    if stray:
+        return f"rho names {stray[0]}, not a vertex in 1..{n}"
+    missing = [l for l in range(1, n + 1) if l not in rho]
+    return f"no orbit ends at injective {missing[0]}" if missing else ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rho_constructs_exactly_when_it_is_a_permutation(data):
+    family, rank = data.draw(st.sampled_from(all_diagrams(6)))
+    g = canonical_diagram(family, rank)
+    arq = build(orient(g, data.draw(st.integers(0, (1 << len(g.edges)) - 1))))
+    rho = tuple(
+        data.draw(
+            st.permutations(range(1, rank + 1))
+            | st.lists(st.integers(-1, rank + 2), max_size=rank + 2)
+        )
+    )
+    reason = _rho_reason(rho, rank)
+    if reason:
+        with pytest.raises(KnitInconsistentError) as caught:
+            replace(arq, rho=rho)
+        assert str(caught.value) == reason
+    else:  # involutive or not: whether rho pairs orbits is left to the checks
+        assert replace(arq, rho=rho).rho == rho
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        ((6, 5, 3, 4, 2, 1, 1), "rho has 7 entries for 6 vertices"),
+        ((6, 5, 3, 7, 2, 1), "rho names 7, not a vertex in 1..6"),
+        ((6, 5, 3, 6, 2, 1), "no orbit ends at injective 4"),
+        ([6, 5, 3, 4, 2, 1], "rho is a list, not a tuple"),
+        ((6, 5, 3.0, 4, 2, 1), "rho names 3.0, not a vertex in 1..6"),
+        ((6, 5, 3, True, 2, 1), "rho names True, not a vertex in 1..6"),
+    ],
+    ids=["long", "stray", "missing", "list", "float", "bool"],
+)
+def test_a_rho_that_is_no_permutation_is_named_at_construction(rho, message):
+    arq = build(e6_example())
+    with pytest.raises(KnitInconsistentError) as caught:
+        replace(arq, rho=rho)
+    assert str(caught.value) == message
+
+
 def test_build_and_check_read_no_position_keyed_vectors():
     # What `arquiver build` and `arquiver check` run reads the orbits: the
     # only views built are `m`, `vertices` and `arrows`, none keyed by position.
@@ -218,8 +270,8 @@ def test_orbit_index_relation():
 
 @st.composite
 def _orbit_data(draw, max_rank=8):
-    """A built quiver with ``m`` and ``rho`` kept, shifted or redrawn:
-    ``rho`` over ``0..n+1`` or permuted."""
+    """A built quiver with ``m`` kept, shifted or redrawn, and ``rho`` kept
+    or redrawn as any permutation of the bases."""
     family, rank = draw(st.sampled_from(all_diagrams(max_rank)))
     g = canonical_diagram(family, rank)
     arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
@@ -231,13 +283,7 @@ def _orbit_data(draw, max_rank=8):
         m = tuple(x + c for x in arq.m)
     else:
         m = tuple(draw(st.lists(st.integers(0, 2 * rank), min_size=rank, max_size=rank)))
-    rho = draw(
-        st.one_of(
-            st.just(arq.rho),
-            st.permutations(arq.rho).map(tuple),
-            st.lists(st.integers(0, rank + 1), min_size=rank, max_size=rank).map(tuple),
-        )
-    )
+    rho = draw(st.just(arq.rho) | st.permutations(arq.rho).map(tuple))
     return relaid(arq, m=m, rho=rho)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from arquiver import (
     CrossCheckFailedError,
     DerivedVertex,
+    KnitInconsistentError,
     SingularCartanError,
     ZVertex,
     build,
@@ -166,10 +167,19 @@ def test_order_identity_check_examples():
         "order 24 is not h = 12 for E6"
     )
     assert _order_identity_witness(corrupted, cd) == "m(1) + m(rho(1)) + 2 = 11, not |C| = 12"
-    # A rho entry off the vertices is a failure, not PositionOutOfRangeError.
-    unpaired = replace(e6, rho=(6, 5, 3, 7, 2, 1))
-    assert _order_identity_witness(unpaired, cd) == "rho(4) = 7 is not a vertex in 1..6"
-    assert not order_identity_check(unpaired, cd)
+    # A rho entry off the vertices never reaches the check: the constructor names it.
+    with pytest.raises(KnitInconsistentError) as caught:
+        replace(e6, rho=(6, 5, 3, 7, 2, 1))
+    assert str(caught.value) == "rho names 7, not a vertex in 1..6"
+
+
+def test_a_short_rho_never_reaches_the_order_identity_check():
+    # The witness reads rho(i) for every base, so a rho one entry short is
+    # refused before any check can run.
+    e6 = build(e6_example())
+    with pytest.raises(KnitInconsistentError) as caught:
+        replace(e6, rho=e6.rho[:-1])
+    assert str(caught.value) == "rho has 5 entries for 6 vertices"
 
 
 def test_order_independent_of_orientation_sample():

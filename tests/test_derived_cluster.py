@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from arquiver import (
     CrossCheckFailedError,
     DerivedVertex,
+    KnitInconsistentError,
     PositionOutOfRangeError,
     build,
     cluster_count,
@@ -175,10 +176,10 @@ def test_fundamental_domain_size_formula():
         # distance check passes, but the period climbs orbit 1 into orbit 2
         # and orbit 2 into orbit 3.
         ((0, 1, 2), (2, 3, 1), 4, "level=1, base=3, shift=2"),
-        # A period of 3, one short of h, with rho = (3, 1, 1): injective 1
+        # A period of 3, one short of h, with rho = (3, 1, 2): injective 1
         # ends orbit 2, one arrow from P_1 as the distance check asks, but
         # the period leaves orbit 1 at once and stops two levels up orbit 3.
-        ((0, 1, 2), (3, 1, 1), 3, "level=2, base=3, shift=1"),
+        ((0, 1, 2), (3, 1, 2), 3, "level=2, base=3, shift=1"),
     ],
 )
 def test_a_period_that_misses_home_is_named_with_where_it_lands(m, rho, order, landing):
@@ -189,6 +190,14 @@ def test_a_period_that_misses_home_is_named_with_where_it_lands(m, rho, order, l
     )
     with pytest.raises(CrossCheckFailedError, match=message):
         derived_nilpotency(relaid(arq, m=m, rho=rho), order)
+
+
+def test_a_pairing_that_is_no_permutation_never_reaches_the_period():
+    # rho = (3, 1, 1) ends no orbit at injective 2: the constructor names it.
+    arq, _ = _with_order(a3_linear())
+    with pytest.raises(KnitInconsistentError) as caught:
+        relaid(arq, m=(0, 1, 2), rho=(3, 1, 1))
+    assert str(caught.value) == "no orbit ends at injective 2"
 
 
 def _reference_derived_nilpotency(arq, order):
@@ -232,14 +241,11 @@ def test_derived_nilpotency_matches_the_period_walk_on_corrupted_orbits(data):
     q = data.draw(st.sampled_from(_SMALL))
     arq, order = _with_order(q)
     n = arq.n
-    rho, m = list(arq.rho), list(arq.m)
-    if data.draw(st.booleans()):  # swap two partners: rho stays a permutation
-        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
-        rho[a], rho[b] = rho[b], rho[a]
+    # rho redrawn as any permutation, involutive or not; m edited anywhere,
+    # an orbit holding at least its projective.
+    rho, m = data.draw(st.just(arq.rho) | st.permutations(arq.rho)), list(arq.m)
     for _ in range(data.draw(st.integers(0, 2))):
-        edited = data.draw(st.sampled_from([rho, m]))
-        lowest = -1 if edited is rho else 0  # an orbit holds at least its projective
-        edited[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(lowest, n + 1))
+        m[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n + 1))
     order = data.draw(st.sampled_from([order, order, order + 2, order - 1, 0]))
     arq = relaid(arq, m=m, rho=tuple(rho))
     expected = _outcome(_reference_derived_nilpotency, arq, order)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import arquiver
 
 SOURCES = sorted(Path(arquiver.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKER = README.parent / "perfbench" / "worker.py"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -30,3 +32,28 @@ def test_readme_library_example_runs():
     assert (namespace["arq"].m, namespace["arq"].rho) == ((2, 2), (1, 2))
     assert namespace["cd"].order == 6
     assert namespace["report"]["counts"] == {"indecomposables": 6, "cluster": 8}
+
+
+def test_every_name_the_benchmark_worker_imports_resolves():
+    # Read, not imported, so the test needs no perfbench path.  A name the
+    # worker imports that the package no longer has would fail every
+    # benchmark command.
+    tree = ast.parse(WORKER.read_text(encoding="utf-8"), filename=str(WORKER))
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("arquiver")
+        for alias in node.names
+    ]
+    assert {module for module, _ in imported} == {
+        "arquiver",
+        "arquiver.cli",
+        "arquiver.dynkin",
+        "arquiver.oracle",
+    }
+    missing = [
+        f"{module}.{name}"
+        for module, name in imported
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from arquiver import (
     ArquiverError,
     CrossCheckFailedError,
+    KnitInconsistentError,
     ZVertex,
     build,
     coxeter_matrix,
@@ -360,10 +361,10 @@ def test_run_all_checks_orbit_data_against_closed_forms():
     assert result["orbit-index-relation"] == (
         "orbit-index-relation: FAIL (m(1) - m(3) = -1, not the walk statistic 0)"
     )
-    longer = replace(arq, rho=arq.rho + (1,))
-    result = {c.name: c.line() for c in run_all(longer, order).checks}
-    for name in ("closed-form-orbits", "orbit-index-relation"):
-        assert result[name] == f"{name}: FAIL (rho has 7 entries for 6 vertices)"
+    # A longer rho never reaches the checks: the constructor names it.
+    with pytest.raises(KnitInconsistentError) as caught:
+        replace(arq, rho=arq.rho + (1,))
+    assert str(caught.value) == "rho has 7 entries for 6 vertices"
 
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
@@ -712,12 +713,9 @@ def _broken_quivers(draw, max_rank=5):
     if kind == "cut":  # leaves an arrow into a vertex past the top of its orbit
         past = ZVertex(arq.m_of(za.dst.base) + 1, za.dst.base)
         return _with_extra_arrows(arq, (za.src, past))
-    # Orbits of any length, and rho of any length up to rank + 2, entries
-    # past 1..rank included.
+    # Orbits of any length, and rho any permutation of the bases.
     m = draw(st.lists(st.integers(0, 2 * rank + 1), min_size=rank, max_size=rank))
-    rho = draw(
-        st.permutations(arq.rho) | st.lists(st.integers(-1, rank + 2), max_size=rank + 2)
-    )
+    rho = draw(st.permutations(arq.rho))
     return relaid(arq, m=m, rho=tuple(rho), arrows=arq.arrows)
 
 
@@ -795,61 +793,36 @@ def test_an_arrow_end_off_the_orbits_fails_every_check_that_reads_paths(src, dst
     ]
 
 
-# The checks that read an injective's position.
-_INJECTIVE_CHECKS = {
-    "injective-recursion",
-    "count-identity",
-    "derived-period",
-    "projective-injective-distance",
-}
-
-
-def _unpaired_lines(reason, witnesses):
-    """The lines of linear A3 with orbit data that place no injective,
-    ``witnesses`` naming why each orbit-data check fails."""
-    return [
-        f"{name}: FAIL ({reason})" if name in _INJECTIVE_CHECKS
-        else f"{name}: FAIL ({witnesses[name]})" if name in witnesses
-        else f"{name}: PASS"
-        for name in _CHECK_NAMES
-    ]
-
-
 @pytest.mark.parametrize(
-    "rho, missing, orbit_index, closed_form",
+    "rho, reason",
     [
-        ((1, 1, 1), 2, "m(2) - m(1) = 1, not the walk statistic 0", "(0, 1), closed form (0, 3)"),
-        ((0, 2, 1), 3, "rho names 0, not a vertex in 1..3", "(0, 0), closed form (0, 3)"),
+        ((1, 1, 1), "no orbit ends at injective 2"),
+        ((0, 2, 1), "rho names 0, not a vertex in 1..3"),
     ],
     ids=["repeated", "zero"],
 )
-def test_a_rho_that_is_no_permutation_fails_every_check_that_reads_an_injective(
-    rho, missing, orbit_index, closed_form
-):
-    witnesses = {
-        "orbit-index-relation": orbit_index,
-        "closed-form-orbits": f"base 1: knitted (m, rho) = {closed_form}",
-    }
-    assert _lines(replace(build(a3_linear()), rho=rho)) == _unpaired_lines(
-        f"no orbit ends at injective {missing}", witnesses
-    )
+def test_a_rho_that_is_no_permutation_fails_every_check_that_reads_an_injective(rho, reason):
+    # No check reads such a rho: the constructor refuses it, naming why.
+    with pytest.raises(KnitInconsistentError) as caught:
+        replace(build(a3_linear()), rho=rho)
+    assert str(caught.value) == reason
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_run_all_reports_any_rho_line_by_line(data):
+    # Any permutation reaches every check; one that is no involution fails
+    # derived-period, whose full period cannot land home.
     family, rank = data.draw(st.sampled_from(all_diagrams(5)))
     g = canonical_diagram(family, rank)
     arq = build(orient(g, data.draw(st.integers(0, (1 << len(g.edges)) - 1))))
-    rho = data.draw(st.lists(st.integers(0, rank + 1), min_size=rank, max_size=rank))
-    lines = _lines(replace(arq, rho=tuple(rho)))
+    rho = tuple(data.draw(st.permutations(range(1, rank + 1))))
+    lines = _lines(replace(arq, rho=rho))
     assert [line.split(":")[0] for line in lines] == _CHECK_NAMES
-    missing = next((l for l in arq.quiver.vertices() if l not in rho), None)
-    for name, line in zip(_CHECK_NAMES, lines):
-        if missing is not None and name in _INJECTIVE_CHECKS:
-            assert line == f"{name}: FAIL (no orbit ends at injective {missing})"
-        else:
-            assert "no orbit ends" not in line
+    involutive = all(rho[r - 1] == i for i, r in enumerate(rho, 1))
+    period = lines[_CHECK_NAMES.index("derived-period")]
+    assert involutive or period.startswith("derived-period: FAIL (")
+    assert (rho == arq.rho) == (lines[-1] == "closed-form-orbits: PASS")
 
 
 @pytest.mark.parametrize(
