@@ -59,7 +59,8 @@ class ARQuiver:
 
     ``orbits[i - 1]`` is the dimension vectors of ``(r, i)`` for
     ``r = 0..m(i)``; ``m``, ``vertices`` and ``arrows`` are views of it and
-    of the quiver, built on first read.  The constructor rejects a layout
+    of the quiver, built on first read.  The constructor rejects a quiver
+    whose underlying graph is not a tree (:class:`NotATreeError`), a layout
     without one non-empty orbit per vertex of ``n``-tuples, and a ``rho``
     that is not a tuple holding each of ``1..n`` once; whether ``rho`` is an
     involution is left to the checks.
@@ -71,6 +72,9 @@ class ARQuiver:
     rho: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Raises NotATreeError unless the underlying graph is a tree; a
+        # build's knit has already made this table.
+        self.quiver.opposite()._forward_steps
         n, orbits = self.quiver.n, self.orbits
         if len(orbits) != n:
             raise KnitInconsistentError(f"{len(orbits)} orbits for {n} vertices")
@@ -424,21 +428,17 @@ def counts_and_nilpotency(arq: ARQuiver, order: int) -> Counts:
     subquiver of that plane, so its paths are the plane's.
     """
     qop = arq.quiver.opposite()
-
-    def span(i: int) -> tuple[int, int] | None:
-        d = path_length(qop, arq.projective(i), arq.injective(i))
-        return None if d is None else (d, d)
-
-    return _count_identity(arq, order, map(span, arq.quiver.vertices()))
+    lengths = (
+        path_length(qop, arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()
+    )
+    return _count_identity(arq, order, lengths)
 
 
-def _count_identity(
-    arq: ARQuiver, order: int, spans: Iterable[tuple[int, int] | None]
-) -> Counts:
+def _count_identity(arq: ARQuiver, order: int, lengths: Iterable[int | None]) -> Counts:
     """The checks of :func:`counts_and_nilpotency`, given for each ``i`` the
-    shortest and longest path length from projective ``i`` to injective
-    ``i``, or ``None`` where no path joins them.  Spans are read in order,
-    after the vertex count is checked."""
+    length of the paths from projective ``i`` to injective ``i``, or
+    ``None`` where no path joins them.  Lengths are read in order, after
+    the vertex count is checked."""
     total = sum(map(len, arq.orbits))
     if 2 * total != arq.n * order:
         half, odd = divmod(arq.n * order, 2)
@@ -446,16 +446,10 @@ def _count_identity(
             f"{total} vertices but n*|C|/2 = {half}{'.5' if odd else ''}"
         )
     dists = []
-    for i, span in zip(arq.quiver.vertices(), spans):
-        if span is None:
+    for i, d in zip(arq.quiver.vertices(), lengths):
+        if d is None:
             raise CrossCheckFailedError(f"no path from projective {i} to injective {i}")
-        shortest, longest = span
-        if shortest != longest:
-            raise CrossCheckFailedError(
-                f"parallel paths {arq.projective(i)} .. {arq.injective(i)} "
-                f"of lengths {shortest} and {longest}"
-            )
-        dists.append(shortest)
+        dists.append(d)
     if max(dists) + 1 != order - 1:
         raise CrossCheckFailedError(
             f"longest projective-to-injective distance {max(dists)} != |C| - 2"

@@ -8,12 +8,11 @@ multiplies by the *first* valuation component, the injective-side one by
 the *second*; on non-simply-laced input these differ, so the
 dimension-vector agreement checks pin the convention.
 
-The path audit runs a linear-time certificate first (see
-:func:`_certify`): when it holds, every parallel pair of paths shares one
-length and every sectional path is the only path between its ends.  Only
-when it fails does the exhaustive per-source dynamic program run, to name
-a witness; only that fallback computes a topological order.  Both read
-one numbering of the vertices, their positions in ``arq.vertices``.
+The path audit is one O(V + E) certificate (see :func:`_certify`),
+over successor lists that number each vertex by its position in
+``arq.vertices``: when it holds, every parallel pair of paths shares one
+length and every sectional path is the only path between its ends; when
+it fails, it names the first uncertified arrow.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable
 
 from .ar_quiver import ARQuiver, _closed_form_rho_m, _count_identity, _orbit_index_witness
 from .derived import cluster_count, derived_nilpotency
-from .errors import ArquiverError, CrossCheckFailedError, NotATreeError
+from .errors import ArquiverError, CrossCheckFailedError
 from .quiver import ValuedQuiver
 from .repetitive import ZVertex, mesh_inputs
 
@@ -173,125 +172,8 @@ def _successors(arq: ARQuiver) -> list[list[int]]:
     return successors
 
 
-def _topological_order(arq: ARQuiver, successors: list[list[int]]) -> list[int]:
-    """Kahn's order of the positions: the sources sorted by vertex, then
-    each vertex once its last in-arrow is taken, heads in arrow order.
-
-    Raises :class:`CrossCheckFailedError` on an oriented cycle.
-    """
-    indegree = [0] * len(successors)
-    for w in chain.from_iterable(successors):
-        indegree[w] += 1
-    order = sorted((v for v, d in enumerate(indegree) if not d), key=arq.vertices.__getitem__)
-    for v in order:  # grows while it is read: first in, first out
-        for w in successors[v]:
-            indegree[w] -= 1
-            if not indegree[w]:
-                order.append(w)
-    if len(order) != len(successors):
-        raise CrossCheckFailedError("translation quiver contains an oriented cycle")
-    return order
-
-
-def _audit(
-    arq: ARQuiver, successors: list[list[int]], ends: list[tuple[ZVertex, ZVertex]]
-) -> tuple[OracleReport, list[tuple[int, int] | None]]:
-    """Parallel-path and sectional-uniqueness audit, one source at a time.
-
-    Each source gets one DP over the vertices after it in
-    :func:`_topological_order`, whose path counts and shortest/longest
-    lengths are dropped once the source's sectional paths have been
-    checked against them, so memory stays linear in the quiver.  Besides
-    the report, returns the shortest and longest length from ``a`` to
-    ``b`` for each pair of ``ends``, or ``None`` where no path joins them.
-    """
-    vertices, position = arq.vertices, _positions(arq)
-    order = _topological_order(arq, successors)
-    size = len(order)
-    wanted: dict[int, list[tuple[int, int]]] = {}
-    for k, (a, b) in enumerate(ends):
-        wanted.setdefault(position(a), []).append((k, position(b)))
-    lengths: list[tuple[int, int] | None] = [None] * len(ends)
-    # A sectional path never continues through the inverse translate of the
-    # vertex before its last one: that would be a hook and leave the section.
-    hook = [k + 1 if v.level < arq.m[v.base - 1] else None for k, v in enumerate(vertices)]
-
-    # Witnesses: the first bad pair with sources in topological order, and
-    # the first bad sectional path with starts in ``arq.vertices`` order.
-    parallel: tuple[int, int] | None = None
-    sectional: tuple[int, int] | None = None
-    for t, src in enumerate(order):
-        later = order[t:]
-        count = [0] * size
-        shortest = [-1] * size
-        longest = [-1] * size
-        count[src], shortest[src], longest[src] = 1, 0, 0
-        for v in later:
-            c = count[v]
-            if not c:
-                continue
-            lo, hi = shortest[v] + 1, longest[v] + 1
-            for w in successors[v]:
-                if count[w]:
-                    count[w] += c
-                    if lo < shortest[w]:
-                        shortest[w] = lo
-                    if hi > longest[w]:
-                        longest[w] = hi
-                else:
-                    count[w], shortest[w], longest[w] = c, lo, hi
-
-        for k, stop in wanted.get(src, ()):
-            if count[stop]:
-                lengths[k] = (shortest[stop], longest[stop])
-        if parallel is None and shortest != longest:
-            parallel = (src, _first_discovered(successors, shortest, longest, later))
-
-        # The hook rule needs only the last two vertices of a path, so the
-        # stack holds (before, last) pairs, popped in the order a search
-        # over whole paths would pop them.
-        if sectional is not None and sectional[0] < src:
-            continue  # an earlier start already has a witness
-        stack = [(src, w) for w in successors[src]]
-        while stack:
-            before, last = stack.pop()
-            if count[last] != 1:
-                sectional = (src, last)
-                break
-            skip = hook[before]
-            stack.extend((last, w) for w in successors[last] if w != skip)
-
-    report = OracleReport()
-    for name, what, witness in (
-        ("parallel-path-lengths", "lengths differ", parallel),
-        ("sectional-uniqueness", "extra parallel path", sectional),
-    ):
-        if witness is None:
-            report.add(name, True)
-        else:
-            a, b = map(vertices.__getitem__, witness)
-            report.add(name, False, f"{what} between {a} and {b}")
-    return report, lengths
-
-
-def _first_discovered(
-    successors: list[list[int]], shortest: list[int], longest: list[int], later: list[int]
-) -> int:
-    """The first target reached from ``later[0]`` whose path lengths
-    differ, ``later`` being the topological order from there on."""
-    seen = {later[0]}
-    for v in later:
-        if shortest[v] >= 0:
-            for w in successors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    if shortest[w] != longest[w]:
-                        return w
-    raise AssertionError("no target with unequal path lengths")
-
-
-def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int] | None:
-    """A potential proving the path audit passes, or ``None``.
+def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int]:
+    """A potential proving the path audit passes.
 
     The potential is indexed by position in ``arq.vertices``, as
     ``successors`` is: phi(v) = 2 * level(v) + c(base(v)), where c(x) is
@@ -303,6 +185,10 @@ def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int] | None:
         holds by construction;
     (c) every arrow joins two bases adjacent in the ext-quiver, a tree;
     (d) no vertex has the same head twice.
+
+    Raises :class:`CrossCheckFailedError` naming the first arrow that
+    breaks (d), (a) or (c), tails in ``arq.vertices`` order and each
+    tail's heads in arrow order, a doubled head before the others.
 
     Why it suffices (the covering argument of Bongartz-Gabriel, "Covering
     spaces in representation theory", Invent. Math. 1982).  By (a) every
@@ -321,10 +207,7 @@ def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int] | None:
     geodesic, and the two paths coincide.
     """
     vertices, q = arq.vertices, arq.quiver
-    try:
-        steps = q.opposite()._forward_steps
-    except NotATreeError:
-        return None
+    steps = q.opposite()._forward_steps
     adjacent = {(a.src, a.dst) for a in q.arrows}
     adjacent |= {(y, x) for x, y in adjacent}
     c = [0, *(steps[1][x] - steps[x][1] for x in q.vertices())]
@@ -332,12 +215,22 @@ def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int] | None:
     phi = [2 * level + c[base] for level, base in vertices]
     for v, heads in enumerate(successors):
         x, rise = bases[v], phi[v] + 1
-        if len(set(heads)) != len(heads):
-            return None  # (d)
+        if len(set(heads)) != len(heads):  # (d)
+            w = next(w for k, w in enumerate(heads) if w in heads[:k])
+            raise _uncertified(vertices[v], vertices[w], "is doubled")
         for w in heads:
-            if phi[w] != rise or (x, bases[w]) not in adjacent:
-                return None  # (a), (c)
+            if phi[w] != rise:  # (a)
+                why = "does not raise 2 * level + c(base) by one"
+                raise _uncertified(vertices[v], vertices[w], why)
+            if (x, bases[w]) not in adjacent:  # (c)
+                why = f"joins bases {x} and {bases[w]}, which are not adjacent"
+                raise _uncertified(vertices[v], vertices[w], why)
     return phi
+
+
+def _uncertified(u: ZVertex, w: ZVertex, why: str) -> CrossCheckFailedError:
+    """The error naming the arrow ``u -> w`` that breaks the certificate."""
+    return CrossCheckFailedError(f"no path certificate: arrow {u} -> {w} {why}")
 
 
 def _spans(
@@ -345,16 +238,17 @@ def _spans(
     successors: list[list[int]],
     phi: list[int],
     ends: list[tuple[ZVertex, ZVertex]],
-) -> list[tuple[int, int] | None]:
-    """``(shortest, longest)`` from ``a`` to ``b`` for each pair of ``ends``.
+) -> list[int | None]:
+    """The length of the paths from ``a`` to ``b`` for each pair of
+    ``ends``, or ``None`` where no path joins the pair.
 
-    Under the certificate both are phi(b) - phi(a) when ``b`` is
-    reachable; one sweep over the vertices in decreasing phi decides that
-    for every pair at once.  Vertex ``v`` carries a bitmask with bit ``k``
+    Under the certificate every such path is phi(b) - phi(a) long; one
+    sweep over the vertices in decreasing phi decides reachability for
+    every pair at once.  Vertex ``v`` carries a bitmask with bit ``k``
     set when ``v`` is the ``b`` of pair ``k`` or a successor of ``v``
     carries bit ``k``, that is, when a path leads from ``v`` to that
     ``b``; phi rises by one along every arrow, so successors are done
-    first.  ``None`` where no path joins the pair.
+    first.
     """
     position = _positions(arq)
     located = [(position(a), position(b)) for a, b in ends]
@@ -365,19 +259,21 @@ def _spans(
         for w in successors[v]:
             reach[v] |= reach[w]
     return [
-        (phi[stop] - phi[start],) * 2 if reach[start] >> k & 1 else None
+        phi[stop] - phi[start] if reach[start] >> k & 1 else None
         for k, (start, stop) in enumerate(located)
     ]
 
 
 def _path_audit(
     arq: ARQuiver, ends: list[tuple[ZVertex, ZVertex]]
-) -> tuple[OracleReport, list[tuple[int, int] | None]]:
-    """What :func:`_audit` returns, from the certificate whenever it holds."""
+) -> tuple[OracleReport, list[int | None]]:
+    """Both audit lines, passed, and the :func:`_spans` of ``ends``.
+
+    Raises :class:`CrossCheckFailedError` from :func:`_certify`, and
+    ``KeyError(v)`` for an arrow end ``v`` off the orbits.
+    """
     successors = _successors(arq)
     phi = _certify(arq, successors)
-    if phi is None:
-        return _audit(arq, successors, ends)
     report = OracleReport()
     report.add("parallel-path-lengths", True)
     report.add("sectional-uniqueness", True)
@@ -388,10 +284,10 @@ def audit_paths(arq: ARQuiver) -> OracleReport:
     """Parallel-path and sectional-uniqueness audit.
 
     All parallel paths must share one length, and the endpoints of a
-    sectional path must be joined by no other path.  The linear-time
-    certificate of :func:`_certify` decides a pass; when it fails, the
-    exhaustive per-source audit runs over every reachable pair, in memory
-    linear in the quiver, and names the first witness.
+    sectional path must be joined by no other path.  The O(V + E)
+    certificate of :func:`_certify` proves both, so the report passes;
+    when the certificate fails, :class:`CrossCheckFailedError` names the
+    first uncertified arrow.
     """
     return _path_audit(arq, [])[0]
 
@@ -411,17 +307,16 @@ def _non_positive_vector(arq: ARQuiver, vectors: list[tuple[int, ...]]) -> str:
     return f"{'negative entry' if any(x) else 'zero vector'} at {v}"
 
 
-def _distance_witness(lengths: list[tuple[int, int] | None], order: int) -> str:
-    """The first ``i`` whose shortest and longest path from projective
-    ``i`` to injective ``i`` are not both ``order - 2``, or ``""``."""
-    expected = (order - 2, order - 2)
-    for i, span in enumerate(lengths, start=1):
-        if span is None:
+def _distance_witness(lengths: list[int | None], order: int) -> str:
+    """The first ``i`` whose paths from projective ``i`` to injective ``i``
+    are not ``order - 2`` long, or that has none, or ``""``."""
+    for i, d in enumerate(lengths, start=1):
+        if d is None:
             return f"no path from projective {i} to injective {i}"
-        if span != expected:
+        if d != order - 2:
             return (
-                f"projective {i} to injective {i}: shortest path {span[0]}, "
-                f"longest {span[1]}, not |C| - 2 = {order - 2}"
+                f"projective {i} to injective {i}: shortest path {d}, "
+                f"longest {d}, not |C| - 2 = {order - 2}"
             )
     return ""
 
@@ -438,16 +333,16 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     """Full oracle suite plus the global counting identities.
 
     The path audit and the projective-to-injective lengths come from the
-    certificate of :func:`_certify`; only when it fails does the
-    exhaustive audit run, to name a witness.  Both ``count-identity`` and
-    ``projective-injective-distance`` read those lengths, so each pair is
-    walked once.
+    certificate of :func:`_certify`, in O(V + E); when it fails, every
+    check that reads paths fails with the first uncertified arrow.  Both
+    ``count-identity`` and ``projective-injective-distance`` read those
+    lengths, so each pair is walked once.
     """
     ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
-    unread = ""  # why the path table could not be read, if it could not
+    unread = ""  # why the paths could not be read, if they could not
     try:
         audit, lengths = _path_audit(arq, ends)
-    except (CrossCheckFailedError, KeyError) as exc:  # an oriented cycle or a loose arrow
+    except (CrossCheckFailedError, KeyError) as exc:  # an uncertified or a loose arrow
         unread, audit = _reason(exc), OracleReport()
         audit.add("parallel-path-lengths", False, unread)
         audit.add("sectional-uniqueness", False, unread)

@@ -151,8 +151,8 @@ def successors(arq) -> dict[ZVertex, tuple[ZVertex, ...]]:
 
 
 def topological_order(arq) -> tuple[ZVertex, ...]:
-    """Kahn's order over ``ZVertex`` keys, the reference for the order of
-    ``oracle._topological_order``: sorted sources first, heads in arrow order."""
+    """Kahn's order over ``ZVertex`` keys: sorted sources first, heads in
+    arrow order."""
     out = successors(arq)
     indeg = {v: 0 for v in arq.vertices}
     for za in arq.arrows:
@@ -206,15 +206,15 @@ def distance(arq, a: ZVertex, b: ZVertex) -> int | None:
 
 def reference_spans(
     arq, phi: list[int], ends: list[tuple[ZVertex, ZVertex]]
-) -> list[tuple[int, int] | None]:
+) -> list[int | None]:
     """What ``oracle._spans`` returns, by one forward search per pair over
-    the topological order from ``a`` up to ``b``: ``(phi(b) - phi(a),) * 2``
-    when ``b`` is reached, ``None`` otherwise.  ``phi`` is indexed by
-    position in ``arq.vertices``."""
+    the topological order from ``a`` up to ``b``: ``phi(b) - phi(a)`` when
+    ``b`` is reached, ``None`` otherwise.  ``phi`` is indexed by position
+    in ``arq.vertices``."""
     order, out = topological_order(arq), successors(arq)
     rank = {v: t for t, v in enumerate(order)}
     at = {v: k for k, v in enumerate(arq.vertices)}
-    spans: list[tuple[int, int] | None] = []
+    spans: list[int | None] = []
     for a, b in ends:
         if a not in rank or b not in rank or rank[b] < rank[a]:
             spans.append(None)
@@ -223,7 +223,7 @@ def reference_spans(
         for v in order[rank[a] : rank[b]]:
             if v in reached:
                 reached.update(out[v])
-        spans.append((phi[at[b]] - phi[at[a]],) * 2 if b in reached else None)
+        spans.append(phi[at[b]] - phi[at[a]] if b in reached else None)
     return spans
 
 
@@ -243,7 +243,7 @@ def reference_orbit_relation(arq) -> bool:
     return True
 
 
-# -- all-pairs path audit, the reference for ``oracle.audit_paths`` ----------------
+# -- all-pairs path audit, the exact reference for ``oracle.audit_paths`` ----------
 
 
 def path_statistics(arq) -> tuple[dict[tuple[ZVertex, ZVertex], int], dict, dict]:
@@ -288,7 +288,10 @@ def sectional_paths(arq) -> list[tuple[ZVertex, ZVertex]]:
 
 
 def reference_audit_lines(arq) -> list[str]:
-    """The two audit lines, from all-pairs tables held in memory at once."""
+    """The two audit lines, from all-pairs tables held in memory at once:
+    the first pair whose path lengths differ and the first sectional path
+    with a second path beside it, where ``oracle.audit_paths`` names the
+    first arrow its certificate cannot vouch for."""
     counts, shortest, longest = path_statistics(arq)
     bad = next((p for p in counts if shortest[p] != longest[p]), None)
     lines = [
