@@ -108,9 +108,8 @@ class ARQuiver:
     def vertices(self) -> tuple[ZVertex, ...]:
         """The positions orbit by orbit, each orbit in level order; the
         oracle's path audit numbers a vertex by its place here."""
-        return tuple(
-            ZVertex(r, i) for i, orbit in enumerate(self.orbits, 1) for r in range(len(orbit))
-        )
+        pairs = ((r, i) for i, orbit in enumerate(self.orbits, 1) for r in range(len(orbit)))
+        return tuple(map(tuple.__new__, repeat(ZVertex), pairs))
 
     @cached_property
     def arrows(self) -> tuple[ZArrow, ...]:
@@ -135,14 +134,13 @@ class ARQuiver:
                 (start[x - 1], start[y - 1] + up, min(m[x - 1], m[y - 1] - up), a, up)
                 for y, up, a in heads
             ]
-        arrows: list[ZArrow] = []
-        for s in range(max(m) + 1):
-            arrows += [
-                ZArrow(vertices[tail + s], vertices[head + s], a, star)
-                for tail, head, top, a, star in spans
-                if s <= top
-            ]
-        return tuple(arrows)
+        fields = (
+            (vertices[tail + s], vertices[head + s], a, star)
+            for s in range(max(m) + 1)
+            for tail, head, top, a, star in spans
+            if s <= top
+        )
+        return tuple(map(tuple.__new__, repeat(ZArrow), fields))
 
     def m_of(self, i: int) -> int:
         """The level of the injective on base ``i``."""

@@ -8,18 +8,20 @@ multiplies by the *first* valuation component, the injective-side one by
 the *second*; on non-simply-laced input these differ, so the
 dimension-vector agreement checks pin the convention.
 
-The path audit is one O(V + E) certificate (see :func:`_certify`),
-over successor lists that number each vertex by its position in
-``arq.vertices``: when it holds, every parallel pair of paths shares one
-length and every sectional path is the only path between its ends; when
-it fails, it names the first uncertified arrow.
+Each check that reads the whole quiver takes its verdict on packed
+arrays: the mesh relations on orbits packed into ints, whose byte layout
+also shows no entry negative (:func:`_meshes_hold`); the path audit, an
+O(V + E) certificate (:func:`_certify`), on each arrow's ends numbered
+by position in ``arq.vertices``: when it holds, parallel paths share one
+length and a sectional path is the only path between its ends.  Only a
+failing verdict is walked vertex by vertex, to name its first witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 from typing import Callable
 
 from .ar_quiver import ARQuiver, _closed_form_rho_m, _count_identity, _orbit_index_witness
@@ -94,10 +96,16 @@ def recursive_injective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
 
 
 def verify_mesh(arq: ARQuiver) -> OracleReport:
-    """Check every mesh relation, by :func:`_mesh_witness`, and both
-    boundary recursions."""
+    """Check every mesh relation, decided on packed orbits by
+    :func:`_meshes_hold` and walked by :func:`_mesh_witness` only to name
+    the first that fails, and both boundary recursions."""
+    return _verify_mesh(arq, _meshes_hold(arq))
+
+
+def _verify_mesh(arq: ARQuiver, holds: bool | None) -> OracleReport:
+    """:func:`verify_mesh`, walking the meshes unless ``holds``."""
     report = OracleReport()
-    witness = _mesh_witness(arq, mesh_inputs(arq.quiver.opposite()))
+    witness = "" if holds else _mesh_witness(arq, mesh_inputs(arq.quiver.opposite()))
     report.add("mesh-additivity", not witness, witness)
 
     orbits, vertices = arq.orbits, arq.quiver.vertices()
@@ -110,6 +118,46 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
         detail = "" if bad is None else f"dimension vectors differ at {bad}"
         report.add(name, bad is None, detail)
     return report
+
+
+def _meshes_hold(arq: ARQuiver) -> bool | None:
+    """Whether every mesh relation holds; ``None`` when an entry is not an
+    int in ``0..255``, which leaves the meshes and the entries' signs to
+    their walks.  Each orbit is laid out as ``bytes`` and widened into one
+    int, entry ``p`` in lane ``p``, each lane wide enough for any mesh sum
+    of bytes under the table's weights.  Orbit ``b``'s levels ``1..m(b)``
+    plus its levels ``0..m(b) - 1`` must equal the sum of ``w`` times
+    levels ``1 + offset .. m(b) + offset`` of each input ``(offset, src,
+    w)``: one shift and mask per input, one ``==`` per orbit.  An orbit is
+    held packed only while a base whose mesh reads it is to come.
+    """
+    orbits, n, meshes = arq.orbits, arq.n, mesh_inputs(arq.quiver.opposite())
+    reach = 255 * max([2, *(sum(w for *_, w in inputs) for inputs in meshes.values())])
+    width = (reach.bit_length() + 7) // 8
+    bits = 8 * width * n  # one level of an orbit
+    packed: dict[int, int] = {}
+    holds = True
+    try:
+        for base in range(1, n + 1):
+            read = [base, *(src for _, src, _ in meshes[base])]
+            for x in read:
+                if x not in packed:
+                    data = bytes(chain.from_iterable(orbits[x - 1]))
+                    lanes = bytearray(width * len(data))
+                    lanes[::width] = data
+                    packed[x] = int.from_bytes(lanes, "little")
+            top = len(orbits[base - 1]) - 1
+            mask, sums = (1 << bits * top) - 1, 0
+            for offset, src, w in meshes[base]:
+                holds &= top + offset < len(orbits[src - 1])  # the input is in range
+                sums += w * (packed[src] >> bits * (1 + offset) & mask)
+            holds &= (packed[base] >> bits) + (packed[base] & mask) == sums
+            for x in read:  # no later base reads x
+                if max([x, *(src for _, src, _ in meshes[x])]) <= base:
+                    del packed[x]
+    except (TypeError, ValueError):  # from bytes()
+        return None
+    return holds
 
 
 def _mesh_witness(arq: ARQuiver, meshes: dict[int, tuple[tuple[int, int, int], ...]]) -> str:
@@ -152,33 +200,30 @@ def _reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _positions(arq: ARQuiver) -> Callable[[ZVertex], int]:
-    """Where a vertex sits in ``arq.vertices``; raises ``KeyError(v)`` for
-    a ``v`` off the orbits."""
-    return {v: k for k, v in enumerate(arq.vertices)}.__getitem__
+def _numbering(arq: ARQuiver) -> tuple[Callable[[ZVertex], int], list[int], list[int]]:
+    """Where a vertex sits in ``arq.vertices``, and where each arrow's tail
+    and head sit, in arrow order.
 
-
-def _successors(arq: ARQuiver) -> list[list[int]]:
-    """The heads of each vertex's arrows, in arrow order, every vertex by
-    its position in ``arq.vertices``.
-
-    Raises ``KeyError(v)`` for an arrow end ``v`` off the orbits.
+    Raises ``KeyError(v)`` for the first arrow end ``v`` off the orbits,
+    each arrow's head before its tail.
     """
-    position = _positions(arq)
-    successors: list[list[int]] = [[] for _ in arq.vertices]
-    for za in arq.arrows:
-        head = position(za.dst)  # checked before the tail
-        successors[position(za.src)].append(head)
-    return successors
+    position = dict(zip(arq.vertices, count())).__getitem__
+    try:
+        tails = list(map(position, map(attrgetter("src"), arq.arrows)))
+        return position, tails, list(map(position, map(attrgetter("dst"), arq.arrows)))
+    except KeyError:
+        for za in arq.arrows:  # name the first loose end
+            position(za.dst), position(za.src)
+        raise
 
 
-def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int]:
+def _certify(arq: ARQuiver, tails: list[int], heads: list[int]) -> list[int]:
     """A potential proving the path audit passes.
 
-    The potential is indexed by position in ``arq.vertices``, as
-    ``successors`` is: phi(v) = 2 * level(v) + c(base(v)), where c(x) is
+    The potential is indexed by position in ``arq.vertices``, as ``tails``
+    and ``heads`` are: phi(v) = 2 * level(v) + c(base(v)), where c(x) is
     the forward less the backward steps of the walk ``1 .. x`` in the
-    opposite quiver.  One pass over the arrows checks, in O(V + E):
+    opposite quiver.  Whole arrays check, in O(V + E):
 
     (a) phi(dst) = phi(src) + 1 on every arrow;
     (b) phi(v) - 2 * level(v) depends only on the base of ``v``, which
@@ -186,9 +231,10 @@ def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int]:
     (c) every arrow joins two bases adjacent in the ext-quiver, a tree;
     (d) no vertex has the same head twice.
 
-    Raises :class:`CrossCheckFailedError` naming the first arrow that
-    breaks (d), (a) or (c), tails in ``arq.vertices`` order and each
-    tail's heads in arrow order, a doubled head before the others.
+    When they fail, the arrows are walked to raise :class:`CrossCheckFailedError`
+    naming the first arrow that breaks (d), (a) or (c), tails in
+    ``arq.vertices`` order and each tail's heads in arrow order, a doubled
+    head before the others.
 
     Why it suffices (the covering argument of Bongartz-Gabriel, "Covering
     spaces in representation theory", Invent. Math. 1982).  By (a) every
@@ -210,15 +256,22 @@ def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int]:
     steps = q.opposite()._forward_steps
     adjacent = {(a.src, a.dst) for a in q.arrows}
     adjacent |= {(y, x) for x, y in adjacent}
-    c = [0, *(steps[1][x] - steps[x][1] for x in q.vertices())]
-    bases = [v.base for v in vertices]
-    phi = [2 * level + c[base] for level, base in vertices]
-    for v, heads in enumerate(successors):
+    sizes = list(map(len, arq.orbits))
+    c = [steps[1][x] - steps[x][1] for x in q.vertices()]
+    bases = list(chain.from_iterable(map(repeat, q.vertices(), sizes)))
+    tops = map(add, c, map(add, sizes, sizes))  # past the top of each orbit
+    phi = list(chain.from_iterable(map(range, c, tops, repeat(2))))
+    if _certified(tails, heads, phi, bases, adjacent):
+        return phi
+    successors: list[list[int]] = [[] for _ in vertices]
+    for v, w in zip(tails, heads):
+        successors[v].append(w)
+    for v, out in enumerate(successors):
         x, rise = bases[v], phi[v] + 1
-        if len(set(heads)) != len(heads):  # (d)
-            w = next(w for k, w in enumerate(heads) if w in heads[:k])
+        if len(set(out)) != len(out):  # (d)
+            w = next(w for k, w in enumerate(out) if w in out[:k])
             raise _uncertified(vertices[v], vertices[w], "is doubled")
-        for w in heads:
+        for w in out:
             if phi[w] != rise:  # (a)
                 why = "does not raise 2 * level + c(base) by one"
                 raise _uncertified(vertices[v], vertices[w], why)
@@ -228,14 +281,25 @@ def _certify(arq: ARQuiver, successors: list[list[int]]) -> list[int]:
     return phi
 
 
+def _certified(
+    tails: list[int], heads: list[int], phi: list[int], bases: list[int], adjacent: set
+) -> bool:
+    """Conditions (a), (c) and (d) of :func:`_certify`, on whole arrays."""
+    rises = set(map(sub, map(phi.__getitem__, heads), map(phi.__getitem__, tails)))
+    joined = zip(map(bases.__getitem__, tails), map(bases.__getitem__, heads))
+    doubled = len(set(zip(tails, heads))) != len(heads)
+    return rises <= {1} and adjacent.issuperset(joined) and not doubled
+
+
 def _uncertified(u: ZVertex, w: ZVertex, why: str) -> CrossCheckFailedError:
     """The error naming the arrow ``u -> w`` that breaks the certificate."""
     return CrossCheckFailedError(f"no path certificate: arrow {u} -> {w} {why}")
 
 
 def _spans(
-    arq: ARQuiver,
-    successors: list[list[int]],
+    position: Callable[[ZVertex], int],
+    tails: list[int],
+    heads: list[int],
     phi: list[int],
     ends: list[tuple[ZVertex, ZVertex]],
 ) -> list[int | None]:
@@ -243,21 +307,21 @@ def _spans(
     ``ends``, or ``None`` where no path joins the pair.
 
     Under the certificate every such path is phi(b) - phi(a) long; one
-    sweep over the vertices in decreasing phi decides reachability for
-    every pair at once.  Vertex ``v`` carries a bitmask with bit ``k``
-    set when ``v`` is the ``b`` of pair ``k`` or a successor of ``v``
-    carries bit ``k``, that is, when a path leads from ``v`` to that
-    ``b``; phi rises by one along every arrow, so successors are done
-    first.
+    sweep over the arrows in decreasing phi of their tails decides
+    reachability for every pair at once.  Vertex ``v`` carries a bitmask
+    with bit ``k`` set when ``v`` is the ``b`` of pair ``k`` or a successor
+    of ``v`` carries bit ``k``, that is, when a path leads from ``v`` to
+    that ``b``; phi rises by one along every arrow, so a head's arrows are
+    swept before those into it.
     """
-    position = _positions(arq)
     located = [(position(a), position(b)) for a, b in ends]
-    reach = [0] * len(successors)
+    reach = [0] * len(phi)
     for k, (_, stop) in enumerate(located):
         reach[stop] |= 1 << k
-    for v in sorted(range(len(successors)), key=phi.__getitem__, reverse=True):
-        for w in successors[v]:
-            reach[v] |= reach[w]
+    tail_phi = list(map(phi.__getitem__, tails))
+    swept = sorted(range(len(tails)), key=tail_phi.__getitem__, reverse=True)
+    for v, w in zip(map(tails.__getitem__, swept), map(heads.__getitem__, swept)):
+        reach[v] |= reach[w]
     return [
         phi[stop] - phi[start] if reach[start] >> k & 1 else None
         for k, (start, stop) in enumerate(located)
@@ -267,17 +331,19 @@ def _spans(
 def _path_audit(
     arq: ARQuiver, ends: list[tuple[ZVertex, ZVertex]]
 ) -> tuple[OracleReport, list[int | None]]:
-    """Both audit lines, passed, and the :func:`_spans` of ``ends``.
+    """Both audit lines, passed, and the :func:`_spans` of ``ends``,
+    decided on the arrays of :func:`_numbering`; the arrows are walked
+    only to name the witness of a failure.
 
     Raises :class:`CrossCheckFailedError` from :func:`_certify`, and
     ``KeyError(v)`` for an arrow end ``v`` off the orbits.
     """
-    successors = _successors(arq)
-    phi = _certify(arq, successors)
+    position, tails, heads = _numbering(arq)
+    phi = _certify(arq, tails, heads)
     report = OracleReport()
     report.add("parallel-path-lengths", True)
     report.add("sectional-uniqueness", True)
-    return report, _spans(arq, successors, phi, ends)
+    return report, _spans(position, tails, heads, phi, ends)
 
 
 def audit_paths(arq: ARQuiver) -> OracleReport:
@@ -292,19 +358,21 @@ def audit_paths(arq: ARQuiver) -> OracleReport:
     return _path_audit(arq, [])[0]
 
 
-def _repeated_vector(arq: ARQuiver, vectors: list[tuple[int, ...]]) -> str:
+def _repeated_vector(arq: ARQuiver) -> str:
     """The first vertex, in ``arq.vertices`` order, whose vector an earlier one holds."""
     first: dict[tuple[int, ...], ZVertex] = {}
-    v, u = next(
-        (v, u) for v, x in zip(arq.vertices, vectors) if (u := first.setdefault(x, v)) is not v
-    )
+    pairs = zip(arq.vertices, chain.from_iterable(arq.orbits))
+    v, u = next((v, u) for v, x in pairs if (u := first.setdefault(x, v)) is not v)
     return f"{v} repeats the vector of {u}"
 
 
-def _non_positive_vector(arq: ARQuiver, vectors: list[tuple[int, ...]]) -> str:
-    """The first vertex, in ``arq.vertices`` order, with a zero vector or a negative entry."""
-    v, x = next((v, x) for v, x in zip(arq.vertices, vectors) if not any(x) or min(x) < 0)
-    return f"{'negative entry' if any(x) else 'zero vector'} at {v}"
+def _non_positive_vector(arq: ARQuiver) -> str:
+    """The first vertex, in ``arq.vertices`` order, with a zero vector or a
+    negative entry, or ``""``."""
+    for v, x in zip(arq.vertices, chain.from_iterable(arq.orbits)):
+        if not any(x) or min(x) < 0:
+            return f"{'negative entry' if any(x) else 'zero vector'} at {v}"
+    return ""
 
 
 def _distance_witness(lengths: list[int | None], order: int) -> str:
@@ -332,11 +400,12 @@ def _closed_form_witness(arq: ARQuiver, m: tuple[int, ...], rho: tuple[int, ...]
 def run_all(arq: ARQuiver, order: int) -> OracleReport:
     """Full oracle suite plus the global counting identities.
 
-    The path audit and the projective-to-injective lengths come from the
-    certificate of :func:`_certify`, in O(V + E); when it fails, every
-    check that reads paths fails with the first uncertified arrow.  Both
-    ``count-identity`` and ``projective-injective-distance`` read those
-    lengths, so each pair is walked once.
+    Each verdict over the whole quiver is taken on packed arrays; a walk
+    runs only to name a failure's witness.  The path audit and the
+    projective-to-injective lengths come from the certificate of
+    :func:`_certify`; when it fails, every check that reads paths fails
+    with the first uncertified arrow.  Both ``count-identity`` and
+    ``projective-injective-distance`` read those lengths.
     """
     ends = [(arq.projective(i), arq.injective(i)) for i in arq.quiver.vertices()]
     unread = ""  # why the paths could not be read, if they could not
@@ -346,7 +415,8 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
         unread, audit = _reason(exc), OracleReport()
         audit.add("parallel-path-lengths", False, unread)
         audit.add("sectional-uniqueness", False, unread)
-    report = verify_mesh(arq)
+    holds = _meshes_hold(arq)
+    report = _verify_mesh(arq, holds)
     report.checks += audit.checks
 
     def guarded(name: str, fn, reason: str = "") -> None:
@@ -372,12 +442,12 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     reason = unread or _distance_witness(lengths, order)
     report.add("projective-injective-distance", not reason, reason)
 
-    vectors = list(chain.from_iterable(arq.orbits))
-    ok = len(set(vectors)) == len(vectors)
-    report.add("distinct-dimension-vectors", ok, "" if ok else _repeated_vector(arq, vectors))
-    # Every vector non-zero, then no entry negative: a vector's minimum.
-    ok = all(map(any, vectors)) and min(map(min, vectors)) >= 0
-    report.add("positive-dimension-vectors", ok, "" if ok else _non_positive_vector(arq, vectors))
+    vectors = set(chain.from_iterable(arq.orbits))
+    ok = len(vectors) == len(arq.vertices)
+    report.add("distinct-dimension-vectors", ok, "" if ok else _repeated_vector(arq))
+    # Laid out as bytes, no entry is negative, so positive is no zero vector.
+    why = "" if holds is not None and (0,) * arq.n not in vectors else _non_positive_vector(arq)
+    report.add("positive-dimension-vectors", not why, why)
     # The build's classification, so the quiver is classified once per check.
     closed_form = _closed_form_rho_m(arq.quiver, arq.dynkin)
     ok = (arq.m, arq.rho) == closed_form

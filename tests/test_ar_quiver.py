@@ -33,7 +33,7 @@ from arquiver.dynkin import (
     random_orientation,
     relabel_quiver,
 )
-from arquiver.oracle import _successors
+from arquiver.oracle import _numbering
 from conftest import (
     a1_quiver,
     a3_linear,
@@ -575,14 +575,15 @@ def test_counts_on_permuted_orbit_data_match_the_enumeration(q):
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
 def test_path_table_matches_the_reference_kahn_order_on_every_orientation(family, rank):
-    # The oracle's successor lists number a vertex by its position in
-    # ``arq.vertices``; the reference keys it by itself.
+    # The oracle numbers each arrow's ends by their positions in
+    # ``arq.vertices``; the reference successor lists key a vertex by itself.
     for q in all_orientations(canonical_diagram(family, rank)):
         arq = build(q)
-        vertices, heads = arq.vertices, successors(arq)
-        assert [tuple(map(vertices.__getitem__, out)) for out in _successors(arq)] == [
-            heads[v] for v in vertices
-        ]
+        vertices, (_, tails, heads) = arq.vertices, _numbering(arq)
+        out: dict = {v: () for v in vertices}
+        for v, w in zip(map(vertices.__getitem__, tails), map(vertices.__getitem__, heads)):
+            out[v] += (w,)
+        assert out == successors(arq)
 
 
 def test_count_identity_names_half_of_n_times_the_order():

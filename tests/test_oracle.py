@@ -24,8 +24,9 @@ from arquiver import (
     validate,
     verify_mesh,
 )
+from arquiver import oracle
 from arquiver.dynkin import canonical_diagram, orient, random_orientation
-from arquiver.oracle import _certify, _path_audit, _spans, _successors, audit_paths, run_all
+from arquiver.oracle import _certify, _numbering, _path_audit, _spans, audit_paths, run_all
 from arquiver.quiver import Arrow, ValuedQuiver, reduced_walk
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
@@ -555,7 +556,7 @@ def test_certificate_rejects_the_a3_shortcut():
     arq = _with_extra_arrows(build(a3_linear()), (ZVertex(0, 1), ZVertex(2, 3)))
     assert _failed_conditions(arq) == {"a", "c"}
     with pytest.raises(CrossCheckFailedError) as caught:
-        _certify(arq, _successors(arq))
+        _certify(arq, *_numbering(arq)[1:])
     assert str(caught.value) == (
         f"no path certificate: arrow ZVertex(level=0, base=1) -> ZVertex(level=2, base=3) {_NO_RISE}"
     )
@@ -595,7 +596,7 @@ def _assert_certified(arq):
     qop = arq.quiver.opposite()
     walks = {x: reduced_walk(qop, 1, x).steps for x in qop.vertices()}
     c = {x: sum(1 if step.forward else -1 for step in steps) for x, steps in walks.items()}
-    phi = dict(zip(arq.vertices, _certify(arq, _successors(arq))))
+    phi = dict(zip(arq.vertices, _certify(arq, *_numbering(arq)[1:])))
     assert phi == {v: 2 * v.level + c[v.base] for v in arq.vertices}
     assert all(phi[za.dst] == phi[za.src] + 1 for za in arq.arrows)
     order = table_order(arq.dynkin)
@@ -635,8 +636,9 @@ def _span_ends(arq, rng):
 
 def test_spans_of_a_projective_that_is_its_own_injective():
     arq = build(a1_quiver())
-    heads = _successors(arq)
-    assert _spans(arq, heads, _certify(arq, heads), [(ZVertex(0, 1), ZVertex(0, 1))]) == [0]
+    position, tails, heads = _numbering(arq)
+    phi = _certify(arq, tails, heads)
+    assert _spans(position, tails, heads, phi, [(ZVertex(0, 1), ZVertex(0, 1))]) == [0]
 
 
 @pytest.mark.parametrize(
@@ -649,10 +651,10 @@ def test_spans_sweep_matches_the_per_pair_search(family, rank):
     unjoined = 0
     for k in [None] + rng.sample(range(len(arq.arrows)), min(6, len(arq.arrows))):
         corrupted = arq if k is None else with_arrows(arq, arq.arrows[:k] + arq.arrows[k + 1 :])
-        heads = _successors(corrupted)
-        phi = _certify(corrupted, heads)
+        position, tails, heads = _numbering(corrupted)
+        phi = _certify(corrupted, tails, heads)
         ends = _span_ends(corrupted, rng)
-        spans = _spans(corrupted, heads, phi, ends)
+        spans = _spans(position, tails, heads, phi, ends)
         assert spans == reference_spans(corrupted, phi, ends)
         unjoined += spans.count(None)
     assert unjoined
@@ -862,3 +864,128 @@ def test_distinct_dimension_vectors_name_the_first_repeat(src, dst):
         "distinct-dimension-vectors: FAIL "
         f"({arq.vertices[later]} repeats the vector of {arq.vertices[first]})"
     )
+
+
+# -- packed verdicts: the walks run only to name a witness, and agree with them ------
+
+
+def _walk_only_lines(arq):
+    """The lines of ``run_all`` with every packed verdict failed, so that
+    each check is decided by its walk."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_meshes_hold", lambda arq: None)
+        patch.setattr(oracle, "_certified", lambda *arrays: False)
+        return _lines(arq)
+
+
+@st.composite
+def _walked_quivers(draw):
+    """A quiver of :func:`_broken_quivers`, or a random orientation up to
+    rank 5 with one to three entries changed, some past a byte."""
+    if draw(st.booleans()):
+        return draw(_broken_quivers())
+    family, rank = draw(st.sampled_from(all_diagrams(5)))
+    g = canonical_diagram(family, rank)
+    arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
+    vectors = dims(arq)
+    for _ in range(draw(st.integers(1, 3))):
+        v, k = draw(st.sampled_from(arq.vertices)), draw(st.integers(0, rank - 1))
+        entry = draw(st.sampled_from([-1, 0, 1, 2, 3, 255, 256]))
+        vectors[v] = vectors[v][:k] + (entry,) + vectors[v][k + 1 :]
+    return relaid(arq, vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walked_quivers())
+def test_packed_verdicts_match_the_walks_on_corrupted_quivers(arq):
+    # Changed vectors, wrong m and rho, and doubled, reversed, dropped and
+    # stray arrows: the packed arrays and the walks give the same lines.
+    assert _lines(arq) == _walk_only_lines(arq)
+
+
+_V = ZVertex(1, 1)
+_REPEAT = "ZVertex(level=4, base=4) repeats the vector of ZVertex(level=1, base=1)"
+_BROKEN = f"FAIL (mesh relation fails at {_V})"
+
+
+@pytest.mark.parametrize(
+    "change, repeated, mesh, distinct, positive",
+    [
+        (lambda d: (256,) + d[1:], False, _BROKEN, "PASS", "PASS"),
+        (lambda d: (256,) + d[1:], True, _BROKEN, f"FAIL ({_REPEAT})", "PASS"),
+        (lambda d: (-1,) + d[1:], False, _BROKEN, "PASS", f"FAIL (negative entry at {_V})"),
+        (lambda d: (-1,) + d[1:], True, _BROKEN, f"FAIL ({_REPEAT})",
+         f"FAIL (negative entry at {_V})"),
+        (lambda d: (d[0] + 0.5,) + d[1:], False, _BROKEN, "PASS", "PASS"),
+        (lambda d: (d[0] + 0.5,) + d[1:], True, _BROKEN, f"FAIL ({_REPEAT})", "PASS"),
+        (lambda d: tuple(map(float, d)), False, "PASS", "PASS", "PASS"),
+        (lambda d: tuple(map(float, d)), True,
+         "FAIL (mesh relation fails at ZVertex(level=4, base=3))", f"FAIL ({_REPEAT})", "PASS"),
+    ],
+    ids=["256", "256-repeated", "minus-1", "minus-1-repeated", "half", "half-repeated",
+         "integral-floats", "integral-floats-repeated"],
+)
+def test_entries_outside_a_byte_are_left_to_the_walks(change, repeated, mesh, distinct, positive):
+    # An interior vector of E6 changed, and also copied to (4, 4) when
+    # ``repeated``: no byte holds an entry, so the walks decide and name
+    # the witness.
+    arq = build(e6_example())
+    vectors = {**dims(arq), _V: change(dims(arq)[_V])}
+    if repeated:
+        vectors[ZVertex(4, 4)] = vectors[_V]
+    broken = relaid(arq, vectors)
+    assert oracle._meshes_hold(broken) is None
+    lines = {line.split(":")[0]: line for line in _lines(broken)}
+    assert [lines[name] for name in _CHECK_NAMES if name.endswith(("additivity", "vectors"))] == [
+        f"mesh-additivity: {mesh}",
+        f"distinct-dimension-vectors: {distinct}",
+        f"positive-dimension-vectors: {positive}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "weight, orbits, line",
+    [
+        # dim (1, 2) + dim (0, 2) = 7 dim (0, 1) and dim (1, 1) + dim (0, 1) = dim (1, 2).
+        (7, (((10, 20), (55, 20)), ((5, 100), (65, 40))), "mesh-additivity: PASS"),
+        # 300 * 219 = 65,700 is 164 in a 16-bit lane with 1 carried into the next one,
+        # where the left side holds 1: only lanes wide enough for 255 * 300 tell them apart.
+        (300, (((219, 0),), ((100, 1), (64, 0))),
+         "mesh-additivity: FAIL (mesh relation fails at ZVertex(level=1, base=2))"),
+    ],
+    ids=["weight-7", "weight-300"],
+)
+def test_mesh_lanes_are_as_wide_as_the_weights_need(weight, orbits, line):
+    # An in-memory quiver 1 -> 2 valued (1, weight): its mesh weights sum
+    # past 3, and the packed verdict is exact.
+    arq = replace(
+        build(g2_quiver()), quiver=ValuedQuiver(2, (Arrow(1, 2, (1, weight)),)), orbits=orbits
+    )
+    assert oracle._meshes_hold(arq) is (line == "mesh-additivity: PASS")
+    assert verify_mesh(arq).checks[0].line() == line == reference_mesh_line(arq)
+
+
+def test_meshes_out_of_range_fail_where_every_sum_vanishes():
+    # Every vector zero: each mesh sum vanishes, and only an input past the
+    # top of its orbit fails the relation.
+    arq = relaid(build(a3_linear()), {}, m=(0, 0, 2))
+    assert oracle._meshes_hold(arq) is False
+    assert verify_mesh(arq).checks[0].line() == reference_mesh_line(arq) == (
+        "mesh-additivity: FAIL (in-arrow source ZVertex(level=1, base=2) of "
+        "ZVertex(level=2, base=3) out of range)"
+    )
+
+
+def test_mesh_verdict_holds_few_orbits_packed_at_once():
+    # On linear A60 numbered along the line an orbit is read by its own
+    # base and its two neighbours, so a few of the 60 orbits are packed at
+    # a time: all of them would take 2 bytes per entry.
+    arq = build(validate(60, [(i, i + 1) for i in range(1, 60)]))
+    tracemalloc.start()
+    try:
+        holds = oracle._meshes_hold(arq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds
+    assert peak < 2 * len(arq.vertices) * arq.n / 2
