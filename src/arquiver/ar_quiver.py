@@ -17,7 +17,9 @@ projective ``P_k`` whose hammock ends there, so ``rho(x) = k``.  The
 vectors below the terminators, orbit by orbit, are what :class:`ARQuiver`
 stores; ``m``, the positions and the arrows are read off them, and so
 are the paper's per-hammock tables (:mod:`arquiver.hammock`).  This is
-the one knit of the package.
+the one knit of the package.  No entry exceeds 6, so every vector fits
+one byte per entry: :attr:`ARQuiver.layout` lays them all end to end, and
+the constructor refuses an entry that a byte cannot hold.
 
 While knitting, each vector is one Python int with entry ``k`` in the
 signed 16-bit lane ``k`` (:class:`_Lanes`), so a mesh step is one big-int
@@ -37,6 +39,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from io import BytesIO
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter, ne, sub
 from typing import Iterable, NamedTuple
@@ -58,12 +61,13 @@ class ARQuiver:
     """The finite translation quiver, held as its knitted orbits.
 
     ``orbits[i - 1]`` is the dimension vectors of ``(r, i)`` for
-    ``r = 0..m(i)``; ``m``, ``vertices`` and ``arrows`` are views of it and
-    of the quiver, built on first read.  The constructor rejects a quiver
-    whose underlying graph is not a tree (:class:`NotATreeError`), a layout
-    without one non-empty orbit per vertex of ``n``-tuples, and a ``rho``
-    that is not a tuple holding each of ``1..n`` once; whether ``rho`` is an
-    involution is left to the checks.
+    ``r = 0..m(i)``; ``m``, ``layout``, ``vertices`` and ``arrows`` are
+    views of it and of the quiver, built on first read.  The constructor
+    rejects a quiver whose underlying graph is not a tree
+    (:class:`NotATreeError`), a layout without one non-empty orbit per
+    vertex of ``n``-tuples, an entry that is not an int in ``0..255``, and
+    a ``rho`` that is not a tuple holding each of ``1..n`` once; whether
+    ``rho`` is an involution is left to the checks.
     """
 
     quiver: ValuedQuiver
@@ -83,6 +87,16 @@ class ARQuiver:
         vectors = list(chain.from_iterable(orbits))
         if set(map(type, vectors)) != {tuple} or set(map(len, vectors)) != {n}:
             raise KnitInconsistentError(f"a dimension vector is not a tuple of length {n}")
+        try:
+            self.layout
+        except (TypeError, ValueError):  # bytes() refuses an entry: name its vertex
+            for v, x in zip(self.vertices, vectors):
+                try:
+                    bytes(x)
+                except (TypeError, ValueError):
+                    raise KnitInconsistentError(
+                        f"dimension vector at {v} has an entry that is not an int in 0..255"
+                    ) from None
         rho, bases = self.rho, range(1, n + 1)
         if type(rho) is not tuple:
             raise KnitInconsistentError(f"rho is a {type(rho).__name__}, not a tuple")
@@ -103,6 +117,16 @@ class ARQuiver:
     def m(self) -> tuple[int, ...]:
         """The level of the injective on each base."""
         return tuple(len(orbit) - 1 for orbit in self.orbits)
+
+    @cached_property
+    def layout(self) -> bytes:
+        """Every vector end to end, orbit by orbit and level by level, one
+        byte per entry: the vector at ``vertices[p]`` is
+        ``layout[n * p : n * (p + 1)]``.  Written into one growing buffer,
+        not joined, so the vectors' own ``bytes`` are not all held at once."""
+        out = BytesIO()
+        out.writelines(map(bytes, chain.from_iterable(self.orbits)))
+        return out.getvalue()
 
     @cached_property
     def vertices(self) -> tuple[ZVertex, ...]:

@@ -28,10 +28,11 @@ The orbit checks run on the ``n`` coordinate rows of all the vectors at
 once (:func:`_orbit_lengths`); only when they do not all pass are the
 orbits walked one by one (:func:`_walk_orbits`), to name the first
 failure.  A row is one int with entry ``p`` in lane ``p``: the exact
-integer ``sum(x[p] << bits * p)``.  Sums and multiples of rows are the
-rows of the sums and multiples, and every lane of a row sum reads
-faithfully once biased by half a lane, as the lanes are wide enough for
-the largest sum that entries in ``0..255`` can give.
+integer ``sum(x[p] << bits * p)``, cut from ``ARQuiver.layout``.  Sums
+and multiples of rows are the rows of the sums and multiples, and every
+lane of a row sum reads faithfully once biased by half a lane, as the
+lanes are wide enough for the largest sum that entries in ``0..255``, the
+only entries an ``ARQuiver`` holds, can give.
 """
 
 from __future__ import annotations
@@ -112,27 +113,22 @@ def _orbit_lengths(
     """The signed orbit lengths when every orbit passes :func:`_walk_orbits`,
     read off the coordinate rows; ``None`` when any orbit may fail.
 
-    The vectors are laid end to end as ``bytes``, orbit by orbit, and each
-    coordinate row is cut out by striding into one int, entry ``p`` in
-    lane ``p`` (see the module docstring).  So ``(E - A) * dim v +
-    (E - B) * dim tau v`` is formed for every vertex at once, one big-int
-    multiply-add per arrow term, and must vanish in every lane that does
-    not start an orbit.  A signed orbit ``dim (r, i)``, ``-dim (r, rho^-1(i))``
-    is distinct when all vectors are distinct, non-zero and non-negative:
-    no such vector is the negative of another.  An entry outside
-    ``0..255``, or not an int, leaves the orbits to the walk.
+    Each coordinate row is cut out of ``arq.layout`` by striding into one
+    int, entry ``p`` in lane ``p`` (see the module docstring).  So
+    ``(E - A) * dim v + (E - B) * dim tau v`` is formed for every vertex at
+    once, one big-int multiply-add per arrow term, and must vanish in every
+    lane that does not start an orbit.  A signed orbit ``dim (r, i)``,
+    ``-dim (r, rho^-1(i))`` is distinct when all vectors are distinct and
+    non-zero, as no entry is negative: no such vector is the negative of
+    another.
     """
-    n, rho = arq.n, arq.rho
+    n, rho, data = arq.n, arq.rho, arq.layout
     sizes = list(map(len, arq.orbits))
-    try:
-        vectors = list(map(bytes, chain.from_iterable(arq.orbits)))
-    except (TypeError, ValueError):
+    count = len(data) // n
+    distinct = set(chain.from_iterable(arq.orbits))
+    if len(distinct) != count or (0,) * n in distinct:
         return None
-    distinct = set(vectors)
-    if len(distinct) != len(vectors) or bytes(n) in distinct:
-        return None
-    count, data = len(vectors), b"".join(vectors)
-    del vectors, distinct
+    del distinct
     # The terms of row r: (column, weight) of A and of B.
     terms: list[tuple[list, list]] = [([], []) for _ in range(n)]
     for r, s, w in lower:

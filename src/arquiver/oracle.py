@@ -9,18 +9,19 @@ the *second*; on non-simply-laced input these differ, so the
 dimension-vector agreement checks pin the convention.
 
 Each check that reads the whole quiver takes its verdict on packed
-arrays: the mesh relations on orbits packed into ints, whose byte layout
-also shows no entry negative (:func:`_meshes_hold`); the path audit, an
-O(V + E) certificate (:func:`_certify`), on each arrow's ends numbered
-by position in ``arq.vertices``: when it holds, parallel paths share one
-length and a sectional path is the only path between its ends.  Only a
-failing verdict is walked vertex by vertex, to name its first witness.
+arrays: the mesh relations on orbits of ``arq.layout`` widened into ints
+(:func:`_meshes_hold`); the path audit, an O(V + E) certificate
+(:func:`_certify`), on each arrow's ends numbered by position in
+``arq.vertices``: when it holds, parallel paths share one length and a
+sectional path is the only path between its ends.  Only a failing
+verdict is walked vertex by vertex, to name its first witness.  No entry
+is negative: ``ARQuiver`` holds only entries in ``0..255``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, mul, sub
 from typing import Callable
 
@@ -99,13 +100,8 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
     """Check every mesh relation, decided on packed orbits by
     :func:`_meshes_hold` and walked by :func:`_mesh_witness` only to name
     the first that fails, and both boundary recursions."""
-    return _verify_mesh(arq, _meshes_hold(arq))
-
-
-def _verify_mesh(arq: ARQuiver, holds: bool | None) -> OracleReport:
-    """:func:`verify_mesh`, walking the meshes unless ``holds``."""
     report = OracleReport()
-    witness = "" if holds else _mesh_witness(arq, mesh_inputs(arq.quiver.opposite()))
+    witness = "" if _meshes_hold(arq) else _mesh_witness(arq)
     report.add("mesh-additivity", not witness, witness)
 
     orbits, vertices = arq.orbits, arq.quiver.vertices()
@@ -120,76 +116,63 @@ def _verify_mesh(arq: ARQuiver, holds: bool | None) -> OracleReport:
     return report
 
 
-def _meshes_hold(arq: ARQuiver) -> bool | None:
-    """Whether every mesh relation holds; ``None`` when an entry is not an
-    int in ``0..255``, which leaves the meshes and the entries' signs to
-    their walks.  Each orbit is laid out as ``bytes`` and widened into one
-    int, entry ``p`` in lane ``p``, each lane wide enough for any mesh sum
-    of bytes under the table's weights.  Orbit ``b``'s levels ``1..m(b)``
-    plus its levels ``0..m(b) - 1`` must equal the sum of ``w`` times
-    levels ``1 + offset .. m(b) + offset`` of each input ``(offset, src,
-    w)``: one shift and mask per input, one ``==`` per orbit.  An orbit is
-    held packed only while a base whose mesh reads it is to come.
+def _meshes_hold(arq: ARQuiver) -> bool:
+    """Whether every mesh relation holds.  Each orbit's stretch of
+    ``arq.layout`` is widened into one int, entry ``p`` in lane ``p``, each
+    lane wide enough for any mesh sum of bytes under the table's weights.
+    Orbit ``b``'s levels ``1..m(b)`` plus its levels ``0..m(b) - 1`` must
+    equal the sum of ``w`` times levels ``1 + offset .. m(b) + offset`` of
+    each input ``(offset, src, w)``: one shift and mask per input, one
+    ``==`` per orbit.  An orbit is held packed only while a base whose mesh
+    reads it is to come.
     """
-    orbits, n, meshes = arq.orbits, arq.n, mesh_inputs(arq.quiver.opposite())
+    orbits, layout, n = arq.orbits, arq.layout, arq.n
+    meshes = mesh_inputs(arq.quiver.opposite())
     reach = 255 * max([2, *(sum(w for *_, w in inputs) for inputs in meshes.values())])
     width = (reach.bit_length() + 7) // 8
     bits = 8 * width * n  # one level of an orbit
+    starts = [0, *accumulate(n * len(orbit) for orbit in orbits)]  # of each orbit's bytes
     packed: dict[int, int] = {}
     holds = True
-    try:
-        for base in range(1, n + 1):
-            read = [base, *(src for _, src, _ in meshes[base])]
-            for x in read:
-                if x not in packed:
-                    data = bytes(chain.from_iterable(orbits[x - 1]))
-                    lanes = bytearray(width * len(data))
-                    lanes[::width] = data
-                    packed[x] = int.from_bytes(lanes, "little")
-            top = len(orbits[base - 1]) - 1
-            mask, sums = (1 << bits * top) - 1, 0
-            for offset, src, w in meshes[base]:
-                holds &= top + offset < len(orbits[src - 1])  # the input is in range
-                sums += w * (packed[src] >> bits * (1 + offset) & mask)
-            holds &= (packed[base] >> bits) + (packed[base] & mask) == sums
-            for x in read:  # no later base reads x
-                if max([x, *(src for _, src, _ in meshes[x])]) <= base:
-                    del packed[x]
-    except (TypeError, ValueError):  # from bytes()
-        return None
+    for base in range(1, n + 1):
+        read = [base, *(src for _, src, _ in meshes[base])]
+        for x in read:
+            if x not in packed:
+                data = layout[starts[x - 1] : starts[x]]
+                lanes = bytearray(width * len(data))
+                lanes[::width] = data
+                packed[x] = int.from_bytes(lanes, "little")
+        top = len(orbits[base - 1]) - 1
+        mask, sums = (1 << bits * top) - 1, 0
+        for offset, src, w in meshes[base]:
+            holds &= top + offset < len(orbits[src - 1])  # the input is in range
+            sums += w * (packed[src] >> bits * (1 + offset) & mask)
+        holds &= (packed[base] >> bits) + (packed[base] & mask) == sums
+        for x in read:  # no later base reads x
+            if max([x, *(src for _, src, _ in meshes[x])]) <= base:
+                del packed[x]
     return holds
 
 
-def _mesh_witness(arq: ARQuiver, meshes: dict[int, tuple[tuple[int, int, int], ...]]) -> str:
+def _mesh_witness(arq: ARQuiver) -> str:
     """Where the first mesh relation in ``arq.vertices`` order fails, or
-    ``""`` when all hold.
-
-    Orbit ``b`` is checked as one run over its levels ``1..top`` whose mesh
-    inputs are all in range: an input ``(offset, src, w)`` stays in range
-    up to level ``m(src) - offset``.  The run's vectors laid end to end,
-    plus those one level down, less ``w`` times each input's run, are the
-    per-vertex mesh sums laid end to end, each summed by one ``map``; the
-    first non-zero entry names its vertex.  When ``top`` stops short of
-    ``m(b)``, the first input in mesh-table order that is out of range one
-    level up is named.
+    ``""`` when all hold: at each vertex past level 0, its first mesh
+    input in mesh-table order that lies past the top of its orbit, else
+    the vertex itself when its vector plus its translate's is not the
+    weighted sum of its inputs'.
     """
-    orbits, n = arq.orbits, arq.n
-    flat = chain.from_iterable
-    for base, orbit in enumerate(orbits, start=1):
-        inputs = meshes[base]
-        top = min([len(orbit), *(len(orbits[src - 1]) - offset for offset, src, _ in inputs)]) - 1
-        sums = map(add, flat(orbit[1 : top + 1]), flat(orbit[:top]))  # plus the translates
-        for offset, src, weight in inputs:
-            column = flat(orbits[src - 1][1 + offset : top + 1 + offset])
-            sums = map(sub, sums, column if weight == 1 else map(mul, column, repeat(weight)))
-        bad = next(compress(count(), sums), None)
-        if bad is not None:
-            return f"mesh relation fails at {ZVertex(1 + bad // n, base)}"
-        if top < len(orbit) - 1:  # some input is out of range one level up
-            v = ZVertex(top + 1, base)
-            for offset, src, _ in inputs:
-                if v.level + offset >= len(orbits[src - 1]):
-                    return f"in-arrow source {ZVertex(v.level + offset, src)} of {v} out of range"
+    orbits, meshes = arq.orbits, mesh_inputs(arq.quiver.opposite())
+    for v, vector in zip(arq.vertices, chain.from_iterable(orbits)):
+        if not v.level:
+            continue
+        sums = [x + y for x, y in zip(vector, orbits[v.base - 1][v.level - 1])]
+        for offset, src, weight in meshes[v.base]:
+            u = ZVertex(v.level + offset, src)
+            if u.level >= len(orbits[src - 1]):
+                return f"in-arrow source {u} of {v} out of range"
+            sums = [s - weight * x for s, x in zip(sums, orbits[src - 1][u.level])]
+        if any(sums):
+            return f"mesh relation fails at {v}"
     return ""
 
 
@@ -367,12 +350,9 @@ def _repeated_vector(arq: ARQuiver) -> str:
 
 
 def _non_positive_vector(arq: ARQuiver) -> str:
-    """The first vertex, in ``arq.vertices`` order, with a zero vector or a
-    negative entry, or ``""``."""
-    for v, x in zip(arq.vertices, chain.from_iterable(arq.orbits)):
-        if not any(x) or min(x) < 0:
-            return f"{'negative entry' if any(x) else 'zero vector'} at {v}"
-    return ""
+    """The first vertex, in ``arq.vertices`` order, with a zero vector."""
+    pairs = zip(arq.vertices, chain.from_iterable(arq.orbits))
+    return f"zero vector at {next(v for v, x in pairs if not any(x))}"
 
 
 def _distance_witness(lengths: list[int | None], order: int) -> str:
@@ -415,8 +395,7 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
         unread, audit = _reason(exc), OracleReport()
         audit.add("parallel-path-lengths", False, unread)
         audit.add("sectional-uniqueness", False, unread)
-    holds = _meshes_hold(arq)
-    report = _verify_mesh(arq, holds)
+    report = verify_mesh(arq)
     report.checks += audit.checks
 
     def guarded(name: str, fn, reason: str = "") -> None:
@@ -445,8 +424,8 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     vectors = set(chain.from_iterable(arq.orbits))
     ok = len(vectors) == len(arq.vertices)
     report.add("distinct-dimension-vectors", ok, "" if ok else _repeated_vector(arq))
-    # Laid out as bytes, no entry is negative, so positive is no zero vector.
-    why = "" if holds is not None and (0,) * arq.n not in vectors else _non_positive_vector(arq)
+    # No entry is negative (see ``ARQuiver``), so positive is no zero vector.
+    why = _non_positive_vector(arq) if (0,) * arq.n in vectors else ""
     report.add("positive-dimension-vectors", not why, why)
     # The build's classification, so the quiver is classified once per check.
     closed_form = _closed_form_rho_m(arq.quiver, arq.dynkin)

@@ -6,11 +6,13 @@ orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
 path audit, vertex-by-vertex mesh sums, the first failing check of an
 oracle report, seed sections and heap-ordered knitting, hammock tables
 by position, composition multiplicities, the dimension vectors by
-position, and orbit layouts and arrows for fault injection."""
+position, and orbit layouts and arrows for fault injection, with the
+vertex whose entries the constructor refuses."""
 
 from __future__ import annotations
 
 import heapq
+import re
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, count, takewhile
@@ -438,6 +440,20 @@ def with_arrows(arq, arrows: Sequence[ZArrow], **fields):
     return copy
 
 
+def _orbits(arq, vectors: Mapping | None, m: Sequence[int] | None) -> tuple:
+    """The orbits that :func:`relaid` lays out."""
+    vectors = dims(arq) if vectors is None else vectors
+    zero = (0,) * arq.n
+    orbits = []
+    for i in arq.quiver.vertices():
+        if m is None:
+            levels = takewhile(lambda r: (r, i) in vectors, count())
+        else:
+            levels = range(m[i - 1] + 1)
+        orbits.append(tuple(vectors.get((r, i), zero) for r in levels))
+    return tuple(orbits)
+
+
 def relaid(
     arq,
     vectors: Mapping | None = None,
@@ -451,15 +467,24 @@ def relaid(
     ``m`` is given, with the zero vector at the levels it lacks.  The copy's
     ``arrows`` view is that of its own orbits, or ``arrows`` when given
     (through :func:`with_arrows`)."""
-    vectors = dims(arq) if vectors is None else vectors
-    zero = (0,) * arq.n
-    orbits = []
-    for i in arq.quiver.vertices():
-        if m is None:
-            levels = takewhile(lambda r: (r, i) in vectors, count())
-        else:
-            levels = range(m[i - 1] + 1)
-        orbits.append(tuple(vectors.get((r, i), zero) for r in levels))
+    orbits = _orbits(arq, vectors, m)
     if arrows is None:
-        return replace(arq, orbits=tuple(orbits), **fields)
-    return with_arrows(arq, arrows, orbits=tuple(orbits), **fields)
+        return replace(arq, orbits=orbits, **fields)
+    return with_arrows(arq, arrows, orbits=orbits, **fields)
+
+
+def refused_at(arq, vectors: Mapping | None = None, m: Sequence[int] | None = None):
+    """The first position, orbit by orbit and level by level, whose vector
+    in ``relaid(arq, vectors, m)`` holds an entry that is not an int in
+    ``0..255``, or ``None``: the vertex ``ARQuiver`` refuses."""
+    for i, orbit in enumerate(_orbits(arq, vectors, m), start=1):
+        for r, x in enumerate(orbit):
+            if not all(isinstance(e, int) and 0 <= e <= 255 for e in x):
+                return ZVertex(r, i)
+    return None
+
+
+def refusal(v: ZVertex) -> str:
+    """The message, as a pattern, of the error refusing the vector at ``v``."""
+    message = f"dimension vector at {v} has an entry that is not an int in 0..255"
+    return f"^{re.escape(message)}$"

@@ -51,6 +51,7 @@ from plane import (
     reference_arrows,
     reference_knit,
     reference_orbit_relation,
+    refusal,
     relaid,
     seed_section,
     successors,
@@ -142,7 +143,8 @@ def test_the_knitted_orbits_are_the_only_vector_field():
     )
     assert arq.vertices == tuple(ZVertex(r, i) for i in (1, 2, 3) for r in range(i))
     assert not hasattr(arq, "dims")  # vectors by position are plane.dims, for the tests
-    for view in ("m", "vertices", "arrows"):
+    assert arq.layout == bytes((1, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0))
+    for view in ("m", "layout", "vertices", "arrows"):
         with pytest.raises(FrozenInstanceError):
             setattr(arq, view, getattr(arq, view))
 
@@ -161,6 +163,23 @@ def test_a_layout_without_one_orbit_of_n_tuples_per_vertex_is_rejected(change, m
     arq = build(a3_linear())
     with pytest.raises(KnitInconsistentError, match=message):
         replace(arq, orbits=change(arq.orbits))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda x: 256, lambda x: -1, lambda x: x + 0.5, float],
+    ids=["256", "minus-1", "half", "integral-float"],
+)
+def test_entries_outside_a_byte_are_refused_at_construction(entry):
+    # Entry 3 of two E6 vectors changed to one that bytes() refuses: the
+    # constructor names the first of them in vertex order.
+    arq = build(e6_example())
+    v, w = arq.vertices[12], arq.vertices[30]
+    vectors = dims(arq)
+    for x in (w, v):
+        vectors[x] = vectors[x][:2] + (entry(vectors[x][2]),) + vectors[x][3:]
+    with pytest.raises(KnitInconsistentError, match=refusal(v)):
+        relaid(arq, vectors)
 
 
 def _rho_reason(rho: tuple, n: int) -> str:
@@ -217,7 +236,8 @@ def test_a_rho_that_is_no_permutation_is_named_at_construction(rho, message):
 
 def test_build_and_check_read_no_position_keyed_vectors():
     # What `arquiver build` and `arquiver check` run reads the orbits: the
-    # only views built are `m`, `vertices` and `arrows`, none keyed by position.
+    # only views built are `m`, `layout`, `vertices` and `arrows`, none keyed
+    # by position.
     from arquiver import build_report, order_identity_check, report_to_json, to_dot
     from arquiver.oracle import run_all
 
@@ -227,7 +247,8 @@ def test_build_and_check_read_no_position_keyed_vectors():
         report_to_json(build_report(arq, cd.order, include_hammocks=True))
         to_dot(arq)
         assert run_all(arq, cd.order).ok and order_identity_check(arq, cd)
-        assert set(vars(arq)) <= {f.name for f in fields(ARQuiver)} | {"m", "vertices", "arrows"}
+        views = {"m", "layout", "vertices", "arrows"}
+        assert set(vars(arq)) <= {f.name for f in fields(ARQuiver)} | views
 
 
 def test_dim_vector_examples():

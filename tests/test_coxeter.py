@@ -39,7 +39,7 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import dims, relaid
+from plane import dims, refusal, refused_at, relaid
 
 # -- dense reference arithmetic, for checking the sparse certificate ------------
 
@@ -306,10 +306,10 @@ def test_corrupted_interior_dimension_vector_is_named():
 
 def test_orbit_with_a_repeated_vector_is_rejected():
     # A1 stretched to three translates that alternate in sign: every step is
-    # tau-equivariant, yet the signed orbit 1, -1, 1, -1, 1, -1 returns early.
-    stretched = replace(build(a1_quiver()), orbits=(((1,), (-1,), (1,)),))
-    with pytest.raises(CrossCheckFailedError, match=r"orbit of projective 1"):
-        coxeter_matrix(stretched)
+    # tau-equivariant, yet the signed orbit 1, -1, 1, -1, 1, -1 would return
+    # early.  The constructor refuses its entry -1 before any orbit is read.
+    with pytest.raises(KnitInconsistentError, match=refusal(ZVertex(1, 1))):
+        replace(build(a1_quiver()), orbits=(((1,), (-1,), (1,)),))
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,27 +345,22 @@ def test_non_involutive_pairing_leaves_the_orbit_of_projective_1_open():
 
 
 def test_an_orbit_that_does_not_close_is_named_before_a_later_orbit_fails():
-    # E6: orbit 1 runs a full period h = 12 past its injective, through
-    # -orbit(rho(1)) and back to P_1 and on to I_rho(1) again.  Every step is
-    # tau-equivariant, so only its closure fails, while orbit 2 carries a
-    # corrupted interior vector that fails C * dim.
-    arq = build(e6_example())
-    j = arq.rho_of(1)
-    own, other = arq.orbits[0], [tuple(-x for x in d) for d in arq.orbits[j - 1]]
-    stretched = [*own, *other, *own]
-    vectors = {v: d for v, d in dims(arq).items() if v.base != 1}
-    vectors.update((ZVertex(r, 1), d) for r, d in enumerate(stretched))
-    vectors[ZVertex(1, 2)] = tuple(x + 1 for x in vectors[ZVertex(1, 2)])
-    corrupted = relaid(arq, vectors)
-    size = len(stretched) + len(other)
+    # A3 paired by rho = (3, 1, 2) as in the test above: orbit 1 (a single
+    # vertex) needs no C * dim check, so only its closure fails, while
+    # orbit 3 carries a corrupted interior vector that fails C * dim.
+    arq = build(a3_linear())
+    vectors = dims(arq)
+    vectors[ZVertex(1, 2)], vectors[ZVertex(2, 3)] = vectors[ZVertex(2, 3)], vectors[ZVertex(1, 2)]
+    v = ZVertex(1, 3)
+    vectors[v] = tuple(x + 1 for x in vectors[v])
     with pytest.raises(
         CrossCheckFailedError,
-        match=rf"^coxeter: orbit of projective 1 does not close after {size} distinct vectors$",
+        match=r"^coxeter: orbit of projective 1 does not close after 3 distinct vectors$",
     ):
-        coxeter_matrix(corrupted)
-    # Orbit 2 alone is named once orbit 1 is restored.
-    vectors = {**dims(arq), ZVertex(1, 2): vectors[ZVertex(1, 2)]}
-    with pytest.raises(CrossCheckFailedError, match=r"dim ZVertex\(level=1, base=2\) "):
+        coxeter_matrix(relaid(arq, vectors, rho=(3, 1, 2)))
+    # Orbit 3 alone is named once orbit 1 is restored.
+    vectors = {**dims(arq), v: vectors[v]}
+    with pytest.raises(CrossCheckFailedError, match=r"dim ZVertex\(level=1, base=3\) "):
         coxeter_matrix(relaid(arq, vectors))
 
 
@@ -435,13 +430,22 @@ def _corrupted_orbits(draw):
         own = [vectors[ZVertex(r, i)] for r in range(arq.m_of(i) + 1)]
         other = [tuple(-x for x in vectors[ZVertex(r, j)]) for r in range(arq.m_of(j) + 1)]
         vectors.update((ZVertex(r, i), d) for r, d in enumerate(own + other + own))
-    return relaid(arq, vectors, m, rho=rho)
+    return arq, vectors, m, rho
 
 
 @settings(max_examples=300, deadline=None)
 @given(_corrupted_orbits())
-def test_row_certificate_names_what_the_orbit_walk_names(arq):
-    assert _outcome(arq) == _walked_outcome(arq)
+def test_row_certificate_names_what_the_orbit_walk_names(case):
+    # A negative entry (a bump by -1, a negated vector, a period through the
+    # partner's negatives) is refused at construction, naming the first.
+    arq, vectors, m, rho = case
+    v = refused_at(arq, vectors, m)
+    if v is not None:
+        with pytest.raises(KnitInconsistentError, match=refusal(v)):
+            relaid(arq, vectors, m, rho=rho)
+        return
+    corrupted = relaid(arq, vectors, m, rho=rho)
+    assert _outcome(corrupted) == _walked_outcome(corrupted)
 
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
@@ -478,34 +482,31 @@ def test_row_certificate_returns_the_walked_lengths_on_every_orientation(family,
     "entry", [lambda x: 256, lambda x: -1, lambda x: x + 0.5], ids=["256", "minus-1", "float"]
 )
 def test_entries_outside_a_byte_are_left_to_the_walk(entry):
-    # An interior vector of E6 with entry 0 changed: no lane holds it, and
-    # the walk names the vertex, as for any other broken C * dim step.
-    from arquiver.coxeter import _orbit_lengths
-
+    # An entry outside a byte never reaches the orbit checks: an interior
+    # vector of E6 with entry 0 changed is refused at construction.  The
+    # walk names a broken C * dim step of byte entries in
+    # test_corrupted_interior_dimension_vector_is_named.
     arq = build(e6_example())
     v = ZVertex(1, 1)
-    broken = relaid(arq, {**dims(arq), v: (entry(dims(arq)[v][0]),) + dims(arq)[v][1:]})
-    assert _orbit_lengths(broken, *_terms(arq.quiver)) is None
-    message = r"^coxeter: C \* dim ZVertex\(level=1, base=1\) != dim ZVertex\(level=0, base=1\)$"
-    with pytest.raises(CrossCheckFailedError, match=message):
-        coxeter_matrix(broken)
+    with pytest.raises(KnitInconsistentError, match=refusal(v)):
+        relaid(arq, {**dims(arq), v: (entry(dims(arq)[v][0]),) + dims(arq)[v][1:]})
 
 
 def test_integral_floats_are_left_to_the_walk_which_passes_them():
-    from arquiver.coxeter import _orbit_lengths
-
+    # Integral floats never reach the walk either: they are refused at
+    # construction like any other entry that is not an int.
     arq = build(e6_example())
     v = ZVertex(1, 1)
-    floats = relaid(arq, {**dims(arq), v: tuple(map(float, dims(arq)[v]))})
-    assert _orbit_lengths(floats, *_terms(arq.quiver)) is None
-    assert coxeter_matrix(floats).order == table_order(arq.dynkin)
+    with pytest.raises(KnitInconsistentError, match=refusal(v)):
+        relaid(arq, {**dims(arq), v: tuple(map(float, dims(arq)[v]))})
 
 
 @pytest.mark.parametrize(
     "q, orbits, rho, lower",
     [
-        # The signed orbit 1, -1, -1, 1 repeats.
-        (a1_quiver(), [[(1,), (-1,)]], (1,), []),
+        # The signed orbit 1, -1, -1, 1 would repeat, but the constructor
+        # refuses the entry -1 (``lower`` None).
+        (a1_quiver(), [[(1,), (-1,)]], (1,), None),
         # The signed orbit 0, -0 repeats.
         (a1_quiver(), [[(0,)]], (1,), []),
         # With A = (2), C * dim = dim tau is dim v = dim tau v.
@@ -521,6 +522,10 @@ def test_row_certificate_leaves_open_orbits_to_the_walk(q, orbits, rho, lower):
     # Every C * dim step holds, yet a signed orbit repeats or does not close.
     from arquiver.coxeter import _orbit_lengths, _walk_orbits
 
+    if lower is None:
+        with pytest.raises(KnitInconsistentError, match=refusal(ZVertex(1, 1))):
+            replace(build(q), orbits=tuple(map(tuple, orbits)), rho=rho)
+        return
     arq = replace(build(q), orbits=tuple(map(tuple, orbits)), rho=rho)
     assert _orbit_lengths(arq, lower, []) is None
     with pytest.raises(CrossCheckFailedError, match=r"orbit of projective 1 does not close"):

@@ -37,6 +37,8 @@ from plane import (
     reference_audit_lines,
     reference_mesh_line,
     reference_spans,
+    refusal,
+    refused_at,
     relaid,
     successors,
     topological_order,
@@ -97,12 +99,15 @@ def test_recursion_checks_name_the_first_vertex_that_differs():
 
 
 def _bumped(arq, rng):
-    """A copy of ``dims(arq)`` with one or two vectors bumped in one entry."""
+    """A copy of ``dims(arq)`` with one or two vectors bumped in one entry,
+    by -1, 1 or 2; an entry 0 bumped by -1 lands on 1, as the constructor
+    refuses a negative entry."""
     vectors = dims(arq)
     for _ in range(rng.randrange(1, 3)):
         v = rng.choice(arq.vertices)
         bumped = list(vectors[v])
-        bumped[rng.randrange(arq.n)] += rng.choice((-1, 1, 2))
+        k = rng.randrange(arq.n)
+        bumped[k] = abs(bumped[k] + rng.choice((-1, 1, 2)))
         vectors[v] = tuple(bumped)
     return vectors
 
@@ -829,27 +834,29 @@ def test_run_all_reports_any_rho_line_by_line(data):
 
 
 @pytest.mark.parametrize(
-    "change, passed, detail",
+    "change, line",
     [
-        (lambda d: d, True, ""),
-        (lambda d: (0,) * len(d), False, "zero vector at {v}"),
-        (lambda d: (-1,) + d[1:], False, "negative entry at {v}"),
-        (lambda d: (-1,) + (2,) * (len(d) - 1), False, "negative entry at {v}"),
+        (lambda d: d, "PASS"),
+        (lambda d: (0,) * len(d), "FAIL (zero vector at {v})"),
+        (lambda d: (-1,) + d[1:], None),
+        (lambda d: (-1,) + (2,) * (len(d) - 1), None),
     ],
     ids=["unchanged", "zero", "negative", "negative-and-non-zero"],
 )
-def test_positive_dimension_vectors_are_non_zero_and_non_negative(change, passed, detail):
+def test_positive_dimension_vectors_are_non_zero_and_non_negative(change, line):
+    # Two vectors changed alike, and the earlier is named.  A zero vector
+    # fails the check; a negative entry never reaches it, as the
+    # constructor refuses the quiver (``line`` None).
     arq = build(e6_example())
-    v = arq.vertices[7]
-    corrupted = relaid(arq, {**dims(arq), v: change(dims(arq)[v])})
-    checks = run_all(corrupted, table_order(arq.dynkin)).checks
+    v, w = arq.vertices[7], arq.vertices[20]
+    vectors = {**dims(arq), v: change(dims(arq)[v]), w: change(dims(arq)[w])}
+    if line is None:
+        with pytest.raises(KnitInconsistentError, match=refusal(v)):
+            relaid(arq, vectors)
+        return
+    checks = run_all(relaid(arq, vectors), table_order(arq.dynkin)).checks
     check = next(c for c in checks if c.name == "positive-dimension-vectors")
-    assert check.passed is passed
-    assert check.line() == (
-        "positive-dimension-vectors: PASS"
-        if passed
-        else f"positive-dimension-vectors: FAIL ({detail.format(v=v)})"
-    )
+    assert check.line() == f"positive-dimension-vectors: {line.format(v=v)}"
 
 
 @pytest.mark.parametrize("src, dst", [(3, 7), (7, 3), (0, 1), (12, 30)])
@@ -873,17 +880,18 @@ def _walk_only_lines(arq):
     """The lines of ``run_all`` with every packed verdict failed, so that
     each check is decided by its walk."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_meshes_hold", lambda arq: None)
+        patch.setattr(oracle, "_meshes_hold", lambda arq: False)
         patch.setattr(oracle, "_certified", lambda *arrays: False)
         return _lines(arq)
 
 
 @st.composite
 def _walked_quivers(draw):
-    """A quiver of :func:`_broken_quivers`, or a random orientation up to
-    rank 5 with one to three entries changed, some past a byte."""
+    """A quiver of :func:`_broken_quivers` with no vectors to lay out, or a
+    random orientation up to rank 5 with vectors that have one to three
+    entries changed, some past a byte."""
     if draw(st.booleans()):
-        return draw(_broken_quivers())
+        return draw(_broken_quivers()), None
     family, rank = draw(st.sampled_from(all_diagrams(5)))
     g = canonical_diagram(family, rank)
     arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
@@ -892,55 +900,50 @@ def _walked_quivers(draw):
         v, k = draw(st.sampled_from(arq.vertices)), draw(st.integers(0, rank - 1))
         entry = draw(st.sampled_from([-1, 0, 1, 2, 3, 255, 256]))
         vectors[v] = vectors[v][:k] + (entry,) + vectors[v][k + 1 :]
-    return relaid(arq, vectors)
+    return arq, vectors
 
 
 @settings(max_examples=200, deadline=None)
 @given(_walked_quivers())
-def test_packed_verdicts_match_the_walks_on_corrupted_quivers(arq):
+def test_packed_verdicts_match_the_walks_on_corrupted_quivers(case):
     # Changed vectors, wrong m and rho, and doubled, reversed, dropped and
     # stray arrows: the packed arrays and the walks give the same lines.
+    # Vectors with an entry past a byte are refused, naming the first.
+    arq, vectors = case
+    if vectors is not None:
+        v = refused_at(arq, vectors)
+        if v is not None:
+            with pytest.raises(KnitInconsistentError, match=refusal(v)):
+                relaid(arq, vectors)
+            return
+        arq = relaid(arq, vectors)
     assert _lines(arq) == _walk_only_lines(arq)
 
 
 _V = ZVertex(1, 1)
-_REPEAT = "ZVertex(level=4, base=4) repeats the vector of ZVertex(level=1, base=1)"
-_BROKEN = f"FAIL (mesh relation fails at {_V})"
+_CHANGES = {
+    "256": lambda d: (256,) + d[1:],
+    "minus-1": lambda d: (-1,) + d[1:],
+    "half": lambda d: (d[0] + 0.5,) + d[1:],
+    "integral-floats": lambda d: tuple(map(float, d)),
+}
 
 
 @pytest.mark.parametrize(
-    "change, repeated, mesh, distinct, positive",
-    [
-        (lambda d: (256,) + d[1:], False, _BROKEN, "PASS", "PASS"),
-        (lambda d: (256,) + d[1:], True, _BROKEN, f"FAIL ({_REPEAT})", "PASS"),
-        (lambda d: (-1,) + d[1:], False, _BROKEN, "PASS", f"FAIL (negative entry at {_V})"),
-        (lambda d: (-1,) + d[1:], True, _BROKEN, f"FAIL ({_REPEAT})",
-         f"FAIL (negative entry at {_V})"),
-        (lambda d: (d[0] + 0.5,) + d[1:], False, _BROKEN, "PASS", "PASS"),
-        (lambda d: (d[0] + 0.5,) + d[1:], True, _BROKEN, f"FAIL ({_REPEAT})", "PASS"),
-        (lambda d: tuple(map(float, d)), False, "PASS", "PASS", "PASS"),
-        (lambda d: tuple(map(float, d)), True,
-         "FAIL (mesh relation fails at ZVertex(level=4, base=3))", f"FAIL ({_REPEAT})", "PASS"),
-    ],
-    ids=["256", "256-repeated", "minus-1", "minus-1-repeated", "half", "half-repeated",
-         "integral-floats", "integral-floats-repeated"],
+    "change, repeated",
+    [(change, repeated) for change in _CHANGES.values() for repeated in (False, True)],
+    ids=[name + "-repeated" * repeated for name in _CHANGES for repeated in (False, True)],
 )
-def test_entries_outside_a_byte_are_left_to_the_walks(change, repeated, mesh, distinct, positive):
-    # An interior vector of E6 changed, and also copied to (4, 4) when
-    # ``repeated``: no byte holds an entry, so the walks decide and name
-    # the witness.
+def test_entries_outside_a_byte_are_left_to_the_walks(change, repeated):
+    # An entry outside a byte never reaches the walks: an interior vector
+    # of E6 changed, and also copied to (4, 4) when ``repeated``, is
+    # refused at construction, naming the first of the two in vertex order.
     arq = build(e6_example())
     vectors = {**dims(arq), _V: change(dims(arq)[_V])}
     if repeated:
         vectors[ZVertex(4, 4)] = vectors[_V]
-    broken = relaid(arq, vectors)
-    assert oracle._meshes_hold(broken) is None
-    lines = {line.split(":")[0]: line for line in _lines(broken)}
-    assert [lines[name] for name in _CHECK_NAMES if name.endswith(("additivity", "vectors"))] == [
-        f"mesh-additivity: {mesh}",
-        f"distinct-dimension-vectors: {distinct}",
-        f"positive-dimension-vectors: {positive}",
-    ]
+    with pytest.raises(KnitInconsistentError, match=refusal(_V)):
+        relaid(arq, vectors)
 
 
 @pytest.mark.parametrize(
