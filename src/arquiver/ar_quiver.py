@@ -15,22 +15,24 @@ less ``dim (s - 1, x)``.  An orbit stops at its first vector with a
 negative entry, one level past its injective; that vector is minus the
 projective ``P_k`` whose hammock ends there, so ``rho(x) = k``.  The
 vectors below the terminators, orbit by orbit, are what :class:`ARQuiver`
-stores; ``m``, the positions and the arrows are read off them, and so
-are the paper's per-hammock tables (:mod:`arquiver.hammock`).  This is
-the one knit of the package.  No entry exceeds 6, so every vector fits
-one byte per entry: :attr:`ARQuiver.layout` lays them all end to end, and
-the constructor refuses an entry that a byte cannot hold.
+stores, with the top level ``m`` of each orbit; the positions and the
+arrows are read off ``m``, and the paper's per-hammock tables off the
+vectors (:mod:`arquiver.hammock`).  This is the one knit of the
+package.  No entry exceeds 6, so every vector fits one byte per entry:
+:attr:`ARQuiver.layout` lays them all end to end.
 
 While knitting, each vector is one Python int with entry ``k`` in the
 signed 16-bit lane ``k`` (:class:`_Lanes`), so a mesh step is one big-int
 multiply-add per input.  The arithmetic is exact: the packed
 ``sum(f[k] << 16 * k)`` is a true integer for any signed ``f``, linear
-in ``f``, and decodes faithfully while every ``|f[k]| < 2 ** 15``.  An
+in ``f``, and reads faithfully while every ``|f[k]| < 2 ** 15``.  An
 entry of a Dynkin dimension vector is at most 6 (E8's highest root) and
 the mesh weights into a vertex sum to at most 3, so a mesh step from
 vectors within ``±_CAP = ±(3 + 1) * 6`` lands within ``±4 * _CAP``, far
 inside a lane; the knit stops at the first vector past ``±_CAP``, before
-a lane can overflow.  Each orbit is decoded once, after knitting.
+a lane can overflow.  Each column is written to the layout once, after
+knitting: below its terminator every entry lies in ``0.._CAP``, so it is
+the low byte of its lane.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from io import BytesIO
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import itemgetter, ne, sub
 from typing import Iterable, NamedTuple
 
@@ -58,45 +60,46 @@ from .repetitive import ZArrow, ZVertex, mesh_inputs, path_length
 
 @dataclass(frozen=True)
 class ARQuiver:
-    """The finite translation quiver, held as its knitted orbits.
+    """The finite translation quiver, held as its knitted vectors.
 
-    ``orbits[i - 1]`` is the dimension vectors of ``(r, i)`` for
-    ``r = 0..m(i)``; ``m``, ``layout``, ``vertices`` and ``arrows`` are
-    views of it and of the quiver, built on first read.  The constructor
-    rejects a quiver whose underlying graph is not a tree
-    (:class:`NotATreeError`), a layout without one non-empty orbit per
-    vertex of ``n``-tuples, an entry that is not an int in ``0..255``, and
-    a ``rho`` that is not a tuple holding each of ``1..n`` once; whether
-    ``rho`` is an involution is left to the checks.
+    Orbit ``i`` holds the dimension vectors of ``(r, i)`` for
+    ``r = 0..m(i)``.  ``layout`` lays every vector end to end, orbit by
+    orbit and level by level, one byte per entry: the vector at
+    ``vertices[p]`` is ``layout[n * p : n * (p + 1)]``.  ``vertices`` and
+    ``arrows`` are views of ``m`` and the quiver, built on first read.
+    The constructor rejects a quiver whose underlying graph is not a tree
+    (:class:`NotATreeError`), a ``layout`` that is not ``bytes``, an ``m``
+    that is not a tuple of ``n`` levels (ints from 0), a ``layout`` that is
+    not ``n`` bytes per vertex, and a ``rho`` that is not a tuple holding
+    each of ``1..n`` once; whether ``rho`` is an involution is left to the
+    checks.
     """
 
     quiver: ValuedQuiver
     dynkin: DynkinClass
-    orbits: tuple[tuple[tuple[int, ...], ...], ...]
+    layout: bytes
+    m: tuple[int, ...]
     rho: tuple[int, ...]
 
     def __post_init__(self) -> None:
         # Raises NotATreeError unless the underlying graph is a tree; a
         # build's knit has already made this table.
         self.quiver.opposite()._forward_steps
-        n, orbits = self.quiver.n, self.orbits
-        if len(orbits) != n:
-            raise KnitInconsistentError(f"{len(orbits)} orbits for {n} vertices")
-        if not all(orbits):
-            raise KnitInconsistentError(f"orbit {list(map(len, orbits)).index(0) + 1} is empty")
-        vectors = list(chain.from_iterable(orbits))
-        if set(map(type, vectors)) != {tuple} or set(map(len, vectors)) != {n}:
-            raise KnitInconsistentError(f"a dimension vector is not a tuple of length {n}")
-        try:
-            self.layout
-        except (TypeError, ValueError):  # bytes() refuses an entry: name its vertex
-            for v, x in zip(self.vertices, vectors):
-                try:
-                    bytes(x)
-                except (TypeError, ValueError):
-                    raise KnitInconsistentError(
-                        f"dimension vector at {v} has an entry that is not an int in 0..255"
-                    ) from None
+        n, layout, m = self.quiver.n, self.layout, self.m
+        if type(layout) is not bytes:
+            raise KnitInconsistentError(f"layout is a {type(layout).__name__}, not bytes")
+        if type(m) is not tuple:
+            raise KnitInconsistentError(f"m is a {type(m).__name__}, not a tuple")
+        if len(m) != n:
+            raise KnitInconsistentError(f"m has {len(m)} entries for {n} vertices")
+        stray = next((top for top in m if type(top) is not int or top < 0), None)
+        if stray is not None:
+            raise KnitInconsistentError(f"m names {stray!r}, not a level")
+        count = sum(m) + n
+        if len(layout) != n * count:
+            raise KnitInconsistentError(
+                f"layout has {len(layout)} bytes for {count} vertices of {n} entries"
+            )
         rho, bases = self.rho, range(1, n + 1)
         if type(rho) is not tuple:
             raise KnitInconsistentError(f"rho is a {type(rho).__name__}, not a tuple")
@@ -114,25 +117,10 @@ class ARQuiver:
         return self.quiver.n
 
     @cached_property
-    def m(self) -> tuple[int, ...]:
-        """The level of the injective on each base."""
-        return tuple(len(orbit) - 1 for orbit in self.orbits)
-
-    @cached_property
-    def layout(self) -> bytes:
-        """Every vector end to end, orbit by orbit and level by level, one
-        byte per entry: the vector at ``vertices[p]`` is
-        ``layout[n * p : n * (p + 1)]``.  Written into one growing buffer,
-        not joined, so the vectors' own ``bytes`` are not all held at once."""
-        out = BytesIO()
-        out.writelines(map(bytes, chain.from_iterable(self.orbits)))
-        return out.getvalue()
-
-    @cached_property
     def vertices(self) -> tuple[ZVertex, ...]:
         """The positions orbit by orbit, each orbit in level order; the
         oracle's path audit numbers a vertex by its place here."""
-        pairs = ((r, i) for i, orbit in enumerate(self.orbits, 1) for r in range(len(orbit)))
+        pairs = ((r, i) for i, top in enumerate(self.m, 1) for r in range(top + 1))
         return tuple(map(tuple.__new__, repeat(ZVertex), pairs))
 
     @cached_property
@@ -147,7 +135,7 @@ class ARQuiver:
         base.  Both ends are the ``ZVertex`` objects of ``vertices``.
         """
         qop, m, vertices = self.quiver.opposite(), self.m, self.vertices
-        start = [0, *accumulate(map(len, self.orbits))]  # (0, i) sits at start[i - 1]
+        start = [0, *accumulate(top + 1 for top in m)]  # (0, i) sits at start[i - 1]
         # Per arrow out of a base at level 0, in (src, dst) order: where its
         # ends sit in ``vertices``, and the top level it is repeated to.
         spans = []
@@ -165,6 +153,13 @@ class ARQuiver:
             if s <= top
         )
         return tuple(map(tuple.__new__, repeat(ZArrow), fields))
+
+    def vector(self, v: ZVertex) -> bytes:
+        """The dimension vector at ``v``, one byte per entry."""
+        if not 0 <= v.level <= self.m_of(v.base):
+            raise PositionOutOfRangeError(f"no level {v.level} on base {v.base}")
+        p = sum(self.m[: v.base - 1]) + v.base - 1 + v.level
+        return self.layout[self.n * p : self.n * (p + 1)]
 
     def m_of(self, i: int) -> int:
         """The level of the injective on base ``i``."""
@@ -204,7 +199,7 @@ class Counts(NamedTuple):
 def build(q: ValuedQuiver) -> ARQuiver:
     """Knit every dimension vector and pair each orbit with its injective."""
     dynkin = classify_quiver(q)
-    orbits, ends = _knit_vectors(q, table_order(dynkin) + 1)
+    layout, m, ends = _knit_vectors(q, table_order(dynkin) + 1)
 
     rho = [0] * q.n
     for k, end in sorted(ends.items()):
@@ -215,14 +210,13 @@ def build(q: ValuedQuiver) -> ARQuiver:
         rho[end.base - 1] = k
     if 0 in rho:
         raise KnitInconsistentError("some orbit terminates no hammock")
+    arq = ARQuiver(q, dynkin, layout, m, tuple(rho))
     for i in q.vertices():
         if rho[rho[i - 1] - 1] != i:
             raise KnitInconsistentError("orbit pairing is not an involution")
-    for i, orbit in zip(q.vertices(), orbits):
-        if orbit[0][i - 1] != 1:
+        if arq.vector(arq.projective(i))[i - 1] != 1:
             raise KnitInconsistentError(f"projective {i} misses its own simple top")
-
-    return ARQuiver(q, dynkin, tuple(orbits), tuple(rho))
+    return arq
 
 
 # An entry of a Dynkin dimension vector is at most 6 (E8's highest root), and
@@ -236,7 +230,7 @@ class _Lanes:
     signed 16-bit lane ``k``: the exact integer ``sum(f[k] << 16 * k)``.
 
     Sums and integer multiples of packed vectors are the packed sums and
-    multiples, and decode faithfully while every entry lies in
+    multiples, and read faithfully while every entry lies in
     ``-2 ** 15 .. 2 ** 15 - 1``.
     """
 
@@ -244,7 +238,6 @@ class _Lanes:
         def every_lane(value: int) -> int:
             return int.from_bytes(value.to_bytes(2, "little") * n, "little")
 
-        self.n = n
         self.sign = every_lane(1 << 15)  # the top bit of every lane
         self.cap = every_lane(_CAP)
 
@@ -253,14 +246,6 @@ class _Lanes:
         if sys.byteorder == "big":
             lanes.byteswap()
         return (int.from_bytes(lanes.tobytes(), "little") ^ self.sign) - self.sign
-
-    def decode(self, packed: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-        """The vectors of ``packed``, in one pass through a signed array."""
-        size, sign = 2 * self.n, self.sign
-        lanes = array("h", b"".join([((x + sign) ^ sign).to_bytes(size, "little") for x in packed]))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        return tuple(zip(*[iter(lanes)] * self.n))
 
     def nonnegative(self, x: int) -> bool:
         """No entry negative: every lane of ``x + sign`` keeps its top bit."""
@@ -303,9 +288,11 @@ def _level_zero(qop: ValuedQuiver, k: int) -> dict[int, int]:
 
 def _knit_vectors(
     q: ValuedQuiver, bound: int
-) -> tuple[list[tuple[tuple[int, ...], ...]], dict[int, ZVertex]]:
-    """Per base, the dimension vectors by level below its terminator, and
-    the terminator of each hammock ``k``: where ``-dim P_k`` is knitted.
+) -> tuple[bytes, tuple[int, ...], dict[int, ZVertex]]:
+    """The layout of the dimension vectors below the terminators, base by
+    base and level by level, one byte per entry; the level of each base's
+    top; and the terminator of each hammock ``k``: where ``-dim P_k`` is
+    knitted.
 
     Level ``s`` is knitted after level ``s - 1``, its bases in the opposite
     quiver's topological order, so every mesh input is knitted before it
@@ -378,11 +365,12 @@ def _knit_vectors(
             for k in hammocks_of[total]:
                 ends[k] = v
     del rows
-    orbits = []
+    m = tuple(len(column) - 2 for column in columns)  # each column ends at its terminator
+    layout = BytesIO()
     for x, column in enumerate(columns):
-        orbits.append(lanes.decode(column[:-1]))  # each column ends at its terminator
+        layout.write(b"".join([v.to_bytes(2 * n, "little") for v in column[:-1]])[::2])
         columns[x] = []
-    return orbits, ends
+    return layout.getvalue(), m, ends
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -461,7 +449,7 @@ def _count_identity(arq: ARQuiver, order: int, lengths: Iterable[int | None]) ->
     length of the paths from projective ``i`` to injective ``i``, or
     ``None`` where no path joins them.  Lengths are read in order, after
     the vertex count is checked."""
-    total = sum(map(len, arq.orbits))
+    total = sum(arq.m) + arq.n
     if 2 * total != arq.n * order:
         half, odd = divmod(arq.n * order, 2)
         raise CrossCheckFailedError(

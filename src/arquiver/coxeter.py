@@ -31,8 +31,7 @@ failure.  A row is one int with entry ``p`` in lane ``p``: the exact
 integer ``sum(x[p] << bits * p)``, cut from ``ARQuiver.layout``.  Sums
 and multiples of rows are the rows of the sums and multiples, and every
 lane of a row sum reads faithfully once biased by half a lane, as the
-lanes are wide enough for the largest sum that entries in ``0..255``, the
-only entries an ``ARQuiver`` holds, can give.
+lanes are wide enough for the largest sum that byte entries can give.
 """
 
 from __future__ import annotations
@@ -70,9 +69,9 @@ def _minus(terms: list[tuple[int, int, int]], x: tuple[int, ...]) -> list[int]:
 
 def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
     """Form the transformation exactly and certify its tabled order."""
-    n, orbits = arq.n, arq.orbits
-    proj = [orbit[0] for orbit in orbits]
-    inj = [orbits[v.base - 1][v.level] for v in map(arq.injective, range(1, n + 1))]
+    n = arq.n
+    proj = [arq.vector(arq.projective(i)) for i in range(1, n + 1)]
+    inj = [arq.vector(arq.injective(l)) for l in range(1, n + 1)]
     lower = [(a.dst - 1, a.src - 1, a.val[0]) for a in arq.quiver.arrows]  # A
     upper = [(a.src - 1, a.dst - 1, a.val[1]) for a in arq.quiver.arrows]  # B
     units = [[int(i == j) for i in range(n)] for j in range(n)]
@@ -123,10 +122,10 @@ def _orbit_lengths(
     another.
     """
     n, rho, data = arq.n, arq.rho, arq.layout
-    sizes = list(map(len, arq.orbits))
+    sizes = [top + 1 for top in arq.m]
     count = len(data) // n
-    distinct = set(chain.from_iterable(arq.orbits))
-    if len(distinct) != count or (0,) * n in distinct:
+    distinct = {data[p : p + n] for p in range(0, len(data), n)}
+    if len(distinct) != count or bytes(n) in distinct:
         return None
     del distinct
     # The terms of row r: (column, weight) of A and of B.
@@ -163,33 +162,33 @@ def _orbit_lengths(
         if (now + (back << 8 * width) + sign) & mask != zero:
             return None
 
-    partner = [0] * (n + 1)  # partner[i] = rho^-1(i)
-    for i, j in enumerate(rho, 1):
-        partner[j] = i
-    if any(partner[partner[i]] != i for i in range(1, n + 1)):
+    if any(rho[j - 1] != i for i, j in enumerate(rho, 1)):  # rho is no involution
         return None
-    return [sizes[i - 1] + sizes[partner[i] - 1] for i in range(1, n + 1)]
+    return [sizes[i] + sizes[j - 1] for i, j in enumerate(rho)]
 
 
 def _walk_orbits(
     arq: "ARQuiver", lower: list[tuple[int, int, int]], upper: list[tuple[int, int, int]]
 ) -> list[int]:
     """The signed orbit lengths, orbit by orbit: each orbit's ``C * dim``
-    steps, then its closure, raising at the first failure."""
+    steps, then its closure, raising at the first failure.  A signed
+    vector is read as the int of its bytes, negated on the partner's orbit."""
+    vectors = [[arq.vector(ZVertex(r, i)) for r in range(top + 1)] for i, top in enumerate(arq.m, 1)]
     lengths = []
-    for i, orbit in enumerate(map(list, arq.orbits), 1):
+    for i, orbit in enumerate(vectors, 1):
         for r in range(1, len(orbit)):
             if _minus(lower, orbit[r]) != [-x for x in _minus(upper, orbit[r - 1])]:
                 v = ZVertex(r, i)
                 raise CrossCheckFailedError(f"coxeter: C * dim {v} != dim {v.translate()}")
         j = arq.injective(i).base
-        orbit += [tuple(-x for x in vector) for vector in arq.orbits[j - 1]]
-        if arq.injective(j).base != i or len(set(orbit)) != len(orbit):
+        signed = [int.from_bytes(x, "little") for x in orbit]
+        signed += [-int.from_bytes(x, "little") for x in vectors[j - 1]]
+        if arq.injective(j).base != i or len(set(signed)) != len(signed):
             raise CrossCheckFailedError(
                 f"coxeter: orbit of projective {i} does not close "
-                f"after {len(orbit)} distinct vectors"
+                f"after {len(signed)} distinct vectors"
             )
-        lengths.append(len(orbit))
+        lengths.append(len(signed))
     return lengths
 
 

@@ -169,7 +169,7 @@ def cluster_normalize(arq: "ARQuiver", order: int, v: DerivedVertex) -> ClusterR
 
 def cluster_count(arq: "ARQuiver", order: int) -> int:
     """Number of cluster-category objects: domain size, doubly computed."""
-    size = sum(map(len, arq.orbits)) + arq.n
+    size = sum(arq.m) + 2 * arq.n  # every vertex, and each shifted projective
     if 2 * size != arq.n * (order + 2):
         raise CrossCheckFailedError(
             f"fundamental domain has {size} objects, expected n(|C|+2)/2"

@@ -27,10 +27,10 @@ ascending, which is the order the report and ``arquiver hammock`` print.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import zip_longest
-from operator import itemgetter
-from typing import Callable
+from itertools import accumulate, repeat
+from typing import Callable, Iterator
 
 from .ar_quiver import ARQuiver, build
 from .coxeter import table_order
@@ -66,15 +66,18 @@ class HammockResult:
 
 
 def _reader(arq: ARQuiver) -> Callable[[int], HammockResult]:
-    """Reads hammock ``k`` of ``arq`` off column ``k`` of its orbits.
+    """Reads hammock ``k`` of ``arq`` off entry ``k`` of its vectors.
 
-    The read raises :class:`KnitInconsistentError` when the terminator
-    does not lie at path length ``h`` or the value directly before it is
-    not positive.
+    Base ``j``'s values are one strided slice of ``arq.layout``, and the
+    rows go out level by level, each from the bases whose range of levels
+    holds it.  The read raises :class:`KnitInconsistentError` when the
+    terminator does not lie at path length ``h`` or the value directly
+    before it is not positive.
     """
-    q, orbits, m = arq.quiver, arq.orbits, arq.m
+    q, layout, m, n = arq.quiver, arq.layout, arq.m, arq.n
     steps = q.opposite()._forward_steps
     h = table_order(arq.dynkin)
+    start = [0, *accumulate(top + 1 for top in m)]  # (0, j) is vertex start[j - 1]
 
     def read(k: int) -> HammockResult:
         c = [steps[k][j] - steps[j][k] for j in range(q.n + 1)]  # entry 0 is padding
@@ -85,28 +88,36 @@ def _reader(arq: ARQuiver) -> Callable[[int], HammockResult]:
                 f"terminator {terminator} lies at path length "
                 f"{c[i] + 2 * terminator.level}, not at h = {h}"
             )
-        if orbits[i - 1][-1][k - 1] <= 0:
+        if arq.vector(arq.injective(k))[k - 1] == 0:
             raise KnitInconsistentError(
                 f"value directly before the terminator {terminator} is not positive"
             )
-        entry = itemgetter(k - 1)
-        columns = []  # base j's values by level, None below its seed
-        for j, orbit in enumerate(orbits, 1):
+        entering: dict[int, list] = {}  # level: each base seeded there, with its values
+        leaving: dict[int, list] = {}  # level: each base whose top is the level below
+        for j in q.vertices():
             top, last = divmod(h - c[j], 2)
             if not last and (-c[j], j) > (-c[i], i):  # knitted after the terminator
                 top -= 1
-            column: list[int | None] = [None] * steps[j][k]
-            column += map(entry, orbit[len(column) : top + 1])
-            column += [0] * (top + 1 - len(column))
-            columns.append(column)
-        columns[i - 1][-1] = -1
-        rows = tuple(
-            (level, j, value)
-            for level, values in enumerate(zip_longest(*columns))
-            for j, value in enumerate(values, 1)
-            if value is not None
-        )
-        return HammockResult(q, k, rows, terminator)
+            seed, entry = steps[j][k], n * start[j - 1] + k - 1  # entry k of (0, j)
+            column = list(layout[entry + n * seed : entry + n * min(top, m[j - 1]) + 1 : n])
+            column += [0] * (top + 1 - seed - len(column))
+            if j == i:
+                column[-1] = -1
+            entering.setdefault(seed, []).append((j, column))
+            leaving.setdefault(seed + len(column), []).append(j)
+        rows: list[tuple[int, int, int]] = []
+        bases: list[int] = []  # those that hold the level, ascending
+        values: list[Iterator[int]] = []  # each one's values from the level on
+        for level in range(max(leaving)):
+            for j, column in entering.get(level, ()):
+                p = bisect_left(bases, j)
+                bases.insert(p, j)
+                values.insert(p, iter(column))
+            for j in leaving.get(level, ()):
+                p = bisect_left(bases, j)
+                del bases[p], values[p]
+            rows += zip(repeat(level), bases, map(next, values))
+        return HammockResult(q, k, tuple(rows), terminator)
 
     return read
 

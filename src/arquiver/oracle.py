@@ -15,14 +15,14 @@ arrays: the mesh relations on orbits of ``arq.layout`` widened into ints
 ``arq.vertices``: when it holds, parallel paths share one length and a
 sectional path is the only path between its ends.  Only a failing
 verdict is walked vertex by vertex, to name its first witness.  No entry
-is negative: ``ARQuiver`` holds only entries in ``0..255``.
+is negative: ``ARQuiver`` holds one byte per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, repeat
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, mul, ne, sub
 from typing import Callable
 
 from .ar_quiver import ARQuiver, _closed_form_rho_m, _count_identity, _orbit_index_witness
@@ -104,13 +104,13 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
     witness = "" if _meshes_hold(arq) else _mesh_witness(arq)
     report.add("mesh-additivity", not witness, witness)
 
-    orbits, vertices = arq.orbits, arq.quiver.vertices()
+    vertices = arq.quiver.vertices()
     for name, position, recursive in (
         ("projective-recursion", arq.projective, recursive_projective_dims(arq.quiver)),
         ("injective-recursion", arq.injective, recursive_injective_dims(arq.quiver)),
     ):
         pairs = zip(vertices, map(position, vertices))  # the first, in 1..n, whose vector differs
-        bad = next((p for i, p in pairs if orbits[p.base - 1][p.level] != recursive[i]), None)
+        bad = next((p for i, p in pairs if any(map(ne, arq.vector(p), recursive[i]))), None)
         detail = "" if bad is None else f"dimension vectors differ at {bad}"
         report.add(name, bad is None, detail)
     return report
@@ -126,12 +126,12 @@ def _meshes_hold(arq: ARQuiver) -> bool:
     ``==`` per orbit.  An orbit is held packed only while a base whose mesh
     reads it is to come.
     """
-    orbits, layout, n = arq.orbits, arq.layout, arq.n
+    m, layout, n = arq.m, arq.layout, arq.n
     meshes = mesh_inputs(arq.quiver.opposite())
     reach = 255 * max([2, *(sum(w for *_, w in inputs) for inputs in meshes.values())])
     width = (reach.bit_length() + 7) // 8
     bits = 8 * width * n  # one level of an orbit
-    starts = [0, *accumulate(n * len(orbit) for orbit in orbits)]  # of each orbit's bytes
+    starts = [0, *accumulate(n * (top + 1) for top in m)]  # of each orbit's bytes
     packed: dict[int, int] = {}
     holds = True
     for base in range(1, n + 1):
@@ -142,10 +142,10 @@ def _meshes_hold(arq: ARQuiver) -> bool:
                 lanes = bytearray(width * len(data))
                 lanes[::width] = data
                 packed[x] = int.from_bytes(lanes, "little")
-        top = len(orbits[base - 1]) - 1
+        top = m[base - 1]
         mask, sums = (1 << bits * top) - 1, 0
         for offset, src, w in meshes[base]:
-            holds &= top + offset < len(orbits[src - 1])  # the input is in range
+            holds &= top + offset <= m[src - 1]  # the input is in range
             sums += w * (packed[src] >> bits * (1 + offset) & mask)
         holds &= (packed[base] >> bits) + (packed[base] & mask) == sums
         for x in read:  # no later base reads x
@@ -161,16 +161,16 @@ def _mesh_witness(arq: ARQuiver) -> str:
     the vertex itself when its vector plus its translate's is not the
     weighted sum of its inputs'.
     """
-    orbits, meshes = arq.orbits, mesh_inputs(arq.quiver.opposite())
-    for v, vector in zip(arq.vertices, chain.from_iterable(orbits)):
+    meshes = mesh_inputs(arq.quiver.opposite())
+    for v in arq.vertices:
         if not v.level:
             continue
-        sums = [x + y for x, y in zip(vector, orbits[v.base - 1][v.level - 1])]
+        sums = [x + y for x, y in zip(arq.vector(v), arq.vector(v.translate()))]
         for offset, src, weight in meshes[v.base]:
             u = ZVertex(v.level + offset, src)
-            if u.level >= len(orbits[src - 1]):
+            if u.level > arq.m[src - 1]:
                 return f"in-arrow source {u} of {v} out of range"
-            sums = [s - weight * x for s, x in zip(sums, orbits[src - 1][u.level])]
+            sums = [s - weight * x for s, x in zip(sums, arq.vector(u))]
         if any(sums):
             return f"mesh relation fails at {v}"
     return ""
@@ -239,7 +239,7 @@ def _certify(arq: ARQuiver, tails: list[int], heads: list[int]) -> list[int]:
     steps = q.opposite()._forward_steps
     adjacent = {(a.src, a.dst) for a in q.arrows}
     adjacent |= {(y, x) for x, y in adjacent}
-    sizes = list(map(len, arq.orbits))
+    sizes = [top + 1 for top in arq.m]
     c = [steps[1][x] - steps[x][1] for x in q.vertices()]
     bases = list(chain.from_iterable(map(repeat, q.vertices(), sizes)))
     tops = map(add, c, map(add, sizes, sizes))  # past the top of each orbit
@@ -343,15 +343,15 @@ def audit_paths(arq: ARQuiver) -> OracleReport:
 
 def _repeated_vector(arq: ARQuiver) -> str:
     """The first vertex, in ``arq.vertices`` order, whose vector an earlier one holds."""
-    first: dict[tuple[int, ...], ZVertex] = {}
-    pairs = zip(arq.vertices, chain.from_iterable(arq.orbits))
+    first: dict[bytes, ZVertex] = {}
+    pairs = zip(arq.vertices, map(arq.vector, arq.vertices))
     v, u = next((v, u) for v, x in pairs if (u := first.setdefault(x, v)) is not v)
     return f"{v} repeats the vector of {u}"
 
 
 def _non_positive_vector(arq: ARQuiver) -> str:
     """The first vertex, in ``arq.vertices`` order, with a zero vector."""
-    pairs = zip(arq.vertices, chain.from_iterable(arq.orbits))
+    pairs = zip(arq.vertices, map(arq.vector, arq.vertices))
     return f"zero vector at {next(v for v, x in pairs if not any(x))}"
 
 
@@ -421,11 +421,12 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     reason = unread or _distance_witness(lengths, order)
     report.add("projective-injective-distance", not reason, reason)
 
-    vectors = set(chain.from_iterable(arq.orbits))
+    n, layout = arq.n, arq.layout
+    vectors = {layout[p : p + n] for p in range(0, len(layout), n)}
     ok = len(vectors) == len(arq.vertices)
     report.add("distinct-dimension-vectors", ok, "" if ok else _repeated_vector(arq))
     # No entry is negative (see ``ARQuiver``), so positive is no zero vector.
-    why = _non_positive_vector(arq) if (0,) * arq.n in vectors else ""
+    why = _non_positive_vector(arq) if bytes(n) in vectors else ""
     report.add("positive-dimension-vectors", not why, why)
     # The build's classification, so the quiver is classified once per check.
     closed_form = _closed_form_rho_m(arq.quiver, arq.dynkin)

@@ -113,8 +113,9 @@ def parse_quiver(text: str) -> ValuedQuiver:
 def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> dict:
     """The JSON document of a build: the quiver, its counts and nilpotencies.
 
-    Values are the build's own tuples; JSON writes tuples and ``ZVertex``
-    named tuples as arrays.  With ``include_hammocks``, each hammock's
+    Values are the build's own tuples, and each ``dim`` a tuple of its
+    layout's bytes; JSON writes tuples and ``ZVertex`` named tuples as
+    arrays.  With ``include_hammocks``, each hammock's
     ``table`` rows are ``(level, base, value)`` and its ``vertices`` the
     ``(level, base)`` of the positive rows, both in ``(level, base)`` order.
     """
@@ -139,8 +140,7 @@ def build_report(arq: ARQuiver, order: int, include_hammocks: bool = False) -> d
         },
         "vertices": [
             {"r": r, "i": i, "dim": vector}
-            for i, orbit in enumerate(arq.orbits, 1)
-            for r, vector in enumerate(orbit)
+            for (r, i), vector in zip(arq.vertices, zip(*[iter(arq.layout)] * arq.n))
         ],
         "arrows": [
             {"src": za.src, "dst": za.dst, "val": za.val} for za in arq.arrows

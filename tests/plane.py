@@ -6,13 +6,11 @@ orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
 path audit, vertex-by-vertex mesh sums, the first failing check of an
 oracle report, seed sections and heap-ordered knitting, hammock tables
 by position, composition multiplicities, the dimension vectors by
-position, and orbit layouts and arrows for fault injection, with the
-vertex whose entries the constructor refuses."""
+position, and vector layouts and arrows for fault injection."""
 
 from __future__ import annotations
 
 import heapq
-import re
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, count, takewhile
@@ -429,19 +427,19 @@ def composition_multiplicity(res: HammockResult, pos: ZVertex) -> int:
 
 def dims(arq) -> dict[ZVertex, tuple[int, ...]]:
     """The dimension vector at each position of ``arq``."""
-    return dict(zip(arq.vertices, chain.from_iterable(arq.orbits)))
+    return dict(zip(arq.vertices, zip(*[iter(arq.layout)] * arq.n)))
 
 
 def with_arrows(arq, arrows: Sequence[ZArrow], **fields):
     """``replace(arq, **fields)`` whose ``arrows`` view holds ``arrows``
-    rather than the arrows of its orbits: the one way to inject arrows."""
+    rather than the arrows of its vectors: the one way to inject arrows."""
     copy = replace(arq, **fields)
     copy.__dict__["arrows"] = tuple(arrows)
     return copy
 
 
-def _orbits(arq, vectors: Mapping | None, m: Sequence[int] | None) -> tuple:
-    """The orbits that :func:`relaid` lays out."""
+def _orbits(arq, vectors: Mapping | None, m: Sequence[int] | None) -> list:
+    """The vectors of each orbit that :func:`relaid` lays out."""
     vectors = dims(arq) if vectors is None else vectors
     zero = (0,) * arq.n
     orbits = []
@@ -450,8 +448,8 @@ def _orbits(arq, vectors: Mapping | None, m: Sequence[int] | None) -> tuple:
             levels = takewhile(lambda r: (r, i) in vectors, count())
         else:
             levels = range(m[i - 1] + 1)
-        orbits.append(tuple(vectors.get((r, i), zero) for r in levels))
-    return tuple(orbits)
+        orbits.append([vectors.get((r, i), zero) for r in levels])
+    return orbits
 
 
 def relaid(
@@ -461,30 +459,31 @@ def relaid(
     arrows: Sequence[ZArrow] | None = None,
     **fields,
 ):
-    """``replace(arq, orbits=..., **fields)``, orbit ``i`` holding the vectors
-    that ``vectors`` (by default ``dims(arq)``) files at levels ``0, 1, ..``
-    of base ``i``: while it files one, or up to level ``m[i - 1]`` when
-    ``m`` is given, with the zero vector at the levels it lacks.  The copy's
-    ``arrows`` view is that of its own orbits, or ``arrows`` when given
+    """``replace(arq, layout=..., m=..., **fields)``, orbit ``i`` holding the
+    vectors that ``vectors`` (by default ``dims(arq)``) files at levels
+    ``0, 1, ..`` of base ``i``: while it files one, or up to level
+    ``m[i - 1]`` when ``m`` is given, with the zero vector at the levels it
+    lacks.  ``bytes`` lays the vectors out, so an entry that is not an int
+    in ``0..255`` raises its ``TypeError`` or ``ValueError``.  The copy's
+    ``arrows`` view is that of its own vectors, or ``arrows`` when given
     (through :func:`with_arrows`)."""
     orbits = _orbits(arq, vectors, m)
+    fields["layout"] = bytes(chain.from_iterable(chain.from_iterable(orbits)))
+    fields["m"] = tuple(len(orbit) - 1 for orbit in orbits)
     if arrows is None:
-        return replace(arq, orbits=orbits, **fields)
-    return with_arrows(arq, arrows, orbits=orbits, **fields)
+        return replace(arq, **fields)
+    return with_arrows(arq, arrows, **fields)
 
 
-def refused_at(arq, vectors: Mapping | None = None, m: Sequence[int] | None = None):
-    """The first position, orbit by orbit and level by level, whose vector
-    in ``relaid(arq, vectors, m)`` holds an entry that is not an int in
-    ``0..255``, or ``None``: the vertex ``ARQuiver`` refuses."""
-    for i, orbit in enumerate(_orbits(arq, vectors, m), start=1):
-        for r, x in enumerate(orbit):
-            if not all(isinstance(e, int) and 0 <= e <= 255 for e in x):
-                return ZVertex(r, i)
-    return None
+# What ``bytes`` raises for an int entry outside 0..255.
+OUTSIDE_A_BYTE = r"^bytes must be in range\(0, 256\)$"
+
+# What ``bytes`` raises for an entry that is not an int, a float say.
+NOT_AN_INT = r"object cannot be interpreted as an integer$"
 
 
-def refusal(v: ZVertex) -> str:
-    """The message, as a pattern, of the error refusing the vector at ``v``."""
-    message = f"dimension vector at {v} has an entry that is not an int in 0..255"
-    return f"^{re.escape(message)}$"
+def fits_a_byte(arq, vectors: Mapping | None = None, m: Sequence[int] | None = None) -> bool:
+    """Whether every entry that ``relaid(arq, vectors, m)`` lays out is an
+    int in ``0..255``, so that ``bytes`` takes it."""
+    entries = chain.from_iterable(chain.from_iterable(_orbits(arq, vectors, m)))
+    return all(isinstance(e, int) and 0 <= e <= 255 for e in entries)

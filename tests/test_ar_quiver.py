@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import FrozenInstanceError, fields, replace
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -47,11 +46,11 @@ from plane import (
     dims,
     distance,
     first_failure,
+    fits_a_byte,
     path_statistics,
     reference_arrows,
     reference_knit,
     reference_orbit_relation,
-    refusal,
     relaid,
     seed_section,
     successors,
@@ -134,51 +133,66 @@ def test_build_is_equivariant_under_relabelling(q, data):
 
 
 def test_the_knitted_orbits_are_the_only_vector_field():
-    assert [f.name for f in fields(ARQuiver)] == ["quiver", "dynkin", "orbits", "rho"]
+    assert [f.name for f in fields(ARQuiver)] == ["quiver", "dynkin", "layout", "m", "rho"]
     arq = build(a3_linear())
-    assert arq.orbits == (
-        ((1, 1, 1),),
-        ((0, 1, 1), (1, 1, 0)),
-        ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-    )
-    assert arq.vertices == tuple(ZVertex(r, i) for i in (1, 2, 3) for r in range(i))
-    assert not hasattr(arq, "dims")  # vectors by position are plane.dims, for the tests
     assert arq.layout == bytes((1, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0))
-    for view in ("m", "layout", "vertices", "arrows"):
+    assert arq.m == (0, 1, 2)
+    assert arq.vertices == tuple(ZVertex(r, i) for i in (1, 2, 3) for r in range(i))
+    assert arq.vector(ZVertex(1, 2)) == bytes((1, 1, 0))
+    with pytest.raises(PositionOutOfRangeError, match=r"^no level 2 on base 2$"):
+        arq.vector(ZVertex(2, 2))
+    assert not hasattr(arq, "orbits")
+    assert not hasattr(arq, "dims")  # vectors by position are plane.dims, for the tests
+    with pytest.raises(TypeError):
+        replace(arq, orbits=())
+    for name in ("layout", "m", "vertices", "arrows"):
         with pytest.raises(FrozenInstanceError):
-            setattr(arq, view, getattr(arq, view))
+            setattr(arq, name, getattr(arq, name))
 
 
 @pytest.mark.parametrize(
-    "change, message",
+    "layout, m, message",
     [
-        (lambda o: o[:-1], "^2 orbits for 3 vertices$"),
-        (lambda o: (o[0], (), o[2]), "^orbit 2 is empty$"),
-        (lambda o: o[:2] + ((o[2][0][:2],) + o[2][1:],), "^a dimension vector is not a tuple"),
-        (lambda o: (([1, 1, 1],),) + o[1:], "^a dimension vector is not a tuple of length 3$"),
+        (None, (0, 1), "m has 2 entries for 3 vertices"),
+        (None, (0, -1, 2), "m names -1, not a level"),
+        (bytes(11), (0, 0, 1), "layout has 11 bytes for 4 vertices of 3 entries"),
+        (bytearray(18), None, "layout is a bytearray, not bytes"),
+        (None, [0, 1, 2], "m is a list, not a tuple"),
+        (None, (0, 1.0, 2), "m names 1.0, not a level"),
     ],
-    ids=["short", "empty", "vector", "list"],
+    ids=["short", "empty", "vector", "list", "m-list", "m-float"],
 )
-def test_a_layout_without_one_orbit_of_n_tuples_per_vertex_is_rejected(change, message):
+def test_a_layout_without_one_orbit_of_n_tuples_per_vertex_is_rejected(layout, m, message):
+    # The layout must frame one orbit of n-entry vectors per vertex: an m
+    # of n levels (an orbit of level -1 would be empty), and n bytes for
+    # each of the sum(m) + n vertices, held as bytes.
     arq = build(a3_linear())
-    with pytest.raises(KnitInconsistentError, match=message):
-        replace(arq, orbits=change(arq.orbits))
+    with pytest.raises(KnitInconsistentError) as caught:
+        replace(arq, layout=arq.layout if layout is None else layout, m=arq.m if m is None else m)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
-    "entry",
-    [lambda x: 256, lambda x: -1, lambda x: x + 0.5, float],
+    "entry, error",
+    [
+        (lambda x: 256, ValueError),
+        (lambda x: -1, ValueError),
+        (lambda x: x + 0.5, TypeError),
+        (float, TypeError),
+    ],
     ids=["256", "minus-1", "half", "integral-float"],
 )
-def test_entries_outside_a_byte_are_refused_at_construction(entry):
-    # Entry 3 of two E6 vectors changed to one that bytes() refuses: the
-    # constructor names the first of them in vertex order.
+def test_entries_outside_a_byte_are_refused_at_construction(entry, error):
+    # Entry 3 of two E6 vectors changed to one that is not an int in
+    # 0..255: no layout holds it, as bytes() refuses it.  Every reader of
+    # the vectors (the oracle's walks, the Coxeter orbits, the report)
+    # therefore sees byte entries only.
     arq = build(e6_example())
-    v, w = arq.vertices[12], arq.vertices[30]
     vectors = dims(arq)
-    for x in (w, v):
+    for x in (arq.vertices[12], arq.vertices[30]):
         vectors[x] = vectors[x][:2] + (entry(vectors[x][2]),) + vectors[x][3:]
-    with pytest.raises(KnitInconsistentError, match=refusal(v)):
+    assert not fits_a_byte(arq, vectors)
+    with pytest.raises(error):
         relaid(arq, vectors)
 
 
@@ -235,9 +249,8 @@ def test_a_rho_that_is_no_permutation_is_named_at_construction(rho, message):
 
 
 def test_build_and_check_read_no_position_keyed_vectors():
-    # What `arquiver build` and `arquiver check` run reads the orbits: the
-    # only views built are `m`, `layout`, `vertices` and `arrows`, none keyed
-    # by position.
+    # What `arquiver build` and `arquiver check` run reads the layout: the
+    # only views built are `vertices` and `arrows`, none keyed by position.
     from arquiver import build_report, order_identity_check, report_to_json, to_dot
     from arquiver.oracle import run_all
 
@@ -247,7 +260,7 @@ def test_build_and_check_read_no_position_keyed_vectors():
         report_to_json(build_report(arq, cd.order, include_hammocks=True))
         to_dot(arq)
         assert run_all(arq, cd.order).ok and order_identity_check(arq, cd)
-        views = {"m", "layout", "vertices", "arrows"}
+        views = {"vertices", "arrows"}
         assert set(vars(arq)) <= {f.name for f in fields(ARQuiver)} | views
 
 
@@ -621,7 +634,7 @@ def test_count_identity_names_half_of_n_times_the_order():
 def _assert_columns_are_the_hammocks(q):
     arq = build(q)
     qop, bound = q.opposite(), table_order(arq.dynkin) + 1
-    vectors = list(chain.from_iterable(arq.orbits))
+    vectors = list(dims(arq).values())
     for k in q.vertices():
         table, terminator = reference_knit(qop, k, seed_section(qop, k), bound)
         # Nothing below the seed section or past the terminator: zero there.
@@ -745,11 +758,6 @@ def test_packed_lanes_round_trip(vector):
     lanes = _Lanes(n)
     packed = lanes.pack(vector)
     assert packed == sum(x << 16 * k for k, x in enumerate(vector))
-    assert lanes.decode([packed, -packed, 3 * packed - packed]) == (
-        vector,
-        tuple(-x for x in vector),
-        tuple(2 * x for x in vector),
-    )
     assert lanes.nonnegative(packed) == (min(vector) >= 0)
     assert lanes.within_cap(packed)
     assert lanes.within_cap(2 * packed) == (max(map(abs, vector)) <= _CAP // 2)
@@ -775,7 +783,7 @@ def test_vertex_view_holds_the_arrows_own_endpoints():
     arq = build(e6_example())
     view = set(map(id, arq.vertices))
     assert all(id(za.src) in view and id(za.dst) in view for za in arq.arrows)
-    copy = replace(arq)  # a copy builds its view afresh, from its own orbits
+    copy = replace(arq)  # a copy builds its view afresh, from its own m
     assert copy.vertices == arq.vertices and copy.vertices is not arq.vertices
 
 
@@ -785,8 +793,8 @@ def test_vector_knit_rejects_a_pairing_that_is_not_an_involution(monkeypatch):
     knit = ar_quiver._knit_vectors
 
     def swapped(q, bound):  # rho (3, 2, 1) becomes the 3-cycle (2, 3, 1)
-        columns, ends = knit(q, bound)
-        return columns, {1: ends[1], 2: ends[3], 3: ends[2]}
+        layout, m, ends = knit(q, bound)
+        return layout, m, {1: ends[1], 2: ends[3], 3: ends[2]}
 
     monkeypatch.setattr(ar_quiver, "_knit_vectors", swapped)
     with pytest.raises(KnitInconsistentError, match="^orbit pairing is not an involution$"):

@@ -39,7 +39,7 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import dims, refusal, refused_at, relaid
+from plane import NOT_AN_INT, OUTSIDE_A_BYTE, dims, fits_a_byte, relaid
 
 # -- dense reference arithmetic, for checking the sparse certificate ------------
 
@@ -64,7 +64,7 @@ def mat_neg(a):
 def signed_dim(arq, v):
     """Dimension vector of a shifted stalk: the sign alternates with the shift."""
     sign = -1 if v.shift % 2 else 1
-    return tuple(sign * x for x in arq.orbits[v.base - 1][v.level])
+    return tuple(sign * x for x in arq.vector(ZVertex(v.level, v.base)))
 
 
 def derived_dim_check(arq, cd, samples):
@@ -307,9 +307,10 @@ def test_corrupted_interior_dimension_vector_is_named():
 def test_orbit_with_a_repeated_vector_is_rejected():
     # A1 stretched to three translates that alternate in sign: every step is
     # tau-equivariant, yet the signed orbit 1, -1, 1, -1, 1, -1 would return
-    # early.  The constructor refuses its entry -1 before any orbit is read.
-    with pytest.raises(KnitInconsistentError, match=refusal(ZVertex(1, 1))):
-        replace(build(a1_quiver()), orbits=(((1,), (-1,), (1,)),))
+    # early.  No layout holds its entry -1, so no orbit with it is read.
+    vectors = {ZVertex(0, 1): (1,), ZVertex(1, 1): (-1,), ZVertex(2, 1): (1,)}
+    with pytest.raises(ValueError, match=OUTSIDE_A_BYTE):
+        relaid(build(a1_quiver()), vectors)
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,11 +438,10 @@ def _corrupted_orbits(draw):
 @given(_corrupted_orbits())
 def test_row_certificate_names_what_the_orbit_walk_names(case):
     # A negative entry (a bump by -1, a negated vector, a period through the
-    # partner's negatives) is refused at construction, naming the first.
+    # partner's negatives) cannot be laid out.
     arq, vectors, m, rho = case
-    v = refused_at(arq, vectors, m)
-    if v is not None:
-        with pytest.raises(KnitInconsistentError, match=refusal(v)):
+    if not fits_a_byte(arq, vectors, m):
+        with pytest.raises(ValueError, match=OUTSIDE_A_BYTE):
             relaid(arq, vectors, m, rho=rho)
         return
     corrupted = relaid(arq, vectors, m, rho=rho)
@@ -479,33 +479,45 @@ def test_row_certificate_returns_the_walked_lengths_on_every_orientation(family,
 
 
 @pytest.mark.parametrize(
-    "entry", [lambda x: 256, lambda x: -1, lambda x: x + 0.5], ids=["256", "minus-1", "float"]
+    "entry, error, message",
+    [
+        (lambda x: 256, ValueError, OUTSIDE_A_BYTE),
+        (lambda x: -1, ValueError, OUTSIDE_A_BYTE),
+        (lambda x: x + 0.5, TypeError, NOT_AN_INT),
+    ],
+    ids=["256", "minus-1", "float"],
 )
-def test_entries_outside_a_byte_are_left_to_the_walk(entry):
+def test_entries_outside_a_byte_are_left_to_the_walk(entry, error, message):
     # An entry outside a byte never reaches the orbit checks: an interior
-    # vector of E6 with entry 0 changed is refused at construction.  The
-    # walk names a broken C * dim step of byte entries in
+    # vector of E6 with entry 0 changed cannot be laid out.  The walk
+    # names a broken C * dim step of byte entries in
     # test_corrupted_interior_dimension_vector_is_named.
     arq = build(e6_example())
     v = ZVertex(1, 1)
-    with pytest.raises(KnitInconsistentError, match=refusal(v)):
-        relaid(arq, {**dims(arq), v: (entry(dims(arq)[v][0]),) + dims(arq)[v][1:]})
+    vectors = {**dims(arq), v: (entry(dims(arq)[v][0]),) + dims(arq)[v][1:]}
+    assert not fits_a_byte(arq, vectors)
+    with pytest.raises(error, match=message):
+        relaid(arq, vectors)
 
 
 def test_integral_floats_are_left_to_the_walk_which_passes_them():
-    # Integral floats never reach the walk either: they are refused at
-    # construction like any other entry that is not an int.
+    # Integral floats never reach the walk either: no layout holds an
+    # entry that is not an int.  The same values as ints lay out the
+    # quiver again, and the walk passes it.
     arq = build(e6_example())
     v = ZVertex(1, 1)
-    with pytest.raises(KnitInconsistentError, match=refusal(v)):
+    with pytest.raises(TypeError, match=NOT_AN_INT):
         relaid(arq, {**dims(arq), v: tuple(map(float, dims(arq)[v]))})
+    again = relaid(arq, {**dims(arq), v: tuple(map(int, map(float, dims(arq)[v])))})
+    assert again == arq
+    assert coxeter_matrix(again).order == table_order(arq.dynkin)
 
 
 @pytest.mark.parametrize(
     "q, orbits, rho, lower",
     [
-        # The signed orbit 1, -1, -1, 1 would repeat, but the constructor
-        # refuses the entry -1 (``lower`` None).
+        # The signed orbit 1, -1, -1, 1 would repeat, but no layout holds
+        # the entry -1 (``lower`` None).
         (a1_quiver(), [[(1,), (-1,)]], (1,), None),
         # The signed orbit 0, -0 repeats.
         (a1_quiver(), [[(0,)]], (1,), []),
@@ -522,11 +534,12 @@ def test_row_certificate_leaves_open_orbits_to_the_walk(q, orbits, rho, lower):
     # Every C * dim step holds, yet a signed orbit repeats or does not close.
     from arquiver.coxeter import _orbit_lengths, _walk_orbits
 
+    vectors = {ZVertex(r, i): x for i, orbit in enumerate(orbits, 1) for r, x in enumerate(orbit)}
     if lower is None:
-        with pytest.raises(KnitInconsistentError, match=refusal(ZVertex(1, 1))):
-            replace(build(q), orbits=tuple(map(tuple, orbits)), rho=rho)
+        with pytest.raises(ValueError, match=OUTSIDE_A_BYTE):
+            relaid(build(q), vectors, rho=rho)
         return
-    arq = replace(build(q), orbits=tuple(map(tuple, orbits)), rho=rho)
+    arq = relaid(build(q), vectors, rho=rho)
     assert _orbit_lengths(arq, lower, []) is None
     with pytest.raises(CrossCheckFailedError, match=r"orbit of projective 1 does not close"):
         _walk_orbits(arq, lower, [])

@@ -31,14 +31,15 @@ from arquiver.quiver import Arrow, ValuedQuiver, reduced_walk
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
 from plane import (
+    NOT_AN_INT,
+    OUTSIDE_A_BYTE,
     dims,
     distance,
     first_failure,
+    fits_a_byte,
     reference_audit_lines,
     reference_mesh_line,
     reference_spans,
-    refusal,
-    refused_at,
     relaid,
     successors,
     topological_order,
@@ -100,8 +101,8 @@ def test_recursion_checks_name_the_first_vertex_that_differs():
 
 def _bumped(arq, rng):
     """A copy of ``dims(arq)`` with one or two vectors bumped in one entry,
-    by -1, 1 or 2; an entry 0 bumped by -1 lands on 1, as the constructor
-    refuses a negative entry."""
+    by -1, 1 or 2; an entry 0 bumped by -1 lands on 1, as no layout holds
+    a negative entry."""
     vectors = dims(arq)
     for _ in range(rng.randrange(1, 3)):
         v = rng.choice(arq.vertices)
@@ -845,13 +846,13 @@ def test_run_all_reports_any_rho_line_by_line(data):
 )
 def test_positive_dimension_vectors_are_non_zero_and_non_negative(change, line):
     # Two vectors changed alike, and the earlier is named.  A zero vector
-    # fails the check; a negative entry never reaches it, as the
-    # constructor refuses the quiver (``line`` None).
+    # fails the check; a negative entry never reaches it, as no layout
+    # holds it (``line`` None).
     arq = build(e6_example())
     v, w = arq.vertices[7], arq.vertices[20]
     vectors = {**dims(arq), v: change(dims(arq)[v]), w: change(dims(arq)[w])}
     if line is None:
-        with pytest.raises(KnitInconsistentError, match=refusal(v)):
+        with pytest.raises(ValueError, match=OUTSIDE_A_BYTE):
             relaid(arq, vectors)
         return
     checks = run_all(relaid(arq, vectors), table_order(arq.dynkin)).checks
@@ -908,12 +909,11 @@ def _walked_quivers(draw):
 def test_packed_verdicts_match_the_walks_on_corrupted_quivers(case):
     # Changed vectors, wrong m and rho, and doubled, reversed, dropped and
     # stray arrows: the packed arrays and the walks give the same lines.
-    # Vectors with an entry past a byte are refused, naming the first.
+    # Vectors with an entry past a byte cannot be laid out.
     arq, vectors = case
     if vectors is not None:
-        v = refused_at(arq, vectors)
-        if v is not None:
-            with pytest.raises(KnitInconsistentError, match=refusal(v)):
+        if not fits_a_byte(arq, vectors):
+            with pytest.raises(ValueError, match=OUTSIDE_A_BYTE):
                 relaid(arq, vectors)
             return
         arq = relaid(arq, vectors)
@@ -922,10 +922,10 @@ def test_packed_verdicts_match_the_walks_on_corrupted_quivers(case):
 
 _V = ZVertex(1, 1)
 _CHANGES = {
-    "256": lambda d: (256,) + d[1:],
-    "minus-1": lambda d: (-1,) + d[1:],
-    "half": lambda d: (d[0] + 0.5,) + d[1:],
-    "integral-floats": lambda d: tuple(map(float, d)),
+    "256": (lambda d: (256,) + d[1:], ValueError, OUTSIDE_A_BYTE),
+    "minus-1": (lambda d: (-1,) + d[1:], ValueError, OUTSIDE_A_BYTE),
+    "half": (lambda d: (d[0] + 0.5,) + d[1:], TypeError, NOT_AN_INT),
+    "integral-floats": (lambda d: tuple(map(float, d)), TypeError, NOT_AN_INT),
 }
 
 
@@ -936,13 +936,15 @@ _CHANGES = {
 )
 def test_entries_outside_a_byte_are_left_to_the_walks(change, repeated):
     # An entry outside a byte never reaches the walks: an interior vector
-    # of E6 changed, and also copied to (4, 4) when ``repeated``, is
-    # refused at construction, naming the first of the two in vertex order.
+    # of E6 changed, and also copied to (4, 4) when ``repeated``, cannot
+    # be laid out.
+    change, error, message = change
     arq = build(e6_example())
     vectors = {**dims(arq), _V: change(dims(arq)[_V])}
     if repeated:
         vectors[ZVertex(4, 4)] = vectors[_V]
-    with pytest.raises(KnitInconsistentError, match=refusal(_V)):
+    assert not fits_a_byte(arq, vectors)
+    with pytest.raises(error, match=message):
         relaid(arq, vectors)
 
 
@@ -961,9 +963,8 @@ def test_entries_outside_a_byte_are_left_to_the_walks(change, repeated):
 def test_mesh_lanes_are_as_wide_as_the_weights_need(weight, orbits, line):
     # An in-memory quiver 1 -> 2 valued (1, weight): its mesh weights sum
     # past 3, and the packed verdict is exact.
-    arq = replace(
-        build(g2_quiver()), quiver=ValuedQuiver(2, (Arrow(1, 2, (1, weight)),)), orbits=orbits
-    )
+    vectors = {ZVertex(r, i): x for i, orbit in enumerate(orbits, 1) for r, x in enumerate(orbit)}
+    arq = relaid(build(g2_quiver()), vectors, quiver=ValuedQuiver(2, (Arrow(1, 2, (1, weight)),)))
     assert oracle._meshes_hold(arq) is (line == "mesh-additivity: PASS")
     assert verify_mesh(arq).checks[0].line() == line == reference_mesh_line(arq)
 
