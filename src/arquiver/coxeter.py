@@ -25,19 +25,19 @@ must equal the per-family value of ``table_order`` (the Coxeter number
 h); `order_identity_check` ties it to the orbit-length identity again.
 
 The orbit checks run on the ``n`` coordinate rows of all the vectors at
-once (:func:`_orbit_lengths`); only when they do not all pass are the
-orbits walked one by one (:func:`_walk_orbits`), to name the first
-failure.  A row is one int with entry ``p`` in lane ``p``: the exact
-integer ``sum(x[p] << bits * p)``, cut from ``ARQuiver.layout``.  Sums
-and multiples of rows are the rows of the sums and multiples, and every
-lane of a row sum reads faithfully once biased by half a lane, as the
-lanes are wide enough for the largest sum that byte entries can give.
+once (:func:`_orbit_lengths`), which names the first orbit that fails
+from its failing lanes.  A row is one int with entry ``p`` in lane
+``p``: the exact integer ``sum(x[p] << bits * p)``, cut from
+``ARQuiver.layout``.  Sums and multiples of rows are the rows of the
+sums and multiples, and every lane of a row sum reads faithfully once
+biased by half a lane, as the lanes are wide enough for the largest sum
+that byte entries can give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -92,10 +92,7 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
     for d, j, w in lower:
         columns[j] = [c + w * x for c, x in zip(columns[j], inj[d])]
 
-    lengths = _orbit_lengths(arq, lower, upper)
-    if lengths is None:
-        lengths = _walk_orbits(arq, lower, upper)  # raises with the witness
-    order, h = lcm(*lengths), table_order(arq.dynkin)
+    order, h = lcm(*_orbit_lengths(arq, lower, upper)), table_order(arq.dynkin)
     where = f"for {arq.dynkin.name} (h = {h})"
     if h % order:
         raise OrderBoundExceededError(f"coxeter: C^{h} != I {where}")
@@ -108,87 +105,86 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
 
 def _orbit_lengths(
     arq: "ARQuiver", lower: list[tuple[int, int, int]], upper: list[tuple[int, int, int]]
-) -> list[int] | None:
-    """The signed orbit lengths when every orbit passes :func:`_walk_orbits`,
-    read off the coordinate rows; ``None`` when any orbit may fail.
+) -> list[int]:
+    """The signed orbit lengths, read off the coordinate rows; raises
+    :class:`CrossCheckFailedError` at the first orbit, in base order, with
+    a ``C * dim`` step that fails (its lowest such vertex), else that does
+    not close.
 
     Each coordinate row is cut out of ``arq.layout`` by striding into one
     int, entry ``p`` in lane ``p`` (see the module docstring).  So
     ``(E - A) * dim v + (E - B) * dim tau v`` is formed for every vertex at
     once, one big-int multiply-add per arrow term, and must vanish in every
-    lane that does not start an orbit.  A signed orbit ``dim (r, i)``,
-    ``-dim (r, rho^-1(i))`` is distinct when all vectors are distinct and
-    non-zero, as no entry is negative: no such vector is the negative of
-    another.
+    lane that does not start an orbit; a row is held only from the first
+    to the last row sum that reads it.  The signed orbit of ``P_i``,
+    ``dim (r, i)`` and ``-dim (r, j)`` for ``j = rho^-1(i)``, closes when
+    ``rho^-1(j) = i`` and both orbits hold distinct vectors, not both the
+    zero vector: no entry is negative, so ``x = -y`` only when both are zero.
     """
-    n, rho, data = arq.n, arq.rho, arq.layout
+    n, data = arq.n, arq.layout
     sizes = [top + 1 for top in arq.m]
-    count = len(data) // n
-    distinct = {data[p : p + n] for p in range(0, len(data), n)}
-    if len(distinct) != count or bytes(n) in distinct:
-        return None
-    del distinct
+    starts = [0, *accumulate(sizes)]  # of each orbit's lanes
+    count = starts[-1]
     # The terms of row r: (column, weight) of A and of B.
     terms: list[tuple[list, list]] = [([], []) for _ in range(n)]
     for r, s, w in lower:
         terms[r][0].append((s, w))
     for r, s, w in upper:
         terms[r][1].append((s, w))
+    last = list(range(n))  # the last row sum that reads each row
+    for r, s, _ in lower + upper:
+        last[s] = max(last[s], r)
     # A lane of a row sum is at most 255 * (2 + the row's weights) in size;
     # a lane of `width` bytes holds it signed.
     reach = 255 * max(2 + sum(abs(w) for _, w in a + b) for a, b in terms)
     width = reach.bit_length() // 8 + 1
-    rows = []
-    for c in range(n):
-        lanes = bytearray(width * count)
-        lanes[::width] = data[c::n]
-        rows.append(int.from_bytes(lanes, "little"))
     # Lane p of a sum is row r of (E - A) * x_p plus (E - B) * x_(p-1), for
     # p = 0..count; the lanes that start an orbit or lie past the last
     # vector are not checked.  Biased by the top bit of every lane, a sum
     # passes when each checked lane reads as that bit alone.
     sign = int.from_bytes((bytes(width - 1) + b"\x80") * (count + 1), "little")
     checked = bytearray(b"\xff" * (width * (count + 1)))
-    for p in chain([0], accumulate(sizes)):  # the orbit starts, then the top lane
+    for p in starts:  # the orbit starts, then the top lane
         checked[p * width : (p + 1) * width] = bytes(width)
     mask = int.from_bytes(checked, "little")
     zero = sign & mask
+    rows: dict[int, int] = {}
+    failing = 0  # the checked lanes of any row sum that are not zero
     for r, (a, b) in enumerate(terms):
+        for c in (r, *(s for s, _ in a + b)):
+            if c not in rows:
+                lanes = bytearray(width * count)
+                lanes[::width] = data[c::n]
+                rows[c] = int.from_bytes(lanes, "little")
         now = back = rows[r]
         for s, w in a:
             now -= w * rows[s]
         for s, w in b:
             back -= w * rows[s]
-        if (now + (back << 8 * width) + sign) & mask != zero:
-            return None
+        failing |= (now + (back << 8 * width) + sign) & mask ^ zero
+        for c in [c for c in rows if last[c] <= r]:
+            del rows[c]
 
-    if any(rho[j - 1] != i for i, j in enumerate(rho, 1)):  # rho is no involution
-        return None
-    return [sizes[i] + sizes[j - 1] for i, j in enumerate(rho)]
-
-
-def _walk_orbits(
-    arq: "ARQuiver", lower: list[tuple[int, int, int]], upper: list[tuple[int, int, int]]
-) -> list[int]:
-    """The signed orbit lengths, orbit by orbit: each orbit's ``C * dim``
-    steps, then its closure, raising at the first failure.  A signed
-    vector is read as the int of its bytes, negated on the partner's orbit."""
-    vectors = [[arq.vector(ZVertex(r, i)) for r in range(top + 1)] for i, top in enumerate(arq.m, 1)]
+    p = ((failing & -failing).bit_length() - 1) // (8 * width) if failing else count
+    distinct, zeros = [], []  # whether each orbit's vectors are distinct, and one is zero
+    for i in range(n):
+        orbit = {data[n * q : n * (q + 1)] for q in range(starts[i], starts[i + 1])}
+        distinct.append(len(orbit) == sizes[i])
+        zeros.append(bytes(n) in orbit)
     lengths = []
-    for i, orbit in enumerate(vectors, 1):
-        for r in range(1, len(orbit)):
-            if _minus(lower, orbit[r]) != [-x for x in _minus(upper, orbit[r - 1])]:
-                v = ZVertex(r, i)
-                raise CrossCheckFailedError(f"coxeter: C * dim {v} != dim {v.translate()}")
-        j = arq.injective(i).base
-        signed = [int.from_bytes(x, "little") for x in orbit]
-        signed += [-int.from_bytes(x, "little") for x in vectors[j - 1]]
-        if arq.injective(j).base != i or len(set(signed)) != len(signed):
+    for i in range(1, n + 1):
+        if p < starts[i]:  # the lowest failing lane is in orbit i
+            v = ZVertex(p - starts[i - 1], i)
+            raise CrossCheckFailedError(f"coxeter: C * dim {v} != dim {v.translate()}")
+        j = arq.rho_inverse(i)
+        lengths.append(sizes[i - 1] + sizes[j - 1])
+        if arq.rho_inverse(j) != i or not distinct[i - 1] or not distinct[j - 1] or (
+            zeros[i - 1] and zeros[j - 1]
+        ):
             raise CrossCheckFailedError(
                 f"coxeter: orbit of projective {i} does not close "
-                f"after {len(signed)} distinct vectors"
+                f"after {lengths[-1]} distinct vectors"
             )
-        lengths.append(len(signed))
     return lengths
 
 

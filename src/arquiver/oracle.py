@@ -9,13 +9,13 @@ the *second*; on non-simply-laced input these differ, so the
 dimension-vector agreement checks pin the convention.
 
 Each check that reads the whole quiver takes its verdict on packed
-arrays: the mesh relations on orbits of ``arq.layout`` widened into ints
-(:func:`_meshes_hold`); the path audit, an O(V + E) certificate
+arrays, and the pass that takes it names its first witness: the mesh
+relations on orbits of ``arq.layout`` widened into ints
+(:func:`_mesh_witness`); the path audit, an O(V + E) certificate
 (:func:`_certify`), on each arrow's ends numbered by position in
 ``arq.vertices``: when it holds, parallel paths share one length and a
-sectional path is the only path between its ends.  Only a failing
-verdict is walked vertex by vertex, to name its first witness.  No entry
-is negative: ``ARQuiver`` holds one byte per entry.
+sectional path is the only path between its ends.  No entry is
+negative: ``ARQuiver`` holds one byte per entry.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, mul, ne, sub
-from typing import Callable
+from typing import Callable, Iterator
 
 from .ar_quiver import ARQuiver, _closed_form_rho_m, _count_identity, _orbit_index_witness
 from .derived import cluster_count, derived_nilpotency
@@ -97,11 +97,10 @@ def recursive_injective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
 
 
 def verify_mesh(arq: ARQuiver) -> OracleReport:
-    """Check every mesh relation, decided on packed orbits by
-    :func:`_meshes_hold` and walked by :func:`_mesh_witness` only to name
-    the first that fails, and both boundary recursions."""
+    """Check every mesh relation, with the first failure named by
+    :func:`_mesh_witness`, and both boundary recursions."""
     report = OracleReport()
-    witness = "" if _meshes_hold(arq) else _mesh_witness(arq)
+    witness = _mesh_witness(arq)
     report.add("mesh-additivity", not witness, witness)
 
     vertices = arq.quiver.vertices()
@@ -116,15 +115,21 @@ def verify_mesh(arq: ARQuiver) -> OracleReport:
     return report
 
 
-def _meshes_hold(arq: ARQuiver) -> bool:
-    """Whether every mesh relation holds.  Each orbit's stretch of
-    ``arq.layout`` is widened into one int, entry ``p`` in lane ``p``, each
-    lane wide enough for any mesh sum of bytes under the table's weights.
-    Orbit ``b``'s levels ``1..m(b)`` plus its levels ``0..m(b) - 1`` must
-    equal the sum of ``w`` times levels ``1 + offset .. m(b) + offset`` of
-    each input ``(offset, src, w)``: one shift and mask per input, one
-    ``==`` per orbit.  An orbit is held packed only while a base whose mesh
-    reads it is to come.
+def _mesh_witness(arq: ARQuiver) -> str:
+    """Where the first mesh relation in ``arq.vertices`` order fails, or
+    ``""``: at the first failing vertex past level 0, its first mesh input
+    in mesh-table order past the top of its orbit, else the vertex itself.
+
+    Each orbit's stretch of ``arq.layout`` is widened into one int, entry
+    ``p`` in lane ``p``, each lane wide enough for any mesh sum of bytes
+    under the table's weights.  Orbit ``b``'s levels ``1..m(b)`` plus its
+    levels ``0..m(b) - 1`` must equal the sum of ``w`` times levels
+    ``1 + offset .. m(b) + offset`` of each input ``(offset, src, w)``:
+    one shift and mask per input, one ``==`` per orbit.  An orbit is held
+    packed only while a base whose mesh reads it is to come.  No lane
+    carries, so the lowest bit where the sides differ lies in the first
+    level that fails; an input leaves its orbit from level
+    ``m(src) - offset + 1`` on.
     """
     m, layout, n = arq.m, arq.layout, arq.n
     meshes = mesh_inputs(arq.quiver.opposite())
@@ -133,7 +138,6 @@ def _meshes_hold(arq: ARQuiver) -> bool:
     bits = 8 * width * n  # one level of an orbit
     starts = [0, *accumulate(n * (top + 1) for top in m)]  # of each orbit's bytes
     packed: dict[int, int] = {}
-    holds = True
     for base in range(1, n + 1):
         read = [base, *(src for _, src, _ in meshes[base])]
         for x in read:
@@ -143,36 +147,23 @@ def _meshes_hold(arq: ARQuiver) -> bool:
                 lanes[::width] = data
                 packed[x] = int.from_bytes(lanes, "little")
         top = m[base - 1]
-        mask, sums = (1 << bits * top) - 1, 0
+        mask, sums, in_range = (1 << bits * top) - 1, 0, True
         for offset, src, w in meshes[base]:
-            holds &= top + offset <= m[src - 1]  # the input is in range
+            in_range &= top + offset <= m[src - 1]
             sums += w * (packed[src] >> bits * (1 + offset) & mask)
-        holds &= (packed[base] >> bits) + (packed[base] & mask) == sums
+        lhs = (packed[base] >> bits) + (packed[base] & mask)
+        if lhs != sums or not in_range:
+            diff = lhs ^ sums
+            level = ((diff & -diff).bit_length() - 1) // bits + 1 if diff else top + 1
+            leaves = [(m[src - 1] - offset + 1, offset, src) for offset, src, _ in meshes[base]]
+            first, offset, src = min(leaves, default=(top + 1, 0, 0))
+            if first <= level:
+                u, v = ZVertex(first + offset, src), ZVertex(first, base)
+                return f"in-arrow source {u} of {v} out of range"
+            return f"mesh relation fails at {ZVertex(level, base)}"
         for x in read:  # no later base reads x
             if max([x, *(src for _, src, _ in meshes[x])]) <= base:
                 del packed[x]
-    return holds
-
-
-def _mesh_witness(arq: ARQuiver) -> str:
-    """Where the first mesh relation in ``arq.vertices`` order fails, or
-    ``""`` when all hold: at each vertex past level 0, its first mesh
-    input in mesh-table order that lies past the top of its orbit, else
-    the vertex itself when its vector plus its translate's is not the
-    weighted sum of its inputs'.
-    """
-    meshes = mesh_inputs(arq.quiver.opposite())
-    for v in arq.vertices:
-        if not v.level:
-            continue
-        sums = [x + y for x, y in zip(arq.vector(v), arq.vector(v.translate()))]
-        for offset, src, weight in meshes[v.base]:
-            u = ZVertex(v.level + offset, src)
-            if u.level > arq.m[src - 1]:
-                return f"in-arrow source {u} of {v} out of range"
-            sums = [s - weight * x for s, x in zip(sums, arq.vector(u))]
-        if any(sums):
-            return f"mesh relation fails at {v}"
     return ""
 
 
@@ -341,17 +332,23 @@ def audit_paths(arq: ARQuiver) -> OracleReport:
     return _path_audit(arq, [])[0]
 
 
+def _vectors(arq: ARQuiver) -> Iterator[bytes]:
+    """The vectors in ``arq.vertices`` order, as slices of the layout."""
+    n, layout = arq.n, arq.layout
+    return (layout[p : p + n] for p in range(0, len(layout), n))
+
+
 def _repeated_vector(arq: ARQuiver) -> str:
     """The first vertex, in ``arq.vertices`` order, whose vector an earlier one holds."""
     first: dict[bytes, ZVertex] = {}
-    pairs = zip(arq.vertices, map(arq.vector, arq.vertices))
+    pairs = zip(arq.vertices, _vectors(arq))
     v, u = next((v, u) for v, x in pairs if (u := first.setdefault(x, v)) is not v)
     return f"{v} repeats the vector of {u}"
 
 
 def _non_positive_vector(arq: ARQuiver) -> str:
     """The first vertex, in ``arq.vertices`` order, with a zero vector."""
-    pairs = zip(arq.vertices, map(arq.vector, arq.vertices))
+    pairs = zip(arq.vertices, _vectors(arq))
     return f"zero vector at {next(v for v, x in pairs if not any(x))}"
 
 
@@ -380,8 +377,8 @@ def _closed_form_witness(arq: ARQuiver, m: tuple[int, ...], rho: tuple[int, ...]
 def run_all(arq: ARQuiver, order: int) -> OracleReport:
     """Full oracle suite plus the global counting identities.
 
-    Each verdict over the whole quiver is taken on packed arrays; a walk
-    runs only to name a failure's witness.  The path audit and the
+    Each verdict over the whole quiver is taken on packed arrays; only a
+    failing one reads further, to name its witness.  The path audit and the
     projective-to-injective lengths come from the certificate of
     :func:`_certify`; when it fails, every check that reads paths fails
     with the first uncertified arrow.  Both ``count-identity`` and

@@ -3,10 +3,11 @@ map, bounded windows of the plane, the arrow table of a built quiver, its
 successor lists and topological order, path lengths by dynamic
 programming, reachability by one forward search per pair, the
 orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
-path audit, vertex-by-vertex mesh sums, the first failing check of an
-oracle report, seed sections and heap-ordered knitting, hammock tables
-by position, composition multiplicities, the dimension vectors by
-position, and vector layouts and arrows for fault injection."""
+path audit, vertex-by-vertex mesh sums, the Coxeter orbits walked one
+by one, the first failing check of an oracle report, seed sections and
+heap-ordered knitting, hammock tables by position, composition
+multiplicities, the dimension vectors by position, and vector layouts
+and arrows for fault injection."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, count, takewhile
 from typing import Iterator, Mapping, Sequence
 
+from arquiver.coxeter import _minus
 from arquiver.errors import (
     BoundExceededError,
     CrossCheckFailedError,
@@ -327,6 +329,34 @@ def reference_mesh_line(arq) -> str:
         if lhs != rhs:
             return f"mesh-additivity: FAIL (mesh relation fails at {v})"
     return "mesh-additivity: PASS"
+
+
+# -- orbit by orbit, the reference for ``coxeter._orbit_lengths`` ----------------
+
+
+def walk_orbits(
+    arq, lower: list[tuple[int, int, int]], upper: list[tuple[int, int, int]]
+) -> list[int]:
+    """The signed orbit lengths, orbit by orbit: each orbit's ``C * dim``
+    steps, then its closure, raising at the first failure.  A signed
+    vector is read as the int of its bytes, negated on the partner's orbit."""
+    vectors = [[arq.vector(ZVertex(r, i)) for r in range(top + 1)] for i, top in enumerate(arq.m, 1)]
+    lengths = []
+    for i, orbit in enumerate(vectors, 1):
+        for r in range(1, len(orbit)):
+            if _minus(lower, orbit[r]) != [-x for x in _minus(upper, orbit[r - 1])]:
+                v = ZVertex(r, i)
+                raise CrossCheckFailedError(f"coxeter: C * dim {v} != dim {v.translate()}")
+        j = arq.injective(i).base
+        signed = [int.from_bytes(x, "little") for x in orbit]
+        signed += [-int.from_bytes(x, "little") for x in vectors[j - 1]]
+        if arq.injective(j).base != i or len(set(signed)) != len(signed):
+            raise CrossCheckFailedError(
+                f"coxeter: orbit of projective {i} does not close "
+                f"after {len(signed)} distinct vectors"
+            )
+        lengths.append(len(signed))
+    return lengths
 
 
 def first_failure(report):

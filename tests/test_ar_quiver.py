@@ -43,6 +43,8 @@ from conftest import (
     relabelled_orientations,
 )
 from plane import (
+    NOT_AN_INT,
+    OUTSIDE_A_BYTE,
     dims,
     distance,
     first_failure,
@@ -172,28 +174,41 @@ def test_a_layout_without_one_orbit_of_n_tuples_per_vertex_is_rejected(layout, m
     assert str(caught.value) == message
 
 
+_OUTSIDE_A_BYTE = {
+    "256": (lambda x: 256, ValueError, OUTSIDE_A_BYTE),
+    "minus-1": (lambda x: -1, ValueError, OUTSIDE_A_BYTE),
+    "half": (lambda x: x + 0.5, TypeError, NOT_AN_INT),
+    "integral-float": (float, TypeError, NOT_AN_INT),
+}
+
+
 @pytest.mark.parametrize(
-    "entry, error",
-    [
-        (lambda x: 256, ValueError),
-        (lambda x: -1, ValueError),
-        (lambda x: x + 0.5, TypeError),
-        (float, TypeError),
-    ],
-    ids=["256", "minus-1", "half", "integral-float"],
+    "name, repeated",
+    [(name, repeated) for name in _OUTSIDE_A_BYTE for repeated in (False, True)],
+    ids=[name + "-repeated" * repeated for name in _OUTSIDE_A_BYTE for repeated in (False, True)],
 )
-def test_entries_outside_a_byte_are_refused_at_construction(entry, error):
+def test_entries_outside_a_byte_are_refused_at_construction(name, repeated):
     # Entry 3 of two E6 vectors changed to one that is not an int in
-    # 0..255: no layout holds it, as bytes() refuses it.  Every reader of
-    # the vectors (the oracle's walks, the Coxeter orbits, the report)
-    # therefore sees byte entries only.
+    # 0..255, and the second vector a copy of the first when ``repeated``:
+    # no layout holds it, as bytes() refuses it before any check sees the
+    # repeat.  Every reader of the vectors (the mesh pass, the Coxeter
+    # rows, the report) therefore sees byte entries only.
+    entry, error, message = _OUTSIDE_A_BYTE[name]
     arq = build(e6_example())
     vectors = dims(arq)
-    for x in (arq.vertices[12], arq.vertices[30]):
+    u, v = arq.vertices[12], arq.vertices[30]
+    for x in (u, v):
         vectors[x] = vectors[x][:2] + (entry(vectors[x][2]),) + vectors[x][3:]
+    if repeated:
+        vectors[v] = vectors[u]
     assert not fits_a_byte(arq, vectors)
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         relaid(arq, vectors)
+    if name == "integral-float" and not repeated:
+        # The same values as ints lay the quiver out again, and it passes.
+        again = relaid(arq, {x: tuple(map(int, d)) for x, d in vectors.items()})
+        assert again == arq
+        assert coxeter_matrix(again).order == table_order(arq.dynkin)
 
 
 def _rho_reason(rho: tuple, n: int) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 from operator import mul
 from unittest.mock import patch
@@ -21,6 +22,7 @@ from arquiver import (
     coxeter_matrix,
     order_identity_check,
     table_order,
+    validate,
 )
 from arquiver.coxeter import _order_identity_witness
 from arquiver.derived import tau_d, tau_d_inverse
@@ -39,7 +41,7 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import NOT_AN_INT, OUTSIDE_A_BYTE, dims, fits_a_byte, relaid
+from plane import OUTSIDE_A_BYTE, dims, fits_a_byte, relaid, walk_orbits
 
 # -- dense reference arithmetic, for checking the sparse certificate ------------
 
@@ -389,10 +391,10 @@ def _outcome(arq):
 
 
 def _walked_outcome(arq):
-    """What :func:`coxeter_matrix` gives when every orbit is walked."""
+    """What :func:`coxeter_matrix` gives when the reference walks every orbit."""
     from arquiver import coxeter
 
-    with patch.object(coxeter, "_orbit_lengths", lambda *args: None):
+    with patch.object(coxeter, "_orbit_lengths", walk_orbits):
         return _outcome(arq)
 
 
@@ -450,15 +452,11 @@ def test_row_certificate_names_what_the_orbit_walk_names(case):
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
 def test_row_certificate_needs_no_walk_on_every_orientation(family, rank):
-    from arquiver import coxeter
-
-    def walk(*args):
-        raise AssertionError("the row certificate fell back to the orbit walk")
-
-    with patch.object(coxeter, "_walk_orbits", walk):
-        for q in all_orientations(canonical_diagram(family, rank)):
-            arq = build(q)
-            assert coxeter_matrix(arq).order == table_order(arq.dynkin)
+    # The rows alone certify the table order on every orientation: no
+    # orbit is walked to name a failure.
+    for q in all_orientations(canonical_diagram(family, rank)):
+        arq = build(q)
+        assert coxeter_matrix(arq).order == table_order(arq.dynkin)
 
 
 def _terms(q):
@@ -470,47 +468,30 @@ def _terms(q):
 
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
 def test_row_certificate_returns_the_walked_lengths_on_every_orientation(family, rank):
-    from arquiver.coxeter import _orbit_lengths, _walk_orbits
+    from arquiver.coxeter import _orbit_lengths
 
     for q in all_orientations(canonical_diagram(family, rank)):
         arq = build(q)
         lower, upper = _terms(q)
-        assert _orbit_lengths(arq, lower, upper) == _walk_orbits(arq, lower, upper)
+        assert _orbit_lengths(arq, lower, upper) == walk_orbits(arq, lower, upper)
 
 
-@pytest.mark.parametrize(
-    "entry, error, message",
-    [
-        (lambda x: 256, ValueError, OUTSIDE_A_BYTE),
-        (lambda x: -1, ValueError, OUTSIDE_A_BYTE),
-        (lambda x: x + 0.5, TypeError, NOT_AN_INT),
-    ],
-    ids=["256", "minus-1", "float"],
-)
-def test_entries_outside_a_byte_are_left_to_the_walk(entry, error, message):
-    # An entry outside a byte never reaches the orbit checks: an interior
-    # vector of E6 with entry 0 changed cannot be laid out.  The walk
-    # names a broken C * dim step of byte entries in
-    # test_corrupted_interior_dimension_vector_is_named.
-    arq = build(e6_example())
-    v = ZVertex(1, 1)
-    vectors = {**dims(arq), v: (entry(dims(arq)[v][0]),) + dims(arq)[v][1:]}
-    assert not fits_a_byte(arq, vectors)
-    with pytest.raises(error, match=message):
-        relaid(arq, vectors)
+def test_row_sums_hold_few_rows_at_once():
+    # On linear A60 numbered along the line row r is read by row sums
+    # r - 1, r and r + 1, so a few of the 60 rows are held at a time: all
+    # of them would take 2 bytes per entry, twice the layout.
+    from arquiver.coxeter import _orbit_lengths
 
-
-def test_integral_floats_are_left_to_the_walk_which_passes_them():
-    # Integral floats never reach the walk either: no layout holds an
-    # entry that is not an int.  The same values as ints lay out the
-    # quiver again, and the walk passes it.
-    arq = build(e6_example())
-    v = ZVertex(1, 1)
-    with pytest.raises(TypeError, match=NOT_AN_INT):
-        relaid(arq, {**dims(arq), v: tuple(map(float, dims(arq)[v]))})
-    again = relaid(arq, {**dims(arq), v: tuple(map(int, map(float, dims(arq)[v])))})
-    assert again == arq
-    assert coxeter_matrix(again).order == table_order(arq.dynkin)
+    q = validate(60, [(i, i + 1) for i in range(1, 60)])
+    arq = build(q)
+    tracemalloc.start()
+    try:
+        lengths = _orbit_lengths(arq, *_terms(q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lengths == [61] * 60
+    assert peak < len(arq.layout)
 
 
 @pytest.mark.parametrize(
@@ -525,14 +506,17 @@ def test_integral_floats_are_left_to_the_walk_which_passes_them():
         (a1_quiver(), [[(1,), (1,)]], (1,), [(0, 0, 2)]),
         # rho^-1(1) = 3 but rho^-1(3) = 2: orbit 1 does not close.
         (a3_linear(), [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]], (2, 3, 1), []),
+        # Orbit 1 holds one vector, but its partner, orbit 2, repeats one.
+        (a3_linear(), [[(1, 0, 0)], [(0, 1, 0), (0, 1, 0)], [(0, 0, 1)]], (2, 1, 3), [(1, 1, 2)]),
     ],
-    ids=["negative", "zero", "repeated", "non-involutive"],
+    ids=["negative", "zero", "repeated", "non-involutive", "partner-repeated"],
 )
 def test_row_certificate_leaves_open_orbits_to_the_walk(q, orbits, rho, lower):
     # Fed straight to the orbit checks, with sparse terms of their own: the
     # unit checks on projectives and injectives would stop each case first.
-    # Every C * dim step holds, yet a signed orbit repeats or does not close.
-    from arquiver.coxeter import _orbit_lengths, _walk_orbits
+    # Every C * dim step holds, yet a signed orbit repeats or does not close,
+    # and the rows name it as the reference walk does.
+    from arquiver.coxeter import _orbit_lengths
 
     vectors = {ZVertex(r, i): x for i, orbit in enumerate(orbits, 1) for r, x in enumerate(orbit)}
     if lower is None:
@@ -540,6 +524,10 @@ def test_row_certificate_leaves_open_orbits_to_the_walk(q, orbits, rho, lower):
             relaid(build(q), vectors, rho=rho)
         return
     arq = relaid(build(q), vectors, rho=rho)
-    assert _orbit_lengths(arq, lower, []) is None
-    with pytest.raises(CrossCheckFailedError, match=r"orbit of projective 1 does not close"):
-        _walk_orbits(arq, lower, [])
+    texts = []
+    for orbit_lengths in (_orbit_lengths, walk_orbits):
+        with pytest.raises(CrossCheckFailedError) as caught:
+            orbit_lengths(arq, lower, [])
+        texts.append(str(caught.value))
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("coxeter: orbit of projective 1 does not close")

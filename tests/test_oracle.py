@@ -31,7 +31,6 @@ from arquiver.quiver import Arrow, ValuedQuiver, reduced_walk
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
 from plane import (
-    NOT_AN_INT,
     OUTSIDE_A_BYTE,
     dims,
     distance,
@@ -860,10 +859,24 @@ def test_positive_dimension_vectors_are_non_zero_and_non_negative(change, line):
     assert check.line() == f"positive-dimension-vectors: {line.format(v=v)}"
 
 
-@pytest.mark.parametrize("src, dst", [(3, 7), (7, 3), (0, 1), (12, 30)])
-def test_distinct_dimension_vectors_name_the_first_repeat(src, dst):
+def _a60():
+    return validate(60, [(i, i + 1) for i in range(1, 60)])
+
+
+@pytest.mark.parametrize(
+    "quiver, src, dst",
+    [
+        pytest.param(e6_example, 3, 7, id="3-7"),
+        pytest.param(e6_example, 7, 3, id="7-3"),
+        pytest.param(e6_example, 0, 1, id="0-1"),
+        pytest.param(e6_example, 12, 30, id="12-30"),
+        # The last two of the 1,830 vertices, the top of orbit 60 and its translate.
+        pytest.param(_a60, 1828, 1829, id="a60-last-orbit"),
+    ],
+)
+def test_distinct_dimension_vectors_name_the_first_repeat(quiver, src, dst):
     # Vertex dst takes the vector of vertex src; the later of the two repeats the earlier.
-    arq = build(e6_example())
+    arq = build(quiver())
     u, v = arq.vertices[src], arq.vertices[dst]
     corrupted = relaid(arq, {**dims(arq), v: dims(arq)[u]})
     checks = run_all(corrupted, table_order(arq.dynkin)).checks
@@ -874,16 +887,16 @@ def test_distinct_dimension_vectors_name_the_first_repeat(src, dst):
     )
 
 
-# -- packed verdicts: the walks run only to name a witness, and agree with them ------
+# -- packed verdicts name the witnesses that the walks name ----------------------
 
 
 def _walk_only_lines(arq):
-    """The lines of ``run_all`` with every packed verdict failed, so that
-    each check is decided by its walk."""
+    """The lines of ``run_all`` with the path certificate failed, so that
+    its arrows are walked, and the mesh line of the vertex-by-vertex
+    reference."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_meshes_hold", lambda arq: False)
         patch.setattr(oracle, "_certified", lambda *arrays: False)
-        return _lines(arq)
+        return [reference_mesh_line(arq), *_lines(arq)[1:]]
 
 
 @st.composite
@@ -920,34 +933,6 @@ def test_packed_verdicts_match_the_walks_on_corrupted_quivers(case):
     assert _lines(arq) == _walk_only_lines(arq)
 
 
-_V = ZVertex(1, 1)
-_CHANGES = {
-    "256": (lambda d: (256,) + d[1:], ValueError, OUTSIDE_A_BYTE),
-    "minus-1": (lambda d: (-1,) + d[1:], ValueError, OUTSIDE_A_BYTE),
-    "half": (lambda d: (d[0] + 0.5,) + d[1:], TypeError, NOT_AN_INT),
-    "integral-floats": (lambda d: tuple(map(float, d)), TypeError, NOT_AN_INT),
-}
-
-
-@pytest.mark.parametrize(
-    "change, repeated",
-    [(change, repeated) for change in _CHANGES.values() for repeated in (False, True)],
-    ids=[name + "-repeated" * repeated for name in _CHANGES for repeated in (False, True)],
-)
-def test_entries_outside_a_byte_are_left_to_the_walks(change, repeated):
-    # An entry outside a byte never reaches the walks: an interior vector
-    # of E6 changed, and also copied to (4, 4) when ``repeated``, cannot
-    # be laid out.
-    change, error, message = change
-    arq = build(e6_example())
-    vectors = {**dims(arq), _V: change(dims(arq)[_V])}
-    if repeated:
-        vectors[ZVertex(4, 4)] = vectors[_V]
-    assert not fits_a_byte(arq, vectors)
-    with pytest.raises(error, match=message):
-        relaid(arq, vectors)
-
-
 @pytest.mark.parametrize(
     "weight, orbits, line",
     [
@@ -965,7 +950,6 @@ def test_mesh_lanes_are_as_wide_as_the_weights_need(weight, orbits, line):
     # past 3, and the packed verdict is exact.
     vectors = {ZVertex(r, i): x for i, orbit in enumerate(orbits, 1) for r, x in enumerate(orbit)}
     arq = relaid(build(g2_quiver()), vectors, quiver=ValuedQuiver(2, (Arrow(1, 2, (1, weight)),)))
-    assert oracle._meshes_hold(arq) is (line == "mesh-additivity: PASS")
     assert verify_mesh(arq).checks[0].line() == line == reference_mesh_line(arq)
 
 
@@ -973,7 +957,6 @@ def test_meshes_out_of_range_fail_where_every_sum_vanishes():
     # Every vector zero: each mesh sum vanishes, and only an input past the
     # top of its orbit fails the relation.
     arq = relaid(build(a3_linear()), {}, m=(0, 0, 2))
-    assert oracle._meshes_hold(arq) is False
     assert verify_mesh(arq).checks[0].line() == reference_mesh_line(arq) == (
         "mesh-additivity: FAIL (in-arrow source ZVertex(level=1, base=2) of "
         "ZVertex(level=2, base=3) out of range)"
@@ -987,9 +970,9 @@ def test_mesh_verdict_holds_few_orbits_packed_at_once():
     arq = build(validate(60, [(i, i + 1) for i in range(1, 60)]))
     tracemalloc.start()
     try:
-        holds = oracle._meshes_hold(arq)
+        witness = oracle._mesh_witness(arq)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert holds
+    assert witness == ""
     assert peak < 2 * len(arq.vertices) * arq.n / 2
