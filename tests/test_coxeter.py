@@ -41,7 +41,7 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import OUTSIDE_A_BYTE, dims, fits_a_byte, relaid, walk_orbits
+from plane import NOT_AN_INT, OUTSIDE_A_BYTE, dims, fits_a_byte, relaid, walk_orbits
 
 # -- dense reference arithmetic, for checking the sparse certificate ------------
 
@@ -474,6 +474,45 @@ def test_row_certificate_returns_the_walked_lengths_on_every_orientation(family,
         arq = build(q)
         lower, upper = _terms(q)
         assert _orbit_lengths(arq, lower, upper) == walk_orbits(arq, lower, upper)
+
+
+@pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        (lambda x: 256, ValueError, OUTSIDE_A_BYTE),
+        (lambda x: -1, ValueError, OUTSIDE_A_BYTE),
+        (lambda x: x + 0.5, TypeError, NOT_AN_INT),
+    ],
+    ids=["256", "minus-1", "float"],
+)
+def test_entries_outside_a_byte_are_left_to_the_walk(entry, error, message):
+    # An entry outside a byte reaches neither the row sums nor the
+    # reference walk: an interior vector of E6 with entry 0 changed cannot
+    # be laid out.  A broken C * dim step of byte entries is named in
+    # test_corrupted_interior_dimension_vector_is_named.
+    arq = build(e6_example())
+    v = ZVertex(1, 1)
+    vectors = {**dims(arq), v: (entry(dims(arq)[v][0]),) + dims(arq)[v][1:]}
+    assert not fits_a_byte(arq, vectors)
+    with pytest.raises(error, match=message):
+        relaid(arq, vectors)
+
+
+def test_integral_floats_are_left_to_the_walk_which_passes_them():
+    # Integral floats are refused too: no layout holds an entry that is
+    # not an int.  The same values as ints lay out the quiver again, and
+    # both the row sums and the reference walk pass it.
+    arq = build(e6_example())
+    v = ZVertex(1, 1)
+    with pytest.raises(TypeError, match=NOT_AN_INT):
+        relaid(arq, {**dims(arq), v: tuple(map(float, dims(arq)[v]))})
+    again = relaid(arq, {**dims(arq), v: tuple(map(int, map(float, dims(arq)[v])))})
+    assert again == arq
+    assert coxeter_matrix(again).order == table_order(arq.dynkin)
+    lower, upper = _terms(e6_example())
+    from arquiver.coxeter import _orbit_lengths
+
+    assert _orbit_lengths(again, lower, upper) == walk_orbits(again, lower, upper)
 
 
 def test_row_sums_hold_few_rows_at_once():

@@ -31,6 +31,7 @@ from arquiver.quiver import Arrow, ValuedQuiver, reduced_walk
 from arquiver.repetitive import ZArrow
 from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
 from plane import (
+    NOT_AN_INT,
     OUTSIDE_A_BYTE,
     dims,
     distance,
@@ -931,6 +932,29 @@ def test_packed_verdicts_match_the_walks_on_corrupted_quivers(case):
             return
         arq = relaid(arq, vectors)
     assert _lines(arq) == _walk_only_lines(arq)
+
+
+_CHANGES = {
+    "256": (lambda d: (256,) + d[1:], ValueError, OUTSIDE_A_BYTE),
+    "minus-1": (lambda d: (-1,) + d[1:], ValueError, OUTSIDE_A_BYTE),
+    "half": (lambda d: (d[0] + 0.5,) + d[1:], TypeError, NOT_AN_INT),
+    "integral-floats": (lambda d: tuple(map(float, d)), TypeError, NOT_AN_INT),
+}
+
+
+@pytest.mark.parametrize("change", _CHANGES.values(), ids=_CHANGES)
+def test_entries_outside_a_byte_are_left_to_the_walks(change):
+    # An entry outside a byte reaches neither the packed checks nor the
+    # reference walks: an interior vector of E6 changed cannot be laid
+    # out.  A repeated such vector is refused the same way in
+    # test_entries_outside_a_byte_are_refused_at_construction.
+    change, error, message = change
+    arq = build(e6_example())
+    v = ZVertex(1, 1)
+    vectors = {**dims(arq), v: change(dims(arq)[v])}
+    assert not fits_a_byte(arq, vectors)
+    with pytest.raises(error, match=message):
+        relaid(arq, vectors)
 
 
 @pytest.mark.parametrize(
