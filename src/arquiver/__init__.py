@@ -30,8 +30,6 @@ from .derived import (
     cluster_normalize,
     derived_distance,
     derived_nilpotency,
-    tau_d,
-    tau_d_inverse,
 )
 from .dynkin import (
     DynkinClass,

@@ -3,10 +3,14 @@
 A derived vertex ``(r, i, s)`` is the ``s``-fold shift of the module at
 position ``(r, i)``.  The derived translation quiver is the full
 translation plane of the opposite ext-quiver; nothing infinite is
-stored, the translation acts directly on coordinates:
+stored, and nothing walks the translation one step at a time.  Its
+backward translate climbs orbit ``i`` and then jumps to the next one:
 
-    backward translate: (r, i, s) -> (r + 1, i, s)        while r < m(i)
-                        (m(i), i, s) -> (0, rho(i), s + 1)
+    (r, i, s) -> (r + 1, i, s)        while r < m(i)
+    (m(i), i, s) -> (0, rho(i), s + 1)
+
+so every answer here is read off the orbit lengths ``m`` and the
+pairing ``rho``.
 
 ``plane_position`` embeds a derived vertex into that plane: orbit ``i``
 runs through the shift-0 stalks of orbit ``i``, then the shift-1 stalks
@@ -14,11 +18,13 @@ of orbit ``rho(i)``, and repeats two shifts up after one full Coxeter
 period.  Distances in the derived quiver then reduce to the closed walk
 formula of :mod:`arquiver.repetitive`.
 
-The cluster category identifies a vertex with its image under the
-composite of inverse translation and shift.  A fundamental domain is the
-shift-0 stalks together with the once-shifted projectives; orbits hit it
-exactly once, and `cluster_normalize` reduces any coordinate to its
-representative.
+The cluster category identifies a vertex with its image under
+``F = tau^-1 [1]``.  In plane coordinates ``F`` sends ``(L, j)`` to
+``(L + m(rho(j)) + 2, rho(j))``, so ``F^2`` adds ``order + 2`` levels on
+the same base.  A fundamental domain is levels ``0..m(j) + 1`` of each
+base ``j``: the shift-0 stalks, then the shifted projective
+``(0, rho(j), 1)``.  Orbits hit it exactly once, and `cluster_normalize`
+reduces any coordinate to its representative by one division.
 """
 
 from __future__ import annotations
@@ -52,26 +58,6 @@ def _top(arq: "ARQuiver", v: DerivedVertex) -> int:
     raise PositionOutOfRangeError(f"no level {v.level} on base {v.base}")
 
 
-def tau_d_inverse(arq: "ARQuiver", v: DerivedVertex) -> DerivedVertex:
-    """One backward step of the derived translation."""
-    if v.level < _top(arq, v):
-        return DerivedVertex(v.level + 1, v.base, v.shift)
-    return DerivedVertex(0, arq.rho_of(v.base), v.shift + 1)
-
-
-def tau_d(arq: "ARQuiver", v: DerivedVertex) -> DerivedVertex:
-    """One forward step; two-sided inverse of :func:`tau_d_inverse`."""
-    _top(arq, v)
-    if v.level > 0:
-        return DerivedVertex(v.level - 1, v.base, v.shift)
-    j = arq.rho_inverse(v.base)
-    return DerivedVertex(arq.m_of(j), j, v.shift - 1)
-
-
-def shift(v: DerivedVertex, s: int = 1) -> DerivedVertex:
-    return DerivedVertex(v.level, v.base, v.shift + s)
-
-
 def plane_position(arq: "ARQuiver", order: int, v: DerivedVertex) -> ZVertex:
     """Embed into the translation plane of the opposite ext-quiver; a
     position off the quiver's orbits raises ``PositionOutOfRangeError``."""
@@ -99,11 +85,12 @@ def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
     Cross-checked against the longest chain with non-zero composite:
     every projective-to-injective distance at shift zero must equal
     ``order - 2``, and a full period of backward translation must land
-    two shifts up.  From ``(0, i, 0)`` it climbs orbit ``i`` to
-    ``(0, rho(i), 1)`` in ``m(i) + 1`` steps and orbit ``rho(i)`` to
-    ``(0, rho(rho(i)), 2)`` in ``m(rho(i)) + 1`` more, so it lands home
-    exactly when ``rho(rho(i)) = i`` and those steps add up to ``order``.
-    Only otherwise is the period walked, to name where it lands.
+    two shifts up.  The period is taken orbit by orbit: from level 0 of
+    orbit ``b`` the translation reaches ``(0, rho(b), s + 1)`` in
+    ``m(b) + 1`` steps, so ``order`` steps from ``(0, i, 0)`` jump whole
+    orbits while more than ``m(b)`` steps are left, and stop that many
+    levels up the last.  It lands home at ``(0, i, 2)`` exactly when
+    ``rho(rho(i)) = i`` and ``m(i) + m(rho(i)) + 2 = order``.
     """
     m, rho = arq.m, arq.rho
     for i in arq.quiver.vertices():
@@ -115,56 +102,48 @@ def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
                 f"derived distance projective {i} .. injective {i} is {d}, "
                 f"expected {order - 2}"
             )
-        j = rho[i - 1]
-        if rho[j - 1] == i and m[i - 1] + m[j - 1] + 2 == order:
-            continue
-        w = p
-        for _ in range(order):
-            w = tau_d_inverse(arq, w)
-        if w != DerivedVertex(0, i, 2):
+        left, b, shifts = order, i, 0
+        while left > m[b - 1]:
+            left -= m[b - 1] + 1
+            b, shifts = rho[b - 1], shifts + 1
+        if (left, b, shifts) != (0, i, 2):
             raise CrossCheckFailedError(
-                f"a full period of backward translation sent {p} to {w}"
+                f"a full period of backward translation sent {p} to "
+                f"{DerivedVertex(left, b, shifts)}"
             )
     return order - 1
 
 
 # -- cluster category -------------------------------------------------------------
 
-def orbit_shift(arq: "ARQuiver", v: DerivedVertex) -> DerivedVertex:
-    """The cluster identification: inverse translation after one shift."""
-    return tau_d_inverse(arq, shift(v))
-
-
-def orbit_shift_inverse(arq: "ARQuiver", v: DerivedVertex) -> DerivedVertex:
-    return shift(tau_d(arq, v), -1)
-
-
-def in_fundamental_domain(v: DerivedVertex) -> bool:
-    return v.shift == 0 or (v.shift == 1 and v.level == 0)
-
-
 def cluster_normalize(arq: "ARQuiver", order: int, v: DerivedVertex) -> ClusterRep:
     """Reduce to the fundamental-domain representative of the orbit.
 
-    Returns ``(rep, p)`` with ``p`` applications of the identification
-    sending ``rep`` to ``v``.  A power of ``order`` identifications moves
-    a coordinate exactly two shifts plus one period up, which gives the
-    coarse reduction; the remainder is walked step by step.  A position
-    off the quiver's orbits raises ``PositionOutOfRangeError``.
+    Returns ``(rep, p)`` with ``F^p`` sending ``rep`` to ``v``.  At plane
+    position ``(L, j)``, ``F^2`` adds ``order + 2`` levels, so the
+    remainder of ``L`` modulo ``order + 2`` lies in one period of base
+    ``j``; past the domain's levels ``0..m(j) + 1`` it is one ``F`` step
+    from base ``rho(j)``.  A position off the quiver's orbits raises
+    ``PositionOutOfRangeError``, and orbits ``b = v.base`` and ``rho(b)``
+    that do not pair into a period of ``order`` raise
+    ``CrossCheckFailedError``.
     """
     _top(arq, v)
-    period = order + 2
-    coarse = v.shift // period
-    power = coarse * order
-    v = shift(v, -coarse * period)
-    while not in_fundamental_domain(v):
-        if v.shift >= 1:
-            v = orbit_shift_inverse(arq, v)
-            power += 1
-        else:
-            v = orbit_shift(arq, v)
-            power -= 1
-    return ClusterRep(v, power)
+    b, j = v.base, arq.rho_of(v.base)
+    total = arq.m_of(b) + arq.m_of(j) + 2
+    if arq.rho_of(j) != b or total != order:
+        raise CrossCheckFailedError(
+            f"orbits {b} and {j} = rho({b}) make no period of {order}: "
+            f"rho({j}) = {arq.rho_of(j)}, m({b}) + m({j}) + 2 = {total}"
+        )
+    level, j = plane_position(arq, order, v)
+    q, level = divmod(level, order + 2)
+    power = 2 * q
+    if level > arq.m_of(j) + 1:
+        level, j, power = level - arq.m_of(j) - 2, arq.rho_of(j), power + 1
+    if level > arq.m_of(j):
+        return ClusterRep(DerivedVertex(0, arq.rho_of(j), 1), power)
+    return ClusterRep(DerivedVertex(level, j, 0), power)
 
 
 def cluster_count(arq: "ARQuiver", order: int) -> int:

@@ -6,8 +6,9 @@ orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
 path audit, vertex-by-vertex mesh sums, the Coxeter orbits walked one
 by one, the first failing check of an oracle report, seed sections and
 heap-ordered knitting, hammock tables by position, composition
-multiplicities, the dimension vectors by position, and vector layouts
-and arrows for fault injection."""
+multiplicities, the dimension vectors by position, vector layouts and
+arrows for fault injection, and the derived translation and the cluster
+identification one step at a time."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from itertools import chain, count, takewhile
 from typing import Iterator, Mapping, Sequence
 
 from arquiver.coxeter import _minus
+from arquiver.derived import ClusterRep, DerivedVertex, _top
 from arquiver.errors import (
     BoundExceededError,
     CrossCheckFailedError,
@@ -517,3 +519,60 @@ def fits_a_byte(arq, vectors: Mapping | None = None, m: Sequence[int] | None = N
     int in ``0..255``, so that ``bytes`` takes it."""
     entries = chain.from_iterable(chain.from_iterable(_orbits(arq, vectors, m)))
     return all(isinstance(e, int) and 0 <= e <= 255 for e in entries)
+
+
+# -- one step of the derived translation at a time, the reference for ``derived`` --
+
+
+def tau_d_inverse(arq, v: DerivedVertex) -> DerivedVertex:
+    """One backward step of the derived translation."""
+    if v.level < _top(arq, v):
+        return DerivedVertex(v.level + 1, v.base, v.shift)
+    return DerivedVertex(0, arq.rho_of(v.base), v.shift + 1)
+
+
+def tau_d(arq, v: DerivedVertex) -> DerivedVertex:
+    """One forward step; two-sided inverse of :func:`tau_d_inverse`."""
+    _top(arq, v)
+    if v.level > 0:
+        return DerivedVertex(v.level - 1, v.base, v.shift)
+    j = arq.rho_inverse(v.base)
+    return DerivedVertex(arq.m_of(j), j, v.shift - 1)
+
+
+def shift(v: DerivedVertex, s: int = 1) -> DerivedVertex:
+    return DerivedVertex(v.level, v.base, v.shift + s)
+
+
+def orbit_shift(arq, v: DerivedVertex) -> DerivedVertex:
+    """The cluster identification: inverse translation after one shift."""
+    return tau_d_inverse(arq, shift(v))
+
+
+def orbit_shift_inverse(arq, v: DerivedVertex) -> DerivedVertex:
+    return shift(tau_d(arq, v), -1)
+
+
+def in_fundamental_domain(v: DerivedVertex) -> bool:
+    return v.shift == 0 or (v.shift == 1 and v.level == 0)
+
+
+def walk_cluster_normalize(arq, order: int, v: DerivedVertex) -> ClusterRep:
+    """What ``derived.cluster_normalize`` returns, one identification at a
+    time: a power of ``order`` identifications moves a coordinate exactly
+    two shifts plus one period up, which gives the coarse reduction; the
+    remainder is walked step by step.  A position off the quiver's orbits
+    raises ``PositionOutOfRangeError``."""
+    _top(arq, v)
+    period = order + 2
+    coarse = v.shift // period
+    power = coarse * order
+    v = shift(v, -coarse * period)
+    while not in_fundamental_domain(v):
+        if v.shift >= 1:
+            v = orbit_shift_inverse(arq, v)
+            power += 1
+        else:
+            v = orbit_shift(arq, v)
+            power -= 1
+    return ClusterRep(v, power)

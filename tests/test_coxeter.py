@@ -25,7 +25,6 @@ from arquiver import (
     validate,
 )
 from arquiver.coxeter import _order_identity_witness
-from arquiver.derived import tau_d, tau_d_inverse
 from arquiver.dynkin import (
     DynkinClass,
     all_orientations,
@@ -41,7 +40,16 @@ from conftest import (
     g2_quiver,
     relabelled_orientations,
 )
-from plane import NOT_AN_INT, OUTSIDE_A_BYTE, dims, fits_a_byte, relaid, walk_orbits
+from plane import (
+    NOT_AN_INT,
+    OUTSIDE_A_BYTE,
+    dims,
+    fits_a_byte,
+    relaid,
+    tau_d,
+    tau_d_inverse,
+    walk_orbits,
+)
 
 # -- dense reference arithmetic, for checking the sparse certificate ------------
 

@@ -20,14 +20,20 @@ from arquiver import (
     coxeter_matrix,
     derived_distance,
     derived_nilpotency,
-    tau_d,
-    tau_d_inverse,
     validate,
 )
-from arquiver.derived import in_fundamental_domain, orbit_shift, plane_position
+from arquiver.derived import plane_position
 from arquiver.dynkin import all_orientations, canonical_diagram
 from conftest import a1_quiver, a3_linear, e6_example, g2_quiver
-from plane import relaid, window_paths
+from plane import (
+    in_fundamental_domain,
+    orbit_shift,
+    relaid,
+    tau_d,
+    tau_d_inverse,
+    walk_cluster_normalize,
+    window_paths,
+)
 
 
 def _with_order(q):
@@ -159,7 +165,8 @@ def test_cluster_counts():
 
 
 def test_fundamental_domain_size_formula():
-    for q in (a3_linear(), g2_quiver(), e6_example()):
+    a60 = validate(60, [(i, i + 1) for i in range(1, 60)])
+    for q in (a3_linear(), g2_quiver(), e6_example(), a60):
         arq, order = _with_order(q)
         domain = [DerivedVertex(v.level, v.base, 0) for v in arq.vertices]
         domain += [DerivedVertex(0, i, 1) for i in arq.quiver.vertices()]
@@ -167,6 +174,62 @@ def test_fundamental_domain_size_formula():
         reps = {cluster_normalize(arq, order, v) for v in domain}
         assert all(p == 0 for _, p in reps)
         assert len(reps) == len(domain)
+        # Every vertex at shifts -3..3 names exactly the objects of C_H.
+        reps = {
+            cluster_normalize(arq, order, DerivedVertex(v.level, v.base, s)).rep
+            for v in arq.vertices
+            for s in range(-3, 4)
+        }
+        assert len(reps) == cluster_count(arq, order)
+
+
+_DIAGRAMS = [
+    q
+    for family, rank in (
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+        ("B", 4), ("C", 3), ("D", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2),
+    )
+    for q in all_orientations(canonical_diagram(family, rank))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cluster_normalize_matches_the_identification_walk(data):
+    arq, order = _with_order(data.draw(st.sampled_from(_DIAGRAMS)))
+    v = data.draw(st.sampled_from(arq.vertices))
+    bound = 3 * (order + 2)
+    w = DerivedVertex(v.level, v.base, data.draw(st.integers(-bound, bound)))
+    assert cluster_normalize(arq, order, w) == walk_cluster_normalize(arq, order, w)
+
+
+_A3_PAIR = "orbits 3 and 1 = rho(3) make no period of {}: rho(1) = 3, m(3) + m(1) + 2 = 4"
+
+
+@pytest.mark.parametrize(
+    "rho, order, v, message",
+    [
+        # Linear A3's own rho pairs orbit 3 with orbit 1 into a period of
+        # 4; at any other order the division would run over the wrong period.
+        ((3, 2, 1), 6, (2, 3, 7), _A3_PAIR.format(6)),
+        ((3, 2, 1), 0, (2, 3, 7), _A3_PAIR.format(0)),
+        ((3, 2, 1), -2, (2, 3, 7), _A3_PAIR.format(-2)),
+        # rho = (2, 3, 1) is no involution: orbit 1 climbs into orbit 2, and
+        # orbit 2 into orbit 3, not back into orbit 1.
+        (
+            (2, 3, 1),
+            4,
+            (0, 1, 0),
+            "orbits 1 and 2 = rho(1) make no period of 4: rho(2) = 3, m(1) + m(2) + 2 = 3",
+        ),
+    ],
+    ids=["order-6", "order-0", "order-minus-2", "rho-231"],
+)
+def test_orbits_that_make_no_period_of_the_order_are_refused(rho, order, v, message):
+    arq = relaid(build(a3_linear()), rho=rho)
+    with pytest.raises(CrossCheckFailedError) as caught:
+        cluster_normalize(arq, order, DerivedVertex(*v))
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
