@@ -65,8 +65,6 @@ from .hammock import (
 from .oracle import (
     OracleReport,
     audit_paths,
-    recursive_injective_dims,
-    recursive_projective_dims,
     verify_mesh,
 )
 from .quiver import (

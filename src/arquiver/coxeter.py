@@ -7,9 +7,11 @@ ext-quiver: the inverse Cartan matrix of a hereditary algebra is
 each arrow ``i -> j`` in row ``j``, column ``i``), and the inverse of the
 injective matrix is ``E - B`` (``B`` holds the second component in row
 ``i``, column ``j``).  Both are certified on the knitted modules, one
-sparse product per vector, before ``C = -Inj * (E - A)`` is formed column
-by column.  All arithmetic uses Python integers, so no overflow is
-possible.
+sparse product per vector, before ``C = -Inj * (E - A)`` is formed
+column by column; the same test decides ``check``'s two recursion lines,
+as ``P_i = e_i + sum a * P_j`` over the arrows ``i -> j`` says
+``P * (E - A) = E``, and ``E - A`` is unitriangular in a topological
+order.  All arithmetic uses Python integers, so no overflow is possible.
 
 The order is read off the knitted translation orbits, not off matrix
 powers.  On a non-projective ``v``, ``C * dim v = dim tau v``, checked
@@ -49,6 +51,7 @@ if TYPE_CHECKING:
     from .ar_quiver import ARQuiver
 
 Matrix = tuple[tuple[int, ...], ...]
+Terms = list[tuple[int, int, int]]  # a sparse matrix as (row, column, entry)
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class CoxeterData:
     order: int
 
 
-def _minus(terms: list[tuple[int, int, int]], x: tuple[int, ...]) -> list[int]:
+def _minus(terms: Terms, x: tuple[int, ...]) -> list[int]:
     """``x - M x`` for the sparse ``M`` given as ``(row, column, entry)`` terms."""
     y = list(x)
     for r, s, w in terms:
@@ -67,26 +70,40 @@ def _minus(terms: list[tuple[int, int, int]], x: tuple[int, ...]) -> list[int]:
     return y
 
 
+def _terms(arq: "ARQuiver") -> tuple[Terms, Terms]:
+    """The terms of ``A`` and of ``B``, the ext-quiver's two valuation sides."""
+    lower = [(a.dst - 1, a.src - 1, a.val[0]) for a in arq.quiver.arrows]  # A
+    upper = [(a.src - 1, a.dst - 1, a.val[1]) for a in arq.quiver.arrows]  # B
+    return lower, upper
+
+
+def _uninverted(terms: Terms, vectors: list[bytes]) -> int:
+    """The first ``j`` in ``1..n`` with ``(E - M) x_j != e_j``, or 0."""
+    for j, x in enumerate(vectors, start=1):
+        y = _minus(terms, x)
+        y[j - 1] -= 1
+        if any(y):
+            return j
+    return 0
+
+
 def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
     """Form the transformation exactly and certify its tabled order."""
     n = arq.n
     proj = [arq.vector(arq.projective(i)) for i in range(1, n + 1)]
     inj = [arq.vector(arq.injective(l)) for l in range(1, n + 1)]
-    lower = [(a.dst - 1, a.src - 1, a.val[0]) for a in arq.quiver.arrows]  # A
-    upper = [(a.src - 1, a.dst - 1, a.val[1]) for a in arq.quiver.arrows]  # B
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
-
-    for j in range(n):
-        if _minus(lower, proj[j]) != units[j]:
-            raise SingularCartanError(
-                f"projective {j + 1} disagrees with the ext-quiver: "
-                "E - A does not invert the Cartan matrix"
-            )
-        if _minus(upper, inj[j]) != units[j]:
-            raise SingularCartanError(
-                f"injective {j + 1} disagrees with the ext-quiver: "
-                "E - B does not invert the injective matrix"
-            )
+    lower, upper = _terms(arq)
+    p, i = _uninverted(lower, proj), _uninverted(upper, inj)
+    if p and not 0 < i < p:  # projective j is certified before injective j
+        raise SingularCartanError(
+            f"projective {p} disagrees with the ext-quiver: "
+            "E - A does not invert the Cartan matrix"
+        )
+    if i:
+        raise SingularCartanError(
+            f"injective {i} disagrees with the ext-quiver: "
+            "E - B does not invert the injective matrix"
+        )
     # Column j of C is -I_j plus val[0] * I_d for each arrow j -> d.
     columns = [[-x for x in column] for column in inj]
     for d, j, w in lower:
@@ -103,9 +120,7 @@ def coxeter_matrix(arq: "ARQuiver") -> CoxeterData:
     return CoxeterData(tuple(zip(*proj)), tuple(zip(*inj)), tuple(zip(*columns)), order)
 
 
-def _orbit_lengths(
-    arq: "ARQuiver", lower: list[tuple[int, int, int]], upper: list[tuple[int, int, int]]
-) -> list[int]:
+def _orbit_lengths(arq: "ARQuiver", lower: Terms, upper: Terms) -> list[int]:
     """The signed orbit lengths, read off the coordinate rows; raises
     :class:`CrossCheckFailedError` at the first orbit, in base order, with
     a ``C * dim`` step that fails (its lowest such vertex), else that does
@@ -206,18 +221,17 @@ def table_order(dynkin: DynkinClass) -> int:
 
 def order_identity_check(arq: "ARQuiver", cd: CoxeterData) -> bool:
     """Order equals the table value and every paired orbit-length sum."""
-    return not _order_identity_witness(arq, cd)
+    return not _order_identity_witness(arq, cd.order)
 
 
-def _order_identity_witness(arq: "ARQuiver", cd: CoxeterData) -> str:
-    """Why :func:`order_identity_check` fails, or ``""`` when it holds:
-    an order off the table value, else the first ``i`` in ``1..n`` whose
-    orbit-length sum is off."""
+def _order_identity_witness(arq: "ARQuiver", order: int) -> str:
+    """Why :func:`order_identity_check` fails for ``order``, or ``""``: an
+    order off the table value, else the first ``i`` whose orbit-length sum is off."""
     h = table_order(arq.dynkin)
-    if cd.order != h:
-        return f"order {cd.order} is not h = {h} for {arq.dynkin.name}"
+    if order != h:
+        return f"order {order} is not h = {h} for {arq.dynkin.name}"
     for i in arq.quiver.vertices():
         total = arq.m_of(i) + arq.m_of(arq.rho_of(i)) + 2
-        if total != cd.order:
-            return f"m({i}) + m(rho({i})) + 2 = {total}, not |C| = {cd.order}"
+        if total != order:
+            return f"m({i}) + m(rho({i})) + 2 = {total}, not |C| = {order}"
     return ""

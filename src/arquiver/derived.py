@@ -58,14 +58,27 @@ def _top(arq: "ARQuiver", v: DerivedVertex) -> int:
     raise PositionOutOfRangeError(f"no level {v.level} on base {v.base}")
 
 
+def _paired(arq: "ARQuiver", order: int, b: int) -> int:
+    """``rho(b)``; ``CrossCheckFailedError`` if orbits ``b`` and ``rho(b)`` make no period."""
+    j = arq.rho_of(b)
+    total = arq.m_of(b) + arq.m_of(j) + 2
+    if arq.rho_of(j) != b or total != order:
+        raise CrossCheckFailedError(
+            f"orbits {b} and {j} = rho({b}) make no period of {order}: "
+            f"rho({j}) = {arq.rho_of(j)}, m({b}) + m({j}) + 2 = {total}"
+        )
+    return j
+
+
 def plane_position(arq: "ARQuiver", order: int, v: DerivedVertex) -> ZVertex:
     """Embed into the translation plane of the opposite ext-quiver; a
-    position off the quiver's orbits raises ``PositionOutOfRangeError``."""
+    position off the quiver's orbits raises ``PositionOutOfRangeError``,
+    and a shifted one on orbits that make no period, as :func:`_paired`."""
     _top(arq, v)
     q, parity = divmod(v.shift, 2)
+    i = _paired(arq, order, v.base) if v.shift else v.base  # the partner, on an odd shift
     if parity == 0:
         return ZVertex(q * order + v.level, v.base)
-    i = arq.rho_of(v.base)
     return ZVertex(q * order + arq.m_of(i) + 1 + v.level, i)
 
 
@@ -124,18 +137,11 @@ def cluster_normalize(arq: "ARQuiver", order: int, v: DerivedVertex) -> ClusterR
     remainder of ``L`` modulo ``order + 2`` lies in one period of base
     ``j``; past the domain's levels ``0..m(j) + 1`` it is one ``F`` step
     from base ``rho(j)``.  A position off the quiver's orbits raises
-    ``PositionOutOfRangeError``, and orbits ``b = v.base`` and ``rho(b)``
-    that do not pair into a period of ``order`` raise
-    ``CrossCheckFailedError``.
+    ``PositionOutOfRangeError``, and one on orbits that make no period of
+    ``order`` raises ``CrossCheckFailedError``, as :func:`_paired`.
     """
     _top(arq, v)
-    b, j = v.base, arq.rho_of(v.base)
-    total = arq.m_of(b) + arq.m_of(j) + 2
-    if arq.rho_of(j) != b or total != order:
-        raise CrossCheckFailedError(
-            f"orbits {b} and {j} = rho({b}) make no period of {order}: "
-            f"rho({j}) = {arq.rho_of(j)}, m({b}) + m({j}) + 2 = {total}"
-        )
+    _paired(arq, order, v.base)
     level, j = plane_position(arq, order, v)
     q, level = divmod(level, order + 2)
     power = 2 * q

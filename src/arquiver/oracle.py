@@ -1,12 +1,12 @@
 """Independent brute-force validation of a built translation quiver.
 
 Everything here recomputes by a different route what the builder derived
-from hammocks: projective and injective dimension vectors by direct
-recursion over the ext-quiver, mesh additivity at every vertex, and the
-path statistics of the quiver itself.  The projective-side recursion
-multiplies by the *first* valuation component, the injective-side one by
-the *second*; on non-simply-laced input these differ, so the
-dimension-vector agreement checks pin the convention.
+from hammocks: mesh additivity at every vertex, the path statistics of
+the quiver itself, and the boundary vectors by the Euler-form test that
+``coxeter_matrix`` runs, the equations the recursions over the ext-quiver
+solve.  The projective recursion weighs by the *first* valuation
+component, the injective one by the *second*; on non-simply-laced input
+these differ, so the recursion lines pin the convention.
 
 Each check that reads the whole quiver takes its verdict on packed
 arrays, and the pass that takes it names its first witness: the mesh
@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, repeat
-from operator import add, attrgetter, mul, ne, sub
+from operator import add, attrgetter, sub
 from typing import Callable, Iterator
 
 from .ar_quiver import ARQuiver, _closed_form_rho_m, _count_identity, _orbit_index_witness
+from .coxeter import _order_identity_witness, _terms, _uninverted
 from .derived import cluster_count, derived_nilpotency
 from .errors import ArquiverError, CrossCheckFailedError
-from .quiver import ValuedQuiver
 from .repetitive import ZVertex, mesh_inputs
 
 
@@ -56,62 +56,20 @@ class OracleReport:
         self.checks.append(CheckResult(name, passed, detail))
 
 
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return (0,) * (i - 1) + (1,) + (0,) * (n - i)
-
-
-def _add(u: tuple[int, ...], v: tuple[int, ...], scale: int) -> tuple[int, ...]:
-    return tuple(map(add, u, v if scale == 1 else map(mul, v, repeat(scale))))
-
-
-def recursive_projective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
-    """Projective dimension vectors by recursion from the sinks.
-
-    The vector at ``i`` is the unit vector plus, for every arrow
-    ``i -> j`` with valuation ``(a, b)``, ``a`` times the vector at ``j``.
-    """
-    dims: dict[int, tuple[int, ...]] = {}
-
-    def compute(i: int) -> tuple[int, ...]:
-        if i not in dims:
-            vec = _unit(q.n, i)
-            for a in q.out_arrows(i):
-                vec = _add(vec, compute(a.dst), a.val[0])
-            dims[i] = vec
-        return dims[i]
-
-    for i in q.vertices():
-        compute(i)
-    return dims
-
-
-def recursive_injective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
-    """Injective dimension vectors by recursion from the sources.
-
-    The vector at ``l`` is the unit vector plus, for every arrow
-    ``j -> l`` with valuation ``(a, b)``, ``b`` times the vector at ``j``:
-    the projective recursion on the opposite quiver, where that arrow is
-    ``l -> j`` with valuation ``(b, a)``.
-    """
-    return recursive_projective_dims(q.opposite())
-
-
 def verify_mesh(arq: ARQuiver) -> OracleReport:
     """Check every mesh relation, with the first failure named by
-    :func:`_mesh_witness`, and both boundary recursions."""
+    :func:`_mesh_witness`, and both boundary recursions by the Euler form."""
     report = OracleReport()
     witness = _mesh_witness(arq)
     report.add("mesh-additivity", not witness, witness)
 
-    vertices = arq.quiver.vertices()
-    for name, position, recursive in (
-        ("projective-recursion", arq.projective, recursive_projective_dims(arq.quiver)),
-        ("injective-recursion", arq.injective, recursive_injective_dims(arq.quiver)),
+    for name, position, terms in zip(
+        ("projective-recursion", "injective-recursion"),
+        (arq.projective, arq.injective),
+        _terms(arq),
     ):
-        pairs = zip(vertices, map(position, vertices))  # the first, in 1..n, whose vector differs
-        bad = next((p for i, p in pairs if any(map(ne, arq.vector(p), recursive[i]))), None)
-        detail = "" if bad is None else f"dimension vectors differ at {bad}"
-        report.add(name, bad is None, detail)
+        j = _uninverted(terms, [arq.vector(position(i)) for i in arq.quiver.vertices()])
+        report.add(name, not j, f"dimension vectors differ at {position(j)}" if j else "")
     return report
 
 
@@ -375,7 +333,7 @@ def _closed_form_witness(arq: ARQuiver, m: tuple[int, ...], rho: tuple[int, ...]
 
 
 def run_all(arq: ARQuiver, order: int) -> OracleReport:
-    """Full oracle suite plus the global counting identities.
+    """Full oracle suite plus the counting identities, the order identity last.
 
     Each verdict over the whole quiver is taken on packed arrays; only a
     failing one reads further, to name its witness.  The path audit and the
@@ -429,4 +387,6 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     closed_form = _closed_form_rho_m(arq.quiver, arq.dynkin)
     ok = (arq.m, arq.rho) == closed_form
     report.add("closed-form-orbits", ok, "" if ok else _closed_form_witness(arq, *closed_form))
+    witness = _order_identity_witness(arq, order)
+    report.add("order-identity", not witness, witness)
     return report

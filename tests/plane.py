@@ -3,8 +3,9 @@ map, bounded windows of the plane, the arrow table of a built quiver, its
 successor lists and topological order, path lengths by dynamic
 programming, reachability by one forward search per pair, the
 orbit-index relation one ``arrow_counts`` pair at a time, the all-pairs
-path audit, vertex-by-vertex mesh sums, the Coxeter orbits walked one
-by one, the first failing check of an oracle report, seed sections and
+path audit, vertex-by-vertex mesh sums, the boundary dimension vectors
+by recursion over the ext-quiver, the Coxeter orbits walked one by one,
+the first failing check of an oracle report, seed sections and
 heap-ordered knitting, hammock tables by position, composition
 multiplicities, the dimension vectors by position, vector layouts and
 arrows for fault injection, and the derived translation and the cluster
@@ -15,7 +16,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain, count, takewhile
+from itertools import chain, count, repeat, takewhile
+from operator import add, mul, ne
 from typing import Iterator, Mapping, Sequence
 
 from arquiver.coxeter import _minus
@@ -331,6 +333,65 @@ def reference_mesh_line(arq) -> str:
         if lhs != rhs:
             return f"mesh-additivity: FAIL (mesh relation fails at {v})"
     return "mesh-additivity: PASS"
+
+
+# -- recursion over the ext-quiver, the reference for the boundary certificate ----
+
+
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return (0,) * (i - 1) + (1,) + (0,) * (n - i)
+
+
+def _add(u: tuple[int, ...], v: tuple[int, ...], scale: int) -> tuple[int, ...]:
+    return tuple(map(add, u, v if scale == 1 else map(mul, v, repeat(scale))))
+
+
+def recursive_projective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
+    """Projective dimension vectors by recursion from the sinks.
+
+    The vector at ``i`` is the unit vector plus, for every arrow
+    ``i -> j`` with valuation ``(a, b)``, ``a`` times the vector at ``j``.
+    """
+    dims: dict[int, tuple[int, ...]] = {}
+
+    def compute(i: int) -> tuple[int, ...]:
+        if i not in dims:
+            vec = _unit(q.n, i)
+            for a in q.out_arrows(i):
+                vec = _add(vec, compute(a.dst), a.val[0])
+            dims[i] = vec
+        return dims[i]
+
+    for i in q.vertices():
+        compute(i)
+    return dims
+
+
+def recursive_injective_dims(q: ValuedQuiver) -> dict[int, tuple[int, ...]]:
+    """Injective dimension vectors by recursion from the sources.
+
+    The vector at ``l`` is the unit vector plus, for every arrow
+    ``j -> l`` with valuation ``(a, b)``, ``b`` times the vector at ``j``:
+    the projective recursion on the opposite quiver, where that arrow is
+    ``l -> j`` with valuation ``(b, a)``.
+    """
+    return recursive_projective_dims(q.opposite())
+
+
+def reference_recursion_lines(arq) -> list[str]:
+    """The ``projective-recursion`` and ``injective-recursion`` lines, each
+    naming the first of ``1..n`` whose knitted vector differs from the
+    recursion's."""
+    lines, vertices = [], arq.quiver.vertices()
+    for name, position, recursive in (
+        ("projective-recursion", arq.projective, recursive_projective_dims(arq.quiver)),
+        ("injective-recursion", arq.injective, recursive_injective_dims(arq.quiver)),
+    ):
+        pairs = zip(vertices, map(position, vertices))
+        bad = next((p for i, p in pairs if any(map(ne, arq.vector(p), recursive[i]))), None)
+        detail = "PASS" if bad is None else f"FAIL (dimension vectors differ at {bad})"
+        lines.append(f"{name}: {detail}")
+    return lines
 
 
 # -- orbit by orbit, the reference for ``coxeter._orbit_lengths`` ----------------

@@ -24,7 +24,7 @@ from arquiver import (
     table_order,
     validate,
 )
-from arquiver.coxeter import _order_identity_witness
+from arquiver.coxeter import _order_identity_witness, _terms
 from arquiver.dynkin import (
     DynkinClass,
     all_orientations,
@@ -172,11 +172,11 @@ def test_order_identity_check_examples():
     corrupted = relaid(e6, m=(4, 4, 5, 5, 6, 5))
     assert not order_identity_check(corrupted, cd)
     # The witness of each failure.
-    assert _order_identity_witness(e6, cd) == ""
-    assert _order_identity_witness(e6, replace(cd, order=2 * cd.order)) == (
-        "order 24 is not h = 12 for E6"
+    assert _order_identity_witness(e6, cd.order) == ""
+    assert _order_identity_witness(e6, 2 * cd.order) == "order 24 is not h = 12 for E6"
+    assert _order_identity_witness(corrupted, cd.order) == (
+        "m(1) + m(rho(1)) + 2 = 11, not |C| = 12"
     )
-    assert _order_identity_witness(corrupted, cd) == "m(1) + m(rho(1)) + 2 = 11, not |C| = 12"
     # A rho entry off the vertices never reaches the check: the constructor names it.
     with pytest.raises(KnitInconsistentError) as caught:
         replace(e6, rho=(6, 5, 3, 7, 2, 1))
@@ -467,20 +467,13 @@ def test_row_certificate_needs_no_walk_on_every_orientation(family, rank):
         assert coxeter_matrix(arq).order == table_order(arq.dynkin)
 
 
-def _terms(q):
-    """The sparse ``A`` and ``B`` terms that :func:`coxeter_matrix` reads off ``q``."""
-    lower = [(a.dst - 1, a.src - 1, a.val[0]) for a in q.arrows]
-    upper = [(a.src - 1, a.dst - 1, a.val[1]) for a in q.arrows]
-    return lower, upper
-
-
 @pytest.mark.parametrize("family, rank", all_diagrams(8))
 def test_row_certificate_returns_the_walked_lengths_on_every_orientation(family, rank):
     from arquiver.coxeter import _orbit_lengths
 
     for q in all_orientations(canonical_diagram(family, rank)):
         arq = build(q)
-        lower, upper = _terms(q)
+        lower, upper = _terms(arq)
         assert _orbit_lengths(arq, lower, upper) == walk_orbits(arq, lower, upper)
 
 
@@ -517,7 +510,7 @@ def test_integral_floats_are_left_to_the_walk_which_passes_them():
     again = relaid(arq, {**dims(arq), v: tuple(map(int, map(float, dims(arq)[v])))})
     assert again == arq
     assert coxeter_matrix(again).order == table_order(arq.dynkin)
-    lower, upper = _terms(e6_example())
+    lower, upper = _terms(again)
     from arquiver.coxeter import _orbit_lengths
 
     assert _orbit_lengths(again, lower, upper) == walk_orbits(again, lower, upper)
@@ -533,7 +526,7 @@ def test_row_sums_hold_few_rows_at_once():
     arq = build(q)
     tracemalloc.start()
     try:
-        lengths = _orbit_lengths(arq, *_terms(q))
+        lengths = _orbit_lengths(arq, *_terms(arq))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -232,6 +232,24 @@ def test_orbits_that_make_no_period_of_the_order_are_refused(rho, order, v, mess
     assert str(caught.value) == message
 
 
+def test_a_shifted_position_needs_orbits_that_make_a_period():
+    # One backward step takes (2, 3, 0) to (0, 1, 1), so the real A3 puts
+    # them 2 apart.  Under rho = (2, 3, 1) orbits 1 and 2 make no period,
+    # and a shifted position cannot be placed; shift 0 reads no rho.
+    arq, order = _with_order(a3_linear())
+    a, b = DerivedVertex(2, 3, 0), DerivedVertex(0, 1, 1)
+    assert tau_d_inverse(arq, a) == b
+    assert derived_distance(arq, order, a, b) == 2
+    bad = relaid(arq, rho=(2, 3, 1))
+    assert plane_position(bad, order, a) == plane_position(arq, order, a)
+    for call in (lambda: plane_position(bad, order, b), lambda: derived_distance(bad, order, a, b)):
+        with pytest.raises(CrossCheckFailedError) as caught:
+            call()
+        assert str(caught.value) == (
+            "orbits 1 and 2 = rho(1) make no period of 4: rho(2) = 3, m(1) + m(2) + 2 = 3"
+        )
+
+
 @pytest.mark.parametrize(
     "m, rho, order, landing",
     [

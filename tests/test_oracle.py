@@ -15,16 +15,16 @@ from arquiver import (
     CrossCheckFailedError,
     KnitInconsistentError,
     NotATreeError,
+    SingularCartanError,
     ZVertex,
     build,
     coxeter_matrix,
-    recursive_injective_dims,
-    recursive_projective_dims,
     table_order,
     validate,
     verify_mesh,
 )
 from arquiver import oracle
+from arquiver.coxeter import _minus
 from arquiver.dynkin import canonical_diagram, orient, random_orientation
 from arquiver.oracle import _certify, _numbering, _path_audit, _spans, audit_paths, run_all
 from arquiver.quiver import Arrow, ValuedQuiver, reduced_walk
@@ -37,8 +37,11 @@ from plane import (
     distance,
     first_failure,
     fits_a_byte,
+    recursive_injective_dims,
+    recursive_projective_dims,
     reference_audit_lines,
     reference_mesh_line,
+    reference_recursion_lines,
     reference_spans,
     relaid,
     successors,
@@ -97,6 +100,61 @@ def test_recursion_checks_name_the_first_vertex_that_differs():
         "projective-recursion: FAIL (dimension vectors differ at ZVertex(level=0, base=2))",
         "injective-recursion: FAIL (dimension vectors differ at ZVertex(level=2, base=3))",
     ]
+
+
+def _interleaved_certificate(arq):
+    """The text of the ``SingularCartanError`` that ``coxeter_matrix``
+    raised when it tested each projective and then each injective against
+    a row of an ``n`` x ``n`` unit matrix, or ``""``."""
+    n = arq.n
+    proj = [arq.vector(arq.projective(i)) for i in range(1, n + 1)]
+    inj = [arq.vector(arq.injective(l)) for l in range(1, n + 1)]
+    lower = [(a.dst - 1, a.src - 1, a.val[0]) for a in arq.quiver.arrows]
+    upper = [(a.src - 1, a.dst - 1, a.val[1]) for a in arq.quiver.arrows]
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    for j in range(n):
+        if _minus(lower, proj[j]) != units[j]:
+            return (
+                f"projective {j + 1} disagrees with the ext-quiver: "
+                "E - A does not invert the Cartan matrix"
+            )
+        if _minus(upper, inj[j]) != units[j]:
+            return (
+                f"injective {j + 1} disagrees with the ext-quiver: "
+                "E - B does not invert the injective matrix"
+            )
+    return ""
+
+
+@st.composite
+def _bumped_boundaries(draw):
+    """An orientation up to rank 5 with one or two projective or injective
+    vectors bumped in one entry, by -1, 1 or 2 (-1 on a 0 lands on 1)."""
+    family, rank = draw(st.sampled_from(all_diagrams(5)))
+    g = canonical_diagram(family, rank)
+    arq = build(orient(g, draw(st.integers(0, (1 << len(g.edges)) - 1))))
+    bases = range(1, rank + 1)
+    boundary = sorted({*map(arq.projective, bases), *map(arq.injective, bases)})
+    vectors = dims(arq)
+    for v in draw(st.lists(st.sampled_from(boundary), min_size=1, max_size=2, unique=True)):
+        k, step = draw(st.integers(0, rank - 1)), draw(st.sampled_from([-1, 1, 2]))
+        vectors[v] = vectors[v][:k] + (abs(vectors[v][k] + step),) + vectors[v][k + 1 :]
+    return relaid(arq, vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bumped_boundaries())
+def test_the_boundary_certificate_names_what_the_recursions_name(arq):
+    # E - A and E - B are invertible, so every bump breaks the certificate;
+    # both sides name the first vertex that the recursion names, and
+    # coxeter_matrix the first in 1..n, each projective before its injective.
+    lines = [check.line() for check in verify_mesh(arq).checks[1:3]]
+    assert lines == reference_recursion_lines(arq)
+    message = _interleaved_certificate(arq)
+    assert message
+    with pytest.raises(SingularCartanError) as caught:
+        coxeter_matrix(arq)
+    assert str(caught.value) == message
 
 
 def _bumped(arq, rng):
@@ -203,6 +261,7 @@ def test_run_all_reports_every_check():
         "distinct-dimension-vectors",
         "positive-dimension-vectors",
         "closed-form-orbits",
+        "order-identity",
     } <= names
 
 
@@ -393,7 +452,7 @@ def test_run_all_reports_corrupted_paths_without_raising():
 def test_run_all_checks_orbit_data_against_closed_forms():
     arq = build(e6_example())
     order = coxeter_matrix(arq).order
-    assert run_all(arq, order).checks[-1].line() == "closed-form-orbits: PASS"
+    assert run_all(arq, order).checks[-2].line() == "closed-form-orbits: PASS"
     wrong = replace(arq, rho=tuple(arq.quiver.vertices()))
     result = {c.name: c.line() for c in run_all(wrong, order).checks}
     assert result["closed-form-orbits"] == (
@@ -682,6 +741,7 @@ _CHECK_NAMES = [
     "distinct-dimension-vectors",
     "positive-dimension-vectors",
     "closed-form-orbits",
+    "order-identity",
 ]
 # The checks that read the path table.
 _PATH_CHECKS = {
@@ -831,7 +891,8 @@ def test_run_all_reports_any_rho_line_by_line(data):
     involutive = all(rho[r - 1] == i for i, r in enumerate(rho, 1))
     period = lines[_CHECK_NAMES.index("derived-period")]
     assert involutive or period.startswith("derived-period: FAIL (")
-    assert (rho == arq.rho) == (lines[-1] == "closed-form-orbits: PASS")
+    closed_form = lines[_CHECK_NAMES.index("closed-form-orbits")]
+    assert (rho == arq.rho) == (closed_form == "closed-form-orbits: PASS")
 
 
 @pytest.mark.parametrize(
