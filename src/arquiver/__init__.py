@@ -21,7 +21,6 @@ from .coxeter import (
     CoxeterData,
     coxeter_matrix,
     order_identity_check,
-    table_order,
 )
 from .derived import (
     ClusterRep,
@@ -33,10 +32,9 @@ from .derived import (
 )
 from .dynkin import (
     DynkinClass,
-    all_orientations,
     canonical_diagram,
     classify_dynkin,
-    random_orientation,
+    table_order,
 )
 from .errors import (
     ArquiverError,

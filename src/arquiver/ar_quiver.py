@@ -46,8 +46,7 @@ from itertools import accumulate, compress, count, islice, repeat
 from operator import itemgetter, ne, sub
 from typing import Iterable, NamedTuple
 
-from .coxeter import table_order
-from .dynkin import DynkinClass, classify_quiver, relabel_quiver
+from .dynkin import DynkinClass, classify_quiver, relabel_quiver, table_order
 from .errors import (
     BoundExceededError,
     CrossCheckFailedError,
@@ -65,7 +64,8 @@ class ARQuiver:
     Orbit ``i`` holds the dimension vectors of ``(r, i)`` for
     ``r = 0..m(i)``.  ``layout`` lays every vector end to end, orbit by
     orbit and level by level, one byte per entry: the vector at
-    ``vertices[p]`` is ``layout[n * p : n * (p + 1)]``.  ``vertices`` and
+    ``vertices[p]`` is ``layout[n * p : n * (p + 1)]``, and orbit ``i``
+    starts at ``p = starts[i - 1]``.  ``starts``, ``vertices`` and
     ``arrows`` are views of ``m`` and the quiver, built on first read.
     The constructor rejects a quiver whose underlying graph is not a tree
     (:class:`NotATreeError`), a ``layout`` that is not ``bytes``, an ``m``
@@ -95,7 +95,7 @@ class ARQuiver:
         stray = next((top for top in m if type(top) is not int or top < 0), None)
         if stray is not None:
             raise KnitInconsistentError(f"m names {stray!r}, not a level")
-        count = sum(m) + n
+        count = self.starts[-1]
         if len(layout) != n * count:
             raise KnitInconsistentError(
                 f"layout has {len(layout)} bytes for {count} vertices of {n} entries"
@@ -117,6 +117,12 @@ class ARQuiver:
         return self.quiver.n
 
     @cached_property
+    def starts(self) -> tuple[int, ...]:
+        """Where each orbit starts in ``vertices``: ``(0, i)`` sits at
+        ``starts[i - 1]``, and the last entry is the vertex count."""
+        return (0, *accumulate(top + 1 for top in self.m))
+
+    @cached_property
     def vertices(self) -> tuple[ZVertex, ...]:
         """The positions orbit by orbit, each orbit in level order; the
         oracle's path audit numbers a vertex by its place here."""
@@ -134,8 +140,7 @@ class ARQuiver:
         in order, and each base's plain heads, then its star heads, by head
         base.  Both ends are the ``ZVertex`` objects of ``vertices``.
         """
-        qop, m, vertices = self.quiver.opposite(), self.m, self.vertices
-        start = [0, *accumulate(top + 1 for top in m)]  # (0, i) sits at start[i - 1]
+        qop, m, vertices, start = self.quiver.opposite(), self.m, self.vertices, self.starts
         # Per arrow out of a base at level 0, in (src, dst) order: where its
         # ends sit in ``vertices``, and the top level it is repeated to.
         spans = []
@@ -158,7 +163,7 @@ class ARQuiver:
         """The dimension vector at ``v``, one byte per entry."""
         if not 0 <= v.level <= self.m_of(v.base):
             raise PositionOutOfRangeError(f"no level {v.level} on base {v.base}")
-        p = sum(self.m[: v.base - 1]) + v.base - 1 + v.level
+        p = self.starts[v.base - 1] + v.level
         return self.layout[self.n * p : self.n * (p + 1)]
 
     def m_of(self, i: int) -> int:
@@ -189,6 +194,30 @@ class ARQuiver:
         """Position of the injective hull of the ``l``-th simple."""
         i = self.rho_inverse(l)
         return ZVertex(self.m_of(i), i)
+
+
+# -- the layout's bytes in wide lanes ---------------------------------------------
+
+def _lane_width(weight: int) -> int:
+    """The bytes of a lane that holds any sum of bytes whose weights total ``weight``."""
+    return ((255 * weight).bit_length() + 7) // 8
+
+
+def _widen(data: bytes, width: int) -> int:
+    """``data`` as one int, byte ``p`` in lane ``p`` of ``width`` bytes: the
+    exact ``sum(data[p] << 8 * width * p)``.  Sums and positive multiples of
+    widened bytes are the widened sums and multiples, one big-int operation
+    for every lane; at ``_lane_width`` of the weights no lane carries, so
+    each reads back exactly and two sums differ first in the lowest lane
+    of their ``^``."""
+    lanes = bytearray(width * len(data))
+    lanes[::width] = data
+    return int.from_bytes(lanes, "little")
+
+
+def _lowest_lane(x: int, width: int) -> int:
+    """The lowest lane of ``width`` bytes in which ``x != 0`` has a set bit."""
+    return ((x & -x).bit_length() - 1) // (8 * width)
 
 
 class Counts(NamedTuple):
@@ -235,11 +264,8 @@ class _Lanes:
     """
 
     def __init__(self, n: int) -> None:
-        def every_lane(value: int) -> int:
-            return int.from_bytes(value.to_bytes(2, "little") * n, "little")
-
-        self.sign = every_lane(1 << 15)  # the top bit of every lane
-        self.cap = every_lane(_CAP)
+        self.sign = _widen(b"\x80" * n, 2) << 8  # the top bit of every lane
+        self.cap = _widen(bytes([_CAP]) * n, 2)
 
     def pack(self, vector: Iterable[int]) -> int:
         lanes = array("h", vector)
@@ -449,7 +475,7 @@ def _count_identity(arq: ARQuiver, order: int, lengths: Iterable[int | None]) ->
     length of the paths from projective ``i`` to injective ``i``, or
     ``None`` where no path joins them.  Lengths are read in order, after
     the vertex count is checked."""
-    total = sum(arq.m) + arq.n
+    total = arq.starts[-1]
     if 2 * total != arq.n * order:
         half, odd = divmod(arq.n * order, 2)
         raise CrossCheckFailedError(

@@ -29,13 +29,11 @@ reduces any coordinate to its representative by one division.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from .ar_quiver import ARQuiver
 from .errors import CrossCheckFailedError, PositionOutOfRangeError
 from .repetitive import ZVertex, path_length
-
-if TYPE_CHECKING:
-    from .ar_quiver import ARQuiver
 
 
 class DerivedVertex(NamedTuple):
@@ -49,7 +47,7 @@ class ClusterRep(NamedTuple):
     power: int
 
 
-def _top(arq: "ARQuiver", v: DerivedVertex) -> int:
+def _top(arq: ARQuiver, v: DerivedVertex) -> int:
     """``m(base)`` of ``v``; ``PositionOutOfRangeError`` unless ``v`` lies on
     an orbit of the quiver: ``1 <= base <= n`` and ``0 <= level <= m(base)``."""
     top = arq.m_of(v.base)
@@ -58,7 +56,7 @@ def _top(arq: "ARQuiver", v: DerivedVertex) -> int:
     raise PositionOutOfRangeError(f"no level {v.level} on base {v.base}")
 
 
-def _paired(arq: "ARQuiver", order: int, b: int) -> int:
+def _paired(arq: ARQuiver, order: int, b: int) -> int:
     """``rho(b)``; ``CrossCheckFailedError`` if orbits ``b`` and ``rho(b)`` make no period."""
     j = arq.rho_of(b)
     total = arq.m_of(b) + arq.m_of(j) + 2
@@ -70,7 +68,7 @@ def _paired(arq: "ARQuiver", order: int, b: int) -> int:
     return j
 
 
-def plane_position(arq: "ARQuiver", order: int, v: DerivedVertex) -> ZVertex:
+def plane_position(arq: ARQuiver, order: int, v: DerivedVertex) -> ZVertex:
     """Embed into the translation plane of the opposite ext-quiver; a
     position off the quiver's orbits raises ``PositionOutOfRangeError``,
     and a shifted one on orbits that make no period, as :func:`_paired`."""
@@ -83,7 +81,7 @@ def plane_position(arq: "ARQuiver", order: int, v: DerivedVertex) -> ZVertex:
 
 
 def derived_distance(
-    arq: "ARQuiver", order: int, a: DerivedVertex, b: DerivedVertex
+    arq: ARQuiver, order: int, a: DerivedVertex, b: DerivedVertex
 ) -> int | None:
     """Common length of all derived paths ``a .. b``, or ``None``."""
     qop = arq.quiver.opposite()
@@ -92,7 +90,7 @@ def derived_distance(
     )
 
 
-def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
+def derived_nilpotency(arq: ARQuiver, order: int) -> int:
     """Radical nilpotency of the derived category: ``order - 1``.
 
     Cross-checked against the longest chain with non-zero composite:
@@ -129,7 +127,7 @@ def derived_nilpotency(arq: "ARQuiver", order: int) -> int:
 
 # -- cluster category -------------------------------------------------------------
 
-def cluster_normalize(arq: "ARQuiver", order: int, v: DerivedVertex) -> ClusterRep:
+def cluster_normalize(arq: ARQuiver, order: int, v: DerivedVertex) -> ClusterRep:
     """Reduce to the fundamental-domain representative of the orbit.
 
     Returns ``(rep, p)`` with ``F^p`` sending ``rep`` to ``v``.  At plane
@@ -152,9 +150,9 @@ def cluster_normalize(arq: "ARQuiver", order: int, v: DerivedVertex) -> ClusterR
     return ClusterRep(DerivedVertex(level, j, 0), power)
 
 
-def cluster_count(arq: "ARQuiver", order: int) -> int:
+def cluster_count(arq: ARQuiver, order: int) -> int:
     """Number of cluster-category objects: domain size, doubly computed."""
-    size = sum(arq.m) + 2 * arq.n  # every vertex, and each shifted projective
+    size = arq.starts[-1] + arq.n  # every vertex, and each shifted projective
     if 2 * size != arq.n * (order + 2):
         raise CrossCheckFailedError(
             f"fundamental domain has {size} objects, expected n(|C|+2)/2"

@@ -11,7 +11,6 @@ the anchoring logic can only produce ``None``, never a wrong class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Iterator
 
 from .errors import NotDynkinError
@@ -49,6 +48,22 @@ class DynkinClass:
 
     def from_canonical(self, c: int) -> int:
         return self.relabel.index(c) + 1
+
+
+def table_order(dynkin: DynkinClass) -> int:
+    """The Coxeter number h: the orientation-independent Coxeter order, per family."""
+    n = dynkin.rank
+    if dynkin.family == "A":
+        return n + 1
+    if dynkin.family in ("B", "C"):
+        return 2 * n
+    if dynkin.family == "D":
+        return 2 * (n - 1)
+    if dynkin.family == "E":
+        return {6: 12, 7: 18, 8: 30}[n]
+    if dynkin.family == "F":
+        return 12
+    return 6  # G2
 
 
 def canonical_diagram(family: str, rank: int) -> ValuedGraph:
@@ -228,24 +243,3 @@ def relabel_quiver(q: ValuedQuiver, relabel: tuple[int, ...]) -> ValuedQuiver:
         tuple(Arrow(relabel[a.src - 1], relabel[a.dst - 1], a.val) for a in q.arrows),
     )
 
-
-# -- orientation helpers -------------------------------------------------------
-
-def orient(g: ValuedGraph, flips: int) -> ValuedQuiver:
-    """Orient each edge of ``g``; bit ``i`` of ``flips`` reverses edge ``i``."""
-    arrows = []
-    for i, e in enumerate(g.edges):
-        if flips >> i & 1:
-            arrows.append(Arrow(e.y, e.x, swap(e.val)))
-        else:
-            arrows.append(Arrow(e.x, e.y, e.val))
-    return ValuedQuiver(g.n, tuple(arrows))
-
-
-def all_orientations(g: ValuedGraph) -> Iterator[ValuedQuiver]:
-    for flips in range(1 << len(g.edges)):
-        yield orient(g, flips)
-
-
-def random_orientation(g: ValuedGraph, rng: Random) -> ValuedQuiver:
-    return orient(g, rng.getrandbits(len(g.edges)) if g.edges else 0)

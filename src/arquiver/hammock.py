@@ -11,7 +11,7 @@ of the ``i``-th projective.
 :func:`~arquiver.ar_quiver.build` already knits all ``n`` hammocks at
 once: entry ``k`` of the dimension vector at ``(r, j)`` is hammock
 ``k``'s value there.  So this module knits nothing; it reads hammock
-``k`` off column ``k`` of a built quiver, in the shape of the paper's
+``k`` off coordinate row ``k`` of a built quiver, in the shape of the paper's
 knit.  That knit meets orbit ``j`` first at level ``r_j``, the backward
 steps of the walk ``k .. j`` (the seed section), and every path from
 ``(0, k)`` to ``(level, j)`` has length ``c_j + 2 * level``, where
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Callable, Iterator
 
 from .ar_quiver import ARQuiver, build
-from .coxeter import table_order
+from .dynkin import table_order
 from .errors import KnitInconsistentError, PositionOutOfRangeError
 from .quiver import ValuedQuiver
 from .repetitive import ZVertex
@@ -68,16 +68,15 @@ class HammockResult:
 def _reader(arq: ARQuiver) -> Callable[[int], HammockResult]:
     """Reads hammock ``k`` of ``arq`` off entry ``k`` of its vectors.
 
-    Base ``j``'s values are one strided slice of ``arq.layout``, and the
-    rows go out level by level, each from the bases whose range of levels
-    holds it.  The read raises :class:`KnitInconsistentError` when the
-    terminator does not lie at path length ``h`` or the value directly
-    before it is not positive.
+    Hammock ``k`` is row ``arq.layout[k - 1 :: n]``, base ``j``'s values a
+    stretch of it from ``arq.starts[j - 1]``; the rows go out level by
+    level, each from the bases whose range of levels holds it.  The read
+    raises :class:`KnitInconsistentError` when the terminator does not lie
+    at path length ``h`` or the value directly before it is not positive.
     """
-    q, layout, m, n = arq.quiver, arq.layout, arq.m, arq.n
+    q, layout, m, n, starts = arq.quiver, arq.layout, arq.m, arq.n, arq.starts
     steps = q.opposite()._forward_steps
     h = table_order(arq.dynkin)
-    start = [0, *accumulate(top + 1 for top in m)]  # (0, j) is vertex start[j - 1]
 
     def read(k: int) -> HammockResult:
         c = [steps[k][j] - steps[j][k] for j in range(q.n + 1)]  # entry 0 is padding
@@ -92,14 +91,15 @@ def _reader(arq: ARQuiver) -> Callable[[int], HammockResult]:
             raise KnitInconsistentError(
                 f"value directly before the terminator {terminator} is not positive"
             )
+        row = layout[k - 1 :: n]  # entry k of every vector
         entering: dict[int, list] = {}  # level: each base seeded there, with its values
         leaving: dict[int, list] = {}  # level: each base whose top is the level below
         for j in q.vertices():
             top, last = divmod(h - c[j], 2)
             if not last and (-c[j], j) > (-c[i], i):  # knitted after the terminator
                 top -= 1
-            seed, entry = steps[j][k], n * start[j - 1] + k - 1  # entry k of (0, j)
-            column = list(layout[entry + n * seed : entry + n * min(top, m[j - 1]) + 1 : n])
+            seed, start = steps[j][k], starts[j - 1]  # (0, j) is vertex start
+            column = list(row[start + seed : start + min(top, m[j - 1]) + 1])
             column += [0] * (top + 1 - seed - len(column))
             if j == i:
                 column[-1] = -1

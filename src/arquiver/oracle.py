@@ -10,22 +10,23 @@ these differ, so the recursion lines pin the convention.
 
 Each check that reads the whole quiver takes its verdict on packed
 arrays, and the pass that takes it names its first witness: the mesh
-relations on orbits of ``arq.layout`` widened into ints
-(:func:`_mesh_witness`); the path audit, an O(V + E) certificate
-(:func:`_certify`), on each arrow's ends numbered by position in
-``arq.vertices``: when it holds, parallel paths share one length and a
-sectional path is the only path between its ends.  No entry is
-negative: ``ARQuiver`` holds one byte per entry.
+relations on orbits of ``arq.layout`` widened into lanes
+(:func:`_mesh_witness`, by :func:`~arquiver.ar_quiver._widen`); the path
+audit, an O(V + E) certificate (:func:`_certify`), on each arrow's ends
+numbered by position in ``arq.vertices``: when it holds, parallel paths
+share one length and a sectional path is the only path between its
+ends.  No entry is negative: ``ARQuiver`` holds one byte per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count, repeat
+from itertools import chain, count, repeat
 from operator import add, attrgetter, sub
 from typing import Callable, Iterator
 
 from .ar_quiver import ARQuiver, _closed_form_rho_m, _count_identity, _orbit_index_witness
+from .ar_quiver import _lane_width, _lowest_lane, _widen
 from .coxeter import _order_identity_witness, _terms, _uninverted
 from .derived import cluster_count, derived_nilpotency
 from .errors import ArquiverError, CrossCheckFailedError
@@ -78,32 +79,25 @@ def _mesh_witness(arq: ARQuiver) -> str:
     ``""``: at the first failing vertex past level 0, its first mesh input
     in mesh-table order past the top of its orbit, else the vertex itself.
 
-    Each orbit's stretch of ``arq.layout`` is widened into one int, entry
-    ``p`` in lane ``p``, each lane wide enough for any mesh sum of bytes
-    under the table's weights.  Orbit ``b``'s levels ``1..m(b)`` plus its
-    levels ``0..m(b) - 1`` must equal the sum of ``w`` times levels
-    ``1 + offset .. m(b) + offset`` of each input ``(offset, src, w)``:
-    one shift and mask per input, one ``==`` per orbit.  An orbit is held
-    packed only while a base whose mesh reads it is to come.  No lane
-    carries, so the lowest bit where the sides differ lies in the first
-    level that fails; an input leaves its orbit from level
-    ``m(src) - offset + 1`` on.
+    Each orbit's stretch of ``arq.layout`` is widened into one int at the
+    lane width of the mesh table's weights (:func:`~arquiver.ar_quiver._widen`).
+    Orbit ``b``'s levels ``1..m(b)`` plus its levels ``0..m(b) - 1`` must
+    equal the sum of ``w`` times levels ``1 + offset .. m(b) + offset`` of
+    each input ``(offset, src, w)``: one shift and mask per input, one
+    ``==`` per orbit.  An orbit is held packed only while a base whose mesh
+    reads it is to come.  The sides differ first in the first level that
+    fails; an input leaves its orbit from level ``m(src) - offset + 1`` on.
     """
-    m, layout, n = arq.m, arq.layout, arq.n
+    m, layout, n, starts = arq.m, arq.layout, arq.n, arq.starts
     meshes = mesh_inputs(arq.quiver.opposite())
-    reach = 255 * max([2, *(sum(w for *_, w in inputs) for inputs in meshes.values())])
-    width = (reach.bit_length() + 7) // 8
+    width = _lane_width(max([2, *(sum(w for *_, w in inputs) for inputs in meshes.values())]))
     bits = 8 * width * n  # one level of an orbit
-    starts = [0, *accumulate(n * (top + 1) for top in m)]  # of each orbit's bytes
     packed: dict[int, int] = {}
     for base in range(1, n + 1):
         read = [base, *(src for _, src, _ in meshes[base])]
         for x in read:
             if x not in packed:
-                data = layout[starts[x - 1] : starts[x]]
-                lanes = bytearray(width * len(data))
-                lanes[::width] = data
-                packed[x] = int.from_bytes(lanes, "little")
+                packed[x] = _widen(layout[n * starts[x - 1] : n * starts[x]], width)
         top = m[base - 1]
         mask, sums, in_range = (1 << bits * top) - 1, 0, True
         for offset, src, w in meshes[base]:
@@ -112,7 +106,7 @@ def _mesh_witness(arq: ARQuiver) -> str:
         lhs = (packed[base] >> bits) + (packed[base] & mask)
         if lhs != sums or not in_range:
             diff = lhs ^ sums
-            level = ((diff & -diff).bit_length() - 1) // bits + 1 if diff else top + 1
+            level = _lowest_lane(diff, width) // n + 1 if diff else top + 1
             leaves = [(m[src - 1] - offset + 1, offset, src) for offset, src, _ in meshes[base]]
             first, offset, src = min(leaves, default=(top + 1, 0, 0))
             if first <= level:
@@ -188,7 +182,7 @@ def _certify(arq: ARQuiver, tails: list[int], heads: list[int]) -> list[int]:
     steps = q.opposite()._forward_steps
     adjacent = {(a.src, a.dst) for a in q.arrows}
     adjacent |= {(y, x) for x, y in adjacent}
-    sizes = [top + 1 for top in arq.m]
+    sizes = list(map(sub, arq.starts[1:], arq.starts))
     c = [steps[1][x] - steps[x][1] for x in q.vertices()]
     bases = list(chain.from_iterable(map(repeat, q.vertices(), sizes)))
     tops = map(add, c, map(add, sizes, sizes))  # past the top of each orbit
@@ -376,12 +370,11 @@ def run_all(arq: ARQuiver, order: int) -> OracleReport:
     reason = unread or _distance_witness(lengths, order)
     report.add("projective-injective-distance", not reason, reason)
 
-    n, layout = arq.n, arq.layout
-    vectors = {layout[p : p + n] for p in range(0, len(layout), n)}
+    vectors = set(_vectors(arq))
     ok = len(vectors) == len(arq.vertices)
     report.add("distinct-dimension-vectors", ok, "" if ok else _repeated_vector(arq))
     # No entry is negative (see ``ARQuiver``), so positive is no zero vector.
-    why = _non_positive_vector(arq) if bytes(n) in vectors else ""
+    why = _non_positive_vector(arq) if bytes(arq.n) in vectors else ""
     report.add("positive-dimension-vectors", not why, why)
     # The build's classification, so the quiver is classified once per check.
     closed_form = _closed_form_rho_m(arq.quiver, arq.dynkin)

@@ -2,11 +2,35 @@
 
 from __future__ import annotations
 
+from random import Random
+from typing import Iterator
+
 import pytest
 from hypothesis import strategies as st
 
-from arquiver import ValuedQuiver, canonical_diagram, validate
-from arquiver.dynkin import orient, relabel_quiver
+from arquiver import Arrow, ValuedGraph, ValuedQuiver, canonical_diagram, validate
+from arquiver.dynkin import relabel_quiver
+from arquiver.quiver import swap
+
+
+def orient(g: ValuedGraph, flips: int) -> ValuedQuiver:
+    """Orient each edge of ``g``; bit ``i`` of ``flips`` reverses edge ``i``."""
+    arrows = []
+    for i, e in enumerate(g.edges):
+        if flips >> i & 1:
+            arrows.append(Arrow(e.y, e.x, swap(e.val)))
+        else:
+            arrows.append(Arrow(e.x, e.y, e.val))
+    return ValuedQuiver(g.n, tuple(arrows))
+
+
+def all_orientations(g: ValuedGraph) -> Iterator[ValuedQuiver]:
+    for flips in range(1 << len(g.edges)):
+        yield orient(g, flips)
+
+
+def random_orientation(g: ValuedGraph, rng: Random) -> ValuedQuiver:
+    return orient(g, rng.getrandbits(len(g.edges)) if g.edges else 0)
 
 
 def a3_linear() -> ValuedQuiver:

@@ -27,9 +27,9 @@ from arquiver import (
     table_order,
     validate,
 )
-from arquiver.dynkin import all_orientations, canonical_diagram, random_orientation
+from arquiver.dynkin import canonical_diagram
 from arquiver.oracle import audit_paths, verify_mesh
-from conftest import all_diagrams, e6_example, f4_example
+from conftest import all_diagrams, all_orientations, e6_example, f4_example, random_orientation
 from plane import dims, distance, first_failure, tau_d_inverse
 
 FAMILY_LIST = all_diagrams(8)  # A1..A8, B2..B8, C3..C8, D4..D8, E6-8, F4, G2

@@ -25,21 +25,19 @@ from arquiver import (
     table_order,
     validate,
 )
-from arquiver.dynkin import (
-    all_orientations,
-    canonical_diagram,
-    orient,
-    random_orientation,
-    relabel_quiver,
-)
+from arquiver.ar_quiver import _lane_width, _lowest_lane, _widen
+from arquiver.dynkin import canonical_diagram, relabel_quiver
 from arquiver.oracle import _numbering
 from conftest import (
     a1_quiver,
     a3_linear,
     all_diagrams,
+    all_orientations,
     e6_example,
     f4_example,
     g2_quiver,
+    orient,
+    random_orientation,
     relabelled_orientations,
 )
 from plane import (
@@ -265,7 +263,8 @@ def test_a_rho_that_is_no_permutation_is_named_at_construction(rho, message):
 
 def test_build_and_check_read_no_position_keyed_vectors():
     # What `arquiver build` and `arquiver check` run reads the layout: the
-    # only views built are `vertices` and `arrows`, none keyed by position.
+    # only views built are `vertices`, `arrows` and the orbit index
+    # `starts`, none keyed by position (`starts` is keyed by base).
     from arquiver import build_report, order_identity_check, report_to_json, to_dot
     from arquiver.oracle import run_all
 
@@ -275,8 +274,56 @@ def test_build_and_check_read_no_position_keyed_vectors():
         report_to_json(build_report(arq, cd.order, include_hammocks=True))
         to_dot(arq)
         assert run_all(arq, cd.order).ok and order_identity_check(arq, cd)
-        views = {"vertices", "arrows"}
+        views = {"vertices", "arrows", "starts"}
         assert set(vars(arq)) <= {f.name for f in fields(ARQuiver)} | views
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_orientations())
+def test_starts_index_each_orbit_of_the_vertices_and_the_layout(q):
+    arq = build(q)
+    n, starts, vertices = arq.n, arq.starts, arq.vertices
+    assert starts[-1] == len(vertices) and len(starts) == n + 1
+    for i in arq.quiver.vertices():
+        assert vertices[starts[i - 1]] == (0, i)
+    for p, v in enumerate(vertices):
+        assert arq.vector(v) == arq.layout[n * p : n * (p + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=1, max_size=40), st.integers(1, 3), st.data())
+def test_the_lowest_lane_names_where_two_widened_strings_first_differ(a, width, data):
+    k = data.draw(st.integers(0, len(a) - 1))  # a shared prefix
+    b = a[:k] + data.draw(st.binary(min_size=len(a) - k, max_size=len(a) - k))
+    diff = _widen(a, width) ^ _widen(b, width)
+    first = next((p for p, (x, y) in enumerate(zip(a, b)) if x != y), None)
+    assert (_lowest_lane(diff, width) if diff else None) == first
+
+
+def _lanes(x: int, width: int, size: int) -> list[int]:
+    """Lanes ``0..size - 1`` of ``x``; ``OverflowError`` if ``x`` needs more."""
+    data = x.to_bytes(width * size, "little")
+    return [int.from_bytes(data[width * p : width * (p + 1)], "little") for p in range(size)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 30), st.data())
+def test_weighted_sums_of_widened_bytes_read_back_lane_by_lane(size, data):
+    term = st.tuples(st.integers(1, 300), st.binary(min_size=size, max_size=size))
+    terms = data.draw(st.lists(term, min_size=1, max_size=4))
+    width = _lane_width(sum(w for w, _ in terms))
+    total = sum(w * _widen(x, width) for w, x in terms)
+    assert _lanes(total, width, size) == [sum(w * x[p] for w, x in terms) for p in range(size)]
+
+
+@pytest.mark.parametrize("weight, width", [(1, 1), (2, 2), (257, 2), (258, 3)])
+def test_the_lane_width_is_the_least_that_holds_every_weighted_sum(weight, width):
+    # 255 fits one byte, as no sum is negative; 255 * 257 = 65535 is the
+    # most two bytes hold.
+    assert _lane_width(weight) == width
+    top = 255 * weight
+    assert _lanes(weight * _widen(b"\xff\x00\xff", width), width, 3) == [top, 0, top]
+    assert top >= 1 << 8 * (width - 1)
 
 
 def test_dim_vector_examples():

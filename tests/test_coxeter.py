@@ -25,19 +25,16 @@ from arquiver import (
     validate,
 )
 from arquiver.coxeter import _order_identity_witness, _terms
-from arquiver.dynkin import (
-    DynkinClass,
-    all_orientations,
-    canonical_diagram,
-    orient,
-    random_orientation,
-)
+from arquiver.dynkin import DynkinClass, canonical_diagram
 from conftest import (
     a1_quiver,
     a3_linear,
     all_diagrams,
+    all_orientations,
     e6_example,
     g2_quiver,
+    orient,
+    random_orientation,
     relabelled_orientations,
 )
 from plane import (
@@ -119,7 +116,6 @@ def test_g2_order():
 
 
 def test_defining_identity_is_exact():
-    from arquiver.dynkin import all_orientations
     from conftest import all_diagrams
 
     quivers = [a3_linear(), g2_quiver(), e6_example()]
@@ -204,7 +200,6 @@ def test_order_independent_of_orientation_sample():
 
 
 def test_order_table_exhaustive_up_to_rank_six():
-    from arquiver.dynkin import all_orientations
     from conftest import all_diagrams
 
     for family, rank in all_diagrams(6):

@@ -23,8 +23,8 @@ from arquiver import (
     validate,
 )
 from arquiver.derived import plane_position
-from arquiver.dynkin import all_orientations, canonical_diagram
-from conftest import a1_quiver, a3_linear, e6_example, g2_quiver
+from arquiver.dynkin import canonical_diagram
+from conftest import a1_quiver, a3_linear, all_orientations, e6_example, g2_quiver
 from plane import (
     in_fundamental_domain,
     orbit_shift,

@@ -16,8 +16,8 @@ from arquiver import (
     classify_dynkin,
     validate,
 )
-from arquiver.dynkin import is_valued_graph_isomorphism, random_orientation
-from conftest import all_diagrams
+from arquiver.dynkin import is_valued_graph_isomorphism
+from conftest import all_diagrams, random_orientation
 
 
 @pytest.mark.parametrize("family,rank", all_diagrams(8))

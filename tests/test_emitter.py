@@ -24,9 +24,9 @@ from arquiver import (
     report,
     report_to_json,
 )
-from arquiver.dynkin import all_orientations, canonical_diagram, orient
+from arquiver.dynkin import canonical_diagram
 from arquiver.report import write_report
-from conftest import a1_quiver, all_diagrams
+from conftest import a1_quiver, all_diagrams, all_orientations, orient
 from plane import dims, relaid
 
 

@@ -23,20 +23,17 @@ from arquiver import (
     validate,
 )
 from arquiver.coxeter import table_order
-from arquiver.dynkin import (
-    all_orientations,
-    canonical_diagram,
-    classify_quiver,
-    random_orientation,
-)
+from arquiver.dynkin import canonical_diagram, classify_quiver
 from arquiver.repetitive import mesh_inputs
 from arquiver.report import build_report
 from conftest import (
     a1_quiver,
     a3_linear,
     all_diagrams,
+    all_orientations,
     e6_example,
     g2_quiver,
+    random_orientation,
     relabelled_orientations,
 )
 from plane import (

@@ -22,7 +22,8 @@ from arquiver import (
     validate,
 )
 from arquiver.cli import main
-from arquiver.dynkin import canonical_diagram, orient
+from arquiver.dynkin import canonical_diagram
+from conftest import orient
 from plane import reference_arrows, reference_knit, seed_section, table_of
 
 LARGE = [("A", 60), ("A", 64), ("B", 31), ("C", 32), ("D", 32), ("D", 40)]

@@ -25,6 +25,19 @@ def test_library_raises_instead_of_asserting(path):
     assert lines == [], f"{path.name}: assert on line(s) {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_hides_no_import_behind_type_checking(path):
+    # An import cycle between library modules is broken by moving code, not
+    # hidden behind `if TYPE_CHECKING:`, which the runtime never enters.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+    ]
+    assert lines == [], f"{path.name}: `if TYPE_CHECKING:` on line(s) {lines}"
+
+
 def test_readme_library_example_runs():
     namespace: dict = {}
     for block in re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S):

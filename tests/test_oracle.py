@@ -25,11 +25,20 @@ from arquiver import (
 )
 from arquiver import oracle
 from arquiver.coxeter import _minus
-from arquiver.dynkin import canonical_diagram, orient, random_orientation
+from arquiver.dynkin import canonical_diagram
 from arquiver.oracle import _certify, _numbering, _path_audit, _spans, audit_paths, run_all
 from arquiver.quiver import Arrow, ValuedQuiver, reduced_walk
 from arquiver.repetitive import ZArrow
-from conftest import a1_quiver, a3_linear, all_diagrams, e6_example, f4_example, g2_quiver
+from conftest import (
+    a1_quiver,
+    a3_linear,
+    all_diagrams,
+    e6_example,
+    f4_example,
+    g2_quiver,
+    orient,
+    random_orientation,
+)
 from plane import (
     NOT_AN_INT,
     OUTSIDE_A_BYTE,

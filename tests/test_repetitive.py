@@ -8,10 +8,10 @@ from collections import defaultdict
 import pytest
 
 from arquiver import ZVertex, reduced_walk, validate
-from arquiver.dynkin import canonical_diagram, random_orientation
+from arquiver.dynkin import canonical_diagram
 from arquiver.quiver import Step
 from arquiver.repetitive import mesh_inputs, path_length
-from conftest import a3_linear, all_diagrams, e6_example, g2_quiver
+from conftest import a3_linear, all_diagrams, e6_example, g2_quiver, random_orientation
 from plane import (
     ZPath,
     covering_map,
